@@ -14,6 +14,7 @@ Layout (all integers little-endian):
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -42,30 +43,36 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], seed: int) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int]:
-    """Returns (name -> array, seed)."""
+    """Returns (name -> array, seed); a short read raises CheckpointError."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
+    offset = 0
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if size > len(data) - offset:
+            raise CheckpointError(f"{path}: truncated checkpoint (needs {size} bytes at offset "
+                                  f"{offset}, file has {len(data)})")
+        offset += size
+        return data[offset - size : offset]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, seed = struct.unpack_from("<Iq", data, 4)
+    version, seed = unpack("<Iq")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (count,) = struct.unpack_from("<I", data, 16)
-    offset = 20
+    (count,) = unpack("<I")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", data, offset)
-        offset += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        tensors[name] = arr.astype(np.float64)
+        (name_len,) = unpack("<I")
+        name = take(name_len).decode("utf-8")
+        (ndim,) = unpack("<I")
+        shape = unpack(f"<{ndim}Q")
+        raw = take(8 * math.prod(shape))
+        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return tensors, seed

@@ -46,7 +46,7 @@ from .report import (
 from .synth import generate_suite
 from .training import train_lm, train_nmt
 from .typology import DistanceContext, KnnConfig, knn_feature_vector, load_features, write_distance_dump, write_features
-from .vectors import combine_mtboth, extract_lmvec, extract_mtcell, extract_mtvec, extract_variant, load_vectors, save_vectors
+from .vectors import METHODS, combine_mtboth, extract_encoder_vectors, extract_lmvec, extract_mtvec, load_vectors, save_vectors
 
 STAGES = ("ingest", "bpe-learn", "train-lm", "train-nmt", "extract",
           "baseline", "predict", "report", "bootstrap", "traj", "synth")
@@ -271,15 +271,14 @@ def _load_trained(cfg: PipelineConfig, wd: Workdir, kind: str):
 
 def run_extract(cfg: PipelineConfig, wd: Workdir) -> None:
     methods = cfg.method_list
-    unknown = [m for m in methods if m not in
-               ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")]
+    unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods in config: {unknown}")
-    need_nmt_files = any(m.startswith("MT") for m in methods)
+    need_nmt = any(m.startswith("MT") for m in methods)
     inputs = [_require(cfg.corpus_path, "synth"),
               _require(wd.path("merges.txt"), "bpe-learn"),
               _require(wd.path("vocab.tsv"), "bpe-learn")]
-    if need_nmt_files:
+    if need_nmt:
         inputs.append(_require(wd.path("nmt.ckpt"), "train-nmt"))
     if "LMVec" in methods:
         inputs.append(_require(wd.path("lm.ckpt"), "train-lm"))
@@ -294,42 +293,29 @@ def run_extract(cfg: PipelineConfig, wd: Workdir) -> None:
     if wd.up_to_date("extract", params, inputs, expected):
         print("extract: up to date")
         return
-    max_sentences = cfg.max_sentences or None
     registry, encoded, vocab = _load_encoded(cfg, wd)
     langs = sorted(encoded.by_lang)
-    need_nmt = any(m.startswith("MT") for m in methods)
     nmt = _load_trained(cfg, wd, "nmt") if need_nmt else None
     lm = _load_trained(cfg, wd, "lm") if "LMVec" in methods else None
+    need_encoder = bool({"MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean"} & set(methods))
 
     produced: dict[str, list] = {m: [] for m in methods}
-    mtvec_cache: dict[str, object] = {}
-    mtcell_cache: dict[str, object] = {}
     for lang in langs:
+        found = {}
         if "LMVec" in methods:
-            produced["LMVec"].append(extract_lmvec(lm, vocab, lang))
-        if "MTVec" in methods or "MTBoth" in methods:
-            mtvec_cache[lang] = extract_mtvec(nmt, vocab, lang)
-        if "MTCell" in methods or "MTBoth" in methods:
-            mtcell_cache[lang] = extract_mtcell(
-                nmt, encoded, vocab, lang, max_sentences,
+            found["LMVec"] = extract_lmvec(lm, vocab, lang)
+        if need_nmt:
+            found["MTVec"] = extract_mtvec(nmt, vocab, lang)
+        if need_encoder:
+            found.update(extract_encoder_vectors(
+                nmt, encoded, vocab, lang, cfg.max_sentences or None,
                 include_special=cfg.mtcell_include_special,
                 sentence_equal=cfg.mtcell_sentence_equal,
                 seed=cfg.seed,
-            )
-        if "MTVec" in methods:
-            produced["MTVec"].append(mtvec_cache[lang])
-        if "MTCell" in methods:
-            produced["MTCell"].append(mtcell_cache[lang])
-        if "MTBoth" in methods:
-            produced["MTBoth"].append(combine_mtboth(mtvec_cache[lang], mtcell_cache[lang]))
-        if "MTCellFinal" in methods:
-            produced["MTCellFinal"].append(
-                extract_variant(nmt, encoded, vocab, lang, "final-cell", max_sentences, seed=cfg.seed)
-            )
-        if "MTHiddenMean" in methods:
-            produced["MTHiddenMean"].append(
-                extract_variant(nmt, encoded, vocab, lang, "mean-hidden", max_sentences, seed=cfg.seed)
-            )
+            ))
+            found["MTBoth"] = combine_mtboth(found["MTVec"], found["MTCell"])
+        for method in methods:
+            produced[method].append(found[method])
     outputs = []
     for method in methods:
         out = wd.path(f"vectors_{method}.tsv")

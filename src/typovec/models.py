@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Parameter, Tensor
-from .bpe import EOS_ID, SubwordVocab
+from .bpe import EOS_ID, PAD_ID, SubwordVocab
 from .checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -111,27 +111,39 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor,
     return h, c
 
 
-def lstm_step_values(w: np.ndarray, u: np.ndarray, b: np.ndarray,
-                     x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray):
-    """Inference twin of :func:`lstm_step` on raw arrays, same formulas."""
-    hsz = h_prev.shape[-1]
-    z = x @ w + h_prev @ u + b
-    i = _sigmoid_np(z[..., 0 * hsz : 1 * hsz])
-    f = _sigmoid_np(z[..., 1 * hsz : 2 * hsz])
-    o = _sigmoid_np(z[..., 2 * hsz : 3 * hsz])
-    g = np.tanh(z[..., 3 * hsz : 4 * hsz])
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    return h, c
+def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, lens: np.ndarray,
+                h: np.ndarray | None = None, c: np.ndarray | None = None):
+    """Inference twin of :func:`lstm_step` over a padded (B, T) batch of ids.
+
+    Yields the (B, H) states (h_t, c_t) after each step t. Rows with
+    ``lens <= t`` keep their previous state, so after the last step every
+    row holds its own final state. Each step costs one (B, E) @ (E, 4H) and
+    one (B, H) @ (H, 4H) product; sigmoid is 0.5*(1 + tanh(x/2)), which
+    needs no masks. Start states default to zeros.
+    """
+    w, u, b = cell.w.value, cell.u.value, cell.b.value
+    hsz = cell.hidden_size
+    h = np.zeros((len(ids), hsz)) if h is None else h
+    c = np.zeros((len(ids), hsz)) if c is None else c
+    for t in range(ids.shape[1]):
+        z = embedding[ids[:, t]] @ w + h @ u + b
+        ifo = 0.5 * (1.0 + np.tanh(0.5 * z[:, : 3 * hsz]))
+        c_new = ifo[:, hsz : 2 * hsz] * c + ifo[:, :hsz] * np.tanh(z[:, 3 * hsz :])
+        h_new = ifo[:, 2 * hsz :] * np.tanh(c_new)
+        alive = (t < lens)[:, None]
+        h = np.where(alive, h_new, h)
+        c = np.where(alive, c_new, c)
+        yield h, c
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def pad_batch(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) id matrix padded with PAD_ID, and the (B,) row lengths."""
+    lens = np.array([len(s) for s in seqs], dtype=np.int64)
+    width = int(lens.max()) if len(lens) else 0
+    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
+    for i, s in enumerate(seqs):
+        ids[i, : len(s)] = s
+    return ids, lens
 
 
 class RnnLmModel:
@@ -189,23 +201,29 @@ def encoder_input_ids(vocab: SubwordVocab, lang: str, source_ids) -> list[int]:
     return [vocab.lang_id(lang), *source_ids, EOS_ID]
 
 
+def encoder_batch(vocab: SubwordVocab, lang: str, sentences):
+    """Canonical padded encoder batch for one language's sentences.
+
+    Rows are sorted by (length, ids), so the batch, and every float an
+    inference pass computes from it, depends on the sentence multiset only.
+    Returns (ids, lens, order) with ``order[k]`` the index in ``sentences``
+    of row k.
+    """
+    seqs = [encoder_input_ids(vocab, lang, p.source_ids) for p in sentences]
+    order = sorted(range(len(seqs)), key=lambda i: (len(seqs[i]), seqs[i]))
+    ids, lens = pad_batch([seqs[i] for i in order])
+    return ids, lens, order
+
+
 def encode(model: Seq2SeqModel | RnnLmModel, vocab: SubwordVocab, lang: str, source_ids):
     """Run the (encoder) LSTM over one sentence; returns all (h_t, c_t).
 
     The input sequence is [language token] + source + [EOS], so the result
     has len(source) + 2 entries of (H,) arrays each.
     """
-    ids = encoder_input_ids(vocab, lang, source_ids)
+    ids, lens = pad_batch([encoder_input_ids(vocab, lang, source_ids)])
     cell = model.encoder if isinstance(model, Seq2SeqModel) else model.cell
-    w, u, b = cell.w.value, cell.u.value, cell.b.value
-    embed = model.embedding.value
-    h = np.zeros(model.hidden_size)
-    c = np.zeros(model.hidden_size)
-    states: list[tuple[np.ndarray, np.ndarray]] = []
-    for ident in ids:
-        h, c = lstm_step_values(w, u, b, embed[ident], h, c)
-        states.append((h, c))
-    return states
+    return [(h[0], c[0]) for h, c in lstm_states(cell, model.embedding.value, ids, lens)]
 
 
 # --- persistence ------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bpe import EncodedCorpus, SubwordVocab
-from .models import Seq2SeqModel, encode
+from .models import Seq2SeqModel, encoder_batch, lstm_states
 from .typology import FeatureMatrix, majority_value
 from .vectors import LangVector
 
@@ -386,10 +386,11 @@ def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCo
             raise ValueError(f"no sentences for language {lang!r}")
         if max_sentences is not None:
             sentences = sentences[:max_sentences]
-        for sent_idx, pair in enumerate(sentences):
-            states = encode(nmt, vocab, lang, pair.source_ids)
-            for step, (_, c) in enumerate(states):
-                rows.append((lang, sent_idx, step, float(c[node])))
+        ids, lens, order = encoder_batch(vocab, lang, sentences)
+        series = np.stack([c[:, node] for _, c in lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)],
+                          axis=1)
+        for sent_idx, row in enumerate(np.argsort(order)):
+            rows.extend((lang, sent_idx, step, float(series[row, step])) for step in range(lens[row]))
     return node, rows
 
 

@@ -5,6 +5,10 @@ then original index), chunks them, and shuffles the chunk order with an
 epoch-derived seed. Padded positions are masked out of the loss; encoder
 states of finished rows are frozen so the final encoder state of every row
 is its own last real step.
+
+Perplexity runs the same padded batches, without dropout, through the
+inference recurrence :func:`typovec.models.lstm_states`, which freezes
+finished rows the same way.
 """
 
 from __future__ import annotations
@@ -15,14 +19,15 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .bpe import BOS_ID, EOS_ID, PAD_ID, EncodedCorpus, SubwordVocab
+from .bpe import BOS_ID, EOS_ID, EncodedCorpus, SubwordVocab
 from .models import (
     RnnLmModel,
     Seq2SeqModel,
     TrainConfig,
     encoder_input_ids,
+    lstm_states,
     lstm_step,
-    lstm_step_values,
+    pad_batch,
 )
 from .optim import AdamState, adam_step, clip_gradients, zero_gradients
 
@@ -63,15 +68,6 @@ def _make_batches(rows: list[_Row], batch_size: int, rng: np.random.Generator) -
     return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
-def _pad(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    lens = np.array([len(s) for s in seqs], dtype=np.int64)
-    width = int(lens.max()) if len(lens) else 0
-    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
-    for i, s in enumerate(seqs):
-        ids[i, : len(s)] = s
-    return ids, lens
-
-
 def _masked_carry(new: Tensor, prev: Tensor, alive: np.ndarray) -> Tensor:
     # alive is a constant (B,1) 0/1 mask; dead rows keep their previous state
     a = ag.constant(alive)
@@ -81,7 +77,7 @@ def _masked_carry(new: Tensor, prev: Tensor, alive: np.ndarray) -> Tensor:
 
 def _run_encoder(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: float):
     """Returns (h, c, per-step h list, per-step alive masks)."""
-    ids, lens = _pad([r.enc_ids for r in batch])
+    ids, lens = pad_batch([r.enc_ids for r in batch])
     bsz = len(batch)
     embed = model.embedding.node()
     nodes = (model.encoder.w.node(), model.encoder.u.node(), model.encoder.b.node())
@@ -125,8 +121,8 @@ def _attention_context(h_dec: Tensor, enc_hs: list[Tensor], alive_masks: list[np
 
 def _decoder_loss(model: Seq2SeqModel, batch: list[_Row], h: Tensor, c: Tensor,
                   enc_hs, alive_masks, drop_rng, rate: float) -> tuple[Tensor, int]:
-    dec_in, _ = _pad([r.dec_in for r in batch])
-    dec_out, out_lens = _pad([r.dec_out for r in batch])
+    dec_in, _ = pad_batch([r.dec_in for r in batch])
+    dec_out, out_lens = pad_batch([r.dec_out for r in batch])
     embed = model.embedding.node()
     nodes = (model.decoder.w.node(), model.decoder.u.node(), model.decoder.b.node())
     proj_w, proj_b = model.proj_w.node(), model.proj_b.node()
@@ -156,8 +152,8 @@ def _nmt_batch_loss(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: floa
 
 
 def _lm_batch_loss(model: RnnLmModel, batch: list[_Row], drop_rng, rate: float):
-    dec_in, _ = _pad([r.dec_in for r in batch])
-    dec_out, out_lens = _pad([r.dec_out for r in batch])
+    dec_in, _ = pad_batch([r.dec_in for r in batch])
+    dec_out, out_lens = pad_batch([r.dec_out for r in batch])
     bsz = len(batch)
     embed = model.embedding.node()
     nodes = (model.cell.w.node(), model.cell.u.node(), model.cell.b.node())
@@ -234,57 +230,48 @@ def _log_softmax_np(z: np.ndarray) -> np.ndarray:
     return (z - zmax) - np.log(ez.sum(axis=-1, keepdims=True))
 
 
-def _nmt_sentence_nll(model: Seq2SeqModel, vocab: SubwordVocab, pair) -> tuple[float, int]:
-    enc_ids = encoder_input_ids(vocab, pair.lang, pair.source_ids)
+def _batch_nll(model, batch: list[_Row]) -> float:
+    """Summed target negative log-likelihood of one padded batch (no dropout)."""
     embed = model.embedding.value
-    w, u, b = model.encoder.w.value, model.encoder.u.value, model.encoder.b.value
-    h = np.zeros(model.hidden_size)
-    c = np.zeros(model.hidden_size)
-    enc_hs = []
-    for ident in enc_ids:
-        h, c = lstm_step_values(w, u, b, embed[ident], h, c)
-        enc_hs.append(h)
-    dw, du, db = model.decoder.w.value, model.decoder.u.value, model.decoder.b.value
-    dec_in = [BOS_ID, *pair.target_ids]
-    dec_out = [*pair.target_ids, EOS_ID]
+    dec_in, _ = pad_batch([r.dec_in for r in batch])
+    dec_out, out_lens = pad_batch([r.dec_out for r in batch])
+    h = c = attn_wc = None
+    decoder = model.decoder if isinstance(model, Seq2SeqModel) else model.cell
+    if isinstance(model, Seq2SeqModel):
+        attn_wc = model.attn_wc
+        enc_ids, enc_lens = pad_batch([r.enc_ids for r in batch])
+        enc_hs = []
+        for h, c in lstm_states(model.encoder, embed, enc_ids, enc_lens):
+            if attn_wc is not None:
+                enc_hs.append(h)
+        if attn_wc is not None:
+            enc_hs = np.stack(enc_hs, axis=1)  # (B, T_enc, H)
+            pad_mask = np.arange(enc_hs.shape[1]) >= enc_lens[:, None]
+    rows = np.arange(len(batch))
     nll = 0.0
-    for x_id, y_id in zip(dec_in, dec_out):
-        h, c = lstm_step_values(dw, du, db, embed[x_id], h, c)
+    # the encoder's final state starts the decoder; attention is not fed back
+    # into the recurrence, so it is applied to each decoder state afterwards
+    for t, (h, c) in enumerate(lstm_states(decoder, embed, dec_in, out_lens, h, c)):
         out = h
-        if model.attn_wc is not None:
-            scores = np.array([float(h @ he) for he in enc_hs])
-            attn = np.exp(scores - scores.max())
-            attn /= attn.sum()
-            ctx = sum(a * he for a, he in zip(attn, enc_hs))
-            out = np.tanh(np.concatenate([h, ctx]) @ model.attn_wc.value)
-        logits = out @ model.proj_w.value + model.proj_b.value
-        nll -= float(_log_softmax_np(logits)[y_id])
-    return nll, len(dec_out)
-
-
-def _lm_sentence_nll(model: RnnLmModel, vocab: SubwordVocab, pair) -> tuple[float, int]:
-    embed = model.embedding.value
-    w, u, b = model.cell.w.value, model.cell.u.value, model.cell.b.value
-    ids_in = [vocab.lang_id(pair.lang), *pair.source_ids]
-    ids_out = [*pair.source_ids, EOS_ID]
-    h = np.zeros(model.hidden_size)
-    c = np.zeros(model.hidden_size)
-    nll = 0.0
-    for x_id, y_id in zip(ids_in, ids_out):
-        h, c = lstm_step_values(w, u, b, embed[x_id], h, c)
-        logits = h @ model.proj_w.value + model.proj_b.value
-        nll -= float(_log_softmax_np(logits)[y_id])
-    return nll, len(ids_out)
+        if attn_wc is not None:
+            scores = np.where(pad_mask, -np.inf, np.einsum("bh,bth->bt", h, enc_hs))
+            attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+            ctx = np.einsum("bt,bth->bh", attn / attn.sum(axis=1, keepdims=True), enc_hs)
+            out = np.tanh(np.concatenate([h, ctx], axis=1) @ attn_wc.value)
+        logp = _log_softmax_np(out @ model.proj_w.value + model.proj_b.value)
+        nll -= float(np.sum(logp[rows, dec_out[:, t]] * (t < out_lens)))
+    return nll
 
 
 def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
-    """exp(mean per-token negative log-likelihood) over the corpus."""
+    """exp(mean per-token negative log-likelihood) over the corpus.
+
+    Sentences are length-sorted into batches of 64 and run without dropout.
+    """
     if not encoded.ordered:
         raise ValueError("perplexity of an empty corpus is undefined")
-    sentence_nll = _nmt_sentence_nll if isinstance(model, Seq2SeqModel) else _lm_sentence_nll
-    total_nll, total_tokens = 0.0, 0
-    for pair in encoded.ordered:
-        nll, n = sentence_nll(model, vocab, pair)
-        total_nll += nll
-        total_tokens += n
+    rows = _nmt_rows(encoded, vocab) if isinstance(model, Seq2SeqModel) else _lm_rows(encoded, vocab)
+    rows.sort(key=lambda r: (len(r.enc_ids), len(r.dec_in)))
+    total_nll = sum(_batch_nll(model, rows[i : i + 64]) for i in range(0, len(rows), 64))
+    total_tokens = sum(len(r.dec_out) for r in rows)
     return float(np.exp(total_nll / total_tokens))

@@ -11,20 +11,22 @@ Methods:
 - ``MTCellFinal`` / ``MTHiddenMean``: ablation variants (mean of final cell
   states, and mean of hidden states h over all steps).
 
-Reductions use math.fsum per dimension (per sentence, then across
-sentences), so results are exactly invariant under sentence permutation.
+One encoder pass per language yields all three cell/hidden methods. The
+pass runs on the language's canonical batch (sentences sorted by
+(length, ids)), so every sum is taken in an order fixed by the sentence
+multiset: results are exactly invariant under sentence permutation and each
+language's vector depends on its own sentences only.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage as _scipy_linkage
 
 from .bpe import EncodedCorpus, SubwordVocab
-from .models import RnnLmModel, Seq2SeqModel, encode
+from .models import RnnLmModel, Seq2SeqModel, encoder_batch, lstm_states
 
 METHODS = ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")
 
@@ -76,9 +78,35 @@ def _select_sentences(encoded: EncodedCorpus, lang: str,
     return sentences
 
 
-def _fsum_rows(rows: list[np.ndarray]) -> np.ndarray:
-    stacked = np.stack(rows)
-    return np.array([math.fsum(stacked[:, j]) for j in range(stacked.shape[1])])
+def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
+                            lang: str, max_sentences: int | None = None, *,
+                            include_special: bool = True, sentence_equal: bool = False,
+                            seed: int = 0) -> dict[str, LangVector]:
+    """MTCell, MTCellFinal and MTHiddenMean of one language from one pass.
+
+    See :func:`extract_mtcell` for the MTCell options; the two ablation
+    variants always average over all time steps (MTHiddenMean) or over
+    sentences (MTCellFinal).
+    """
+    sentences = _select_sentences(encoded, lang, max_sentences, seed)
+    ids, lens, _ = encoder_batch(vocab, lang, sentences)
+    cell_sums, inner_sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(3))
+    for t, (h, c) in enumerate(lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
+        alive = (t < lens)[:, None]
+        cell_sums += np.where(alive, c, 0.0)
+        inner_sums += np.where(((t >= 1) & (t < lens - 1))[:, None], c, 0.0)
+        hidden_sums += np.where(alive, h, 0.0)
+    sums, counts = (cell_sums, lens) if include_special else (inner_sums, lens - 2)
+    keep = counts > 0
+    if not keep.any():
+        raise ValueError(f"no time steps selected for language {lang!r}")
+    if sentence_equal:
+        mtcell = (sums[keep] / counts[keep, None]).sum(axis=0) / int(keep.sum())
+    else:
+        mtcell = sums.sum(axis=0) / int(counts.sum())
+    means = {"MTCell": mtcell, "MTCellFinal": c.sum(axis=0) / len(lens),
+             "MTHiddenMean": hidden_sums.sum(axis=0) / int(lens.sum())}
+    return {method: LangVector(lang, method, v, len(lens)) for method, v in means.items()}
 
 
 def extract_mtcell(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
@@ -92,47 +120,19 @@ def extract_mtcell(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVoca
     tokens; the default is the flat token-equal mean. Subsampling under
     ``max_sentences`` is seeded and uniform.
     """
-    sentences = _select_sentences(encoded, lang, max_sentences, seed)
-    per_sentence_sums: list[np.ndarray] = []
-    per_sentence_counts: list[int] = []
-    for pair in sentences:
-        states = encode(nmt, vocab, lang, pair.source_ids)
-        cells = [c for _, c in states]
-        if not include_special:
-            cells = cells[1:-1]
-        if not cells:
-            continue
-        per_sentence_sums.append(_fsum_rows(cells))
-        per_sentence_counts.append(len(cells))
-    if not per_sentence_sums:
-        raise ValueError(f"no time steps selected for language {lang!r}")
-    if sentence_equal:
-        means = [s / n for s, n in zip(per_sentence_sums, per_sentence_counts)]
-        values = _fsum_rows(means) / len(means)
-    else:
-        values = _fsum_rows(per_sentence_sums) / sum(per_sentence_counts)
-    return LangVector(lang, "MTCell", values, len(sentences))
+    return extract_encoder_vectors(nmt, encoded, vocab, lang, max_sentences, seed=seed,
+                                   include_special=include_special,
+                                   sentence_equal=sentence_equal)["MTCell"]
 
 
 def extract_variant(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
                     lang: str, kind: str, max_sentences: int | None = None, *,
                     seed: int = 0) -> LangVector:
     """Ablation extractors: ``final-cell`` or ``mean-hidden``."""
-    if kind not in ("final-cell", "mean-hidden"):
+    methods = {"final-cell": "MTCellFinal", "mean-hidden": "MTHiddenMean"}
+    if kind not in methods:
         raise ValueError(f"unknown variant kind {kind!r}")
-    sentences = _select_sentences(encoded, lang, max_sentences, seed)
-    if kind == "final-cell":
-        finals = [encode(nmt, vocab, lang, p.source_ids)[-1][1] for p in sentences]
-        values = _fsum_rows(finals) / len(finals)
-        return LangVector(lang, "MTCellFinal", values, len(sentences))
-    sums, counts = [], []
-    for pair in sentences:
-        states = encode(nmt, vocab, lang, pair.source_ids)
-        hs = [h for h, _ in states]
-        sums.append(_fsum_rows(hs))
-        counts.append(len(hs))
-    values = _fsum_rows(sums) / sum(counts)
-    return LangVector(lang, "MTHiddenMean", values, len(sentences))
+    return extract_encoder_vectors(nmt, encoded, vocab, lang, max_sentences, seed=seed)[methods[kind]]
 
 
 def combine_mtboth(v1: LangVector, v2: LangVector) -> LangVector:

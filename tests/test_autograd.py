@@ -203,3 +203,16 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def test_truncation_at_every_offset_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3), "b": np.ones(2)}, seed=1)
+        data = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(CheckpointError, match="cut.ckpt"):
+                load_checkpoint(cut)
+        cut.write_bytes(data + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(cut)

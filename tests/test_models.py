@@ -14,8 +14,8 @@ from typovec.models import (
     TrainConfig,
     encode,
     load_model,
+    lstm_states,
     lstm_step,
-    lstm_step_values,
     save_model,
 )
 from typovec.training import TrainingError, perplexity, train_lm, train_nmt
@@ -81,14 +81,21 @@ class TestLstmStep:
             assert max_relative_error(p.grad, fd[p.name]) <= 1e-4, p.name
 
     def test_inference_twin_matches_graph_step(self, rng):
+        # ragged padded batch: each live row matches the per-row graph step,
+        # and a finished row keeps its final state
         cell = LSTMCellParams.create("t", 3, 4, rng)
-        x = rng.uniform(-1, 1, size=(2, 3))
-        h0 = rng.uniform(-1, 1, size=(2, 4))
-        c0 = rng.uniform(-1, 1, size=(2, 4))
-        hg, cg = lstm_step(cell, ag.constant(x), ag.constant(h0), ag.constant(c0))
-        hv, cv = lstm_step_values(cell.w.value, cell.u.value, cell.b.value, x, h0, c0)
-        np.testing.assert_array_equal(hg.value, hv)
-        np.testing.assert_array_equal(cg.value, cv)
+        embedding = rng.uniform(-1, 1, size=(6, 3))
+        lens = np.array([4, 1, 3])
+        ids = np.array([[1, 2, 3, 4], [5, 0, 0, 0], [3, 3, 1, 0]])
+        states = list(lstm_states(cell, embedding, ids, lens))
+        assert len(states) == 4
+        for row in range(3):
+            h, c = ag.constant(np.zeros(4)), ag.constant(np.zeros(4))
+            for t in range(4):
+                if t < lens[row]:
+                    h, c = lstm_step(cell, ag.constant(embedding[ids[row, t]]), h, c)
+                np.testing.assert_allclose(states[t][0][row], h.value, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(states[t][1][row], c.value, rtol=0, atol=1e-15)
 
 
 @pytest.fixture

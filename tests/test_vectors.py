@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import typovec
 from typovec.bpe import EncodedCorpus, build_vocab, encode_corpus, learn_bpe
 from typovec.models import Seq2SeqModel, TrainConfig, encode
 from typovec.vectors import (
@@ -14,6 +21,36 @@ from typovec.vectors import (
     load_vectors,
     save_vectors,
 )
+
+
+# MTCell first: its tests keep their original names, the others are parametrized
+VARIANTS = {
+    "MTCell": extract_mtcell,
+    "MTCell-no-special": partial(extract_mtcell, include_special=False),
+    "MTCell-sentence-equal": partial(extract_mtcell, sentence_equal=True),
+    "MTCellFinal": lambda *args: extract_variant(*args, "final-cell"),
+    "MTHiddenMean": lambda *args: extract_variant(*args, "mean-hidden"),
+}
+
+# extracts every encoder vector of a small suite and prints their sha256
+THREAD_SCRIPT = """
+import hashlib
+import numpy as np
+from typovec.bpe import build_vocab, encode_corpus, learn_bpe
+from typovec.models import Seq2SeqModel, TrainConfig
+from typovec.synth import generate_suite
+from typovec.vectors import extract_encoder_vectors
+suite = generate_suite(4, 60, seed=5)
+merges = learn_bpe(suite.corpus, 40)
+vocab = build_vocab(suite.corpus, merges, suite.registry)
+encoded = encode_corpus(suite.corpus, merges, vocab)
+model = Seq2SeqModel(len(vocab), TrainConfig(hidden_size=64, seed=5), np.random.default_rng(5))
+digest = hashlib.sha256()
+for lang in sorted(encoded.by_lang):
+    for v in extract_encoder_vectors(model, encoded, vocab, lang).values():
+        digest.update(v.values.tobytes())
+print(digest.hexdigest())
+"""
 
 
 @pytest.fixture
@@ -69,23 +106,40 @@ class TestMtcell:
         assert v.dim == model.hidden_size
 
     def test_permutation_invariance_is_exact(self, setup):
+        self.test_variant_permutation_invariance_is_exact(setup, "MTCell")
+
+    @pytest.mark.parametrize("variant", list(VARIANTS)[1:])
+    def test_variant_permutation_invariance_is_exact(self, setup, variant):
         vocab, encoded, model = setup
-        v1 = extract_mtcell(model, encoded, vocab, "deu")
+        v1 = VARIANTS[variant](model, encoded, vocab, "deu")
         reordered = EncodedCorpus()
         for pair in reversed(encoded.by_lang["deu"]):
             reordered.add(pair)
-        v2 = extract_mtcell(model, reordered, vocab, "deu")
+        v2 = VARIANTS[variant](model, reordered, vocab, "deu")
         np.testing.assert_array_equal(v1.values, v2.values)
 
-    def test_simple_average(self):
-        # one sentence with recorded cells [1,0] and [0,1] -> [0.5, 0.5]
-        import math
+    def test_simple_average(self, setup):
+        # gates saturate exactly (i = 1, f = 0) so c_t = g_t: the source steps
+        # record cells [1,0] and [0,1]; language token and EOS record [0,0]
+        from typovec.bpe import EncodedPair
 
-        from typovec.vectors import _fsum_rows
-
-        sums = _fsum_rows([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-        np.testing.assert_array_equal(sums / 2, [0.5, 0.5])
-        assert math.fsum([1.0, 0.0]) == 1.0
+        vocab, _, _ = setup
+        model = Seq2SeqModel(len(vocab), TrainConfig(hidden_size=2, embed_size=2, epochs=1),
+                             np.random.default_rng(0))
+        enc = model.encoder
+        for p in (model.embedding, enc.w, enc.u, enc.b):
+            p.value[...] = 0.0
+        enc.b.value[0:2] = 40.0
+        enc.b.value[2:4] = -40.0
+        enc.w.value[:, 6:8] = 40.0 * np.eye(2)
+        model.embedding.value[10] = [1.0, 0.0]
+        model.embedding.value[11] = [0.0, 1.0]
+        single = EncodedCorpus()
+        single.add(EncodedPair("fra", (10, 11), ()))
+        inner = extract_mtcell(model, single, vocab, "fra", include_special=False)
+        np.testing.assert_array_equal(inner.values, [0.5, 0.5])
+        flat = extract_mtcell(model, single, vocab, "fra")
+        np.testing.assert_array_equal(flat.values, [0.25, 0.25])
 
     def test_no_sentences_rejected(self, setup):
         vocab, encoded, model = setup
@@ -106,15 +160,29 @@ class TestMtcell:
         assert not np.array_equal(with_special.values, without.values)
 
     def test_extraction_isolation_across_languages(self, setup):
+        self.test_variant_isolation_across_languages(setup, "MTCell")
+
+    @pytest.mark.parametrize("variant", list(VARIANTS)[1:])
+    def test_variant_isolation_across_languages(self, setup, variant):
         vocab, encoded, model = setup
-        v1 = extract_mtcell(model, encoded, vocab, "fra")
+        v1 = VARIANTS[variant](model, encoded, vocab, "fra")
         bigger = EncodedCorpus()
         for pair in encoded.ordered:
             bigger.add(pair)
             if pair.lang == "deu":
                 bigger.add(pair)  # extend another language's corpus
-        v2 = extract_mtcell(model, bigger, vocab, "fra")
+        v2 = VARIANTS[variant](model, bigger, vocab, "fra")
         np.testing.assert_array_equal(v1.values, v2.values)
+
+    def test_vectors_identical_across_blas_thread_counts(self):
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+            out = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, check=True,
+                                 capture_output=True, text=True)
+            digests.add(out.stdout.strip())
+        assert len(digests) == 1, digests
 
 
 class TestVariants:
