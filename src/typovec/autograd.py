@@ -263,17 +263,17 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     if m.shape != (z.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: mask shape {m.shape} != ({z.shape[0]},)")
 
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
     sez = ez.sum(axis=1, keepdims=True)
-    log_probs = (z - zmax) - np.log(sez)
     rows = np.arange(z.shape[0])
-    value = -(log_probs[rows, t] * m).sum()
+    # only the target log-probabilities are formed: logits may be (T*B, V)
+    value = -((shifted[rows, t] - np.log(sez[:, 0])) * m).sum()
 
     def vjp(g):
-        soft = ez / sez
-        soft[rows, t] -= 1.0
-        dz = soft * (m[:, None] * float(g))
+        dz = ez / sez
+        dz[rows, t] -= 1.0
+        dz *= m[:, None] * float(g)
         return (dz[0] if squeeze else dz,)
 
     return Tensor(value, (logits,), vjp)

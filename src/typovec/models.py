@@ -8,6 +8,10 @@ Gate packing: input weights ``w`` (E, 4H), recurrent weights ``u`` (H, 4H)
 and bias ``b`` (4H,) hold the i, f, o, g blocks in that order. The forget
 gate bias is initialized to 1.0; matrices use uniform(+-sqrt(6/(fan_in+fan_out)))
 per gate block.
+
+One cell loop runs under both the training op :func:`lstm_sequence` (one
+autograd node per recurrence over a padded batch, with a hand-written
+backward pass) and the inference generator :func:`lstm_states`.
 """
 
 from __future__ import annotations
@@ -75,16 +79,14 @@ class LSTMCellParams:
         return [self.w, self.u, self.b]
 
 
-def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              nodes: tuple[Tensor, Tensor, Tensor] | None = None) -> tuple[Tensor, Tensor]:
+def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step on the graph: returns (h_t, c_t).
 
     i = sigmoid(.), f = sigmoid(.), o = sigmoid(.), g = tanh(.),
     c_t = f*c_prev + i*g, h_t = o*tanh(c_t).
 
     Accepts (B, E)/(B, H) tensors, or 1-D vectors which are treated as a
-    batch of one. ``nodes`` lets a training loop reuse one leaf per
-    parameter across time steps.
+    batch of one. This is the T = 1 case of :func:`lstm_sequence`.
     """
     squeeze = x.value.ndim == 1
     if squeeze:
@@ -97,42 +99,129 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor,
             f"lstm_step: x {x.value.shape}, h {h_prev.value.shape}, c {c_prev.value.shape} "
             f"inconsistent with E={params.embed_size}, H={hsz}"
         )
-    w, u, b = nodes if nodes is not None else (params.w.node(), params.u.node(), params.b.node())
-    z = ag.add(ag.add(ag.matmul(x, w), ag.matmul(h_prev, u)), b)
-    i = ag.sigmoid(ag.slice_(z, np.s_[:, 0 * hsz : 1 * hsz]))
-    f = ag.sigmoid(ag.slice_(z, np.s_[:, 1 * hsz : 2 * hsz]))
-    o = ag.sigmoid(ag.slice_(z, np.s_[:, 2 * hsz : 3 * hsz]))
-    g = ag.tanh(ag.slice_(z, np.s_[:, 3 * hsz : 4 * hsz]))
-    c = ag.add(ag.mul(f, c_prev), ag.mul(i, g))
-    h = ag.mul(o, ag.tanh(c))
+    _, h, c = lstm_sequence(params, x, np.ones(len(x.value), dtype=np.int64), h_prev, c_prev)
     if squeeze:
         h = ag.slice_(h, 0)
         c = ag.slice_(c, 0)
     return h, c
 
 
+def _recurrence(u: np.ndarray, zx, lens: np.ndarray, h: np.ndarray, c: np.ndarray):
+    """The LSTM cell loop shared by training and inference.
+
+    ``zx`` yields each step's (B, 4H) input projection x_t @ w + b. Yields
+    (gates, tanh(c_t), h_t, c_t) after each step t, with ``gates`` the
+    activated i, f, o, g blocks. Sigmoid is 0.5*(1 + tanh(x/2)), which needs
+    no masks. Rows with ``lens <= t`` keep their previous state, so after the
+    last step every row holds its own final state.
+    """
+    hsz = u.shape[0]
+    for t, zx_t in enumerate(zx):
+        gates = zx_t + h @ u
+        gates[:, : 3 * hsz] *= 0.5
+        np.tanh(gates, out=gates)
+        gates[:, : 3 * hsz] += 1.0
+        gates[:, : 3 * hsz] *= 0.5
+        c_new = gates[:, hsz : 2 * hsz] * c + gates[:, :hsz] * gates[:, 3 * hsz :]
+        tanh_c = np.tanh(c_new)
+        h_new = gates[:, 2 * hsz : 3 * hsz] * tanh_c
+        alive = (t < lens)[:, None]
+        h = np.where(alive, h_new, h)
+        c = np.where(alive, c_new, c)
+        yield gates, tanh_c, h, c
+
+
+def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = None,
+                  c0: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+    """The LSTM over a padded (T, B) batch as one autograd op: returns (hs, h, c).
+
+    ``x`` holds the (T*B, E) inputs in time-major order (row t*B + k is row
+    k's input at step t), ``lens`` the (B,) row lengths. ``hs`` is the
+    (T*B, H) hidden state after every step in the same order; ``h`` and
+    ``c`` are the (B, H) final states. Rows with ``lens <= t`` keep their
+    state, so ``h`` and ``c`` are each row's own last real step. Start states
+    default to zeros.
+
+    The input projection x @ w + b is one GEMM over all T*B rows; only
+    h @ u runs inside the loop. The gates are saved, and the VJP is a
+    hand-written backward-through-time loop, after which dx, dw, du and db
+    each come from one GEMM or one sum over the T*B rows (Appleyard et al.
+    2016, arXiv:1604.01946).
+    """
+    lens = np.asarray(lens)
+    bsz, hsz = len(lens), cell.hidden_size
+    rows, width = x.value.shape
+    h0 = ag.constant(np.zeros((bsz, hsz))) if h0 is None else h0
+    c0 = ag.constant(np.zeros((bsz, hsz))) if c0 is None else c0
+    if width != cell.embed_size or rows % bsz or h0.value.shape != (bsz, hsz) or c0.value.shape != (bsz, hsz):
+        raise ag.ShapeError(
+            f"lstm_sequence: x {x.value.shape}, h0 {h0.value.shape}, c0 {c0.value.shape} "
+            f"inconsistent with B={bsz}, E={cell.embed_size}, H={hsz}"
+        )
+    steps = rows // bsz
+    w, u, b = cell.w.node(), cell.u.node(), cell.b.node()
+    zx = (x.value @ w.value + b.value).reshape(steps, bsz, 4 * hsz)
+    gates = np.empty((steps, bsz, 4 * hsz))
+    tanh_c = np.empty((steps, bsz, hsz))
+    packed = np.empty((steps + 2, bsz, hsz))  # h0, h_1 .. h_T, then c_T: the op's value is packed[1:]
+    cs = np.empty((steps + 1, bsz, hsz))  # c0, c_1 .. c_T
+    packed[0], cs[0] = h0.value, c0.value
+    for t, state in enumerate(_recurrence(u.value, zx, lens, h0.value, c0.value)):
+        gates[t], tanh_c[t], packed[t + 1], cs[t + 1] = state
+    packed[-1] = cs[-1]
+    alive = (np.arange(steps)[:, None] < lens)[:, :, None]
+
+    def vjp(grad):
+        grad = grad.reshape(steps + 1, bsz, hsz)
+        sig = gates[..., : 3 * hsz]
+        i, f, o, g = (gates[..., k * hsz : (k + 1) * hsz] for k in range(4))
+        # d(gate pre-activation) = d(c_t) * dact for i, f, g and d(h_t) * dact for o
+        dact = np.empty_like(gates)
+        dact[..., : 3 * hsz] = sig * (1.0 - sig)
+        dact[..., :hsz] *= g
+        dact[..., hsz : 2 * hsz] *= cs[:-1]
+        dact[..., 2 * hsz : 3 * hsz] *= tanh_c
+        dact[..., 3 * hsz :] = i * (1.0 - g * g)
+        dact = dact.reshape(steps, bsz, 4, hsz)
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((steps, bsz, 4, hsz))
+        dh, dc = np.zeros((bsz, hsz)), grad[steps].copy()
+        for t in reversed(range(steps)):
+            dh = dh + grad[t]
+            frozen = not alive[t].all()
+            dh_t = np.where(alive[t], dh, 0.0) if frozen else dh
+            dc_t = np.where(alive[t], dc, 0.0) if frozen else dc
+            dc_t = dc_t + dh_t * dc_dh[t]
+            np.multiply(dact[t], dc_t[:, None, :], out=dz[t])
+            np.multiply(dact[t, :, 2], dh_t, out=dz[t, :, 2])
+            dh_prev = dz[t].reshape(bsz, 4 * hsz) @ u.value.T
+            dc_prev = dc_t * f[t]
+            dh = np.where(alive[t], dh_prev, dh) if frozen else dh_prev
+            dc = np.where(alive[t], dc_prev, dc) if frozen else dc_prev
+        dz = dz.reshape(steps * bsz, 4 * hsz)
+        h_prev = packed[:steps].reshape(steps * bsz, hsz)
+        return dz @ w.value.T, x.value.T @ dz, h_prev.T @ dz, dz.sum(axis=0), dh, dc
+
+    out = Tensor(packed[1:].reshape((steps + 1) * bsz, hsz), (x, w, u, b, h0, c0), vjp)
+    n = steps * bsz
+    return ag.slice_(out, np.s_[:n]), ag.slice_(out, np.s_[n - bsz : n]), ag.slice_(out, np.s_[n:])
+
+
 def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, lens: np.ndarray,
                 h: np.ndarray | None = None, c: np.ndarray | None = None):
-    """Inference twin of :func:`lstm_step` over a padded (B, T) batch of ids.
+    """Inference twin of :func:`lstm_sequence` over a padded (B, T) batch of ids.
 
     Yields the (B, H) states (h_t, c_t) after each step t. Rows with
     ``lens <= t`` keep their previous state, so after the last step every
     row holds its own final state. Each step costs one (B, E) @ (E, 4H) and
-    one (B, H) @ (H, 4H) product; sigmoid is 0.5*(1 + tanh(x/2)), which
-    needs no masks. Start states default to zeros.
+    one (B, H) @ (H, 4H) product, and no (T, B, .) array is held. Start
+    states default to zeros.
     """
     w, u, b = cell.w.value, cell.u.value, cell.b.value
-    hsz = cell.hidden_size
-    h = np.zeros((len(ids), hsz)) if h is None else h
-    c = np.zeros((len(ids), hsz)) if c is None else c
-    for t in range(ids.shape[1]):
-        z = embedding[ids[:, t]] @ w + h @ u + b
-        ifo = 0.5 * (1.0 + np.tanh(0.5 * z[:, : 3 * hsz]))
-        c_new = ifo[:, hsz : 2 * hsz] * c + ifo[:, :hsz] * np.tanh(z[:, 3 * hsz :])
-        h_new = ifo[:, 2 * hsz :] * np.tanh(c_new)
-        alive = (t < lens)[:, None]
-        h = np.where(alive, h_new, h)
-        c = np.where(alive, c_new, c)
+    h = np.zeros((len(ids), cell.hidden_size)) if h is None else h
+    c = np.zeros((len(ids), cell.hidden_size)) if c is None else c
+    zx = (embedding[ids[:, t]] @ w + b for t in range(ids.shape[1]))
+    for _gates, _tanh_c, h, c in _recurrence(u, zx, lens, h, c):
         yield h, c
 
 

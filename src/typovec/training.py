@@ -2,9 +2,20 @@
 
 Batching buckets sentences by length (stable sort by source/target length,
 then original index), chunks them, and shuffles the chunk order with an
-epoch-derived seed. Padded positions are masked out of the loss; encoder
-states of finished rows are frozen so the final encoder state of every row
-is its own last real step.
+epoch-derived seed. Each padded batch is a handful of graph nodes:
+
+- one embedding lookup and one dropout over every input id of the batch,
+  time-major, encoder ids first. The single (T, B, E) mask draw consumes the
+  dropout generator in the same order as one (B, E) draw per encoder step
+  and then per decoder step;
+- one :func:`typovec.models.lstm_sequence` op per recurrence (the encoder,
+  then the decoder started from the encoder's final state; the LM's single
+  LSTM). Rows that have finished keep their state, so the final encoder
+  state of every row is its own last real step;
+- with attention, tanh([h_t; context_t] @ wc) applied to every decoder
+  state after the recurrence, since attention is not fed back into it;
+- one (T*B, H) @ (H, V) projection and one masked cross-entropy; padded
+  positions are masked out of the loss.
 
 Perplexity runs the same padded batches, without dropout, through the
 inference recurrence :func:`typovec.models.lstm_states`, which freezes
@@ -25,8 +36,8 @@ from .models import (
     Seq2SeqModel,
     TrainConfig,
     encoder_input_ids,
+    lstm_sequence,
     lstm_states,
-    lstm_step,
     pad_batch,
 )
 from .optim import AdamState, adam_step, clip_gradients, zero_gradients
@@ -68,45 +79,23 @@ def _make_batches(rows: list[_Row], batch_size: int, rng: np.random.Generator) -
     return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
-def _masked_carry(new: Tensor, prev: Tensor, alive: np.ndarray) -> Tensor:
-    # alive is a constant (B,1) 0/1 mask; dead rows keep their previous state
-    a = ag.constant(alive)
-    na = ag.constant(1.0 - alive)
-    return ag.add(ag.mul(new, a), ag.mul(prev, na))
+def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float) -> Tensor:
+    """One embedding lookup and one dropout over every (B, T) id matrix.
+
+    Rows are time-major within each matrix and the matrices follow each
+    other, so the single (sum T * B, E) mask draw consumes the generator in
+    the order of a per-step loop that runs the matrices one after another.
+    """
+    ids = np.concatenate([m.T.ravel() for m in id_mats])
+    x = ag.embedding_lookup(model.embedding.node(), ids)
+    return ag.dropout(x, rate, drop_rng) if rate > 0.0 else x
 
 
-def _run_encoder(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: float):
-    """Returns (h, c, per-step h list, per-step alive masks)."""
-    ids, lens = pad_batch([r.enc_ids for r in batch])
-    bsz = len(batch)
-    embed = model.embedding.node()
-    nodes = (model.encoder.w.node(), model.encoder.u.node(), model.encoder.b.node())
-    h = ag.constant(np.zeros((bsz, model.hidden_size)))
-    c = ag.constant(np.zeros((bsz, model.hidden_size)))
-    hs: list[Tensor] = []
-    alive_masks: list[np.ndarray] = []
-    for t in range(ids.shape[1]):
-        x = ag.embedding_lookup(embed, ids[:, t])
-        if rate > 0.0:
-            x = ag.dropout(x, rate, drop_rng)
-        h_new, c_new = lstm_step(model.encoder, x, h, c, nodes=nodes)
-        alive = (t < lens).astype(np.float64)[:, None]
-        if alive.all():
-            h, c = h_new, c_new
-        else:
-            h = _masked_carry(h_new, h, alive)
-            c = _masked_carry(c_new, c, alive)
-        hs.append(h)
-        alive_masks.append(alive)
-    return h, c, hs, alive_masks
-
-
-def _attention_context(h_dec: Tensor, enc_hs: list[Tensor], alive_masks: list[np.ndarray]) -> Tensor:
+def _attention_context(h_dec: Tensor, enc_hs: list[Tensor], neg: np.ndarray) -> Tensor:
     scores = ag.concat(
         [ag.reduce_sum(ag.mul(h_dec, h_enc), axis=1, keepdims=True) for h_enc in enc_hs],
         axis=1,
     )
-    neg = np.concatenate([(1.0 - a) * -1e9 for a in alive_masks], axis=1)
     scores = ag.add(scores, ag.constant(neg))
     # softmax over source positions; the shift is a detached constant
     shift = ag.constant(scores.value.max(axis=1, keepdims=True))
@@ -119,58 +108,55 @@ def _attention_context(h_dec: Tensor, enc_hs: list[Tensor], alive_masks: list[np
     return ctx
 
 
-def _decoder_loss(model: Seq2SeqModel, batch: list[_Row], h: Tensor, c: Tensor,
-                  enc_hs, alive_masks, drop_rng, rate: float) -> tuple[Tensor, int]:
-    dec_in, _ = pad_batch([r.dec_in for r in batch])
+def _attend(model: Seq2SeqModel, hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
+    """tanh([h_t; context_t] @ wc) for every decoder state in ``hs``.
+
+    Attention is not fed back into the recurrence, so it runs after it, one
+    decoder step at a time over per-step slices of the encoder states.
+    """
+    bsz = len(enc_lens)
+    wc = model.attn_wc.node()
+    enc_steps = [ag.slice_(enc_hs, np.s_[s * bsz : (s + 1) * bsz]) for s in range(len(enc_hs.value) // bsz)]
+    neg = np.where(np.arange(len(enc_steps)) < enc_lens[:, None], 0.0, -1e9)
+    outs = []
+    for t in range(len(hs.value) // bsz):
+        h = ag.slice_(hs, np.s_[t * bsz : (t + 1) * bsz])
+        ctx = _attention_context(h, enc_steps, neg)
+        outs.append(ag.tanh(ag.matmul(ag.concat([h, ctx], axis=1), wc)))
+    return ag.concat(outs, axis=0)
+
+
+def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None = None,
+                   c: Tensor | None = None, enc=None) -> tuple[Tensor, int]:
+    """The loss path the LM and the translation decoder share.
+
+    Runs ``cell`` from (h, c) over the time-major inputs ``x``, then one
+    projection and one masked cross-entropy over every step. ``enc`` holds
+    the encoder's (states, lengths) when the decoder attends. Returns the
+    summed cross-entropy and the token count.
+    """
     dec_out, out_lens = pad_batch([r.dec_out for r in batch])
-    embed = model.embedding.node()
-    nodes = (model.decoder.w.node(), model.decoder.u.node(), model.decoder.b.node())
-    proj_w, proj_b = model.proj_w.node(), model.proj_b.node()
-    attn_wc = model.attn_wc.node() if model.attn_wc is not None else None
-    total: Tensor | None = None
-    for t in range(dec_in.shape[1]):
-        x = ag.embedding_lookup(embed, dec_in[:, t])
-        if rate > 0.0:
-            x = ag.dropout(x, rate, drop_rng)
-        h, c = lstm_step(model.decoder, x, h, c, nodes=nodes)
-        out = h
-        if attn_wc is not None:
-            ctx = _attention_context(h, enc_hs, alive_masks)
-            out = ag.tanh(ag.matmul(ag.concat([h, ctx], axis=1), attn_wc))
-        logits = ag.add(ag.matmul(out, proj_w), proj_b)
-        mask = (t < out_lens).astype(np.float64)
-        step_loss = ag.softmax_cross_entropy(logits, dec_out[:, t], mask)
-        total = step_loss if total is None else ag.add(total, step_loss)
-    return total, int(out_lens.sum())
+    hs, _, _ = lstm_sequence(cell, x, out_lens, h, c)
+    if enc is not None:
+        hs = _attend(model, hs, *enc)
+    logits = ag.add(ag.matmul(hs, model.proj_w.node()), model.proj_b.node())
+    mask = (np.arange(dec_out.shape[1])[:, None] < out_lens).astype(np.float64)
+    loss = ag.softmax_cross_entropy(logits, dec_out.T.ravel(), mask.ravel())
+    return loss, int(out_lens.sum())
 
 
 def _nmt_batch_loss(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: float):
-    h, c, enc_hs, alive_masks = _run_encoder(model, batch, drop_rng, rate)
-    if not model.attention:
-        enc_hs, alive_masks = None, None
-    return _decoder_loss(model, batch, h, c, enc_hs, alive_masks, drop_rng, rate)
+    enc_ids, enc_lens = pad_batch([r.enc_ids for r in batch])
+    dec_in, _ = pad_batch([r.dec_in for r in batch])
+    x = _embedded_inputs(model, [enc_ids, dec_in], drop_rng, rate)
+    enc_hs, h, c = lstm_sequence(model.encoder, ag.slice_(x, np.s_[: enc_ids.size]), enc_lens)
+    enc = (enc_hs, enc_lens) if model.attn_wc is not None else None
+    return _sequence_loss(model, model.decoder, batch, ag.slice_(x, np.s_[enc_ids.size :]), h, c, enc)
 
 
 def _lm_batch_loss(model: RnnLmModel, batch: list[_Row], drop_rng, rate: float):
     dec_in, _ = pad_batch([r.dec_in for r in batch])
-    dec_out, out_lens = pad_batch([r.dec_out for r in batch])
-    bsz = len(batch)
-    embed = model.embedding.node()
-    nodes = (model.cell.w.node(), model.cell.u.node(), model.cell.b.node())
-    proj_w, proj_b = model.proj_w.node(), model.proj_b.node()
-    h = ag.constant(np.zeros((bsz, model.hidden_size)))
-    c = ag.constant(np.zeros((bsz, model.hidden_size)))
-    total: Tensor | None = None
-    for t in range(dec_in.shape[1]):
-        x = ag.embedding_lookup(embed, dec_in[:, t])
-        if rate > 0.0:
-            x = ag.dropout(x, rate, drop_rng)
-        h, c = lstm_step(model.cell, x, h, c, nodes=nodes)
-        logits = ag.add(ag.matmul(h, proj_w), proj_b)
-        mask = (t < out_lens).astype(np.float64)
-        step_loss = ag.softmax_cross_entropy(logits, dec_out[:, t], mask)
-        total = step_loss if total is None else ag.add(total, step_loss)
-    return total, int(out_lens.sum())
+    return _sequence_loss(model, model.cell, batch, _embedded_inputs(model, [dec_in], drop_rng, rate))
 
 
 def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[float]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage as _scipy_linkage
 
 from .bpe import EncodedCorpus, SubwordVocab
 from .models import RnnLmModel, Seq2SeqModel, encoder_batch, lstm_states
@@ -158,13 +157,16 @@ class Dendrogram:
 
 def cluster_vectors(vectors: list[LangVector], linkage: str = "average") -> Dendrogram:
     """Hierarchical clustering of language vectors under cosine distance."""
+    # imported here: scipy.cluster costs most of a CLI start-up and no stage clusters
+    from scipy.cluster.hierarchy import linkage as scipy_linkage
+
     if len(vectors) < 2:
         raise ValueError("clustering needs at least 2 vectors")
     dims = {v.dim for v in vectors}
     if len(dims) != 1:
         raise ValueError(f"vectors have mixed dimensions {sorted(dims)}")
     data = np.stack([v.values for v in vectors])
-    merges = _scipy_linkage(data, method=linkage, metric="cosine")
+    merges = scipy_linkage(data, method=linkage, metric="cosine")
     return Dendrogram([v.lang for v in vectors], merges)
 
 

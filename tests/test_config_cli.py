@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import typovec
 from typovec.cli import main, read_knn_vectors
 from typovec.config import ConfigError, PipelineConfig, parse_config, write_effective_config
 
@@ -148,3 +154,12 @@ class TestCliErrors:
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text("workdir=w\nseed=1\nnope=2\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # every stage runs in a fresh interpreter, so scipy's import time is paid per stage
+    env = {**os.environ, "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+    script = "import sys, typovec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

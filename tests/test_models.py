@@ -14,11 +14,21 @@ from typovec.models import (
     TrainConfig,
     encode,
     load_model,
+    lstm_sequence,
     lstm_states,
     lstm_step,
     save_model,
 )
-from typovec.training import TrainingError, perplexity, train_lm, train_nmt
+from typovec.synth import generate_suite
+from typovec.training import (
+    TrainingError,
+    _lm_batch_loss,
+    _nmt_batch_loss,
+    _Row,
+    perplexity,
+    train_lm,
+    train_nmt,
+)
 
 from oracles import finite_difference_grads, max_relative_error
 
@@ -98,6 +108,62 @@ class TestLstmStep:
                 np.testing.assert_allclose(states[t][1][row], c.value, rtol=0, atol=1e-15)
 
 
+# ragged batches: encoder rows finish at steps 5, 2 and 3, decoder and LM rows at 2, 4 and 1
+NMT_ROWS = [
+    _Row([10, 3, 4, 5, 2], [1, 6], [6, 2]),
+    _Row([11, 2], [1, 7, 8, 9], [7, 8, 9, 2]),
+    _Row([10, 9, 2], [1], [2]),
+]
+LM_ROWS = [
+    _Row([], [10, 3], [3, 2]),
+    _Row([], [11, 7, 8, 9], [7, 8, 9, 2]),
+    _Row([], [10], [2]),
+]
+
+
+class TestLstmSequence:
+    def test_states_match_per_row_steps(self, rng):
+        # hs holds every step in time-major order; finished rows keep their state
+        cell = LSTMCellParams.create("s", 3, 4, rng)
+        lens = np.array([4, 1, 3])
+        x = rng.uniform(-1, 1, size=(4 * 3, 3))
+        h0, c0 = rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(3, 4))
+        hs, h_last, c_last = lstm_sequence(cell, ag.constant(x), lens, ag.constant(h0), ag.constant(c0))
+        for row in range(3):
+            h, c = ag.constant(h0[row]), ag.constant(c0[row])
+            for t in range(4):
+                if t < lens[row]:
+                    h, c = lstm_step(cell, ag.constant(x[t * 3 + row]), h, c)
+                np.testing.assert_allclose(hs.value[t * 3 + row], h.value, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(h_last.value[row], h.value, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(c_last.value[row], c.value, rtol=0, atol=1e-15)
+
+    def test_shape_mismatch_reported(self, rng):
+        cell = LSTMCellParams.create("s", 3, 4, rng)
+        with pytest.raises(ag.ShapeError, match="lstm_sequence"):
+            lstm_sequence(cell, ag.constant(np.zeros((5, 3))), np.array([2, 2]))
+
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["lm", "nmt-attention"])
+    def test_batch_loss_gradients_match_finite_differences(self, kind, rate):
+        # the hand-written BPTT of the fused op, reached through both training losses on a
+        # ragged batch; every evaluation draws the same dropout masks from a fresh generator
+        config = TrainConfig(hidden_size=4, embed_size=3, epochs=1, seed=2, attention=True)
+        if kind == "lm":
+            model, batch_loss, rows = RnnLmModel(12, config, np.random.default_rng(4)), _lm_batch_loss, LM_ROWS
+        else:
+            model, batch_loss, rows = Seq2SeqModel(12, config, np.random.default_rng(4)), _nmt_batch_loss, NMT_ROWS
+
+        def mean_loss():
+            loss, n = batch_loss(model, rows, np.random.default_rng(8), rate)
+            return ag.scale(loss, 1.0 / n)
+
+        backward(mean_loss())
+        fd = finite_difference_grads(lambda: float(mean_loss().value), model.parameters())
+        for p in model.parameters():
+            assert max_relative_error(p.grad, fd[p.name]) <= 1e-4, p.name
+
+
 @pytest.fixture
 def tiny_setup(small_registry, small_corpus):
     merges = learn_bpe(small_corpus, 20)
@@ -165,6 +231,21 @@ class TestTraining:
         _, curve_a = train_nmt(encoded, vocab, config)
         _, curve_b = train_nmt(encoded, vocab, config)
         assert curve_a == curve_b
+
+    @pytest.mark.parametrize("kind", ["lm", "nmt", "nmt-attention"])
+    def test_dropout_draws_reproduce_per_step_trainer(self, kind):
+        # first-epoch losses of the per-step autograd trainer at commit 0b8333a, which drew
+        # one (B, E) dropout mask per time step, encoder steps first
+        expected = {"lm": 3.928411298010625, "nmt": 3.4859945768698752,
+                    "nmt-attention": 3.480778592470047}[kind]
+        suite = generate_suite(4, 30, seed=5)
+        merges = learn_bpe(suite.corpus, 40)
+        vocab = build_vocab(suite.corpus, merges, suite.registry)
+        encoded = encode_corpus(suite.corpus, merges, vocab)
+        config = TrainConfig(hidden_size=12, lr=0.02, dropout=0.1, epochs=1, batch_size=8, seed=9,
+                             attention=kind == "nmt-attention")
+        _, curve = (train_lm if kind == "lm" else train_nmt)(encoded, vocab, config)
+        assert curve[0] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_lm_same_seed_identical_and_decreasing(self, tiny_setup):
         vocab, encoded = tiny_setup

@@ -53,6 +53,39 @@ print(digest.hexdigest())
 """
 
 
+# trains a small translation model (GEMMs over T*B = 64 x ~15 rows are large enough for
+# OpenBLAS to split them across threads) and prints the sha256 of its checkpoint
+TRAIN_THREAD_SCRIPT = """
+import hashlib, pathlib, tempfile
+from typovec.bpe import build_vocab, encode_corpus, learn_bpe
+from typovec.models import TrainConfig, save_model
+from typovec.synth import generate_suite
+from typovec.training import train_nmt
+suite = generate_suite(4, 60, seed=5)
+merges = learn_bpe(suite.corpus, 40)
+vocab = build_vocab(suite.corpus, merges, suite.registry)
+encoded = encode_corpus(suite.corpus, merges, vocab)
+config = TrainConfig(hidden_size=32, lr=0.01, dropout=0.1, epochs=2, batch_size=64, seed=5)
+model, curve = train_nmt(encoded, vocab, config)
+with tempfile.TemporaryDirectory() as tmp:
+    ckpt = pathlib.Path(tmp) / "nmt.ckpt"
+    save_model(ckpt, pathlib.Path(tmp) / "nmt.model", model, config, curve, "vocab")
+    print(hashlib.sha256(ckpt.read_bytes()).hexdigest())
+"""
+
+
+def digests_across_blas_threads(script: str) -> set[str]:
+    """The script's output under OPENBLAS_NUM_THREADS 1 and 2."""
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.add(out.stdout.strip())
+    return digests
+
+
 @pytest.fixture
 def setup(small_registry, small_corpus):
     merges = learn_bpe(small_corpus, 15)
@@ -175,13 +208,11 @@ class TestMtcell:
         np.testing.assert_array_equal(v1.values, v2.values)
 
     def test_vectors_identical_across_blas_thread_counts(self):
-        digests = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
-            out = subprocess.run([sys.executable, "-c", THREAD_SCRIPT], env=env, check=True,
-                                 capture_output=True, text=True)
-            digests.add(out.stdout.strip())
+        digests = digests_across_blas_threads(THREAD_SCRIPT)
+        assert len(digests) == 1, digests
+
+    def test_training_identical_across_blas_thread_counts(self):
+        digests = digests_across_blas_threads(TRAIN_THREAD_SCRIPT)
         assert len(digests) == 1, digests
 
 
