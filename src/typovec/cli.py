@@ -1,29 +1,37 @@
 """Pipeline orchestration: stages write versioned artifacts into a work dir.
 
-Every stage records a manifest with the tool version, its parameters, and
-sha256 hashes of inputs and outputs. Rerunning a completed stage with
-unchanged inputs is a no-op. A lock file guards the work dir against
-concurrent pipeline instances.
+Each stage is a ``Stage`` record (body, input artifacts, config params) run
+by one driver, :func:`run_stage`. Its manifest records the tool version, the
+params, and sha256 hashes of inputs and outputs; rerunning a stage whose
+manifest matches and whose recorded outputs are intact is a no-op. An input
+whose producing stage's manifest records a different ``out:`` hash is stale:
+the stage stops and names the producer to rerun. Inputs with no such record
+(e.g. a registry outside the work dir) are not checked. A ``flock`` on
+``<workdir>/.lock`` guards against concurrent pipeline instances; the kernel
+releases it when its process dies, so a killed run leaves no lock behind.
 
-Exit codes: 0 success, 1 validation error (bad inputs, missing upstream
-artifacts), 2 runtime error.
+Exit codes: 0 success, 1 validation error (bad inputs, missing or stale
+upstream artifacts), 2 runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import hashlib
-import os
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .bpe import build_vocab, encode_corpus, learn_bpe, load_merges, load_vocab, save_merges, save_vocab
-from .config import ConfigError, PipelineConfig, parse_config, write_effective_config
+from .config import INPUT_FILES, ConfigError, PipelineConfig, format_value, parse_config, write_effective_config
 from .corpus import CorpusError, load_parallel, load_registry, write_parallel, write_registry
-from .models import TrainConfig, load_model, read_kv, save_model
+from .models import TrainConfig, load_model, read_kv, save_model, write_kv
 from .predict import (
     export_trajectory,
     make_folds,
@@ -36,7 +44,9 @@ from .predict import (
     write_trajectory_csv,
 )
 from .report import (
+    read_feature_accuracy_tsv,
     read_predictions_tsv,
+    read_report_tsv,
     render_gains_table,
     render_main_table,
     write_feature_accuracy_tsv,
@@ -45,15 +55,13 @@ from .report import (
 )
 from .synth import generate_suite
 from .training import train_lm, train_nmt
-from .typology import DistanceContext, KnnConfig, knn_feature_vector, load_features, write_distance_dump, write_features
+from .typology import (CATEGORIES, DistanceContext, KnnConfig, category_of, knn_feature_vector, load_features,
+                       read_knn_vectors, write_distance_dump, write_features, write_knn_vectors)
 from .vectors import METHODS, combine_mtboth, extract_encoder_vectors, extract_lmvec, extract_mtvec, load_vectors, save_vectors
-
-STAGES = ("ingest", "bpe-learn", "train-lm", "train-nmt", "extract",
-          "baseline", "predict", "report", "bootstrap", "traj", "synth")
 
 
 class StageInputError(ValueError):
-    """An upstream artifact is missing; names the stage to run first."""
+    """An upstream artifact is missing or stale; names the stage to run."""
 
 
 def _sha256(path: Path) -> str:
@@ -64,10 +72,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise StageInputError(f"missing {path}; run the '{producer}' stage first")
-    return path
+# Artifact name -> the stage that writes it.
+PRODUCERS = {
+    **dict.fromkeys(("registry", "corpus", "features"), "synth"),
+    **dict.fromkeys(("merges.txt", "vocab.tsv"), "bpe-learn"),
+    "lm.ckpt": "train-lm",
+    "nmt.ckpt": "train-nmt",
+    **dict.fromkeys((f"vectors_{method}.tsv" for method in METHODS), "extract"),
+    "knn_vectors.tsv": "baseline",
+    **dict.fromkeys(("report.tsv", "feature_accuracy.tsv", "predictions.tsv"), "predict"),
+}
 
 
 class Workdir:
@@ -77,234 +91,144 @@ class Workdir:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
-        return self.root / name
+        """Path of an artifact; the config may place its INPUT_FILES outside the work dir."""
+        return self.cfg.path(name) if name in INPUT_FILES else self.root / name
 
     def manifest_path(self, stage: str) -> Path:
         return self.root / f"{stage.replace('-', '_')}.manifest"
 
-    def up_to_date(self, stage: str, params: dict[str, str], inputs: list[Path],
-                   outputs: list[Path]) -> bool:
-        mpath = self.manifest_path(stage)
-        if not mpath.exists():
-            return False
+    def recorded(self, stage: str) -> dict[str, str]:
+        """The stage's manifest entries; empty if it has none or it is unreadable."""
         try:
-            stored = read_kv(mpath)
-        except ValueError:
+            return read_kv(self.manifest_path(stage))
+        except (OSError, ValueError):
+            return {}
+
+    def up_to_date(self, stage: str, entries: dict[str, str]) -> bool:
+        """The manifest holds exactly ``entries`` and every output it records is intact."""
+        stored = self.recorded(stage)
+        outputs = {Path(k[len("out:"):]): v for k, v in stored.items() if k.startswith("out:")}
+        if not outputs or {k: v for k, v in stored.items() if not k.startswith("out:")} != entries:
             return False
-        current = {"tool_version": __version__, **params}
-        for path in inputs:
-            current[f"in:{path}"] = _sha256(path)
-        for key, value in current.items():
-            if stored.get(key) != value:
-                return False
-        for path in outputs:
-            key = f"out:{path}"
-            if key not in stored or not path.exists() or _sha256(path) != stored[key]:
-                return False
-        return True
+        return all(path.exists() and _sha256(path) == digest for path, digest in outputs.items())
 
-    def write_manifest(self, stage: str, params: dict[str, str], inputs: list[Path],
-                       outputs: list[Path]) -> None:
-        entries = {"tool_version": __version__, **params}
-        for path in inputs:
-            entries[f"in:{path}"] = _sha256(path)
-        for path in outputs:
-            entries[f"out:{path}"] = _sha256(path)
-        from .models import write_kv
-
-        write_kv(self.manifest_path(stage), entries)
+    def write_manifest(self, stage: str, entries: dict[str, str], outputs: list[Path]) -> None:
+        write_kv(self.manifest_path(stage),
+                 {**entries, **{f"out:{path}": _sha256(path) for path in outputs}})
 
 
-class WorkdirLock:
-    def __init__(self, root: Path):
-        self.path = root / ".lock"
-        self.fd: int | None = None
-
-    def __enter__(self):
+@contextmanager
+def _workdir_lock(root: Path):
+    """Holds an exclusive ``flock`` on ``<root>/.lock``; the file itself stays in place."""
+    with open(root / ".lock", "a") as fh:
         try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StageInputError(
-                f"work dir is locked by another pipeline instance ({self.path}); "
-                "remove the lock file if that run is dead"
-            ) from None
-        os.write(self.fd, str(os.getpid()).encode())
-        return self
-
-    def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
-            self.path.unlink(missing_ok=True)
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StageInputError(f"work dir is locked by another pipeline ({fh.name})") from None
+        yield
 
 
-def _load_inputs(cfg: PipelineConfig):
-    registry = load_registry(_require(cfg.registry_path, "synth"))
-    store = load_parallel(_require(cfg.corpus_path, "synth"), registry)
-    return registry, store
+# The train stages record every TrainConfig field as a param of the same name.
+_TRAIN_PARAMS = tuple(f.name for f in fields(TrainConfig))
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        hidden_size=cfg.hidden_size,
-        embed_size=cfg.embed_size or None,
-        lr=cfg.lr,
-        dropout=cfg.dropout,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        clip_norm=cfg.clip_norm,
-        attention=cfg.attention,
-    )
+    values = {name: getattr(cfg, name) for name in _TRAIN_PARAMS}
+    return TrainConfig(**{**values, "embed_size": cfg.embed_size or None})
 
 
-def _train_params(cfg: PipelineConfig) -> dict[str, str]:
-    return {
-        "hidden_size": str(cfg.hidden_size),
-        "embed_size": str(cfg.embed_size),
-        "lr": repr(cfg.lr),
-        "dropout": repr(cfg.dropout),
-        "epochs": str(cfg.epochs),
-        "batch_size": str(cfg.batch_size),
-        "clip_norm": repr(cfg.clip_norm),
-        "attention": str(int(cfg.attention)),
-        "seed": str(cfg.seed),
-    }
+# A stage body writes its outputs; it returns their paths and the summary to print.
+StageResult = tuple[list[Path], str]
 
 
-def run_synth(cfg: PipelineConfig, wd: Workdir) -> None:
-    params = {
-        "seed": str(cfg.seed),
-        "synth_langs": str(cfg.synth_langs),
-        "synth_sentences": str(cfg.synth_sentences),
-        "synth_lexicon": str(cfg.synth_lexicon),
-    }
-    outputs = [cfg.registry_path, cfg.corpus_path, cfg.features_path]
-    if wd.up_to_date("synth", params, [], outputs):
-        print("synth: up to date")
-        return
+def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     suite = generate_suite(cfg.synth_langs, cfg.synth_sentences, cfg.seed, cfg.synth_lexicon)
-    write_registry(cfg.registry_path, suite.registry)
-    write_parallel(cfg.corpus_path, suite.corpus)
-    write_features(cfg.features_path, suite.features)
-    wd.write_manifest("synth", params, [], outputs)
-    print(f"synth: wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences")
+    write_registry(wd.path("registry"), suite.registry)
+    write_parallel(wd.path("corpus"), suite.corpus)
+    write_features(wd.path("features"), suite.features)
+    return ([wd.path("registry"), wd.path("corpus"), wd.path("features")],
+            f"wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences")
 
 
-def run_ingest(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(cfg.registry_path, "synth"), _require(cfg.corpus_path, "synth"),
-              _require(cfg.features_path, "synth")]
+def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
+    registry = load_registry(wd.path("registry"))
+    store = load_parallel(wd.path("corpus"), registry)
+    counts = load_features(wd.path("features"), registry).category_counts()
     summary = wd.path("ingest_summary.txt")
-    if wd.up_to_date("ingest", {}, inputs, [summary]):
-        print("ingest: up to date")
-        return
-    registry, store = _load_inputs(cfg)
-    matrix = load_features(cfg.features_path, registry)
-    counts = matrix.category_counts()
-    with open(summary, "w", encoding="utf-8") as fh:
-        fh.write(f"languages={len(registry)}\n")
-        fh.write(f"sentence_pairs={len(store)}\n")
-        for lang in sorted(store.counts):
-            fh.write(f"count:{lang}={store.counts[lang]}\n")
-        for cat in ("syntax", "phonology", "inventory"):
-            fh.write(f"features:{cat}={counts[cat]}\n")
-    wd.write_manifest("ingest", {}, inputs, [summary])
-    print(f"ingest: {len(registry)} languages, {len(store)} pairs, "
-          f"{sum(counts.values())} features")
+    write_kv(summary, {
+        "languages": str(len(registry)),
+        "sentence_pairs": str(len(store)),
+        **{f"count:{lang}": str(store.counts[lang]) for lang in sorted(store.counts)},
+        **{f"features:{cat}": str(counts[cat]) for cat in CATEGORIES},
+    })
+    return [summary], (f"{len(registry)} languages, {len(store)} pairs, "
+                       f"{sum(counts.values())} features")
 
 
-def run_bpe_learn(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(cfg.registry_path, "synth"), _require(cfg.corpus_path, "synth")]
-    params = {"num_merges": str(cfg.num_merges)}
-    outputs = [wd.path("merges.txt"), wd.path("vocab.tsv")]
-    if wd.up_to_date("bpe-learn", params, inputs, outputs):
-        print("bpe-learn: up to date")
-        return
-    registry, store = _load_inputs(cfg)
+def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
+    registry = load_registry(wd.path("registry"))
+    store = load_parallel(wd.path("corpus"), registry)
     merges = learn_bpe(store, cfg.num_merges)
     vocab = build_vocab(store, merges, registry)
+    outputs = [wd.path("merges.txt"), wd.path("vocab.tsv")]
     save_merges(outputs[0], merges)
     save_vocab(outputs[1], vocab)
-    wd.write_manifest("bpe-learn", params, inputs, outputs)
-    print(f"bpe-learn: {len(merges)} merges, vocab size {len(vocab)}")
+    return outputs, f"{len(merges)} merges, vocab size {len(vocab)}"
 
 
 def _load_encoded(cfg: PipelineConfig, wd: Workdir):
-    registry, store = _load_inputs(cfg)
-    merges = load_merges(_require(wd.path("merges.txt"), "bpe-learn"))
-    vocab = load_vocab(_require(wd.path("vocab.tsv"), "bpe-learn"))
+    registry = load_registry(wd.path("registry"))
+    store = load_parallel(wd.path("corpus"), registry)
+    merges = load_merges(wd.path("merges.txt"))
+    vocab = load_vocab(wd.path("vocab.tsv"))
     return registry, encode_corpus(store, merges, vocab), vocab
 
 
-def _run_train(cfg: PipelineConfig, wd: Workdir, kind: str) -> None:
-    stage = f"train-{kind}"
-    inputs = [
-        _require(cfg.registry_path, "synth"),
-        _require(cfg.corpus_path, "synth"),
-        _require(wd.path("merges.txt"), "bpe-learn"),
-        _require(wd.path("vocab.tsv"), "bpe-learn"),
-    ]
-    params = _train_params(cfg)
-    ckpt = wd.path(f"{kind}.ckpt")
-    manifest = wd.path(f"{kind}.model")
-    if wd.up_to_date(stage, params, inputs, [ckpt, manifest]):
-        print(f"{stage}: up to date")
-        return
+def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:
     _, encoded, vocab = _load_encoded(cfg, wd)
     trainer = train_nmt if kind == "nmt" else train_lm
     model, curve = trainer(encoded, vocab, _train_config(cfg))
-    save_model(ckpt, manifest, model, _train_config(cfg), curve, _sha256(wd.path("vocab.tsv")))
-    wd.write_manifest(stage, params, inputs, [ckpt, manifest])
-    print(f"{stage}: {len(curve)} epochs, final loss/token {curve[-1]:.4f}")
+    outputs = [wd.path(f"{kind}.ckpt"), wd.path(f"{kind}.model")]
+    save_model(*outputs, model, _train_config(cfg), curve, _sha256(wd.path("vocab.tsv")))
+    return outputs, f"{len(curve)} epochs, final loss/token {curve[-1]:.4f}"
 
 
-def _load_trained(cfg: PipelineConfig, wd: Workdir, kind: str):
-    ckpt = _require(wd.path(f"{kind}.ckpt"), f"train-{kind}")
-    manifest_path = _require(wd.path(f"{kind}.model"), f"train-{kind}")
-    model, manifest, _curve = load_model(ckpt, manifest_path)
-    vocab_sha = _sha256(_require(wd.path("vocab.tsv"), "bpe-learn"))
-    if manifest.get("vocab_sha256") != vocab_sha:
+def _load_trained(wd: Workdir, kind: str):
+    ckpt = wd.path(f"{kind}.ckpt")
+    model, manifest, _curve = load_model(ckpt, wd.path(f"{kind}.model"))
+    if manifest.get("vocab_sha256") != _sha256(wd.path("vocab.tsv")):
         raise StageInputError(
             f"{ckpt} was trained with a different vocabulary; rerun 'train-{kind}'"
         )
     return model
 
 
-def run_extract(cfg: PipelineConfig, wd: Workdir) -> None:
+def _extract_inputs(cfg: PipelineConfig) -> list[str]:
+    inputs = ["corpus", "merges.txt", "vocab.tsv"]
+    if any(m.startswith("MT") for m in cfg.method_list):
+        inputs.append("nmt.ckpt")
+    if "LMVec" in cfg.method_list:
+        inputs.append("lm.ckpt")
+    return inputs
+
+
+def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = cfg.method_list
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ConfigError(f"unknown methods in config: {unknown}")
-    need_nmt = any(m.startswith("MT") for m in methods)
-    inputs = [_require(cfg.corpus_path, "synth"),
-              _require(wd.path("merges.txt"), "bpe-learn"),
-              _require(wd.path("vocab.tsv"), "bpe-learn")]
-    if need_nmt:
-        inputs.append(_require(wd.path("nmt.ckpt"), "train-nmt"))
-    if "LMVec" in methods:
-        inputs.append(_require(wd.path("lm.ckpt"), "train-lm"))
-    params = {
-        "methods": ",".join(methods),
-        "max_sentences": str(cfg.max_sentences),
-        "mtcell_include_special": str(int(cfg.mtcell_include_special)),
-        "mtcell_sentence_equal": str(int(cfg.mtcell_sentence_equal)),
-        "seed": str(cfg.seed),
-    }
-    expected = [wd.path(f"vectors_{m}.tsv") for m in methods]
-    if wd.up_to_date("extract", params, inputs, expected):
-        print("extract: up to date")
-        return
-    registry, encoded, vocab = _load_encoded(cfg, wd)
+    _, encoded, vocab = _load_encoded(cfg, wd)
     langs = sorted(encoded.by_lang)
-    nmt = _load_trained(cfg, wd, "nmt") if need_nmt else None
-    lm = _load_trained(cfg, wd, "lm") if "LMVec" in methods else None
+    nmt = _load_trained(wd, "nmt") if "nmt.ckpt" in _extract_inputs(cfg) else None
+    lm = _load_trained(wd, "lm") if "lm.ckpt" in _extract_inputs(cfg) else None
     need_encoder = bool({"MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean"} & set(methods))
 
-    produced: dict[str, list] = {m: [] for m in methods}
+    per_lang = []
     for lang in langs:
         found = {}
-        if "LMVec" in methods:
+        if lm is not None:
             found["LMVec"] = extract_lmvec(lm, vocab, lang)
-        if need_nmt:
+        if nmt is not None:
             found["MTVec"] = extract_mtvec(nmt, vocab, lang)
         if need_encoder:
             found.update(extract_encoder_vectors(
@@ -314,184 +238,88 @@ def run_extract(cfg: PipelineConfig, wd: Workdir) -> None:
                 seed=cfg.seed,
             ))
             found["MTBoth"] = combine_mtboth(found["MTVec"], found["MTCell"])
-        for method in methods:
-            produced[method].append(found[method])
-    outputs = []
-    for method in methods:
-        out = wd.path(f"vectors_{method}.tsv")
-        save_vectors(out, produced[method])
-        outputs.append(out)
-    wd.write_manifest("extract", params, inputs, outputs)
-    print(f"extract: wrote {', '.join(p.name for p in outputs)} for {len(langs)} languages")
+        per_lang.append(found)
+    outputs = [wd.path(f"vectors_{method}.tsv") for method in methods]
+    for method, out in zip(methods, outputs):
+        save_vectors(out, [found[method] for found in per_lang])
+    return outputs, f"wrote {', '.join(p.name for p in outputs)} for {len(langs)} languages"
 
 
-def write_knn_vectors(path, matrix, knn: dict[str, np.ndarray]) -> None:
-    names = matrix.feature_names()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lang\t" + "\t".join(names) + "\n")
-        for lang in matrix.languages:
-            fh.write(lang + "\t" + "\t".join(repr(float(x)) for x in knn[lang]) + "\n")
-
-
-def read_knn_vectors(path) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            lang, *values = line.split("\t")
-            out[lang] = np.array([float(v) for v in values])
-    return out
-
-
-def run_baseline(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(cfg.registry_path, "synth"), _require(cfg.features_path, "synth")]
+def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     knn_config = KnnConfig(cfg.knn_k, cfg.geodesic_weight, cfg.genetic_weight)
-    params = {
-        "knn_k": str(cfg.knn_k),
-        "geodesic_weight": repr(cfg.geodesic_weight),
-        "genetic_weight": repr(cfg.genetic_weight),
-    }
-    outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
-    if wd.up_to_date("baseline", params, inputs, outputs):
-        print("baseline: up to date")
-        return
-    registry = load_registry(cfg.registry_path)
-    matrix = load_features(cfg.features_path, registry)
+    registry = load_registry(wd.path("registry"))
+    matrix = load_features(wd.path("features"), registry)
     context = DistanceContext(registry)
     knn = {
         lang: knn_feature_vector(lang, matrix, registry, knn_config, context)
         for lang in matrix.languages
     }
+    outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
     write_knn_vectors(outputs[0], matrix, knn)
     write_distance_dump(outputs[1], registry, knn_config)
-    wd.write_manifest("baseline", params, inputs, outputs)
-    print(f"baseline: {cfg.knn_k}-NN vectors for {len(matrix.languages)} languages")
+    return outputs, f"{cfg.knn_k}-NN vectors for {len(matrix.languages)} languages"
 
 
-def run_predict(cfg: PipelineConfig, wd: Workdir) -> None:
+def _predict_inputs(cfg: PipelineConfig) -> list[str]:
+    return ["registry", "features", "knn_vectors.tsv",
+            *(f"vectors_{m}.tsv" for m in cfg.method_list)]
+
+
+def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = ["None"] + cfg.method_list
-    vector_paths = [_require(wd.path(f"vectors_{m}.tsv"), "extract") for m in cfg.method_list]
-    inputs = [_require(cfg.registry_path, "synth"), _require(cfg.features_path, "synth"),
-              _require(wd.path("knn_vectors.tsv"), "baseline"), *vector_paths]
-    params = {"seed": str(cfg.seed), "n_folds": str(cfg.n_folds), "l2": repr(cfg.l2),
-              "methods": ",".join(methods)}
-    outputs = [wd.path("report.tsv"), wd.path("feature_accuracy.tsv"),
-               wd.path("predictions.tsv"), wd.path("predict_meta.txt")]
-    if wd.up_to_date("predict", params, inputs, outputs):
-        print("predict: up to date")
-        return
-    registry = load_registry(cfg.registry_path)
-    matrix = load_features(cfg.features_path, registry)
-    vectors: dict[str, dict[str, object]] = {}
-    for method, path in zip(cfg.method_list, vector_paths):
-        vectors[method] = {v.lang: v for v in load_vectors(path)}
+    registry = load_registry(wd.path("registry"))
+    matrix = load_features(wd.path("features"), registry)
+    vectors = {method: {v.lang: v for v in load_vectors(wd.path(f"vectors_{method}.tsv"))}
+               for method in cfg.method_list}
     knn = read_knn_vectors(wd.path("knn_vectors.tsv"))
     folds = make_folds(matrix.languages, cfg.n_folds, cfg.seed)
     report = evaluate(matrix, vectors, folds, methods, (False, True), knn, cfg.l2)
-    write_report_tsv(wd.path("report.tsv"), report)
-    write_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"), report)
-    write_predictions_tsv(wd.path("predictions.tsv"), report)
-    from .models import write_kv
-
-    write_kv(wd.path("predict_meta.txt"), {
+    outputs = [wd.path("report.tsv"), wd.path("feature_accuracy.tsv"),
+               wd.path("predictions.tsv"), wd.path("predict_meta.txt")]
+    write_report_tsv(outputs[0], report)
+    write_feature_accuracy_tsv(outputs[1], report)
+    write_predictions_tsv(outputs[2], report)
+    write_kv(outputs[3], {
         "fold_digest": report.fold_digest,
         "n_folds": str(cfg.n_folds),
         "seed": str(cfg.seed),
         "excluded": ";".join(f"{f}({r})" for f, r in report.excluded),
     })
-    wd.write_manifest("predict", params, inputs, outputs)
-    for method in methods:
-        cells = report.cells[(method, False)]
-        print(f"predict: {method} -Aux " +
-              " ".join(f"{c}={cells[c]:.2f}" for c in report.categories))
+    return outputs, "\n".join(
+        f"{method} -Aux " + " ".join(f"{c}={report.cells[(method, False)][c]:.2f}"
+                                     for c in report.categories)
+        for method in methods
+    )
 
 
-def _read_report_tsv(path):
-    cells: dict[tuple[str, bool], dict[str, float]] = {}
-    methods: list[str] = []
-    categories: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            method, category, aux_s, acc = line.split("\t")
-            if method not in methods:
-                methods.append(method)
-            if category not in categories:
-                categories.append(category)
-            cells.setdefault((method, aux_s == "+Aux"), {})[category] = float(acc)
-    return cells, methods, categories
-
-
-def _read_feature_accuracy(path):
-    out: dict[tuple[str, bool], dict[str, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            method, aux_s, feature, acc = line.split("\t")
-            out.setdefault((method, aux_s == "+Aux"), {})[feature] = float(acc)
-    return out
-
-
-def run_report(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(wd.path("report.tsv"), "predict"),
-              _require(wd.path("feature_accuracy.tsv"), "predict")]
-    if wd.up_to_date("report", {}, inputs, [wd.path("table_main.md")]):
-        print("report: up to date")
-        return
-    cells, methods, categories = _read_report_tsv(wd.path("report.tsv"))
-    table = render_main_table(cells, methods, categories)
-    with open(wd.path("table_main.md"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
+    cells, methods, categories = read_report_tsv(wd.path("report.tsv"))
     outputs = [wd.path("table_main.md")]
-    feature_acc = _read_feature_accuracy(wd.path("feature_accuracy.tsv"))
-    base_key, best_key = ("None", False), ("MTBoth", False)
-    if base_key in feature_acc and best_key in feature_acc:
-        rows = {
-            cat: top_gains(feature_acc[base_key], feature_acc[best_key], cat, 5)
-            for cat in categories
-        }
-        gains = render_gains_table(rows)
-        with open(wd.path("table_gains.md"), "w", encoding="utf-8") as fh:
-            fh.write(gains)
+    outputs[0].write_text(render_main_table(cells, methods, categories), encoding="utf-8")
+    feature_acc = read_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"))
+    base, best = feature_acc.get(("None", False)), feature_acc.get(("MTBoth", False))
+    if base is not None and best is not None:
+        rows = {cat: top_gains(base, best, cat, 5) for cat in categories}
         outputs.append(wd.path("table_gains.md"))
-    wd.write_manifest("report", {}, inputs, outputs)
-    print(f"report: wrote {', '.join(p.name for p in outputs)}")
+        outputs[1].write_text(render_gains_table(rows), encoding="utf-8")
+    return outputs, f"wrote {', '.join(p.name for p in outputs)}"
 
 
-def _parse_condition(text: str) -> tuple[str, bool]:
-    if text.endswith("+Aux"):
-        return text[: -len("+Aux")], True
-    if text.endswith("-Aux"):
-        return text[: -len("-Aux")], False
-    raise ConfigError(f"bootstrap condition {text!r} must end in +Aux or -Aux")
+def _condition(text: str, preds) -> tuple[str, bool]:
+    """The predictions key of a bootstrap condition such as ``MTBoth+Aux``."""
+    if text[-4:] not in ("+Aux", "-Aux"):
+        raise ConfigError(f"bootstrap condition {text!r} must end in +Aux or -Aux")
+    if (text[:-4], text.endswith("+Aux")) not in preds:
+        raise StageInputError(f"predictions for condition {text} not found; "
+                              "check 'methods' and rerun 'predict'")
+    return text[:-4], text.endswith("+Aux")
 
 
-def run_bootstrap(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(wd.path("predictions.tsv"), "predict")]
-    params = {"n": str(cfg.bootstrap_n), "seed": str(cfg.seed),
-              "a": cfg.bootstrap_a, "b": cfg.bootstrap_b}
-    out = wd.path("bootstrap.txt")
-    if wd.up_to_date("bootstrap", params, inputs, [out]):
-        print("bootstrap: up to date")
-        return
+def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     preds = read_predictions_tsv(wd.path("predictions.tsv"))
-    key_a = _parse_condition(cfg.bootstrap_a)
-    key_b = _parse_condition(cfg.bootstrap_b)
-    for key, name in ((key_a, cfg.bootstrap_a), (key_b, cfg.bootstrap_b)):
-        if key not in preds:
-            raise StageInputError(f"predictions for condition {name} not found; "
-                                  "check 'methods' and rerun 'predict'")
-    from .typology import category_of
-
+    key_a = _condition(cfg.bootstrap_a, preds)
+    key_b = _condition(cfg.bootstrap_b, preds)
+    title = f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}"
     lines = []
     shared = sorted(set(preds[key_a]) & set(preds[key_b]))
     for category in ("syntax", "phonology", "inventory", "all"):
@@ -504,27 +332,15 @@ def run_bootstrap(cfg: PipelineConfig, wd: Workdir) -> None:
         result = paired_bootstrap(a, b, gold, cfg.bootstrap_n, cfg.seed)
         lines.append(f"{category}\tn={len(instances)}\tgain={result.observed_gain!r}\t"
                      f"p={result.p_value!r}\tresamples={result.n_resamples}")
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}\n")
-        fh.write("\n".join(lines) + "\n")
-    wd.write_manifest("bootstrap", params, inputs, [out])
-    print(f"bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b} -> {out.name}")
+    out = wd.path("bootstrap.txt")
+    out.write_text(f"{title}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    return [out], f"{cfg.bootstrap_a} vs {cfg.bootstrap_b} -> {out.name}"
 
 
-def run_traj(cfg: PipelineConfig, wd: Workdir) -> None:
-    inputs = [_require(cfg.features_path, "synth"),
-              _require(wd.path("nmt.ckpt"), "train-nmt"),
-              _require(wd.path("vectors_MTCell.tsv"), "extract")]
-    out = wd.path("trajectory.csv")
-    params = {"feature": cfg.traj_feature, "seed": str(cfg.seed),
-              "langs": cfg.traj_langs, "sentences": str(cfg.traj_sentences),
-              "l2": repr(cfg.l2)}
-    if wd.up_to_date("traj", params, inputs, [out]):
-        print("traj: up to date")
-        return
+def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry, encoded, vocab = _load_encoded(cfg, wd)
-    matrix = load_features(cfg.features_path, registry)
-    nmt = _load_trained(cfg, wd, "nmt")
+    matrix = load_features(wd.path("features"), registry)
+    nmt = _load_trained(wd, "nmt")
     mtcell = {v.lang: v for v in load_vectors(wd.path("vectors_MTCell.tsv"))}
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
@@ -535,37 +351,70 @@ def run_traj(cfg: PipelineConfig, wd: Workdir) -> None:
         raise StageInputError(f"not enough labeled languages with MTCell vectors for {feature}")
     X = np.stack([mtcell[l].values for l in labeled])
     y = np.array([matrix.value(l, feature) for l in labeled])
-    scaler = Scaler.fit(X)
-    logreg = train_logreg(scaler.apply(X), y, l2=cfg.l2, feature=feature)
+    logreg = train_logreg(Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
     node = select_trajectory_node(logreg, nmt.hidden_size)
     langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
     _, rows = export_trajectory(nmt, logreg, encoded, vocab, langs,
                                 cfg.traj_sentences or None, node)
+    out = wd.path("trajectory.csv")
     write_trajectory_csv(out, rows)
-    wd.write_manifest("traj", params, inputs, [out])
-    print(f"traj: feature {feature}, node {node}, {len(rows)} rows -> {out.name}")
+    return [out], f"feature {feature}, node {node}, {len(rows)} rows -> {out.name}"
 
 
-_RUNNERS = {
-    "synth": run_synth,
-    "ingest": run_ingest,
-    "bpe-learn": run_bpe_learn,
-    "train-lm": lambda cfg, wd: _run_train(cfg, wd, "lm"),
-    "train-nmt": lambda cfg, wd: _run_train(cfg, wd, "nmt"),
-    "extract": run_extract,
-    "baseline": run_baseline,
-    "predict": run_predict,
-    "report": run_report,
-    "bootstrap": run_bootstrap,
-    "traj": run_traj,
+@dataclass(frozen=True)
+class Stage:
+    body: Callable[[PipelineConfig, Workdir], StageResult]
+    # artifact names (keys of PRODUCERS), or a function of the config giving them
+    inputs: tuple[str, ...] | Callable[[PipelineConfig], list[str]] = ()
+    # PipelineConfig field names recorded in the manifest
+    params: tuple[str, ...] = ()
+
+
+_TRAIN_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
+
+STAGES = {
+    "synth": Stage(_synth, (), ("seed", "synth_langs", "synth_sentences", "synth_lexicon")),
+    "ingest": Stage(_ingest, ("registry", "corpus", "features")),
+    "bpe-learn": Stage(_bpe_learn, ("registry", "corpus"), ("num_merges",)),
+    "train-lm": Stage(lambda cfg, wd: _train(cfg, wd, "lm"), _TRAIN_INPUTS, _TRAIN_PARAMS),
+    "train-nmt": Stage(lambda cfg, wd: _train(cfg, wd, "nmt"), _TRAIN_INPUTS, _TRAIN_PARAMS),
+    "extract": Stage(_extract, _extract_inputs,
+                     ("methods", "max_sentences", "mtcell_include_special",
+                      "mtcell_sentence_equal", "seed")),
+    "baseline": Stage(_baseline, ("registry", "features"),
+                      ("knn_k", "geodesic_weight", "genetic_weight")),
+    "predict": Stage(_predict, _predict_inputs, ("seed", "n_folds", "l2", "methods")),
+    "report": Stage(_report, ("report.tsv", "feature_accuracy.tsv")),
+    "bootstrap": Stage(_bootstrap, ("predictions.tsv",),
+                       ("bootstrap_n", "seed", "bootstrap_a", "bootstrap_b")),
+    "traj": Stage(_traj, ("features", "nmt.ckpt", "vectors_MTCell.tsv"),
+                  ("traj_feature", "seed", "traj_langs", "traj_sentences", "l2")),
 }
 
 
-def run_stage(stage: str, cfg: PipelineConfig) -> None:
+def run_stage(name: str, cfg: PipelineConfig) -> None:
+    stage = STAGES[name]
     wd = Workdir(cfg)
-    with WorkdirLock(wd.root):
+    with _workdir_lock(wd.root):
         write_effective_config(wd.path("effective_config.txt"), cfg)
-        _RUNNERS[stage](cfg, wd)
+        entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
+        inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
+        for artifact in inputs:
+            # vectors_<method>.tsv of a method extract does not know: extract rejects it
+            path, producer = wd.path(artifact), PRODUCERS.get(artifact, "extract")
+            if not path.exists():
+                raise StageInputError(f"missing {path}; run the '{producer}' stage first")
+            digest = entries[f"in:{path}"] = _sha256(path)
+            if wd.recorded(producer).get(f"out:{path}", digest) != digest:
+                raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
+                                      f"rerun '{producer}'")
+        if wd.up_to_date(name, entries):
+            print(f"{name}: up to date")
+            return
+        outputs, summary = stage.body(cfg, wd)
+        wd.write_manifest(name, entries, outputs)
+        for line in summary.splitlines():
+            print(f"{name}: {line}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,10 @@ class ConfigError(ValueError):
     pass
 
 
+# Config keys that name input files, with the synth output each defaults to.
+INPUT_FILES = {"registry": "registry.tsv", "corpus": "corpus.txt", "features": "features.csv"}
+
+
 @dataclass
 class PipelineConfig:
     workdir: str
@@ -55,21 +59,10 @@ class PipelineConfig:
     def method_list(self) -> list[str]:
         return [m for m in self.methods.split(",") if m]
 
-    def path(self, name: str, default_name: str) -> Path:
+    def path(self, name: str) -> Path:
+        """The file that the ``INPUT_FILES`` key ``name`` names."""
         value = getattr(self, name)
-        return Path(value) if value else Path(self.workdir) / default_name
-
-    @property
-    def registry_path(self) -> Path:
-        return self.path("registry", "registry.tsv")
-
-    @property
-    def corpus_path(self) -> Path:
-        return self.path("corpus", "corpus.txt")
-
-    @property
-    def features_path(self) -> Path:
-        return self.path("features", "features.csv")
+        return Path(value) if value else Path(self.workdir) / INPUT_FILES[name]
 
 
 _BOOL_FIELDS = {"attention", "mtcell_include_special", "mtcell_sentence_equal"}
@@ -123,13 +116,16 @@ def parse_config(path, seed_override: int | None = None) -> PipelineConfig:
     return PipelineConfig(**values)
 
 
+def format_value(config: PipelineConfig, name: str) -> str:
+    """The config value as written to a config file; parsing it gives the value back."""
+    value = getattr(config, name)
+    if name in _BOOL_FIELDS:
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def write_effective_config(path, config: PipelineConfig) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# effective pipeline configuration\n")
         for f in fields(PipelineConfig):
-            value = getattr(config, f.name)
-            if f.name in _BOOL_FIELDS:
-                value = int(value)
-            elif isinstance(value, float):
-                value = repr(value)
-            fh.write(f"{f.name}={value}\n")
+            fh.write(f"{f.name}={format_value(config, f.name)}\n")

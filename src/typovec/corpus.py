@@ -164,6 +164,29 @@ def load_parallel(path, registry: Registry) -> CorpusStore:
     return store
 
 
+def read_tsv(path, columns: tuple[str, ...], parse_row) -> None:
+    """Calls ``parse_row(fields)`` on each non-empty row of a tab-separated file.
+
+    The header must start with ``columns``; each row has as many fields as the
+    header. Any breach, or a ValueError from ``parse_row``, names ``path:line``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split("\t")
+        if tuple(header[:len(columns)]) != columns:
+            raise ValueError(f"{path}:1: header must start with {' '.join(columns)}")
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            try:
+                if len(fields) != len(header):
+                    raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
+                parse_row(fields)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
 def serialize_parallel(store: CorpusStore) -> str:
     lines = [
         f"{p.lang}\t{' '.join(p.source)}{PAIR_SEPARATOR}{' '.join(p.target)}"

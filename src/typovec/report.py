@@ -7,6 +7,7 @@ lists per-feature before/after/gain triples grouped by category.
 
 from __future__ import annotations
 
+from .corpus import read_tsv
 from .predict import EvalReport, GainRow
 
 CATEGORY_LABELS = {"syntax": "Syntax", "phonology": "Phonology", "inventory": "Inventory"}
@@ -90,17 +91,47 @@ def write_predictions_tsv(path, report: EvalReport) -> None:
                 fh.write(f"{method}\t{AUX_LABELS[aux]}\t{lang}\t{feature}\t{pred}\t{gold}\n")
 
 
+def _parse_aux(label: str) -> bool:
+    if label not in ("-Aux", "+Aux"):
+        raise ValueError(f"aux label {label!r} is neither -Aux nor +Aux")
+    return label == "+Aux"
+
+
+def read_report_tsv(path):
+    """Returns (cells, methods, categories); methods and categories in file order."""
+    cells: dict[tuple[str, bool], dict[str, float]] = {}
+    methods: list[str] = []
+    categories: list[str] = []
+
+    def row(fields):
+        method, category, aux, accuracy = fields
+        cells.setdefault((method, _parse_aux(aux)), {})[category] = float(accuracy)
+        if method not in methods:
+            methods.append(method)
+        if category not in categories:
+            categories.append(category)
+
+    read_tsv(path, ("method", "category", "aux", "accuracy"), row)
+    return cells, methods, categories
+
+
+def read_feature_accuracy_tsv(path) -> dict[tuple[str, bool], dict[str, float]]:
+    out: dict[tuple[str, bool], dict[str, float]] = {}
+
+    def row(fields):
+        method, aux, feature, accuracy = fields
+        out.setdefault((method, _parse_aux(aux)), {})[feature] = float(accuracy)
+
+    read_tsv(path, ("method", "aux", "feature", "accuracy"), row)
+    return out
+
+
 def read_predictions_tsv(path) -> dict[tuple[str, bool], dict[tuple[str, str], tuple[int, int]]]:
     out: dict[tuple[str, bool], dict[tuple[str, str], tuple[int, int]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "method\taux\tlang\tfeature\tpred\tgold":
-            raise ValueError(f"{path}: bad predictions header")
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            method, aux_s, lang, feature, pred, gold = line.split("\t")
-            key = (method, aux_s == "+Aux")
-            out.setdefault(key, {})[(lang, feature)] = (int(pred), int(gold))
+
+    def row(fields):
+        method, aux, lang, feature, pred, gold = fields
+        out.setdefault((method, _parse_aux(aux)), {})[(lang, feature)] = (int(pred), int(gold))
+
+    read_tsv(path, ("method", "aux", "lang", "feature", "pred", "gold"), row)
     return out

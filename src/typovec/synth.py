@@ -126,10 +126,6 @@ class SynthLanguage:
         return source, target
 
 
-def generate_language(grammar: SynthGrammar) -> SynthLanguage:
-    return SynthLanguage(grammar)
-
-
 @dataclass
 class SynthSuite:
     registry: Registry

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, LanguageRecord, Registry
+from .corpus import CorpusError, LanguageRecord, Registry, read_tsv
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -127,6 +127,23 @@ def write_features(path, matrix: FeatureMatrix) -> None:
             for v in matrix.values[i]:
                 row.append("" if math.isnan(v) else str(int(v)))
             writer.writerow(row)
+
+
+def write_knn_vectors(path, matrix: FeatureMatrix, knn: dict[str, np.ndarray]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("lang\t" + "\t".join(matrix.feature_names()) + "\n")
+        for lang in matrix.languages:
+            fh.write(lang + "\t" + "\t".join(repr(float(x)) for x in knn[lang]) + "\n")
+
+
+def read_knn_vectors(path) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray] = {}
+
+    def row(fields):
+        out[fields[0]] = np.array([float(v) for v in fields[1:]])
+
+    read_tsv(path, ("lang",), row)
+    return out
 
 
 # --- distances ---------------------------------------------------------------

@@ -1,4 +1,6 @@
+import fcntl
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 import typovec
-from typovec.cli import main, read_knn_vectors
+from typovec.cli import main
 from typovec.config import ConfigError, PipelineConfig, parse_config, write_effective_config
+from typovec.typology import read_knn_vectors
 
 
 def write_config(path, **overrides) -> None:
@@ -71,14 +74,21 @@ class TestConfig:
         assert cfg.clip_norm == 5.0
 
 
+STAGES = ("synth", "ingest", "bpe-learn", "train-lm", "train-nmt",
+          "extract", "baseline", "predict", "report", "bootstrap", "traj")
+
+
+def snapshot(work):
+    return {p.name: p.read_bytes() for p in sorted(work.iterdir()) if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Run the full stage chain once on a tiny synthetic suite."""
     root = tmp_path_factory.mktemp("pipeline")
     cfg_path = root / "cfg.txt"
     write_config(cfg_path)
-    for stage in ("synth", "ingest", "bpe-learn", "train-lm", "train-nmt",
-                  "extract", "baseline", "predict", "report", "bootstrap", "traj"):
+    for stage in STAGES:
         assert main(["--config", str(cfg_path), stage]) == 0, stage
     return root / "work", cfg_path
 
@@ -93,12 +103,14 @@ class TestPipeline:
                      "effective_config.txt"):
             assert (work / name).exists(), name
 
-    def test_rerun_is_noop(self, pipeline, capsys):
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_rerun_is_noop(self, pipeline, capsys, stage):
         work, cfg_path = pipeline
-        before = (work / "merges.txt").read_bytes()
-        assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
-        assert "up to date" in capsys.readouterr().out
-        assert (work / "merges.txt").read_bytes() == before
+        before = snapshot(work)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), stage]) == 0
+        assert capsys.readouterr().out == f"{stage}: up to date\n"
+        assert snapshot(work) == before
 
     def test_knn_vectors_parse(self, pipeline):
         work, _ = pipeline
@@ -112,6 +124,26 @@ class TestPipeline:
         table = (work / "table_main.md").read_text(encoding="utf-8")
         for method in ("None", "LMVec", "MTVec", "MTCell", "MTBoth"):
             assert f"| {method} |" in table
+
+    @pytest.mark.parametrize("name, producer, consumer", [
+        ("knn_vectors.tsv", "baseline", "predict"),
+        ("report.tsv", "predict", "report"),
+        ("feature_accuracy.tsv", "predict", "report"),
+    ])
+    def test_malformed_tsv_names_file_and_line(self, pipeline, tmp_path, capsys,
+                                               name, producer, consumer):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        # without the producer's record of the file, the reader itself must reject it
+        (copy / f"{producer}.manifest").unlink()
+        lines = (copy / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n").rsplit("\t", 1)[0] + "\tx\n"
+        (copy / name).write_text("".join(lines), encoding="utf-8")
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        assert main(["--config", str(cfg_path), consumer]) == 1
+        assert f"{copy / name}:2:" in capsys.readouterr().err
 
     def test_trajectory_has_header_and_rows(self, pipeline):
         work, _ = pipeline
@@ -146,9 +178,38 @@ class TestCliErrors:
         work = tmp_path / "w3"
         write_config(cfg_path, workdir=str(work))
         work.mkdir()
-        (work / ".lock").write_text("held", encoding="utf-8")
-        assert main(["--config", str(cfg_path), "synth"]) == 1
+        with open(work / ".lock", "w") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(["--config", str(cfg_path), "synth"]) == 1
         assert "locked" in capsys.readouterr().err
+
+    def test_leftover_lock_file_does_not_block(self, tmp_path, capsys):
+        # what a killed run leaves behind: the file, but no process holding the lock
+        cfg_path = tmp_path / "cfg.txt"
+        work = tmp_path / "w4"
+        write_config(cfg_path, workdir=str(work))
+        work.mkdir()
+        (work / ".lock").write_text("12345", encoding="utf-8")
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "synth: up to date"
+
+    def test_stale_input_names_producer(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        work = tmp_path / "w5"
+        write_config(cfg_path, workdir=str(work))
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
+        merges = work / "merges.txt"
+        merges.write_text("".join(merges.read_text(encoding="utf-8").splitlines(keepends=True)[:20]),
+                          encoding="utf-8")
+        assert main(["--config", str(cfg_path), "train-nmt"]) == 1
+        err = capsys.readouterr().err
+        assert str(merges) in err and "rerun 'bpe-learn'" in err
+        assert not (work / "nmt.ckpt").exists()
+        # the rerun the message asks for sees the changed output and repairs it
+        assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
+        assert len(merges.read_text(encoding="utf-8").splitlines()) == 30
 
     def test_bad_config_key_exits_one(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

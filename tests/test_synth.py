@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from typovec.synth import SYNTH_FEATURES, SynthGrammar, SynthLanguage, generate_language, generate_suite
+from typovec.synth import SYNTH_FEATURES, SynthGrammar, SynthLanguage, generate_suite
 
 
 def classify(language: SynthLanguage, token: str) -> str:
@@ -37,7 +37,7 @@ class TestLanguage:
     def test_object_position_respects_flag(self):
         for flag in (True, False):
             grammar = SynthGrammar(flag, False, True, lexicon_seed=5, lexicon_size=12)
-            language = generate_language(grammar)
+            language = SynthLanguage(grammar)
             rng = np.random.default_rng(0)
             for _ in range(200):
                 source, _ = language.sentence(rng)
@@ -47,7 +47,7 @@ class TestLanguage:
         for combo in range(8):
             grammar = SynthGrammar(bool(combo & 1), bool(combo & 2), bool(combo & 4),
                                    lexicon_seed=100 + combo, lexicon_size=14)
-            language = generate_language(grammar)
+            language = SynthLanguage(grammar)
             rng = np.random.default_rng(combo)
             for _ in range(100):
                 source, target = language.sentence(rng)
@@ -55,19 +55,19 @@ class TestLanguage:
                 assert target  # canonical side always non-empty
 
     def test_different_seeds_have_disjoint_lexicons(self):
-        a = generate_language(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=20))
-        b = generate_language(SynthGrammar(True, True, True, lexicon_seed=2, lexicon_size=20))
+        a = SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=20))
+        b = SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=2, lexicon_size=20))
         assert not (a.lexicon & b.lexicon)
 
     def test_same_seed_same_stream(self):
         grammar = SynthGrammar(False, True, False, lexicon_seed=9, lexicon_size=16)
-        s1 = [generate_language(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
-        s2 = [generate_language(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
+        s1 = [SynthLanguage(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
+        s2 = [SynthLanguage(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
         assert s1 == s2
 
     def test_small_lexicon_rejected(self):
         with pytest.raises(ValueError, match=">= 10"):
-            generate_language(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=5))
+            SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=5))
 
     def test_target_is_canonical_order(self):
         # same meaning frame must realize identically regardless of flags:
@@ -75,7 +75,7 @@ class TestLanguage:
         # random choices
         g1 = SynthGrammar(True, True, True, lexicon_seed=8, lexicon_size=12)
         g2 = SynthGrammar(False, False, False, lexicon_seed=8, lexicon_size=12)
-        l1, l2 = generate_language(g1), generate_language(g2)
+        l1, l2 = SynthLanguage(g1), SynthLanguage(g2)
         _, t1 = l1.sentence(np.random.default_rng(42))
         _, t2 = l2.sentence(np.random.default_rng(42))
         assert t1 == t2
