@@ -6,19 +6,31 @@ shared by all models.
 
 Conventions:
 
-- Each word is split into characters and the end-of-word marker ``⟨/w⟩`` is
-  appended to the final character.
-- Pair counting and pair matching ignore the marker on the right symbol, so
-  a merge ``(a, b)`` applies to both ``a b`` and ``a b⟨/w⟩``. The merged
-  symbol keeps the marker. Merge tables therefore store unmarked pairs.
+- A word is split into characters. The end-of-word marker ``⟨/w⟩`` belongs
+  to the word's final symbol, but inside this module it is a position, not
+  part of a symbol: symbols carry no marker, and a pair is two adjacent
+  symbols ``(s[i], s[i + 1])``. A merge ``(a, b)`` therefore applies both
+  inside a word and at its end, where the merged symbol is the last one.
+- ``apply_word`` attaches the marker to the last piece when it returns, so
+  pieces, ``vocab.tsv`` and ``merges.txt`` look as they always have: merge
+  tables store unmarked pairs and the vocabulary stores marked pieces.
 - Equal-frequency pairs are broken lexicographically by ``(left, right)``,
   which makes learning a pure function of (corpus, num_merges).
+
+Learning keeps incremental pair statistics (Sennrich et al. 2016): after a
+merge of ``(L, R)`` only the pairs next to each merged occurrence change,
+``(p, L)`` becoming ``(p, LR)`` and ``(R, n)`` becoming ``(LR, n)``, with
+two adjacent occurrences giving ``(LR, LR)``. The most frequent pair comes
+from a max-heap keyed on ``(-count, pair)`` whose stale entries are skipped
+when popped.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .corpus import CorpusStore, Registry
 
@@ -29,39 +41,22 @@ RESERVED = (PAD, BOS, EOS, UNK)
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
 
-def _strip_marker(symbol: str) -> str:
-    return symbol.removesuffix(END_OF_WORD)
-
-
-def word_to_symbols(word: str) -> list[str]:
-    """Character split with the marker attached to the final character."""
-    chars = list(word)
-    chars[-1] = chars[-1] + END_OF_WORD
-    return chars
-
-
-def _adjacent_pairs(symbols: list[str]) -> list[tuple[str, str]]:
-    return [(symbols[i], _strip_marker(symbols[i + 1])) for i in range(len(symbols) - 1)]
-
-
-def _merge_once(symbols: list[str], pair: tuple[str, str]) -> list[str]:
-    """Single left-to-right pass merging non-overlapping occurrences of ``pair``."""
-    left, right = pair
+def _merge(symbols: list[str], left: str, right: str) -> tuple[list[str], list[int]]:
+    """One left-to-right pass merging the non-overlapping occurrences of
+    ``(left, right)``; returns the new symbols and the merged positions."""
     out: list[str] = []
-    i = 0
-    while i < len(symbols):
-        if (
-            i + 1 < len(symbols)
-            and symbols[i] == left
-            and _strip_marker(symbols[i + 1]) == right
-        ):
-            marked = symbols[i + 1].endswith(END_OF_WORD)
-            out.append(left + right + (END_OF_WORD if marked else ""))
+    at: list[int] = []
+    i, n = 0, len(symbols)
+    while i < n:
+        symbol = symbols[i]
+        if symbol == left and i + 1 < n and symbols[i + 1] == right:
+            at.append(len(out))
+            out.append(left + right)
             i += 2
         else:
-            out.append(symbols[i])
+            out.append(symbol)
             i += 1
-    return out
+    return out, at
 
 
 @dataclass
@@ -112,38 +107,58 @@ def learn_bpe(corpus: CorpusStore, num_merges: int) -> MergeTable:
     if not word_freqs:
         raise ValueError("corpus is empty")
 
-    words: dict[str, list[str]] = {w: word_to_symbols(w) for w in sorted(word_freqs)}
-    counts: Counter = Counter()
-    where: dict[tuple[str, str], set[str]] = {}
-    for word, symbols in words.items():
-        freq = word_freqs[word]
-        for pair in _adjacent_pairs(symbols):
+    words = [list(word) for word in word_freqs]
+    freqs = list(word_freqs.values())
+    counts: dict[tuple[str, str], int] = defaultdict(int)
+    # pair -> indices of the words that hold it; a superset once merges run
+    where: dict[tuple[str, str], set[int]] = defaultdict(set)
+    for idx, symbols in enumerate(words):
+        freq = freqs[idx]
+        for pair in zip(symbols, symbols[1:]):
             counts[pair] += freq
-            where.setdefault(pair, set()).add(word)
+            where[pair].add(idx)
+    heap = [(-count, pair) for pair, count in counts.items()]
+    heapq.heapify(heap)
 
     table = MergeTable()
-    for _ in range(num_merges):
-        if not counts:
+    while heap and len(table) < num_merges:
+        neg, best = heapq.heappop(heap)
+        if counts.get(best) != -neg:
+            continue  # stale: the pair's count changed after this entry
+        if -neg < 2:
             break
-        best_count = max(counts.values())
-        if best_count < 2:
-            break
-        best = min(pair for pair, c in counts.items() if c == best_count)
         table.append(best)
-
-        for word in sorted(where.get(best, ())):
-            freq = word_freqs[word]
-            symbols = words[word]
-            for pair in _adjacent_pairs(symbols):
-                counts[pair] -= freq
-                if counts[pair] <= 0:
-                    del counts[pair]
-                where[pair].discard(word)
-            symbols = _merge_once(symbols, best)
-            words[word] = symbols
-            for pair in _adjacent_pairs(symbols):
-                counts[pair] += freq
-                where.setdefault(pair, set()).add(word)
+        left, right = best
+        merged = left + right
+        delta: dict[tuple[str, str], int] = defaultdict(int)
+        for idx in where.pop(best):
+            symbols, at = _merge(words[idx], left, right)
+            if not at:
+                continue
+            words[idx] = symbols
+            freq = freqs[idx]
+            last = len(symbols) - 1
+            delta[best] -= freq * len(at)
+            for k, j in enumerate(at):
+                if j:
+                    # the left neighbour is ``merged`` itself after (L, R, L, R)
+                    prev = symbols[j - 1]
+                    delta[(right, left) if k and at[k - 1] == j - 1 else (prev, left)] -= freq
+                    delta[prev, merged] += freq
+                    where[prev, merged].add(idx)
+                if j < last and not (k + 1 < len(at) and at[k + 1] == j + 1):
+                    after = symbols[j + 1]
+                    delta[right, after] -= freq
+                    delta[merged, after] += freq
+                    where[merged, after].add(idx)
+        for pair, change in delta.items():
+            if change:
+                count = counts.get(pair, 0) + change
+                if count > 0:
+                    counts[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    counts.pop(pair, None)
     return table
 
 
@@ -153,17 +168,15 @@ def apply_word(word: str, merges: MergeTable) -> tuple[str, ...]:
     Repeatedly merges the lowest-rank pair present in the word, which is
     equivalent to applying the table in rank order.
     """
-    symbols = word_to_symbols(word)
+    ranks, pairs = merges._ranks, merges.pairs
+    none = len(pairs)
+    symbols = list(word)
     while len(symbols) > 1:
-        ranked = [
-            (rank, pair)
-            for pair in _adjacent_pairs(symbols)
-            if (rank := merges.rank(pair)) is not None
-        ]
-        if not ranked:
+        rank = min(map(ranks.get, zip(symbols, symbols[1:]), repeat(none)))
+        if rank == none:
             break
-        _, best = min(ranked)
-        symbols = _merge_once(symbols, best)
+        symbols, _ = _merge(symbols, *pairs[rank])
+    symbols[-1] += END_OF_WORD
     return tuple(symbols)
 
 
@@ -192,7 +205,7 @@ def decode_pieces(pieces) -> list[str]:
     current: list[str] = []
     for piece in pieces:
         if piece.endswith(END_OF_WORD):
-            current.append(_strip_marker(piece))
+            current.append(piece.removesuffix(END_OF_WORD))
             words.append("".join(current))
             current = []
         else:
@@ -238,10 +251,9 @@ class SubwordVocab:
 
 def build_vocab(corpus: CorpusStore, merges: MergeTable, registry: Registry) -> SubwordVocab:
     """Reserved tokens, one token per registry language, then all corpus subwords."""
-    cache: dict[str, tuple[str, ...]] = {}
     subwords: set[str] = set()
-    for word in sorted(corpus_word_frequencies(corpus)):
-        subwords.update(apply_bpe([word], merges, cache))
+    for word in corpus_word_frequencies(corpus):
+        subwords.update(apply_word(word, merges))
     tokens = list(RESERVED)
     tokens.extend(f"<{code}>" for code in sorted(registry.codes))
     seen = set(tokens)
@@ -320,7 +332,10 @@ def load_vocab(path) -> SubwordVocab:
             tok, tab, ident = line.partition("\t")
             if not tab:
                 raise ValueError(f"{path}:{lineno}: expected 'token<TAB>id'")
-            entries.append((int(ident), tok))
+            try:
+                entries.append((int(ident), tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: id {ident!r} is not an integer") from None
     entries.sort()
     if [i for i, _ in entries] != list(range(len(entries))):
         raise ValueError(f"{path}: vocabulary ids are not dense and contiguous")

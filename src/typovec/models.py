@@ -326,13 +326,13 @@ def write_kv(path, entries: dict[str, str]) -> None:
 def read_kv(path) -> dict[str, str]:
     entries: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             if not sep:
-                raise ValueError(f"{path}: malformed manifest line {line!r}")
+                raise ValueError(f"{path}:{lineno}: malformed manifest line {line!r}")
             entries[key] = value
     return entries
 
@@ -366,28 +366,46 @@ def save_model(ckpt_path, manifest_path, model, config: TrainConfig,
     write_kv(manifest_path, manifest)
 
 
+_TRAIN_STAGES = {"seq2seq": "train-nmt", "rnnlm": "train-lm"}
+
+
 def load_model(ckpt_path, manifest_path):
-    """Returns (model, manifest dict, loss_curve)."""
+    """Returns (model, manifest dict, loss_curve).
+
+    A missing or malformed manifest key raises ValueError naming the
+    manifest, the key and the stage that writes it.
+    """
     manifest = read_kv(manifest_path)
+    kind = manifest.get("type")
+    if kind not in _TRAIN_STAGES:
+        raise ValueError(f"{manifest_path}: unknown model type {kind!r}; "
+                         "rerun 'train-nmt' or 'train-lm'")
+
+    def field(key: str, parse):
+        try:
+            return parse(manifest[key])
+        except (KeyError, ValueError):
+            state = "malformed" if key in manifest else "missing"
+            raise ValueError(f"{manifest_path}: {state} key {key!r}; "
+                             f"rerun '{_TRAIN_STAGES[kind]}'") from None
+
     config = TrainConfig(
-        hidden_size=int(manifest["hidden_size"]),
-        embed_size=int(manifest["embed_size"]),
-        lr=float(manifest["lr"]),
-        dropout=float(manifest["dropout"]),
-        epochs=max(1, int(manifest["epochs"])),
-        batch_size=int(manifest["batch_size"]),
-        seed=int(manifest["seed"]),
-        clip_norm=float(manifest["clip_norm"]),
-        attention=bool(int(manifest["attention"])),
+        hidden_size=field("hidden_size", int),
+        embed_size=field("embed_size", int),
+        lr=field("lr", float),
+        dropout=field("dropout", float),
+        epochs=max(1, field("epochs", int)),
+        batch_size=field("batch_size", int),
+        seed=field("seed", int),
+        clip_norm=field("clip_norm", float),
+        attention=bool(field("attention", int)),
     )
-    vocab_size = int(manifest["vocab_size"])
+    vocab_size = field("vocab_size", int)
     rng = np.random.default_rng(0)
-    if manifest["type"] == "seq2seq":
+    if kind == "seq2seq":
         model: Seq2SeqModel | RnnLmModel = Seq2SeqModel(vocab_size, config, rng)
-    elif manifest["type"] == "rnnlm":
-        model = RnnLmModel(vocab_size, config, rng)
     else:
-        raise ValueError(f"{manifest_path}: unknown model type {manifest['type']!r}")
+        model = RnnLmModel(vocab_size, config, rng)
     tensors, _seed = load_checkpoint(ckpt_path)
     for p in model.parameters():
         if p.name not in tensors:
@@ -396,5 +414,5 @@ def load_model(ckpt_path, manifest_path):
             raise ValueError(f"{ckpt_path}: tensor {p.name!r} has shape {tensors[p.name].shape}, "
                              f"expected {p.value.shape}")
         p.value[...] = tensors[p.name]
-    curve = [float(x) for x in manifest.get("loss_curve", "").split(",") if x]
+    curve = field("loss_curve", lambda v: [float(x) for x in v.split(",") if x])
     return model, manifest, curve

@@ -58,10 +58,6 @@ def render_gains_table(rows_by_category: dict[str, list[GainRow]],
     return "\n".join(lines) + "\n"
 
 
-def render_report_markdown(report: EvalReport) -> str:
-    return render_main_table(report.cells, report.methods, report.categories, report.aux_settings)
-
-
 def write_report_tsv(path, report: EvalReport) -> None:
     """Flat accuracy dump: method, category, aux, accuracy."""
     with open(path, "w", encoding="utf-8") as fh:

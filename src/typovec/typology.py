@@ -77,9 +77,6 @@ class FeatureMatrix:
             counts[f.category] += 1
         return counts
 
-    def non_missing_count(self, feature: str) -> int:
-        return int(np.sum(~np.isnan(self.column(feature))))
-
 
 def load_features(path, registry: Registry) -> FeatureMatrix:
     with open(path, encoding="utf-8", newline="") as fh:

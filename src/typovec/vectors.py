@@ -198,8 +198,12 @@ def load_vectors(path) -> list[LangVector]:
             if len(fields) != 5:
                 raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
             lang, method, dim_s, n_s, values_s = fields
-            values = np.array([float(x) for x in values_s.split(" ")])
-            if len(values) != int(dim_s):
+            try:
+                dim, n_sentences = int(dim_s), int(n_s)
+                values = np.array([float(x) for x in values_s.split(" ")])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if len(values) != dim:
                 raise ValueError(f"{path}:{lineno}: dim {dim_s} but {len(values)} values")
-            out.append(LangVector(lang, method, values, int(n_s)))
+            out.append(LangVector(lang, method, values, n_sentences))
     return out

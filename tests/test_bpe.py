@@ -1,6 +1,9 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from typovec.bpe import (
     END_OF_WORD,
@@ -18,6 +21,7 @@ from typovec.bpe import (
     save_vocab,
 )
 from typovec.corpus import CorpusStore, LanguageRecord, Registry, SentencePair
+from typovec.synth import generate_suite
 
 from oracles import brute_force_learn_bpe, naive_apply_bpe
 
@@ -70,6 +74,43 @@ class TestLearn:
             got = learn_bpe(dict(words), merges)
             expect = brute_force_learn_bpe(words, merges)
             assert got.pairs == expect, f"trial {trial}: {words}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda size: st.dictionaries(
+        st.text(alphabet="abc"[:size], min_size=1, max_size=12), st.integers(1, 6),
+        min_size=1, max_size=12)), st.integers(1, 25))
+    def test_incremental_counts_match_recount_oracle(self, words, merges):
+        # small alphabets give runs (``aaaa``) and adjacent occurrences (``abab``)
+        assert learn_bpe(words, merges).pairs == brute_force_learn_bpe(words, merges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(alphabet="abc", min_size=1, max_size=12),
+                           st.integers(1, 6), min_size=1, max_size=12))
+    def test_training_words_split_as_in_order_application(self, words):
+        table = learn_bpe(words, 25)
+        for word in words:
+            assert list(apply_word(word, table)) == naive_apply_bpe(word, table.pairs)
+
+    @pytest.mark.parametrize("suite_args, merges, merges_sha, vocab_sha", [
+        # the pinned acceptance suite
+        ((40, 500, 20250810, 24), 300,
+         "d5c36bcd3d2a7a293115b737fc8359d9fa3f563678c02c864b7731713d89f8b5",
+         "8d8739944c14ef93a57d57387b766d9affc28d92b49e3965fe86e715e1e5b8f4"),
+        ((60, 40, 7, 120), 400,
+         "dfa2932d8005e7a417893cec6200f85ce4c9c7d691d2b0732938117ab8915c07",
+         "2172acb43049de7b2d6ebd62d3e56fb3cf6201790bcb1d1cb58487abc53bd812"),
+    ])
+    def test_files_match_pinned_digests(self, tmp_path, suite_args, merges, merges_sha,
+                                        vocab_sha):
+        # computed with the earlier learner, which recounted every pair of each changed word
+        n_langs, sentences, seed, lexicon = suite_args
+        suite = generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
+        table = learn_bpe(suite.corpus, merges)
+        save_merges(tmp_path / "merges.txt", table)
+        save_vocab(tmp_path / "vocab.tsv", build_vocab(suite.corpus, table, suite.registry))
+        digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                        for name in ("merges.txt", "vocab.tsv"))
+        assert digests == (merges_sha, vocab_sha)
 
 
 class TestApply:
@@ -155,6 +196,13 @@ class TestVocab:
         save_vocab(tmp_path / "v.tsv", vocab)
         assert load_merges(tmp_path / "m.txt").pairs == table.pairs
         assert load_vocab(tmp_path / "v.tsv").id_to_token == vocab.id_to_token
+
+    def test_non_integer_id_names_file_and_line(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("<pad>\t0\n<bos>\t1\n<eos>\tx\n", encoding="utf-8")
+        message = re.escape(f"{path}:3: id 'x' is not an integer")
+        with pytest.raises(ValueError, match=message):
+            load_vocab(path)
 
     def test_encode_corpus_groups_by_language(self, setup):
         registry, store, table = setup

@@ -129,6 +129,7 @@ class TestPipeline:
         ("knn_vectors.tsv", "baseline", "predict"),
         ("report.tsv", "predict", "report"),
         ("feature_accuracy.tsv", "predict", "report"),
+        ("vectors_MTVec.tsv", "extract", "predict"),
     ])
     def test_malformed_tsv_names_file_and_line(self, pipeline, tmp_path, capsys,
                                                name, producer, consumer):
@@ -144,6 +145,29 @@ class TestPipeline:
         write_config(cfg_path, workdir=str(copy))
         assert main(["--config", str(cfg_path), consumer]) == 1
         assert f"{copy / name}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("nmt", "hidden_size", None),
+        ("nmt", "attention", "yes"),
+        ("lm", "embed_size", "8.5"),
+    ])
+    def test_bad_model_manifest_exits_one(self, pipeline, tmp_path, capsys, kind, key, value):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        (copy / "extract.manifest").unlink()
+        manifest = copy / f"{kind}.model"
+        lines = [line for line in manifest.read_text(encoding="utf-8").splitlines()
+                 if not line.startswith(f"{key}=")]
+        if value is not None:
+            lines.append(f"{key}={value}")
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        assert main(["--config", str(cfg_path), "extract"]) == 1
+        err = capsys.readouterr().err
+        assert str(manifest) in err and repr(key) in err
+        assert f"rerun 'train-{kind}'" in err
 
     def test_trajectory_has_header_and_rows(self, pipeline):
         work, _ = pipeline

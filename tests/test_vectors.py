@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -313,6 +314,18 @@ class TestStore:
         path = tmp_path / "bad.tsv"
         path.write_text("nope\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            load_vectors(path)
+
+    @pytest.mark.parametrize("row", [
+        "aaa\tMTVec\t2\t5\t0.5 x0.25",
+        "aaa\tMTVec\ttwo\t5\t0.5 0.25",
+        "aaa\tMTVec\t2\t5.0\t0.5 0.25",
+    ], ids=["float", "dim", "n_sentences"])
+    def test_bad_number_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "vectors.tsv"
+        path.write_text("lang\tmethod\tdim\tn_sentences\n"
+                        "bbb\tMTVec\t2\t5\t0.5 0.25\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
             load_vectors(path)
 
     def test_mtboth_dim_invariant(self, setup):
