@@ -76,8 +76,8 @@ def _sha256(path: Path) -> str:
 PRODUCERS = {
     **dict.fromkeys(("registry", "corpus", "features"), "synth"),
     **dict.fromkeys(("merges.txt", "vocab.tsv"), "bpe-learn"),
-    "lm.ckpt": "train-lm",
-    "nmt.ckpt": "train-nmt",
+    **dict.fromkeys(("lm.ckpt", "lm.model"), "train-lm"),
+    **dict.fromkeys(("nmt.ckpt", "nmt.model"), "train-nmt"),
     **dict.fromkeys((f"vectors_{method}.tsv" for method in METHODS), "extract"),
     "knn_vectors.tsv": "baseline",
     **dict.fromkeys(("report.tsv", "feature_accuracy.tsv", "predictions.tsv"), "predict"),
@@ -176,6 +176,10 @@ def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     return outputs, f"{len(merges)} merges, vocab size {len(vocab)}"
 
 
+# The artifacts _load_encoded reads.
+_ENCODED_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
+
+
 def _load_encoded(cfg: PipelineConfig, wd: Workdir):
     registry = load_registry(wd.path("registry"))
     store = load_parallel(wd.path("corpus"), registry)
@@ -204,11 +208,11 @@ def _load_trained(wd: Workdir, kind: str):
 
 
 def _extract_inputs(cfg: PipelineConfig) -> list[str]:
-    inputs = ["corpus", "merges.txt", "vocab.tsv"]
+    inputs = list(_ENCODED_INPUTS)
     if any(m.startswith("MT") for m in cfg.method_list):
-        inputs.append("nmt.ckpt")
+        inputs += ["nmt.ckpt", "nmt.model"]
     if "LMVec" in cfg.method_list:
-        inputs.append("lm.ckpt")
+        inputs += ["lm.ckpt", "lm.model"]
     return inputs
 
 
@@ -322,7 +326,7 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     title = f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}"
     lines = []
     shared = sorted(set(preds[key_a]) & set(preds[key_b]))
-    for category in ("syntax", "phonology", "inventory", "all"):
+    for category in (*CATEGORIES, "all"):
         instances = [k for k in shared if category == "all" or category_of(k[1]) == category]
         if not instances:
             continue
@@ -370,14 +374,12 @@ class Stage:
     params: tuple[str, ...] = ()
 
 
-_TRAIN_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
-
 STAGES = {
     "synth": Stage(_synth, (), ("seed", "synth_langs", "synth_sentences", "synth_lexicon")),
     "ingest": Stage(_ingest, ("registry", "corpus", "features")),
     "bpe-learn": Stage(_bpe_learn, ("registry", "corpus"), ("num_merges",)),
-    "train-lm": Stage(lambda cfg, wd: _train(cfg, wd, "lm"), _TRAIN_INPUTS, _TRAIN_PARAMS),
-    "train-nmt": Stage(lambda cfg, wd: _train(cfg, wd, "nmt"), _TRAIN_INPUTS, _TRAIN_PARAMS),
+    "train-lm": Stage(lambda cfg, wd: _train(cfg, wd, "lm"), _ENCODED_INPUTS, _TRAIN_PARAMS),
+    "train-nmt": Stage(lambda cfg, wd: _train(cfg, wd, "nmt"), _ENCODED_INPUTS, _TRAIN_PARAMS),
     "extract": Stage(_extract, _extract_inputs,
                      ("methods", "max_sentences", "mtcell_include_special",
                       "mtcell_sentence_equal", "seed")),
@@ -387,7 +389,8 @@ STAGES = {
     "report": Stage(_report, ("report.tsv", "feature_accuracy.tsv")),
     "bootstrap": Stage(_bootstrap, ("predictions.tsv",),
                        ("bootstrap_n", "seed", "bootstrap_a", "bootstrap_b")),
-    "traj": Stage(_traj, ("features", "nmt.ckpt", "vectors_MTCell.tsv"),
+    "traj": Stage(_traj, (*_ENCODED_INPUTS, "features", "nmt.ckpt", "nmt.model",
+                          "vectors_MTCell.tsv"),
                   ("traj_feature", "seed", "traj_langs", "traj_sentences", "l2")),
 }
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bpe import EncodedCorpus, SubwordVocab
 from .models import Seq2SeqModel, encoder_batch, lstm_states
-from .typology import FeatureMatrix, majority_value
+from .typology import CATEGORIES, FeatureMatrix, majority_value
 from .vectors import LangVector
 
 
@@ -254,7 +254,7 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
     missing = set(matrix.languages) - set(folds.assignment)
     if missing:
         raise ValueError(f"fold assignment missing languages: {sorted(missing)}")
-    categories = [c for c in ("syntax", "phonology", "inventory") if matrix.feature_names(c)]
+    categories = [c for c in CATEGORIES if matrix.feature_names(c)]
     report = EvalReport(methods, aux_settings, categories, folds.digest)
 
     usable: dict[str, list[str]] = {}

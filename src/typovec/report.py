@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from .corpus import read_tsv
 from .predict import EvalReport, GainRow
+from .typology import CATEGORIES
 
 CATEGORY_LABELS = {"syntax": "Syntax", "phonology": "Phonology", "inventory": "Inventory"}
 AUX_LABELS = {False: "-Aux", True: "+Aux"}
@@ -19,7 +20,7 @@ def _fmt(x: float) -> str:
 
 
 def render_main_table(cells: dict[tuple[str, bool], dict[str, float]],
-                      methods, categories=("syntax", "phonology", "inventory"),
+                      methods, categories=CATEGORIES,
                       aux_settings=(False, True)) -> str:
     """Markdown accuracy grid; ``cells`` maps (method, aux) -> category -> value."""
     methods = list(methods)
@@ -50,7 +51,7 @@ def render_gains_table(rows_by_category: dict[str, list[GainRow]],
         f"| Feature | {label_a} | {label_b} | Gain |",
         "|---|---|---|---|",
     ]
-    for category in ("syntax", "phonology", "inventory"):
+    for category in CATEGORIES:
         for row in rows_by_category.get(category, []):
             lines.append(
                 f"| {row.feature} | {_fmt(row.before)} | {_fmt(row.after)} | {_fmt(row.gain)} |"

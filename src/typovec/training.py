@@ -12,14 +12,15 @@ epoch-derived seed. Each padded batch is a handful of graph nodes:
   then the decoder started from the encoder's final state; the LM's single
   LSTM). Rows that have finished keep their state, so the final encoder
   state of every row is its own last real step;
-- with attention, tanh([h_t; context_t] @ wc) applied to every decoder
-  state after the recurrence, since attention is not fed back into it;
+- with attention, one op that attends every decoder state over its row's
+  encoder states with batched (B, T_dec, T_enc) scores, then
+  tanh([h_t; context_t] @ wc). Attention is not fed back into the
+  recurrence, so it runs once, after it;
 - one (T*B, H) @ (H, V) projection and one masked cross-entropy; padded
   positions are masked out of the loss.
 
-Perplexity runs the same padded batches, without dropout, through the
-inference recurrence :func:`typovec.models.lstm_states`, which freezes
-finished rows the same way.
+Perplexity runs the training loss path: it sums the same batch losses over
+length-sorted batches, with dropout off.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .models import (
     TrainConfig,
     encoder_input_ids,
     lstm_sequence,
-    lstm_states,
     pad_batch,
 )
 from .optim import AdamState, adam_step, clip_gradients, zero_gradients
@@ -91,39 +91,39 @@ def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float) ->
     return ag.dropout(x, rate, drop_rng) if rate > 0.0 else x
 
 
-def _attention_context(h_dec: Tensor, enc_hs: list[Tensor], neg: np.ndarray) -> Tensor:
-    scores = ag.concat(
-        [ag.reduce_sum(ag.mul(h_dec, h_enc), axis=1, keepdims=True) for h_enc in enc_hs],
-        axis=1,
-    )
-    scores = ag.add(scores, ag.constant(neg))
-    # softmax over source positions; the shift is a detached constant
-    shift = ag.constant(scores.value.max(axis=1, keepdims=True))
-    e = ag.exp(ag.sub(scores, shift))
-    attn = ag.div(e, ag.reduce_sum(e, axis=1, keepdims=True))
-    ctx: Tensor | None = None
-    for t, h_enc in enumerate(enc_hs):
-        part = ag.mul(h_enc, ag.slice_(attn, np.s_[:, t : t + 1]))
-        ctx = part if ctx is None else ag.add(ctx, part)
-    return ctx
+def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
+    """Global dot-product attention (Luong et al. 2015) as one autograd op.
+
+    ``hs`` holds the (T_dec*B, H) decoder states and ``enc_hs`` the
+    (T_enc*B, H) encoder states, both time-major. Returns the (T_dec*B, H)
+    contexts in the same order: every decoder state attends over its own
+    row's real encoder steps, with (B, T_dec, T_enc) scores from one batched
+    product. The VJP is written by hand from the saved weights.
+    """
+    bsz = len(enc_lens)
+    hsz = hs.value.shape[1]
+    q = hs.value.reshape(-1, bsz, hsz).transpose(1, 0, 2)  # (B, T_dec, H)
+    k = enc_hs.value.reshape(-1, bsz, hsz).transpose(1, 0, 2)  # (B, T_enc, H)
+    pad = np.arange(k.shape[1]) >= enc_lens[:, None, None]
+    scores = np.where(pad, -np.inf, q @ k.transpose(0, 2, 1))
+    a = np.exp(scores - scores.max(axis=2, keepdims=True))
+    a /= a.sum(axis=2, keepdims=True)
+
+    def vjp(grad):
+        g = grad.reshape(-1, bsz, hsz).transpose(1, 0, 2)
+        da = g @ k.transpose(0, 2, 1)
+        ds = a * (da - (da * a).sum(axis=2, keepdims=True))
+        dq = ds @ k
+        dk = ds.transpose(0, 2, 1) @ q + a.transpose(0, 2, 1) @ g
+        return dq.transpose(1, 0, 2).reshape(-1, hsz), dk.transpose(1, 0, 2).reshape(-1, hsz)
+
+    return Tensor((a @ k).transpose(1, 0, 2).reshape(-1, hsz), (hs, enc_hs), vjp)
 
 
 def _attend(model: Seq2SeqModel, hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
-    """tanh([h_t; context_t] @ wc) for every decoder state in ``hs``.
-
-    Attention is not fed back into the recurrence, so it runs after it, one
-    decoder step at a time over per-step slices of the encoder states.
-    """
-    bsz = len(enc_lens)
-    wc = model.attn_wc.node()
-    enc_steps = [ag.slice_(enc_hs, np.s_[s * bsz : (s + 1) * bsz]) for s in range(len(enc_hs.value) // bsz)]
-    neg = np.where(np.arange(len(enc_steps)) < enc_lens[:, None], 0.0, -1e9)
-    outs = []
-    for t in range(len(hs.value) // bsz):
-        h = ag.slice_(hs, np.s_[t * bsz : (t + 1) * bsz])
-        ctx = _attention_context(h, enc_steps, neg)
-        outs.append(ag.tanh(ag.matmul(ag.concat([h, ctx], axis=1), wc)))
-    return ag.concat(outs, axis=0)
+    """tanh([h_t; context_t] @ wc) for every decoder state in ``hs``."""
+    ctx = _attention(hs, enc_hs, enc_lens)
+    return ag.tanh(ag.matmul(ag.concat([hs, ctx], axis=1), model.attn_wc.node()))
 
 
 def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None = None,
@@ -210,45 +210,6 @@ def train_lm(encoded: EncodedCorpus, vocab: SubwordVocab,
     return model, curve
 
 
-def _log_softmax_np(z: np.ndarray) -> np.ndarray:
-    zmax = z.max(axis=-1, keepdims=True)
-    ez = np.exp(z - zmax)
-    return (z - zmax) - np.log(ez.sum(axis=-1, keepdims=True))
-
-
-def _batch_nll(model, batch: list[_Row]) -> float:
-    """Summed target negative log-likelihood of one padded batch (no dropout)."""
-    embed = model.embedding.value
-    dec_in, _ = pad_batch([r.dec_in for r in batch])
-    dec_out, out_lens = pad_batch([r.dec_out for r in batch])
-    h = c = attn_wc = None
-    decoder = model.decoder if isinstance(model, Seq2SeqModel) else model.cell
-    if isinstance(model, Seq2SeqModel):
-        attn_wc = model.attn_wc
-        enc_ids, enc_lens = pad_batch([r.enc_ids for r in batch])
-        enc_hs = []
-        for h, c in lstm_states(model.encoder, embed, enc_ids, enc_lens):
-            if attn_wc is not None:
-                enc_hs.append(h)
-        if attn_wc is not None:
-            enc_hs = np.stack(enc_hs, axis=1)  # (B, T_enc, H)
-            pad_mask = np.arange(enc_hs.shape[1]) >= enc_lens[:, None]
-    rows = np.arange(len(batch))
-    nll = 0.0
-    # the encoder's final state starts the decoder; attention is not fed back
-    # into the recurrence, so it is applied to each decoder state afterwards
-    for t, (h, c) in enumerate(lstm_states(decoder, embed, dec_in, out_lens, h, c)):
-        out = h
-        if attn_wc is not None:
-            scores = np.where(pad_mask, -np.inf, np.einsum("bh,bth->bt", h, enc_hs))
-            attn = np.exp(scores - scores.max(axis=1, keepdims=True))
-            ctx = np.einsum("bt,bth->bh", attn / attn.sum(axis=1, keepdims=True), enc_hs)
-            out = np.tanh(np.concatenate([h, ctx], axis=1) @ attn_wc.value)
-        logp = _log_softmax_np(out @ model.proj_w.value + model.proj_b.value)
-        nll -= float(np.sum(logp[rows, dec_out[:, t]] * (t < out_lens)))
-    return nll
-
-
 def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
     """exp(mean per-token negative log-likelihood) over the corpus.
 
@@ -256,8 +217,14 @@ def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
     """
     if not encoded.ordered:
         raise ValueError("perplexity of an empty corpus is undefined")
-    rows = _nmt_rows(encoded, vocab) if isinstance(model, Seq2SeqModel) else _lm_rows(encoded, vocab)
+    if isinstance(model, Seq2SeqModel):
+        rows, batch_loss = _nmt_rows(encoded, vocab), _nmt_batch_loss
+    else:
+        rows, batch_loss = _lm_rows(encoded, vocab), _lm_batch_loss
     rows.sort(key=lambda r: (len(r.enc_ids), len(r.dec_in)))
-    total_nll = sum(_batch_nll(model, rows[i : i + 64]) for i in range(0, len(rows), 64))
-    total_tokens = sum(len(r.dec_out) for r in rows)
+    total_nll, total_tokens = 0.0, 0
+    for start in range(0, len(rows), 64):
+        loss, n_tokens = batch_loss(model, rows[start : start + 64], None, 0.0)
+        total_nll += float(loss.value)
+        total_tokens += n_tokens
     return float(np.exp(total_nll / total_tokens))

@@ -169,6 +169,29 @@ class TestPipeline:
         assert str(manifest) in err and repr(key) in err
         assert f"rerun 'train-{kind}'" in err
 
+    @pytest.mark.parametrize("stage", ["extract", "traj"])
+    def test_model_manifest_is_a_declared_input(self, pipeline, tmp_path, capsys, stage):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        # manifests record absolute paths; rebased, they describe the copy
+        for manifest in copy.glob("*.manifest"):
+            text = manifest.read_text(encoding="utf-8")
+            manifest.write_text(text.replace(str(work), str(copy)), encoding="utf-8")
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        model = copy / "nmt.model"
+        assert main(["--config", str(cfg_path), stage]) == 0
+        assert capsys.readouterr().out == f"{stage}: up to date\n"
+        with open(model, "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+        assert main(["--config", str(cfg_path), stage]) == 1
+        err = capsys.readouterr().err
+        assert f"{model} is not the file 'train-nmt' last wrote; rerun 'train-nmt'" in err
+        model.unlink()
+        assert main(["--config", str(cfg_path), stage]) == 1
+        assert f"missing {model}; run the 'train-nmt' stage first" in capsys.readouterr().err
+
     def test_trajectory_has_header_and_rows(self, pipeline):
         work, _ = pipeline
         lines = (work / "trajectory.csv").read_text(encoding="utf-8").splitlines()

@@ -163,6 +163,16 @@ class TestLstmSequence:
         for p in model.parameters():
             assert max_relative_error(p.grad, fd[p.name]) <= 1e-4, p.name
 
+    def test_attention_graph_does_not_grow_with_length(self):
+        # attention is one node over all steps: a batch of long rows builds the same graph
+        config = TrainConfig(hidden_size=4, embed_size=3, epochs=1, seed=2, attention=True)
+        model = Seq2SeqModel(12, config, np.random.default_rng(4))
+        long_rows = [_Row([10, *range(3, 10), 2], [1, *range(3, 11)], [*range(3, 11), 2]),
+                     _Row([11, 4, 2], [1, 5, 6, 7, 8, 9], [5, 6, 7, 8, 9, 2])]
+        sizes = [len(ag._topo_order(_nmt_batch_loss(model, rows, np.random.default_rng(8), 0.1)[0]))
+                 for rows in (NMT_ROWS[2:], long_rows)]
+        assert sizes[0] == sizes[1]
+
 
 @pytest.fixture
 def tiny_setup(small_registry, small_corpus):
@@ -235,17 +245,21 @@ class TestTraining:
     @pytest.mark.parametrize("kind", ["lm", "nmt", "nmt-attention"])
     def test_dropout_draws_reproduce_per_step_trainer(self, kind):
         # first-epoch losses of the per-step autograd trainer at commit 0b8333a, which drew
-        # one (B, E) dropout mask per time step, encoder steps first
+        # one (B, E) dropout mask per time step, encoder steps first; the trained model's
+        # perplexity is pinned to the separate numpy evaluator of commit 6020de6
         expected = {"lm": 3.928411298010625, "nmt": 3.4859945768698752,
                     "nmt-attention": 3.480778592470047}[kind]
+        expected_ppl = {"lm": 40.60009421917402, "nmt": 18.529701753110082,
+                        "nmt-attention": 20.23787688201453}[kind]
         suite = generate_suite(4, 30, seed=5)
         merges = learn_bpe(suite.corpus, 40)
         vocab = build_vocab(suite.corpus, merges, suite.registry)
         encoded = encode_corpus(suite.corpus, merges, vocab)
         config = TrainConfig(hidden_size=12, lr=0.02, dropout=0.1, epochs=1, batch_size=8, seed=9,
                              attention=kind == "nmt-attention")
-        _, curve = (train_lm if kind == "lm" else train_nmt)(encoded, vocab, config)
+        model, curve = (train_lm if kind == "lm" else train_nmt)(encoded, vocab, config)
         assert curve[0] == pytest.approx(expected, rel=1e-12, abs=0)
+        assert perplexity(model, encoded, vocab) == pytest.approx(expected_ppl, rel=1e-12, abs=0)
 
     def test_lm_same_seed_identical_and_decreasing(self, tiny_setup):
         vocab, encoded = tiny_setup
