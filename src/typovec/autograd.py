@@ -150,6 +150,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value @ b.value, (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, with the bias added in place."""
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0] \
+            or b.value.shape != w.value.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.value.shape}, {w.value.shape} and {b.value.shape} "
+                         "are not (n,k), (k,m) and (m,)")
+    value = x.value @ w.value
+    value += b.value
+
+    def vjp(g):
+        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
+
+    return Tensor(value, (x, w, b), vjp)
+
+
 def sigmoid(a: Tensor) -> Tensor:
     x = a.value
     out = np.empty_like(x)
@@ -249,6 +264,10 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     ``logits`` is (V,) with an integer target, or (B, V) with B targets.
     ``mask`` (optional, (B,)) zeroes out padded rows. Returns a scalar node
     holding the masked sum of per-row losses.
+
+    The op keeps one (B, V) buffer: the exponentiated logits, which its VJP
+    turns into the gradient in place. The VJP therefore consumes the buffer
+    and may run only once, as :func:`backward` runs it.
     """
     squeeze = logits.value.ndim == 1
     z = logits.value[None, :] if squeeze else logits.value
@@ -263,15 +282,17 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     if m.shape != (z.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: mask shape {m.shape} != ({z.shape[0]},)")
 
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    sez = ez.sum(axis=1, keepdims=True)
+    # one (rows, V) buffer: the shifted logits, then their exp, then the gradient
+    buf = z - z.max(axis=1, keepdims=True)
     rows = np.arange(z.shape[0])
     # only the target log-probabilities are formed: logits may be (T*B, V)
-    value = -((shifted[rows, t] - np.log(sez[:, 0])) * m).sum()
+    target = buf[rows, t]
+    np.exp(buf, out=buf)
+    sez = buf.sum(axis=1, keepdims=True)
+    value = -((target - np.log(sez[:, 0])) * m).sum()
 
     def vjp(g):
-        dz = ez / sez
+        dz = np.divide(buf, sez, out=buf)
         dz[rows, t] -= 1.0
         dz *= m[:, None] * float(g)
         return (dz[0] if squeeze else dz,)

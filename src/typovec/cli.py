@@ -442,6 +442,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(args.config, seed_override=args.seed)
+        _train_config(cfg)  # checks the training keys before any stage runs
         run_stage(stage, cfg)
     except (ConfigError, CorpusError, StageInputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,27 @@ and bias ``b`` (4H,) hold the i, f, o, g blocks in that order. The forget
 gate bias is initialized to 1.0; matrices use uniform(+-sqrt(6/(fan_in+fan_out)))
 per gate block.
 
-One cell loop runs under both the training op :func:`lstm_sequence` (one
-autograd node per recurrence over a padded batch, with a hand-written
-backward pass) and the inference generator :func:`lstm_states`.
+One cell step, ``_Cell.step``, runs under both the training op
+:func:`lstm_sequence` (one autograd node per recurrence over a padded batch,
+with a hand-written backward pass) and the inference generator
+:func:`lstm_states`. Three invariants keep it lean and exact:
+
+- Pre-scaled gates: the step works on copies of ``w``, ``u`` and ``b`` whose
+  i, f and o columns are halved. Halving is exact in float64, so those
+  columns of the pre-activation are z/2 bit for bit, and one tanh over the
+  whole (rows, 4H) block gives every gate, with sigmoid(z) =
+  (tanh(z/2) + 1) * 0.5. The activations are then stored gate-major,
+  (4, rows, H), so the element-wise work runs on contiguous blocks.
+- Live span: step t runs only rows ``lo:hi``, the shortest run that holds
+  every row with ``lens > t`` (two rows at least: a one-row product goes
+  through gemv and sums in another order). Rows outside the span keep their
+  state by a plain copy and dead rows inside it by a masked copy, so a row's
+  values do not depend on the other rows' lengths.
+- Backward factors saved in the forward: while the step is in cache it
+  writes the factors of its VJP (d(c_t)/dz and d(h_t)/dz per gate, d(h_t)/d(c_t)
+  and f) over its slice of the input projection, and the VJP overwrites them
+  with d(loss)/dz. One (T, B, 4H) buffer serves all three, and the VJP
+  consumes it.
 """
 
 from __future__ import annotations
@@ -47,8 +65,10 @@ class TrainConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (np.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0 (0 turns clipping off), got {self.clip_norm}")
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -106,29 +126,90 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor)
     return h, c
 
 
-def _recurrence(u: np.ndarray, zx, lens: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """The LSTM cell loop shared by training and inference.
+def _live_spans(lens: np.ndarray, steps: int) -> list[tuple[int, int, bool | np.ndarray]]:
+    """For each step t, the rows ``lo:hi`` that the step runs, and which of them are live.
 
-    ``zx`` yields each step's (B, 4H) input projection x_t @ w + b. Yields
-    (gates, tanh(c_t), h_t, c_t) after each step t, with ``gates`` the
-    activated i, f, o, g blocks. Sigmoid is 0.5*(1 + tanh(x/2)), which needs
-    no masks. Rows with ``lens <= t`` keep their previous state, so after the
-    last step every row holds its own final state.
+    The span is the shortest run of rows that holds every row with
+    ``lens > t``, widened to two rows when the batch has two: OpenBLAS sends
+    a one-row product through gemv, which sums in another order than the
+    batched product. ``keep`` is True when every row of the span is live, or
+    else the (hi - lo, 1) mask of its live rows.
     """
-    hsz = u.shape[0]
-    for t, zx_t in enumerate(zx):
-        gates = zx_t + h @ u
-        gates[:, : 3 * hsz] *= 0.5
-        np.tanh(gates, out=gates)
-        gates[:, : 3 * hsz] += 1.0
-        gates[:, : 3 * hsz] *= 0.5
-        c_new = gates[:, hsz : 2 * hsz] * c + gates[:, :hsz] * gates[:, 3 * hsz :]
-        tanh_c = np.tanh(c_new)
-        h_new = gates[:, 2 * hsz : 3 * hsz] * tanh_c
-        alive = (t < lens)[:, None]
-        h = np.where(alive, h_new, h)
-        c = np.where(alive, c_new, c)
-        yield gates, tanh_c, h, c
+    bsz = len(lens)
+    alive = np.arange(steps)[:, None] < lens
+    first, last = alive.argmax(axis=1), bsz - alive[:, ::-1].argmax(axis=1)
+    spans = []
+    for t, (lo, hi, live) in enumerate(zip(first.tolist(), last.tolist(), alive.sum(axis=1).tolist())):
+        if hi - lo < 2 <= bsz:
+            lo = min(lo, bsz - 2)
+            hi = lo + 2
+        spans.append((lo, hi, True if live == hi - lo else alive[t, lo:hi, None]))
+    return spans
+
+
+class _Cell:
+    """One LSTM cell step on pre-halved gates, shared by training and inference.
+
+    The i, f and o columns of ``w``, ``u`` and ``b`` are scaled by 0.5 once,
+    which is exact in float64, so the pre-activation of those gates is
+    already z/2, and one tanh over the contiguous (rows, 4H) block serves all
+    four gates: sigmoid(z) = (tanh(z/2) + 1) * 0.5 and g = tanh(z). The
+    activations are then laid out gate-major, (4, rows, H), so that every
+    later element-wise op runs on contiguous blocks. The step buffers are
+    sized for ``bsz`` rows and reused by every step.
+    """
+
+    def __init__(self, cell: LSTMCellParams, bsz: int):
+        hsz = cell.hidden_size
+        scale = np.repeat([0.5, 0.5, 0.5, 1.0], hsz)
+        self.w, self.u, self.b = (p.value * scale for p in cell.parameters())
+        self.pre = np.empty((bsz, 4 * hsz))
+        self.gates = np.empty(4 * bsz * hsz)
+        self.t1, self.t2 = np.empty((bsz, hsz)), np.empty((bsz, hsz))
+
+    def step(self, zx, h, c, h_out, c_out, keep, saved=None) -> None:
+        """Steps the rows of ``zx`` (the pre-halved x @ w + b) from (h, c).
+
+        Writes the live rows (``keep``) of the new state into ``h_out`` and
+        ``c_out``; ``c_out`` may be ``c``. With ``saved`` = (dact, dc_dh, f),
+        also writes the factors the backward pass needs while the step is in
+        cache: dact, gate-major (4, rows, H), holds d(c_t)/dz for i, f, g and
+        d(h_t)/dz for o; dc_dh is d(h_t)/d(c_t) and f the forget gate. dact
+        may share memory with ``zx``.
+        """
+        m, hsz = h.shape
+        pre, t1, t2 = self.pre[:m], self.t1[:m], self.t2[:m]
+        np.matmul(h, self.u, out=pre)
+        pre += zx
+        np.tanh(pre, out=pre)
+        blocks = pre.reshape(m, 4, hsz).transpose(1, 0, 2)
+        gates = self.gates[: 4 * m * hsz].reshape(4, m, hsz)
+        np.add(blocks[:3], 1.0, out=gates[:3])
+        gates[:3] *= 0.5
+        gates[3] = blocks[3]
+        i, f, o, g = gates
+        if saved is not None:
+            dact, dc_dh, f_saved = saved
+            np.subtract(1.0, gates[:3], out=dact[:3])
+            dact[:3] *= gates[:3]  # s * (1 - s)
+            dact[0] *= g
+            dact[1] *= c  # c_{t-1}: c_out, which may be c, is written below
+            f_saved[...] = f
+        np.multiply(f, c, out=t1)
+        np.multiply(i, g, out=t2)
+        t1 += t2
+        np.copyto(c_out, t1, where=keep)
+        np.tanh(t1, out=t1)
+        np.multiply(o, t1, out=t2)
+        np.copyto(h_out, t2, where=keep)
+        if saved is not None:
+            dact[2] *= t1
+            np.multiply(t1, t1, out=t2)
+            np.subtract(1.0, t2, out=t2)
+            np.multiply(o, t2, out=dc_dh)
+            np.multiply(g, g, out=t2)
+            np.subtract(1.0, t2, out=t2)
+            np.multiply(i, t2, out=dact[3])
 
 
 def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = None,
@@ -142,11 +223,13 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
     state, so ``h`` and ``c`` are each row's own last real step. Start states
     default to zeros.
 
-    The input projection x @ w + b is one GEMM over all T*B rows; only
-    h @ u runs inside the loop. The gates are saved, and the VJP is a
-    hand-written backward-through-time loop, after which dx, dw, du and db
-    each come from one GEMM or one sum over the T*B rows (Appleyard et al.
-    2016, arXiv:1604.01946).
+    The input projection x @ w + b is one GEMM over all T*B rows into a
+    (T, B, 4H) buffer; only h @ u runs inside the loop, on the live span of
+    each step. Each step overwrites its slice of that buffer with the factors
+    of its backward pass, and the VJP, a hand-written backward-through-time
+    loop, overwrites them with d(loss)/dz, from which dx, dw, du and db each
+    come from one GEMM or one sum over the T*B rows (Appleyard et al. 2016,
+    arXiv:1604.01946). The VJP consumes the buffer, so it runs once.
     """
     lens = np.asarray(lens)
     bsz, hsz = len(lens), cell.hidden_size
@@ -160,45 +243,50 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
         )
     steps = rows // bsz
     w, u, b = cell.w.node(), cell.u.node(), cell.b.node()
-    zx = (x.value @ w.value + b.value).reshape(steps, bsz, 4 * hsz)
-    gates = np.empty((steps, bsz, 4 * hsz))
-    tanh_c = np.empty((steps, bsz, hsz))
+    run = _Cell(cell, bsz)
+    spans = _live_spans(lens, steps)
+    zs = np.matmul(x.value, run.w).reshape(steps, bsz, 4 * hsz)  # x @ w + b, then dact, then dz
+    zs += run.b
+    dc_dh, f = np.empty((steps, bsz, hsz)), np.empty((steps, bsz, hsz))
     packed = np.empty((steps + 2, bsz, hsz))  # h0, h_1 .. h_T, then c_T: the op's value is packed[1:]
-    cs = np.empty((steps + 1, bsz, hsz))  # c0, c_1 .. c_T
-    packed[0], cs[0] = h0.value, c0.value
-    for t, state in enumerate(_recurrence(u.value, zx, lens, h0.value, c0.value)):
-        gates[t], tanh_c[t], packed[t + 1], cs[t + 1] = state
-    packed[-1] = cs[-1]
-    alive = (np.arange(steps)[:, None] < lens)[:, :, None]
+    packed[0] = h0.value
+    c = packed[-1]
+    c[...] = c0.value
+    for t, (lo, hi, keep) in enumerate(spans):
+        if keep is not True or hi - lo < bsz:
+            packed[t + 1] = packed[t]
+        span = np.s_[lo:hi]
+        run.step(zs[t, span], packed[t, span], c[span], packed[t + 1, span], c[span], keep,
+                 (zs[t, span].reshape(4, hi - lo, hsz), dc_dh[t, span], f[t, span]))
 
     def vjp(grad):
         grad = grad.reshape(steps + 1, bsz, hsz)
-        sig = gates[..., : 3 * hsz]
-        i, f, o, g = (gates[..., k * hsz : (k + 1) * hsz] for k in range(4))
-        # d(gate pre-activation) = d(c_t) * dact for i, f, g and d(h_t) * dact for o
-        dact = np.empty_like(gates)
-        dact[..., : 3 * hsz] = sig * (1.0 - sig)
-        dact[..., :hsz] *= g
-        dact[..., hsz : 2 * hsz] *= cs[:-1]
-        dact[..., 2 * hsz : 3 * hsz] *= tanh_c
-        dact[..., 3 * hsz :] = i * (1.0 - g * g)
-        dact = dact.reshape(steps, bsz, 4, hsz)
-        dc_dh = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((steps, bsz, 4, hsz))
+        u_t = np.ascontiguousarray(u.value.T)  # dz @ u.T on the transposed view takes another kernel for few rows
         dh, dc = np.zeros((bsz, hsz)), grad[steps].copy()
         for t in reversed(range(steps)):
-            dh = dh + grad[t]
-            frozen = not alive[t].all()
-            dh_t = np.where(alive[t], dh, 0.0) if frozen else dh
-            dc_t = np.where(alive[t], dc, 0.0) if frozen else dc
-            dc_t = dc_t + dh_t * dc_dh[t]
-            np.multiply(dact[t], dc_t[:, None, :], out=dz[t])
-            np.multiply(dact[t, :, 2], dh_t, out=dz[t, :, 2])
-            dh_prev = dz[t].reshape(bsz, 4 * hsz) @ u.value.T
-            dc_prev = dc_t * f[t]
-            dh = np.where(alive[t], dh_prev, dh) if frozen else dh_prev
-            dc = np.where(alive[t], dc_prev, dc) if frozen else dc_prev
-        dz = dz.reshape(steps * bsz, 4 * hsz)
+            lo, hi, keep = spans[t]
+            dh += grad[t]
+            z_t = zs[t, lo:hi]  # this step's dact, overwritten with its dz
+            zs[t, :lo] = 0.0
+            zs[t, hi:] = 0.0
+            m = hi - lo
+            dhs, dcs, dc_t, dh_prev = dh[lo:hi], dc[lo:hi], run.t1[:m], run.t2[:m]
+            np.multiply(dhs, dc_dh[t, lo:hi], out=dc_t)
+            dc_t += dcs
+            dact = z_t.reshape(4, m, hsz)
+            dact[:2] *= dc_t
+            dact[3] *= dc_t
+            dact[2] *= dhs
+            if keep is not True:
+                np.copyto(dact, 0.0, where=~keep)
+            dz_rows = run.pre[:m]  # dz row-major again, as the GEMMs need it
+            np.copyto(dz_rows.reshape(m, 4, hsz), dact.transpose(1, 0, 2))
+            np.matmul(dz_rows, u_t, out=dh_prev)
+            z_t[...] = dz_rows
+            dc_t *= f[t, lo:hi]
+            np.copyto(dhs, dh_prev, where=keep)
+            np.copyto(dcs, dc_t, where=keep)
+        dz = zs.reshape(steps * bsz, 4 * hsz)
         h_prev = packed[:steps].reshape(steps * bsz, hsz)
         return dz @ w.value.T, x.value.T @ dz, h_prev.T @ dz, dz.sum(axis=0), dh, dc
 
@@ -211,17 +299,21 @@ def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, le
                 h: np.ndarray | None = None, c: np.ndarray | None = None):
     """Inference twin of :func:`lstm_sequence` over a padded (B, T) batch of ids.
 
-    Yields the (B, H) states (h_t, c_t) after each step t. Rows with
+    Yields new (B, H) states (h_t, c_t) after each step t. Rows with
     ``lens <= t`` keep their previous state, so after the last step every
-    row holds its own final state. Each step costs one (B, E) @ (E, 4H) and
-    one (B, H) @ (H, 4H) product, and no (T, B, .) array is held. Start
-    states default to zeros.
+    row holds its own final state. Each step runs one (rows, E) @ (E, 4H) and
+    one (rows, H) @ (H, 4H) product on the live span only, and no (T, B, .)
+    array is held. Start states default to zeros.
     """
-    w, u, b = cell.w.value, cell.u.value, cell.b.value
+    run = _Cell(cell, len(ids))
+    zx_buf = np.empty_like(run.pre)
     h = np.zeros((len(ids), cell.hidden_size)) if h is None else h
     c = np.zeros((len(ids), cell.hidden_size)) if c is None else c
-    zx = (embedding[ids[:, t]] @ w + b for t in range(ids.shape[1]))
-    for _gates, _tanh_c, h, c in _recurrence(u, zx, lens, h, c):
+    for t, (lo, hi, keep) in enumerate(_live_spans(lens, ids.shape[1])):
+        h_prev, c_prev, h, c = h, c, h.copy(), c.copy()
+        zx = np.matmul(embedding[ids[lo:hi, t]], run.w, out=zx_buf[: hi - lo])
+        zx += run.b
+        run.step(zx, h_prev[lo:hi], c_prev[lo:hi], h[lo:hi], c[lo:hi], keep)
         yield h, c
 
 

@@ -139,7 +139,7 @@ def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None =
     hs, _, _ = lstm_sequence(cell, x, out_lens, h, c)
     if enc is not None:
         hs = _attend(model, hs, *enc)
-    logits = ag.add(ag.matmul(hs, model.proj_w.node()), model.proj_b.node())
+    logits = ag.linear(hs, model.proj_w.node(), model.proj_b.node())
     mask = (np.arange(dec_out.shape[1])[:, None] < out_lens).astype(np.float64)
     loss = ag.softmax_cross_entropy(logits, dec_out.T.ravel(), mask.ravel())
     return loss, int(out_lens.sum())

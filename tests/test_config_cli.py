@@ -258,10 +258,16 @@ class TestCliErrors:
         assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
         assert len(merges.read_text(encoding="utf-8").splitlines()) == 30
 
-    def test_bad_config_key_exits_one(self, tmp_path):
+    @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
+                                      "clip_norm=nan", "clip_norm=inf"])
+    def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
+        # unchecked, a NaN or negative clip_norm turns clipping off without a word,
+        # and a non-finite lr fails with exit 2 only after a wasted batch
         cfg_path = tmp_path / "cfg.txt"
-        cfg_path.write_text("workdir=w\nseed=1\nnope=2\n", encoding="utf-8")
+        cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
+        assert line.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -163,6 +163,53 @@ class TestLstmSequence:
         for p in model.parameters():
             assert max_relative_error(p.grad, fd[p.name]) <= 1e-4, p.name
 
+    # row 0 is the one longest row in "sorted" and "unsorted", and at the full length in all
+    ISOLATION_LENS = {
+        "full": np.full(24, 11),
+        "sorted": np.array([11, *(10 - np.arange(23) // 3)]),
+        "unsorted": np.array([11, *np.random.default_rng(3).integers(1, 11, size=23)]),
+    }
+
+    @staticmethod
+    def _row_results(cell, x, h0, c0, lens, row):
+        # the row's states and the gradients of a loss that reads only that row
+        bsz = len(lens)
+        xt, h0t, c0t = ag.constant(x), ag.constant(h0), ag.constant(c0)
+        hs, h, c = lstm_sequence(cell, xt, lens, h0t, c0t)
+        weights = np.random.default_rng(9).uniform(-1, 1, size=hs.value.shape)
+        rows_of = np.arange(len(x)) % bsz == row
+        weights[~rows_of] = 0.0
+        picked = np.zeros((bsz, 1))
+        picked[row] = 1.0
+        loss = ag.add(ag.reduce_sum(ag.mul(hs, ag.constant(weights))),
+                      ag.reduce_sum(ag.mul(ag.add(h, ag.scale(c, 0.5)), ag.constant(picked))))
+        backward(loss)
+        return [a.tobytes() for a in (hs.value[rows_of], h.value[row], c.value[row],
+                                      xt.grad[rows_of], h0t.grad[row], c0t.grad[row])]
+
+    def test_row_results_do_not_depend_on_other_rows(self):
+        # each step runs only the span of live rows, so a row must come out bit for bit the
+        # same whatever the other rows' lengths: a one-row product (gemv) or few rows times
+        # the transposed view of u (another OpenBLAS kernel) would sum in another order
+        rng = np.random.default_rng(5)
+        cell = LSTMCellParams.create("iso", 64, 64, rng)
+        steps, bsz = 11, 24
+        x = rng.uniform(-1, 1, size=(steps * bsz, 64))
+        h0, c0 = rng.uniform(-1, 1, size=(bsz, 64)), rng.uniform(-1, 1, size=(bsz, 64))
+        results = {name: self._row_results(cell, x, h0, c0, lens, 0)
+                   for name, lens in self.ISOLATION_LENS.items()}
+        assert results["sorted"] == results["full"]
+        assert results["unsorted"] == results["full"]
+
+        embedding = rng.uniform(-1, 1, size=(30, 64))
+        ids = rng.integers(1, 30, size=(bsz, steps))
+        states = {}
+        for name, lens in self.ISOLATION_LENS.items():
+            states[name] = [(h[0].tobytes(), c[0].tobytes())
+                            for h, c in lstm_states(cell, embedding, ids, lens, h0, c0)]
+        assert states["sorted"] == states["full"]
+        assert states["unsorted"] == states["full"]
+
     def test_attention_graph_does_not_grow_with_length(self):
         # attention is one node over all steps: a batch of long rows builds the same graph
         config = TrainConfig(hidden_size=4, embed_size=3, epochs=1, seed=2, attention=True)
@@ -349,6 +396,18 @@ def test_default_sizes_match_documented_values():
     assert config.dropout == 0.5
     assert config.clip_norm == 5.0
     assert config.attention is False
+
+
+@pytest.mark.parametrize("field, value", [("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+                                          ("clip_norm", -1.0), ("clip_norm", math.nan),
+                                          ("clip_norm", math.inf)])
+def test_train_config_rejects_bad_lr_and_clip_norm(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_zero_clip_norm_means_off():
+    assert TrainConfig(clip_norm=0.0).clip_norm == 0.0
 
 
 def test_parameter_names_unique_per_model(rng):
