@@ -239,9 +239,12 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise ShapeError(f"embedding_lookup: id out of range for table {table.value.shape}")
 
     def vjp(g):
-        buf = np.zeros_like(table.value)
-        np.add.at(buf, ids, g)
-        return (buf,)
+        # one bincount over the flat (id * E + column) cells; each cell sums
+        # its rows in row order from 0.0, bit for bit as np.add.at does
+        rows, width = table.value.shape
+        cells = (ids.reshape(-1, 1) * width + np.arange(width)).ravel()
+        grad = np.bincount(cells, weights=np.ravel(g), minlength=rows * width)
+        return (grad.reshape(rows, width),)
 
     return Tensor(table.value[ids], (table,), vjp)
 

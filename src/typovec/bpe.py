@@ -23,6 +23,11 @@ merge of ``(L, R)`` only the pairs next to each merged occurrence change,
 two adjacent occurrences giving ``(LR, LR)``. The most frequent pair comes
 from a max-heap keyed on ``(-count, pair)`` whose stale entries are skipped
 when popped.
+
+A ``MergeTable`` memoizes word -> marked pieces. ``learn_bpe`` seeds the
+memo with the training words' final symbols, so ``build_vocab`` does not
+segment them again; ``apply_bpe`` reads the memo and fills it with the words
+it segments. ``apply_word`` itself is the plain algorithm and keeps no memo.
 """
 
 from __future__ import annotations
@@ -61,7 +66,13 @@ def _merge(symbols: list[str], left: str, right: str) -> tuple[list[str], list[i
 
 @dataclass
 class MergeTable:
-    """Ordered BPE merges; position in the list is the rank."""
+    """Ordered BPE merges; position in the list is the rank.
+
+    ``_pieces`` memoizes word -> marked pieces under this table and holds
+    every word the table has segmented. It is not a field, so it takes no
+    part in construction or equality, and ``append`` clears it: a table that
+    grows makes earlier segmentations stale.
+    """
 
     pairs: list[tuple[str, str]] = field(default_factory=list)
 
@@ -69,12 +80,14 @@ class MergeTable:
         if len(set(self.pairs)) != len(self.pairs):
             raise ValueError("merge table contains duplicate pairs")
         self._ranks = {pair: rank for rank, pair in enumerate(self.pairs)}
+        self._pieces: dict[str, tuple[str, ...]] = {}
 
     def append(self, pair: tuple[str, str]) -> None:
         if pair in self._ranks:
             raise ValueError(f"duplicate merge pair {pair!r}")
         self._ranks[pair] = len(self.pairs)
         self.pairs.append(pair)
+        self._pieces.clear()
 
     def rank(self, pair: tuple[str, str]) -> int | None:
         return self._ranks.get(pair)
@@ -97,6 +110,16 @@ def learn_bpe(corpus: CorpusStore, num_merges: int) -> MergeTable:
     At each step the most frequent adjacent symbol pair is merged; learning
     stops early once no pair occurs at least twice. Overlapping occurrences
     within a word are all counted.
+
+    The returned table's memo holds every training word's final symbols when
+    every merge product ``left + right`` is a distinct string. The learner's
+    state is the table applied in rank order, one pass per merge, while
+    ``apply_word`` merges the lowest-rank pair present until none is left.
+    The two agree unless a merge re-forms a pair of earlier rank. A pass
+    leaves no occurrence of its own pair, so a re-formed pair would hold a
+    symbol made by a later merge; that symbol existed when the earlier pair
+    was counted and is longer than one character, so an earlier merge made
+    it too, and two products would be equal. Otherwise the memo stays empty.
     """
     if num_merges <= 0:
         raise ValueError(f"num_merges must be positive, got {num_merges}")
@@ -159,7 +182,17 @@ def learn_bpe(corpus: CorpusStore, num_merges: int) -> MergeTable:
                     heapq.heappush(heap, (-count, pair))
                 else:
                     counts.pop(pair, None)
+    del counts, where, heap  # freed before the memo is built, so peak memory does not grow
+    if len({left + right for left, right in table.pairs}) == len(table):
+        table._pieces.update((word, _marked(symbols))
+                             for word, symbols in zip(word_freqs, words) if symbols)
     return table
+
+
+def _marked(symbols: list[str]) -> tuple[str, ...]:
+    """The pieces of a word: its symbols with the marker on the last one."""
+    symbols[-1] += END_OF_WORD
+    return tuple(symbols)
 
 
 def apply_word(word: str, merges: MergeTable) -> tuple[str, ...]:
@@ -176,25 +209,17 @@ def apply_word(word: str, merges: MergeTable) -> tuple[str, ...]:
         if rank == none:
             break
         symbols, _ = _merge(symbols, *pairs[rank])
-    symbols[-1] += END_OF_WORD
-    return tuple(symbols)
+    return _marked(symbols)
 
 
-def apply_bpe(
-    tokens,
-    merges: MergeTable,
-    cache: dict[str, tuple[str, ...]] | None = None,
-) -> list[str]:
-    """Apply BPE to a token sequence; ``cache`` must belong to this table."""
+def apply_bpe(tokens, merges: MergeTable) -> list[str]:
+    """Apply BPE to a token sequence through the table's word -> pieces memo."""
+    memo = merges._pieces
     out: list[str] = []
     for word in tokens:
-        if cache is not None:
-            pieces = cache.get(word)
-            if pieces is None:
-                pieces = apply_word(word, merges)
-                cache[word] = pieces
-        else:
-            pieces = apply_word(word, merges)
+        pieces = memo.get(word)
+        if pieces is None:
+            pieces = memo[word] = apply_word(word, merges)
         out.extend(pieces)
     return out
 
@@ -251,9 +276,7 @@ class SubwordVocab:
 
 def build_vocab(corpus: CorpusStore, merges: MergeTable, registry: Registry) -> SubwordVocab:
     """Reserved tokens, one token per registry language, then all corpus subwords."""
-    subwords: set[str] = set()
-    for word in corpus_word_frequencies(corpus):
-        subwords.update(apply_word(word, merges))
+    subwords = set(apply_bpe(corpus_word_frequencies(corpus), merges))
     tokens = list(RESERVED)
     tokens.extend(f"<{code}>" for code in sorted(registry.codes))
     seen = set(tokens)
@@ -287,11 +310,10 @@ class EncodedCorpus:
 
 
 def encode_corpus(store: CorpusStore, merges: MergeTable, vocab: SubwordVocab) -> EncodedCorpus:
-    cache: dict[str, tuple[str, ...]] = {}
     encoded = EncodedCorpus()
     for pair in store.ordered:
-        src = vocab.encode(apply_bpe(pair.source, merges, cache))
-        tgt = vocab.encode(apply_bpe(pair.target, merges, cache))
+        src = vocab.encode(apply_bpe(pair.source, merges))
+        tgt = vocab.encode(apply_bpe(pair.target, merges))
         encoded.add(EncodedPair(pair.lang, tuple(src), tuple(tgt)))
     return encoded
 

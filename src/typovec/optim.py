@@ -42,8 +42,10 @@ def adam_step(params, grads, lr: float, state: AdamState) -> AdamState:
             raise ValueError(f"{p.name}: gradient shape {g.shape} != parameter shape {p.value.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
-        m = state.m.setdefault(p.name, np.zeros_like(p.value))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value))
+        if p.name not in state.m:
+            state.m[p.name] = np.zeros_like(p.value)
+            state.v[p.name] = np.zeros_like(p.value)
+        m, v = state.m[p.name], state.v[p.name]
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2

@@ -52,6 +52,16 @@ class TestForwardOps:
         expected[3] = 1.0
         np.testing.assert_array_equal(table.grad, expected)
 
+    def test_embedding_scatter_is_bitwise_np_add_at(self, rng):
+        ids = rng.integers(0, 50, size=(30, 80))
+        g = rng.normal(size=(30, 80, 16))
+        g[3] = -0.0
+        out = ag.embedding_lookup(Parameter("emb", rng.normal(size=(50, 16))).node(), ids)
+        (got,) = out.vjp(g)
+        expect = np.zeros((50, 16))
+        np.add.at(expect, ids, g)
+        assert got.tobytes() == expect.tobytes()
+
 
 class TestBackward:
     def test_linear_gradient_is_exact(self):
@@ -151,6 +161,21 @@ class TestAdam:
                 adam_step([p], [np.array([0.11, -0.52])], lr=0.01, state=state)
             results.append(p.value.copy())
         np.testing.assert_array_equal(results[0], results[1])
+
+    def test_moments_are_allocated_once_and_follow_the_formula(self, rng):
+        p = Parameter("p", rng.normal(size=(3, 4)))
+        theta, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
+        state = AdamState()
+        for t in range(1, 4):
+            g = rng.normal(size=(3, 4))
+            adam_step([p], [g], lr=0.01, state=state)
+            if t == 1:
+                moments = state.m["p"], state.v["p"]
+            assert state.m["p"] is moments[0] and state.v["p"] is moments[1]
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            theta = theta - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+            assert p.value.tobytes() == theta.tobytes()
 
     def test_non_finite_gradient_names_parameter(self):
         p = Parameter("badparam", np.array([1.0]))

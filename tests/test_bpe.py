@@ -12,6 +12,7 @@ from typovec.bpe import (
     apply_bpe,
     apply_word,
     build_vocab,
+    corpus_word_frequencies,
     decode_pieces,
     encode_corpus,
     learn_bpe,
@@ -32,6 +33,14 @@ def store_from_words(words: dict[str, int]) -> CorpusStore:
         for _ in range(freq):
             store.add(SentencePair("xx", (word,), ("x",)))
     return store
+
+
+# small alphabets give runs (``aaaa``) and adjacent occurrences (``abab``)
+small_alphabet_corpora = st.integers(1, 3).flatmap(lambda size: st.dictionaries(
+    st.text(alphabet="abc"[:size], min_size=1, max_size=12), st.integers(1, 6),
+    min_size=1, max_size=12))
+
+PINNED_SUITES = [((40, 500, 20250810, 24), 300), ((60, 40, 7, 120), 400)]
 
 
 class TestLearn:
@@ -76,11 +85,8 @@ class TestLearn:
             assert got.pairs == expect, f"trial {trial}: {words}"
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda size: st.dictionaries(
-        st.text(alphabet="abc"[:size], min_size=1, max_size=12), st.integers(1, 6),
-        min_size=1, max_size=12)), st.integers(1, 25))
+    @given(small_alphabet_corpora, st.integers(1, 25))
     def test_incremental_counts_match_recount_oracle(self, words, merges):
-        # small alphabets give runs (``aaaa``) and adjacent occurrences (``abab``)
         assert learn_bpe(words, merges).pairs == brute_force_learn_bpe(words, merges)
 
     @settings(max_examples=100, deadline=None)
@@ -111,6 +117,49 @@ class TestLearn:
         digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                         for name in ("merges.txt", "vocab.tsv"))
         assert digests == (merges_sha, vocab_sha)
+
+
+class TestMemo:
+    @settings(max_examples=300, deadline=None)
+    @given(small_alphabet_corpora, st.integers(1, 25))
+    def test_memo_holds_every_training_word_as_apply_word_splits_it(self, words, merges):
+        table = learn_bpe(words, merges)
+        products = [left + right for left, right in table.pairs]
+        assert len(set(products)) == len(products)
+        assert table._pieces == {word: apply_word(word, table) for word in words}
+
+    @pytest.mark.parametrize("suite_args, merges", PINNED_SUITES)
+    def test_memo_on_pinned_suites(self, suite_args, merges):
+        n_langs, sentences, seed, lexicon = suite_args
+        suite = generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
+        table = learn_bpe(suite.corpus, merges)
+        words = corpus_word_frequencies(suite.corpus)
+        assert table._pieces == {word: apply_word(word, table) for word in words}
+
+    def test_learned_rebuilt_and_loaded_tables_are_equal(self, tmp_path):
+        words = {"abab": 3, "abc": 2, "bcbc": 2, "cab": 2}
+        table = learn_bpe(words, 5)
+        save_merges(tmp_path / "m.txt", table)
+        loaded = load_merges(tmp_path / "m.txt")
+        assert table == MergeTable(list(table.pairs)) == loaded
+        assert table._pieces and not loaded._pieces
+        # the loaded table segments through apply_word and builds the same vocabulary
+        registry = Registry([LanguageRecord("xx", ("F",), 0.0, 0.0)])
+        store = store_from_words(words)
+        assert (build_vocab(store, table, registry).id_to_token
+                == build_vocab(store, loaded, registry).id_to_token)
+
+    def test_apply_bpe_fills_the_memo(self):
+        table = MergeTable([("a", "b")])
+        assert apply_bpe(["abc", "abc"], table) == ["ab", f"c{END_OF_WORD}"] * 2
+        assert table._pieces == {"abc": ("ab", f"c{END_OF_WORD}")}
+
+    def test_append_clears_the_memo(self):
+        table = learn_bpe({"abc": 3, "ab": 2}, 1)
+        assert apply_bpe(["abc"], table) == ["ab", f"c{END_OF_WORD}"]
+        table.append(("ab", "c"))
+        assert table._pieces == {}
+        assert apply_bpe(["abc"], table) == [f"abc{END_OF_WORD}"]
 
 
 class TestApply:

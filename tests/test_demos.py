@@ -1,0 +1,28 @@
+"""The first three demos run to completion in child processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import typovec
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+# each demo's last printed line starts with this
+LAST_LINES = {
+    "01_autodiff_and_adam.py": "final training accuracy: 1.0",
+    "02_subword_bpe.py": "encode/decode round trip: True",
+    "03_toy_translation_model.py": "last  cell state",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAST_LINES))
+def test_demo_runs(name):
+    env = {**os.environ, "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.strip().splitlines()[-1].startswith(LAST_LINES[name])
