@@ -20,7 +20,10 @@ Conventions:
 Learning keeps incremental pair statistics (Sennrich et al. 2016): after a
 merge of ``(L, R)`` only the pairs next to each merged occurrence change,
 ``(p, L)`` becoming ``(p, LR)`` and ``(R, n)`` becoming ``(LR, n)``, with
-two adjacent occurrences giving ``(LR, LR)``. The most frequent pair comes
+two adjacent occurrences giving ``(LR, LR)``. The training words sit end to
+end in flat numpy arrays of symbol ids with next/previous links, so one
+merge is a few whole-array operations over its occurrences rather than a
+Python loop over the words that hold them. The most frequent pair comes
 from a max-heap keyed on ``(-count, pair)`` whose stale entries are skipped
 when popped.
 
@@ -33,9 +36,12 @@ it segments. ``apply_word`` itself is the plain algorithm and keeps no memo.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
+
+import numpy as np
 
 from .corpus import CorpusStore, Registry
 
@@ -46,22 +52,20 @@ RESERVED = (PAD, BOS, EOS, UNK)
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
 
-def _merge(symbols: list[str], left: str, right: str) -> tuple[list[str], list[int]]:
+def _merge(symbols: list[str], left: str, right: str) -> list[str]:
     """One left-to-right pass merging the non-overlapping occurrences of
-    ``(left, right)``; returns the new symbols and the merged positions."""
+    ``(left, right)``."""
     out: list[str] = []
-    at: list[int] = []
     i, n = 0, len(symbols)
     while i < n:
         symbol = symbols[i]
         if symbol == left and i + 1 < n and symbols[i + 1] == right:
-            at.append(len(out))
             out.append(left + right)
             i += 2
         else:
             out.append(symbol)
             i += 1
-    return out, at
+    return out
 
 
 @dataclass
@@ -104,12 +108,33 @@ def corpus_word_frequencies(corpus: CorpusStore) -> Counter:
     return freqs
 
 
-def learn_bpe(corpus: CorpusStore, num_merges: int) -> MergeTable:
+def _word_frequencies(corpus: CorpusStore | Mapping[str, int]) -> Mapping[str, int]:
+    """Word -> frequency: counted from a corpus, or given as a mapping."""
+    return corpus_word_frequencies(corpus) if isinstance(corpus, CorpusStore) else corpus
+
+
+def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> MergeTable:
     """Greedy BPE learning over the word-frequency-weighted joint vocabulary.
 
     At each step the most frequent adjacent symbol pair is merged; learning
     stops early once no pair occurs at least twice. Overlapping occurrences
     within a word are all counted.
+
+    The training words lie end to end in flat arrays indexed by position:
+    int32 ``sym`` (symbol id, -1 once merged away), int32 ``nxt`` and ``prv``
+    (the neighbouring position in the word, -1 at its edges) and float64
+    ``weight`` (the word's frequency; sums of integers below 2**53 are exact
+    in float64). A pair is keyed ``left * stride + right`` by symbol id.
+    ``index`` maps a symbol to the positions that held it with a right
+    neighbour, a superset that a merge with that symbol on the left filters
+    to the positions still holding it. A merge of ``(L, R)`` takes its
+    occurrences in position order; for ``L == R`` it keeps every other one
+    in a run of overlapping occurrences, greedy from the left as
+    ``apply_word`` merges. It relinks the merged positions, and each pair
+    that starts at or just before a merged site changes the counts by its
+    weight after the merge minus its weight before: one ``np.unique`` and
+    one ``np.bincount`` per merge, and Python work per distinct changed
+    pair only.
 
     The returned table's memo holds every training word's final symbols when
     every merge product ``left + right`` is a distinct string. The learner's
@@ -123,69 +148,95 @@ def learn_bpe(corpus: CorpusStore, num_merges: int) -> MergeTable:
     """
     if num_merges <= 0:
         raise ValueError(f"num_merges must be positive, got {num_merges}")
-    if isinstance(corpus, CorpusStore):
-        word_freqs = corpus_word_frequencies(corpus)
-    else:
-        word_freqs = Counter(dict(corpus))
+    word_freqs = _word_frequencies(corpus)
     if not word_freqs:
         raise ValueError("corpus is empty")
 
-    words = [list(word) for word in word_freqs]
-    freqs = list(word_freqs.values())
-    counts: dict[tuple[str, str], int] = defaultdict(int)
-    # pair -> indices of the words that hold it; a superset once merges run
-    where: dict[tuple[str, str], set[int]] = defaultdict(set)
-    for idx, symbols in enumerate(words):
-        freq = freqs[idx]
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-            where[pair].add(idx)
-    heap = [(-count, pair) for pair, count in counts.items()]
+    words = list(word_freqs)
+    lengths = np.fromiter(map(len, words), np.int64, len(words))
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    chars, sym = np.unique(codes, return_inverse=True)
+    sym = sym.astype(np.int32)
+    names = [chr(code) for code in chars.tolist()]  # symbol id -> string
+    ids = {name: i for i, name in enumerate(names)}
+    stride = len(names) + num_merges  # more than any symbol id
+    weight = np.repeat(np.array(list(word_freqs.values()), dtype=np.float64), lengths)
+    nxt = np.arange(1, len(sym) + 1, dtype=np.int32)
+    prv = np.arange(-1, len(sym) - 1, dtype=np.int32)
+    nxt[starts[1:][lengths > 0] - 1] = -1
+    prv[starts[:-1][lengths > 0]] = -1
+
+    def keys_at(pos):
+        return sym[pos].astype(np.int64) * stride + sym[nxt[pos]]
+
+    def pair_of(key):
+        left, right = divmod(key, stride)
+        return names[left], names[right]
+
+    pos = np.flatnonzero(nxt >= 0).astype(np.int32)
+    keys, group = np.unique(keys_at(pos), return_inverse=True)
+    counts = dict(zip(keys.tolist(), np.bincount(group, weight[pos]).astype(np.int64).tolist()))
+    heap = [(-count, pair_of(key), key) for key, count in counts.items()]
     heapq.heapify(heap)
+    # a position keeps its right neighbour while it holds its symbol, so
+    # every position the filter keeps has one
+    bounds = np.cumsum(np.bincount(sym[pos], minlength=len(names)))[:-1]
+    index = dict(enumerate(np.split(pos[np.argsort(sym[pos], kind="stable")], bounds)))
 
     table = MergeTable()
     while heap and len(table) < num_merges:
-        neg, best = heapq.heappop(heap)
-        if counts.get(best) != -neg:
+        neg, best, key = heapq.heappop(heap)
+        if counts.get(key) != -neg:
             continue  # stale: the pair's count changed after this entry
         if -neg < 2:
             break
         table.append(best)
-        left, right = best
-        merged = left + right
-        delta: dict[tuple[str, str], int] = defaultdict(int)
-        for idx in where.pop(best):
-            symbols, at = _merge(words[idx], left, right)
-            if not at:
-                continue
-            words[idx] = symbols
-            freq = freqs[idx]
-            last = len(symbols) - 1
-            delta[best] -= freq * len(at)
-            for k, j in enumerate(at):
-                if j:
-                    # the left neighbour is ``merged`` itself after (L, R, L, R)
-                    prev = symbols[j - 1]
-                    delta[(right, left) if k and at[k - 1] == j - 1 else (prev, left)] -= freq
-                    delta[prev, merged] += freq
-                    where[prev, merged].add(idx)
-                if j < last and not (k + 1 < len(at) and at[k + 1] == j + 1):
-                    after = symbols[j + 1]
-                    delta[right, after] -= freq
-                    delta[merged, after] += freq
-                    where[merged, after].add(idx)
-        for pair, change in delta.items():
-            if change:
-                count = counts.get(pair, 0) + change
-                if count > 0:
-                    counts[pair] = count
-                    heapq.heappush(heap, (-count, pair))
-                else:
-                    counts.pop(pair, None)
-    del counts, where, heap  # freed before the memo is built, so peak memory does not grow
+        left, right = divmod(key, stride)
+        merged = ids.setdefault(best[0] + best[1], len(names))
+        if merged == len(names):
+            names.append(best[0] + best[1])
+        at = index[left] = index[left][sym[index[left]] == left]
+        to = nxt[at]
+        found = sym[to] == right
+        at, to = at[found], to[found]
+        if left == right:
+            # in a run such as ``aaaa`` the occurrences overlap; merge every other one
+            chained = np.zeros(len(at), dtype=bool)
+            chained[1:] = at[1:] == to[:-1]
+            if chained.any():
+                k = np.arange(len(at))
+                keep = (k - np.maximum.accumulate(np.where(chained, 0, k))) % 2 == 0
+                at, to = at[keep], to[keep]
+        after = nxt[to]
+        joined = after >= 0
+        # in (L, R, L, R) the pair between the two sites is counted once, at the first
+        lead = prv[at] >= 0
+        lead[1:] &= after[:-1] != at[1:]
+        old = np.concatenate((prv[at][lead], at, to[joined]))
+        old_keys = keys_at(old)
+        sym[at], sym[to], nxt[at] = merged, -1, after
+        prv[after[joined]] = at[joined]
+        new = np.concatenate((prv[at][lead], at[joined]))
+        grown = index.get(merged)  # a product made before, when products repeat
+        index[merged] = at[joined] if grown is None else np.sort(np.concatenate((grown, at[joined])))
+        keys, group = np.unique(np.concatenate((keys_at(new), old_keys)), return_inverse=True)
+        change = np.bincount(group, np.concatenate((weight[new], -weight[old])))
+        moved = np.flatnonzero(change)
+        for key, delta in zip(keys[moved].tolist(), change[moved].astype(np.int64).tolist()):
+            count = counts.get(key, 0) + delta
+            if count > 0:
+                counts[key] = count
+                heapq.heappush(heap, (-count, pair_of(key), key))
+            else:
+                counts.pop(key, None)
+    del counts, index, heap  # freed before the memo is built, so peak memory does not grow
     if len({left + right for left, right in table.pairs}) == len(table):
-        table._pieces.update((word, _marked(symbols))
-                             for word, symbols in zip(word_freqs, words) if symbols)
+        live = np.flatnonzero(sym >= 0)
+        pieces = [names[s] for s in sym[live].tolist()]
+        bounds = np.searchsorted(live, starts).tolist()
+        table._pieces.update((word, _marked(pieces[a:b]))
+                             for word, a, b in zip(words, bounds, bounds[1:]) if b > a)
     return table
 
 
@@ -208,7 +259,7 @@ def apply_word(word: str, merges: MergeTable) -> tuple[str, ...]:
         rank = min(map(ranks.get, zip(symbols, symbols[1:]), repeat(none)))
         if rank == none:
             break
-        symbols, _ = _merge(symbols, *pairs[rank])
+        symbols = _merge(symbols, *pairs[rank])
     return _marked(symbols)
 
 
@@ -274,9 +325,14 @@ class SubwordVocab:
         return [self.id_to_token[i] for i in ids]
 
 
-def build_vocab(corpus: CorpusStore, merges: MergeTable, registry: Registry) -> SubwordVocab:
-    """Reserved tokens, one token per registry language, then all corpus subwords."""
-    subwords = set(apply_bpe(corpus_word_frequencies(corpus), merges))
+def build_vocab(corpus: CorpusStore | Mapping[str, int], merges: MergeTable,
+                registry: Registry) -> SubwordVocab:
+    """Reserved tokens, one token per registry language, then all corpus subwords.
+
+    ``corpus`` may be the word frequencies ``learn_bpe`` was given, so a
+    caller counts the corpus once.
+    """
+    subwords = set(apply_bpe(_word_frequencies(corpus), merges))
     tokens = list(RESERVED)
     tokens.extend(f"<{code}>" for code in sorted(registry.codes))
     seen = set(tokens)

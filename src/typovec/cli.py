@@ -2,7 +2,9 @@
 
 Each stage is a ``Stage`` record (body, input artifacts, config params) run
 by one driver, :func:`run_stage`. Its manifest records the tool version, the
-params, and sha256 hashes of inputs and outputs; rerunning a stage whose
+params, and sha256 hashes of inputs and outputs, keyed by path relative to
+the work dir (an input configured outside it keeps its configured path), so
+a copied or moved work dir keeps its records. Rerunning a stage whose
 manifest matches and whose recorded outputs are intact is a no-op. An input
 whose producing stage's manifest records a different ``out:`` hash is stale:
 the stage stops and names the producer to rerun. Inputs with no such record
@@ -28,7 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .bpe import build_vocab, encode_corpus, learn_bpe, load_merges, load_vocab, save_merges, save_vocab
+from .bpe import (build_vocab, corpus_word_frequencies, encode_corpus, learn_bpe, load_merges, load_vocab,
+                  save_merges, save_vocab)
 from .config import INPUT_FILES, ConfigError, PipelineConfig, format_value, parse_config, write_effective_config
 from .corpus import CorpusError, load_parallel, load_registry, write_parallel, write_registry
 from .models import TrainConfig, load_model, read_kv, save_model, write_kv
@@ -94,6 +97,14 @@ class Workdir:
         """Path of an artifact; the config may place its INPUT_FILES outside the work dir."""
         return self.cfg.path(name) if name in INPUT_FILES else self.root / name
 
+    def key(self, path: Path) -> str:
+        """Manifest key of an artifact: its path relative to the work dir when
+        inside it, so a copied or moved work dir keeps its records; else as configured."""
+        try:
+            return str(path.relative_to(self.root))
+        except ValueError:
+            return str(path)
+
     def manifest_path(self, stage: str) -> Path:
         return self.root / f"{stage.replace('-', '_')}.manifest"
 
@@ -107,14 +118,14 @@ class Workdir:
     def up_to_date(self, stage: str, entries: dict[str, str]) -> bool:
         """The manifest holds exactly ``entries`` and every output it records is intact."""
         stored = self.recorded(stage)
-        outputs = {Path(k[len("out:"):]): v for k, v in stored.items() if k.startswith("out:")}
+        outputs = {self.root / k[len("out:"):]: v for k, v in stored.items() if k.startswith("out:")}
         if not outputs or {k: v for k, v in stored.items() if not k.startswith("out:")} != entries:
             return False
         return all(path.exists() and _sha256(path) == digest for path, digest in outputs.items())
 
     def write_manifest(self, stage: str, entries: dict[str, str], outputs: list[Path]) -> None:
         write_kv(self.manifest_path(stage),
-                 {**entries, **{f"out:{path}": _sha256(path) for path in outputs}})
+                 {**entries, **{f"out:{self.key(path)}": _sha256(path) for path in outputs}})
 
 
 @contextmanager
@@ -167,9 +178,9 @@ def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry = load_registry(wd.path("registry"))
-    store = load_parallel(wd.path("corpus"), registry)
-    merges = learn_bpe(store, cfg.num_merges)
-    vocab = build_vocab(store, merges, registry)
+    freqs = corpus_word_frequencies(load_parallel(wd.path("corpus"), registry))
+    merges = learn_bpe(freqs, cfg.num_merges)
+    vocab = build_vocab(freqs, merges, registry)
     outputs = [wd.path("merges.txt"), wd.path("vocab.tsv")]
     save_merges(outputs[0], merges)
     save_vocab(outputs[1], vocab)
@@ -407,8 +418,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             path, producer = wd.path(artifact), PRODUCERS.get(artifact, "extract")
             if not path.exists():
                 raise StageInputError(f"missing {path}; run the '{producer}' stage first")
-            digest = entries[f"in:{path}"] = _sha256(path)
-            if wd.recorded(producer).get(f"out:{path}", digest) != digest:
+            digest = entries[f"in:{wd.key(path)}"] = _sha256(path)
+            if wd.recorded(producer).get(f"out:{wd.key(path)}", digest) != digest:
                 raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
                                       f"rerun '{producer}'")
         if wd.up_to_date(name, entries):

@@ -90,11 +90,16 @@ def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: Su
     sentences = _select_sentences(encoded, lang, max_sentences, seed)
     ids, lens, _ = encoder_batch(vocab, lang, sentences)
     cell_sums, inner_sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(3))
+    # encoder_batch sorts rows by length, so the rows with lens > t are a
+    # suffix; adding only it leaves the other sums as they were (x + 0.0 == x,
+    # and a sum started at +0.0 never reads -0.0)
     for t, (h, c) in enumerate(lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
-        alive = (t < lens)[:, None]
-        cell_sums += np.where(alive, c, 0.0)
-        inner_sums += np.where(((t >= 1) & (t < lens - 1))[:, None], c, 0.0)
-        hidden_sums += np.where(alive, h, 0.0)
+        live = np.searchsorted(lens, t, side="right")
+        cell_sums[live:] += c[live:]
+        hidden_sums[live:] += h[live:]
+        if t >= 1:
+            inner = np.searchsorted(lens, t + 1, side="right")
+            inner_sums[inner:] += c[inner:]
     sums, counts = (cell_sums, lens) if include_special else (inner_sums, lens - 2)
     keep = counts > 0
     if not keep.any():

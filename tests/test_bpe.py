@@ -40,6 +40,12 @@ small_alphabet_corpora = st.integers(1, 3).flatmap(lambda size: st.dictionaries(
     st.text(alphabet="abc"[:size], min_size=1, max_size=12), st.integers(1, 6),
     min_size=1, max_size=12))
 
+# non-BMP letters, an emoji, a combining mark and the marker's own characters;
+# words may be empty or one character long
+exotic_corpora = st.dictionaries(
+    st.text(alphabet=f"ab𝔸😀\u0301{END_OF_WORD}", max_size=10), st.integers(1, 6),
+    min_size=1, max_size=12)
+
 PINNED_SUITES = [((40, 500, 20250810, 24), 300), ((60, 40, 7, 120), 400)]
 
 
@@ -105,6 +111,10 @@ class TestLearn:
         ((60, 40, 7, 120), 400,
          "dfa2932d8005e7a417893cec6200f85ce4c9c7d691d2b0732938117ab8915c07",
          "2172acb43049de7b2d6ebd62d3e56fb3cf6201790bcb1d1cb58487abc53bd812"),
+        # the scale of the bpe benchmark workload (36.4k word types)
+        ((200, 100, 11, 200), 600,
+         "46f84f27a1c15531d1944f85be38b79a3ca2b77ff8e785b76d171bb315c8d1b8",
+         "86b76a5d78f2ad6f11d85f3200501d788fac24df0a38aa2d07bc2e1a0499fb00"),
     ])
     def test_files_match_pinned_digests(self, tmp_path, suite_args, merges, merges_sha,
                                         vocab_sha):
@@ -127,6 +137,20 @@ class TestMemo:
         products = [left + right for left, right in table.pairs]
         assert len(set(products)) == len(products)
         assert table._pieces == {word: apply_word(word, table) for word in words}
+
+    @settings(max_examples=300, deadline=None)
+    @given(exotic_corpora, st.integers(1, 25))
+    def test_any_characters_match_recount_oracle_and_memo(self, words, merges):
+        table = learn_bpe(words, merges)
+        # the oracle marks word ends inside the string, so it is given no word
+        # holding the whole marker; an empty word has no pairs to count
+        if not any(END_OF_WORD in word for word in words):
+            nonempty = {word: freq for word, freq in words.items() if word}
+            assert table.pairs == brute_force_learn_bpe(nonempty, merges)
+        products = [left + right for left, right in table.pairs]
+        distinct = len(set(products)) == len(products)
+        assert table._pieces == ({word: apply_word(word, table) for word in words if word}
+                                 if distinct else {})
 
     @pytest.mark.parametrize("suite_args, merges", PINNED_SUITES)
     def test_memo_on_pinned_suites(self, suite_args, merges):

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import typovec
+import typovec.bpe
+from typovec.bpe import corpus_word_frequencies
 from typovec.cli import main
 from typovec.config import ConfigError, PipelineConfig, parse_config, write_effective_config
 from typovec.typology import read_knn_vectors
@@ -156,6 +158,8 @@ class TestPipeline:
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
         (copy / "extract.manifest").unlink()
+        # without the producer's record of the file, the reader itself must reject it
+        (copy / f"train_{kind}.manifest").unlink()
         manifest = copy / f"{kind}.model"
         lines = [line for line in manifest.read_text(encoding="utf-8").splitlines()
                  if not line.startswith(f"{key}=")]
@@ -191,6 +195,23 @@ class TestPipeline:
         model.unlink()
         assert main(["--config", str(cfg_path), stage]) == 1
         assert f"missing {model}; run the 'train-nmt' stage first" in capsys.readouterr().err
+
+    def test_copied_work_dir_keeps_its_stale_input_checks(self, pipeline, tmp_path, capsys):
+        work, _ = pipeline
+        copy = tmp_path / "moved"
+        shutil.copytree(work, copy)
+        manifests = {p.name: p.read_bytes() for p in copy.glob("*.manifest")}
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        assert main(["--config", str(cfg_path), "train-lm"]) == 0
+        assert capsys.readouterr().out == "train-lm: up to date\n"
+        vocab = copy / "vocab.tsv"
+        with open(vocab, "a", encoding="utf-8") as fh:
+            fh.write("extra\t999\n")
+        assert main(["--config", str(cfg_path), "train-lm"]) == 1
+        assert (f"{vocab} is not the file 'bpe-learn' last wrote; rerun 'bpe-learn'"
+                in capsys.readouterr().err)
+        assert {p.name: p.read_bytes() for p in copy.glob("*.manifest")} == manifests
 
     def test_trajectory_has_header_and_rows(self, pipeline):
         work, _ = pipeline
@@ -258,6 +279,19 @@ class TestCliErrors:
         assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
         assert len(merges.read_text(encoding="utf-8").splitlines()) == 30
 
+    def test_input_outside_the_work_dir_keeps_its_configured_path(self, tmp_path):
+        source = tmp_path / "source"
+        write_config(tmp_path / "synth.cfg", workdir=str(source))
+        assert main(["--config", str(tmp_path / "synth.cfg"), "synth"]) == 0
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(tmp_path / "w6"), registry=str(source / "registry.tsv"),
+                     corpus=str(source / "corpus.txt"))
+        assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
+        keys = {line.split("=")[0] for line in
+                (tmp_path / "w6" / "bpe_learn.manifest").read_text(encoding="utf-8").splitlines()}
+        assert {f"in:{source / 'registry.tsv'}", f"in:{source / 'corpus.txt'}",
+                "out:merges.txt", "out:vocab.tsv"} <= keys
+
     @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
                                       "clip_norm=nan", "clip_norm=inf"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
@@ -268,6 +302,23 @@ class TestCliErrors:
         assert main(["--config", str(cfg_path), "synth"]) == 1
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+def test_bpe_learn_counts_the_corpus_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(corpus):
+        calls.append(corpus)
+        return corpus_word_frequencies(corpus)
+
+    # both module globals, wherever the stage or the learner looks the function up
+    monkeypatch.setattr(typovec.bpe, "corpus_word_frequencies", counting)
+    monkeypatch.setattr(typovec.cli, "corpus_word_frequencies", counting)
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w7"))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():
