@@ -102,15 +102,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value + b.value, (a, b), vjp)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return Tensor(a.value - b.value, (a, b), vjp)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("mul", a, b)
 
@@ -118,17 +109,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)
 
     return Tensor(a.value * b.value, (a, b), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.value, a.value.shape)
-        gb = _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)
-        return ga, gb
-
-    return Tensor(a.value / b.value, (a, b), vjp)
 
 
 def scale(a: Tensor, c: float) -> Tensor:

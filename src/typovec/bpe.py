@@ -39,11 +39,11 @@ import heapq
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, Registry
+from .corpus import CorpusStore, Registry, read_lines
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -101,11 +101,8 @@ class MergeTable:
 
 
 def corpus_word_frequencies(corpus: CorpusStore) -> Counter:
-    freqs: Counter = Counter()
-    for pair in corpus.ordered:
-        freqs.update(pair.source)
-        freqs.update(pair.target)
-    return freqs
+    sides = (side for pair in corpus.ordered for side in (pair.source, pair.target))
+    return Counter(chain.from_iterable(sides))
 
 
 def _word_frequencies(corpus: CorpusStore | Mapping[str, int]) -> Mapping[str, int]:
@@ -382,16 +379,17 @@ def save_merges(path, merges: MergeTable) -> None:
 
 def load_merges(path) -> MergeTable:
     pairs: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'left right'")
-            pairs.append((parts[0], parts[1]))
-    return MergeTable(pairs)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'left right'")
+        pairs.append((parts[0], parts[1]))
+    try:
+        return MergeTable(pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_vocab(path, vocab: SubwordVocab) -> None:
@@ -402,19 +400,20 @@ def save_vocab(path, vocab: SubwordVocab) -> None:
 
 def load_vocab(path) -> SubwordVocab:
     entries: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            tok, tab, ident = line.partition("\t")
-            if not tab:
-                raise ValueError(f"{path}:{lineno}: expected 'token<TAB>id'")
-            try:
-                entries.append((int(ident), tok))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: id {ident!r} is not an integer") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        tok, tab, ident = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{path}:{lineno}: expected 'token<TAB>id'")
+        try:
+            entries.append((int(ident), tok))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: id {ident!r} is not an integer") from None
     entries.sort()
     if [i for i, _ in entries] != list(range(len(entries))):
         raise ValueError(f"{path}: vocabulary ids are not dense and contiguous")
-    return SubwordVocab([tok for _, tok in entries])
+    try:
+        return SubwordVocab([tok for _, tok in entries])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -68,11 +68,16 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = unpack("<I")
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8") from None
         (ndim,) = unpack("<I")
         shape = unpack(f"<{ndim}Q")
         raw = take(8 * math.prod(shape))
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(tensors[name]).all():
+            raise CheckpointError(f"{path}: tensor {name!r} has non-finite values")
     if offset != len(data):
         raise CheckpointError(f"{path}: trailing bytes after last tensor")
     return tensors, seed

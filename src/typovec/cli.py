@@ -8,7 +8,9 @@ a copied or moved work dir keeps its records. Rerunning a stage whose
 manifest matches and whose recorded outputs are intact is a no-op. An input
 whose producing stage's manifest records a different ``out:`` hash is stale:
 the stage stops and names the producer to rerun. Inputs with no such record
-(e.g. a registry outside the work dir) are not checked. A ``flock`` on
+(e.g. a registry outside the work dir) are not checked. Every loader starts
+its errors with the file's path, so a stage that fails on a malformed input
+inside the work dir names its producer to rerun as well. A ``flock`` on
 ``<workdir>/.lock`` guards against concurrent pipeline instances; the kernel
 releases it when its process dies, so a killed run leaves no lock behind.
 
@@ -32,9 +34,10 @@ import numpy as np
 from . import __version__
 from .bpe import (build_vocab, corpus_word_frequencies, encode_corpus, learn_bpe, load_merges, load_vocab,
                   save_merges, save_vocab)
-from .config import INPUT_FILES, ConfigError, PipelineConfig, format_value, parse_config, write_effective_config
+from .config import (INPUT_FILES, ConfigError, PipelineConfig, format_value, parse_config, read_kv,
+                     write_effective_config, write_kv)
 from .corpus import CorpusError, load_parallel, load_registry, write_parallel, write_registry
-from .models import TrainConfig, load_model, read_kv, save_model, write_kv
+from .models import TrainConfig, load_model, save_model
 from .predict import (
     export_trajectory,
     make_folds,
@@ -64,7 +67,7 @@ from .vectors import METHODS, combine_mtboth, extract_encoder_vectors, extract_l
 
 
 class StageInputError(ValueError):
-    """An upstream artifact is missing or stale; names the stage to run."""
+    """An upstream artifact is missing, stale or malformed; names the stage to run."""
 
 
 def _sha256(path: Path) -> str:
@@ -196,6 +199,9 @@ def _load_encoded(cfg: PipelineConfig, wd: Workdir):
     store = load_parallel(wd.path("corpus"), registry)
     merges = load_merges(wd.path("merges.txt"))
     vocab = load_vocab(wd.path("vocab.tsv"))
+    missing = [code for code in registry.codes if vocab.lang_token(code) not in vocab]
+    if missing:
+        raise ValueError(f"{wd.path('vocab.tsv')}: no token for language {missing[0]!r}")
     return registry, encode_corpus(store, merges, vocab), vocab
 
 
@@ -209,12 +215,11 @@ def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:
 
 
 def _load_trained(wd: Workdir, kind: str):
-    ckpt = wd.path(f"{kind}.ckpt")
-    model, manifest, _curve = load_model(ckpt, wd.path(f"{kind}.model"))
+    manifest_path = wd.path(f"{kind}.model")
+    model, manifest, _curve = load_model(wd.path(f"{kind}.ckpt"), manifest_path)
     if manifest.get("vocab_sha256") != _sha256(wd.path("vocab.tsv")):
-        raise StageInputError(
-            f"{ckpt} was trained with a different vocabulary; rerun 'train-{kind}'"
-        )
+        raise ValueError(f"{manifest_path}: the model was trained with a vocabulary "
+                         f"other than {wd.path('vocab.tsv')}")
     return model
 
 
@@ -264,6 +269,8 @@ def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     knn_config = KnnConfig(cfg.knn_k, cfg.geodesic_weight, cfg.genetic_weight)
     registry = load_registry(wd.path("registry"))
     matrix = load_features(wd.path("features"), registry)
+    if len(matrix.languages) <= cfg.knn_k:
+        raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, knn_k={cfg.knn_k}")
     context = DistanceContext(registry)
     knn = {
         lang: knn_feature_vector(lang, matrix, registry, knn_config, context)
@@ -280,13 +287,25 @@ def _predict_inputs(cfg: PipelineConfig) -> list[str]:
             *(f"vectors_{m}.tsv" for m in cfg.method_list)]
 
 
+def _covering(path: Path, languages: list[str], by_lang: dict) -> dict:
+    """``by_lang``, read from ``path``, once it is known to hold every language."""
+    missing = [lang for lang in languages if lang not in by_lang]
+    if missing:
+        raise ValueError(f"{path}: no entry for language {missing[0]!r}")
+    return by_lang
+
+
 def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = ["None"] + cfg.method_list
     registry = load_registry(wd.path("registry"))
     matrix = load_features(wd.path("features"), registry)
-    vectors = {method: {v.lang: v for v in load_vectors(wd.path(f"vectors_{method}.tsv"))}
-               for method in cfg.method_list}
-    knn = read_knn_vectors(wd.path("knn_vectors.tsv"))
+    if len(matrix.languages) < cfg.n_folds:
+        raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, n_folds={cfg.n_folds}")
+    stores = {method: wd.path(f"vectors_{method}.tsv") for method in cfg.method_list}
+    vectors = {method: _covering(path, matrix.languages, {v.lang: v for v in load_vectors(path)})
+               for method, path in stores.items()}
+    knn = _covering(wd.path("knn_vectors.tsv"), matrix.languages,
+                    read_knn_vectors(wd.path("knn_vectors.tsv")))
     folds = make_folds(matrix.languages, cfg.n_folds, cfg.seed)
     report = evaluate(matrix, vectors, folds, methods, (False, True), knn, cfg.l2)
     outputs = [wd.path("report.tsv"), wd.path("feature_accuracy.tsv"),
@@ -320,20 +339,20 @@ def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     return outputs, f"wrote {', '.join(p.name for p in outputs)}"
 
 
-def _condition(text: str, preds) -> tuple[str, bool]:
+def _condition(text: str, preds, path: Path) -> tuple[str, bool]:
     """The predictions key of a bootstrap condition such as ``MTBoth+Aux``."""
     if text[-4:] not in ("+Aux", "-Aux"):
         raise ConfigError(f"bootstrap condition {text!r} must end in +Aux or -Aux")
     if (text[:-4], text.endswith("+Aux")) not in preds:
-        raise StageInputError(f"predictions for condition {text} not found; "
-                              "check 'methods' and rerun 'predict'")
+        raise ValueError(f"{path}: no predictions for condition {text}; check 'methods'")
     return text[:-4], text.endswith("+Aux")
 
 
 def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    preds = read_predictions_tsv(wd.path("predictions.tsv"))
-    key_a = _condition(cfg.bootstrap_a, preds)
-    key_b = _condition(cfg.bootstrap_b, preds)
+    path = wd.path("predictions.tsv")
+    preds = read_predictions_tsv(path)
+    key_a = _condition(cfg.bootstrap_a, preds, path)
+    key_b = _condition(cfg.bootstrap_b, preds, path)
     title = f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}"
     lines = []
     shared = sorted(set(preds[key_a]) & set(preds[key_b]))
@@ -356,14 +375,14 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry, encoded, vocab = _load_encoded(cfg, wd)
     matrix = load_features(wd.path("features"), registry)
     nmt = _load_trained(wd, "nmt")
-    mtcell = {v.lang: v for v in load_vectors(wd.path("vectors_MTCell.tsv"))}
+    path = wd.path("vectors_MTCell.tsv")
+    mtcell = _covering(path, matrix.languages, {v.lang: v for v in load_vectors(path)})
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
-        raise ConfigError(f"traj_feature {feature!r} not in the feature matrix")
-    labeled = [l for l in matrix.languages
-               if l in mtcell and not np.isnan(matrix.value(l, feature))]
+        raise ConfigError(f"traj_feature {feature!r} is not a column of {wd.path('features')}")
+    labeled = [l for l in matrix.languages if not np.isnan(matrix.value(l, feature))]
     if len(labeled) < 2:
-        raise StageInputError(f"not enough labeled languages with MTCell vectors for {feature}")
+        raise ValueError(f"{wd.path('features')}: fewer than 2 languages label {feature}")
     X = np.stack([mtcell[l].values for l in labeled])
     y = np.array([matrix.value(l, feature) for l in labeled])
     logreg = train_logreg(Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
@@ -413,6 +432,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
         write_effective_config(wd.path("effective_config.txt"), cfg)
         entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
         inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
+        producers = {}  # path of each input inside the work dir -> its producer
         for artifact in inputs:
             # vectors_<method>.tsv of a method extract does not know: extract rejects it
             path, producer = wd.path(artifact), PRODUCERS.get(artifact, "extract")
@@ -422,10 +442,18 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             if wd.recorded(producer).get(f"out:{wd.key(path)}", digest) != digest:
                 raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
                                       f"rerun '{producer}'")
+            if path.is_relative_to(wd.root):
+                producers[str(path)] = producer
         if wd.up_to_date(name, entries):
             print(f"{name}: up to date")
             return
-        outputs, summary = stage.body(cfg, wd)
+        try:
+            outputs, summary = stage.body(cfg, wd)
+        except ValueError as exc:
+            producer = producers.get(str(exc).partition(":")[0])  # loaders put the path first
+            if producer is None:
+                raise
+            raise StageInputError(f"{exc}; rerun '{producer}'") from None
         wd.write_manifest(name, entries, outputs)
         for line in summary.splitlines():
             print(f"{name}: {line}")

@@ -4,12 +4,18 @@ Every knob has a default except ``workdir`` and ``seed``, which are
 mandatory. ``registry``, ``corpus`` and ``features`` default to the synth
 stage's outputs inside the work directory. Writing the effective config and
 re-parsing it reproduces the configuration exactly.
+
+The same key=value codec (:func:`read_kv`, :func:`write_kv`,
+:func:`format_value`, :func:`parse_fields`) writes and reads the stage
+manifests, the ``.model`` manifests and the stages' key=value summaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+
+from .corpus import read_lines
 
 
 class ConfigError(ValueError):
@@ -65,67 +71,77 @@ class PipelineConfig:
         return Path(value) if value else Path(self.workdir) / INPUT_FILES[name]
 
 
-_BOOL_FIELDS = {"attention", "mtcell_include_special", "mtcell_sentence_equal"}
+def read_kv(path) -> dict[str, str]:
+    """The entries of a key=value file. Lines are stripped; blank lines and
+    "#" comments are skipped; a line without "=" or a repeated key raises
+    ConfigError naming ``path`` and the line."""
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
+    return entries
 
 
-def _parse_value(name: str, kind: type, raw: str):
-    try:
-        if name in _BOOL_FIELDS:
-            if raw not in ("0", "1"):
+def write_kv(path, entries: dict[str, str], comment: str = "") -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        for key, value in entries.items():
+            fh.write(f"{key}={value}\n")
+
+
+def format_value(record, name: str) -> str:
+    """A dataclass field as written to a key=value file; ``parse_fields`` gives it back."""
+    value = getattr(record, name)
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def parse_fields(defaults: dict[str, object], entries: dict[str, str], path,
+                 required: bool = False) -> dict[str, object]:
+    """The entries named in ``defaults``, each parsed as the type of its default:
+    bool as 0 or 1, then int, float or str. A value that does not parse, or
+    with ``required`` a missing key, raises ConfigError naming ``path`` and the key."""
+    values: dict[str, object] = {}
+    for key, default in defaults.items():
+        if key not in entries:
+            if required:
+                raise ConfigError(f"{path}: missing key {key!r}")
+            continue
+        raw, kind = entries[key], type(default)
+        try:
+            if kind is bool and raw not in ("0", "1"):
                 raise ValueError
-            return raw == "1"
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {kind.__name__}") from None
+            values[key] = raw == "1" if kind is bool else kind(raw)
+        except ValueError:
+            raise ConfigError(f"{path}: key {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
+    return values
 
 
 def parse_config(path, seed_override: int | None = None) -> PipelineConfig:
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            if key not in known:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in raw:
-                raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
-            raw[key] = value
+    raw = read_kv(path)
+    defaults = asdict(PipelineConfig(workdir="", seed=0))
+    unknown = [key for key in raw if key not in defaults]
+    if unknown:
+        raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
     if seed_override is not None:
         raw["seed"] = str(seed_override)
     if "workdir" not in raw:
         raise ConfigError(f"{path}: missing mandatory key 'workdir'")
     if "seed" not in raw:
         raise ConfigError(f"{path}: missing mandatory key 'seed' (and no --seed given)")
-    defaults = PipelineConfig(workdir="", seed=0)
-    kinds = {"workdir": str, "seed": int}
-    values: dict[str, object] = {}
-    for f in fields(PipelineConfig):
-        kind = kinds.get(f.name, type(getattr(defaults, f.name)))
-        if f.name in raw:
-            values[f.name] = _parse_value(f.name, kind, raw[f.name])
-    return PipelineConfig(**values)
-
-
-def format_value(config: PipelineConfig, name: str) -> str:
-    """The config value as written to a config file; parsing it gives the value back."""
-    value = getattr(config, name)
-    if name in _BOOL_FIELDS:
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
+    return PipelineConfig(**parse_fields(defaults, raw, path))
 
 
 def write_effective_config(path, config: PipelineConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# effective pipeline configuration\n")
-        for f in fields(PipelineConfig):
-            fh.write(f"{f.name}={format_value(config, f.name)}\n")
+    write_kv(path, {f.name: format_value(config, f.name) for f in fields(config)},
+             comment="effective pipeline configuration")

@@ -45,6 +45,8 @@ class LanguageRecord:
 class Registry:
     """Ordered collection of :class:`LanguageRecord` with unique codes."""
 
+    source = "the registry"  # :func:`load_registry` sets the file's path
+
     def __init__(self, records: list[LanguageRecord] | None = None):
         self._records: dict[str, LanguageRecord] = {}
         for rec in records or []:
@@ -115,52 +117,63 @@ def preprocess(text: str) -> list[str]:
     return unicodedata.normalize("NFC", text).split()
 
 
+def read_lines(path):
+    """Yields the lines of a UTF-8 text file without their newlines, reading
+    lazily; a byte sequence that is not UTF-8 raises CorpusError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from (line.rstrip("\n") for line in fh)
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_registry(path) -> Registry:
     registry = Registry()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            code, lat_s, lon_s, lineage_s = fields
-            try:
-                lat, lon = float(lat_s), float(lon_s)
-            except ValueError:
-                raise CorpusError(f"{path}:{lineno}: non-numeric coordinate") from None
-            try:
-                record = LanguageRecord(code=code, lineage=tuple(lineage_s.split("|")), lat=lat, lon=lon)
-                registry.add(record)
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+    registry.source = str(path)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 4:
+            raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+        code, lat_s, lon_s, lineage_s = fields
+        try:
+            lat, lon = float(lat_s), float(lon_s)
+        except ValueError:
+            raise CorpusError(f"{path}:{lineno}: non-numeric coordinate") from None
+        try:
+            record = LanguageRecord(code=code, lineage=tuple(lineage_s.split("|")), lat=lat, lon=lon)
+            registry.add(record)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
     return registry
 
 
 def load_parallel(path, registry: Registry) -> CorpusStore:
-    """Load a parallel corpus; unknown language codes and empty sides are hard errors."""
+    """Load a parallel corpus; unknown language codes, empty sides and a file
+    without sentence pairs are hard errors."""
     store = CorpusStore()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            lang, tab, rest = line.partition("\t")
-            if not tab:
-                raise CorpusError(f"{path}:{lineno}: missing tab after language code")
-            if lang not in registry:
-                raise CorpusError(f"{path}:{lineno}: unknown language code {lang!r}")
-            if rest.count(PAIR_SEPARATOR) != 1:
-                raise CorpusError(f"{path}:{lineno}: expected exactly one {PAIR_SEPARATOR!r} separator")
-            source_s, _, target_s = rest.partition(PAIR_SEPARATOR)
-            source = preprocess(source_s)
-            target = preprocess(target_s)
-            if not source:
-                raise CorpusError(f"{path}:{lineno}: empty source side")
-            if not target:
-                raise CorpusError(f"{path}:{lineno}: empty target side")
-            store.add(SentencePair(lang=lang, source=tuple(source), target=tuple(target)))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        lang, tab, rest = line.partition("\t")
+        if not tab:
+            raise CorpusError(f"{path}:{lineno}: missing tab after language code")
+        if lang not in registry:
+            raise CorpusError(f"{path}:{lineno}: unknown language code {lang!r} "
+                              f"(not in {registry.source})")
+        if rest.count(PAIR_SEPARATOR) != 1:
+            raise CorpusError(f"{path}:{lineno}: expected exactly one {PAIR_SEPARATOR!r} separator")
+        source_s, _, target_s = rest.partition(PAIR_SEPARATOR)
+        source = preprocess(source_s)
+        target = preprocess(target_s)
+        if not source:
+            raise CorpusError(f"{path}:{lineno}: empty source side")
+        if not target:
+            raise CorpusError(f"{path}:{lineno}: empty target side")
+        store.add(SentencePair(lang=lang, source=tuple(source), target=tuple(target)))
+    if not store:
+        raise CorpusError(f"{path}: no sentence pairs")
     return store
 
 
@@ -170,21 +183,20 @@ def read_tsv(path, columns: tuple[str, ...], parse_row) -> None:
     The header must start with ``columns``; each row has as many fields as the
     header. Any breach, or a ValueError from ``parse_row``, names ``path:line``.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if tuple(header[:len(columns)]) != columns:
-            raise ValueError(f"{path}:1: header must start with {' '.join(columns)}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            try:
-                if len(fields) != len(header):
-                    raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
-                parse_row(fields)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    lines = read_lines(path)
+    header = next(lines, "").split("\t")
+    if tuple(header[:len(columns)]) != columns:
+        raise ValueError(f"{path}:1: header must start with {' '.join(columns)}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != len(header):
+                raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
+            parse_row(fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
 
 
 def serialize_parallel(store: CorpusStore) -> str:

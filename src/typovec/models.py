@@ -34,7 +34,7 @@ with a hand-written backward pass) and the inference generator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from . import autograd as ag
 from .autograd import Parameter, Tensor
 from .bpe import EOS_ID, PAD_ID, SubwordVocab
 from .checkpoint import load_checkpoint, save_checkpoint
+from .config import format_value, parse_fields, read_kv, write_kv
 
 
 @dataclass
@@ -409,40 +410,6 @@ def encode(model: Seq2SeqModel | RnnLmModel, vocab: SubwordVocab, lang: str, sou
 
 # --- persistence ------------------------------------------------------------
 
-def write_kv(path, entries: dict[str, str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
-
-
-def read_kv(path) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{lineno}: malformed manifest line {line!r}")
-            entries[key] = value
-    return entries
-
-
-def _config_manifest(config: TrainConfig) -> dict[str, str]:
-    return {
-        "hidden_size": str(config.hidden_size),
-        "embed_size": str(config.embed_size),
-        "lr": repr(config.lr),
-        "dropout": repr(config.dropout),
-        "epochs": str(config.epochs),
-        "batch_size": str(config.batch_size),
-        "seed": str(config.seed),
-        "clip_norm": repr(config.clip_norm),
-        "attention": str(int(config.attention)),
-    }
-
-
 def save_model(ckpt_path, manifest_path, model, config: TrainConfig,
                loss_curve, vocab_sha: str) -> None:
     kind = "seq2seq" if isinstance(model, Seq2SeqModel) else "rnnlm"
@@ -451,53 +418,34 @@ def save_model(ckpt_path, manifest_path, model, config: TrainConfig,
     if len(tensors) != len(params):
         raise ValueError("parameter names are not unique")
     save_checkpoint(ckpt_path, tensors, seed=config.seed)
-    manifest = {"type": kind, "vocab_size": str(model.vocab_size), "vocab_sha256": vocab_sha}
-    manifest.update(_config_manifest(config))
-    manifest["epochs_trained"] = str(len(loss_curve))
-    manifest["loss_curve"] = ",".join(repr(x) for x in loss_curve)
-    write_kv(manifest_path, manifest)
-
-
-_TRAIN_STAGES = {"seq2seq": "train-nmt", "rnnlm": "train-lm"}
+    write_kv(manifest_path, {
+        "type": kind, "vocab_size": str(model.vocab_size), "vocab_sha256": vocab_sha,
+        **{f.name: format_value(config, f.name) for f in fields(config)},
+        "epochs_trained": str(len(loss_curve)),
+        "loss_curve": ",".join(repr(x) for x in loss_curve),
+    })
 
 
 def load_model(ckpt_path, manifest_path):
     """Returns (model, manifest dict, loss_curve).
 
     A missing or malformed manifest key raises ValueError naming the
-    manifest, the key and the stage that writes it.
+    manifest and the key.
     """
     manifest = read_kv(manifest_path)
     kind = manifest.get("type")
-    if kind not in _TRAIN_STAGES:
-        raise ValueError(f"{manifest_path}: unknown model type {kind!r}; "
-                         "rerun 'train-nmt' or 'train-lm'")
-
-    def field(key: str, parse):
-        try:
-            return parse(manifest[key])
-        except (KeyError, ValueError):
-            state = "malformed" if key in manifest else "missing"
-            raise ValueError(f"{manifest_path}: {state} key {key!r}; "
-                             f"rerun '{_TRAIN_STAGES[kind]}'") from None
-
-    config = TrainConfig(
-        hidden_size=field("hidden_size", int),
-        embed_size=field("embed_size", int),
-        lr=field("lr", float),
-        dropout=field("dropout", float),
-        epochs=max(1, field("epochs", int)),
-        batch_size=field("batch_size", int),
-        seed=field("seed", int),
-        clip_norm=field("clip_norm", float),
-        attention=bool(field("attention", int)),
-    )
-    vocab_size = field("vocab_size", int)
+    if kind not in ("seq2seq", "rnnlm"):
+        raise ValueError(f"{manifest_path}: unknown model type {kind!r}")
+    defaults = {**asdict(TrainConfig()), "vocab_size": 0, "loss_curve": ""}
+    values = parse_fields(defaults, manifest, manifest_path, required=True)
+    vocab_size = values.pop("vocab_size")
+    try:
+        curve = [float(x) for x in values.pop("loss_curve").split(",") if x]
+        config = TrainConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     rng = np.random.default_rng(0)
-    if kind == "seq2seq":
-        model: Seq2SeqModel | RnnLmModel = Seq2SeqModel(vocab_size, config, rng)
-    else:
-        model = RnnLmModel(vocab_size, config, rng)
+    model = (Seq2SeqModel if kind == "seq2seq" else RnnLmModel)(vocab_size, config, rng)
     tensors, _seed = load_checkpoint(ckpt_path)
     for p in model.parameters():
         if p.name not in tensors:
@@ -506,5 +454,4 @@ def load_model(ckpt_path, manifest_path):
             raise ValueError(f"{ckpt_path}: tensor {p.name!r} has shape {tensors[p.name].shape}, "
                              f"expected {p.value.shape}")
         p.value[...] = tensors[p.name]
-    curve = field("loss_curve", lambda v: [float(x) for x in v.split(",") if x])
     return model, manifest, curve

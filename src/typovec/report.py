@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .corpus import read_tsv
 from .predict import EvalReport, GainRow
-from .typology import CATEGORIES
+from .typology import CATEGORIES, category_of
 
 CATEGORY_LABELS = {"syntax": "Syntax", "phonology": "Phonology", "inventory": "Inventory"}
 AUX_LABELS = {False: "-Aux", True: "+Aux"}
@@ -95,13 +95,17 @@ def _parse_aux(label: str) -> bool:
 
 
 def read_report_tsv(path):
-    """Returns (cells, methods, categories); methods and categories in file order."""
+    """Returns (cells, methods, categories); methods and categories in file order.
+
+    Every (method, aux, category) cell of the grid must be present."""
     cells: dict[tuple[str, bool], dict[str, float]] = {}
     methods: list[str] = []
     categories: list[str] = []
 
     def row(fields):
         method, category, aux, accuracy = fields
+        if category not in CATEGORY_LABELS:
+            raise ValueError(f"unknown category {category!r}")
         cells.setdefault((method, _parse_aux(aux)), {})[category] = float(accuracy)
         if method not in methods:
             methods.append(method)
@@ -109,6 +113,10 @@ def read_report_tsv(path):
             categories.append(category)
 
     read_tsv(path, ("method", "category", "aux", "accuracy"), row)
+    missing = [(m, label, c) for m in methods for aux, label in AUX_LABELS.items()
+               for c in categories if c not in cells.get((m, aux), {})]
+    if missing:
+        raise ValueError(f"{path}: no accuracy for {' '.join(missing[0])}")
     return cells, methods, categories
 
 
@@ -117,6 +125,7 @@ def read_feature_accuracy_tsv(path) -> dict[tuple[str, bool], dict[str, float]]:
 
     def row(fields):
         method, aux, feature, accuracy = fields
+        category_of(feature)  # rejects a name without a category prefix
         out.setdefault((method, _parse_aux(aux)), {})[feature] = float(accuracy)
 
     read_tsv(path, ("method", "aux", "feature", "accuracy"), row)

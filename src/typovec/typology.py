@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusError, LanguageRecord, Registry, read_tsv
+from .corpus import CorpusError, LanguageRecord, Registry, read_lines, read_tsv
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -79,37 +79,36 @@ class FeatureMatrix:
 
 
 def load_features(path, registry: Registry) -> FeatureMatrix:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError(f"{path}: empty feature file") from None
-        if not header or header[0] != "lang":
-            raise CorpusError(f"{path}: first header column must be 'lang'")
-        features = [FeatureSpec(name, category_of(name)) for name in header[1:]]
-        languages: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CorpusError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            lang = row[0]
-            if lang not in registry:
-                raise CorpusError(f"{path}:{lineno}: unknown language {lang!r}")
-            cells: list[float] = []
-            for name, cell in zip(header[1:], row[1:]):
-                if cell == "":
-                    cells.append(math.nan)
-                elif cell in ("0", "1"):
-                    cells.append(float(cell))
-                else:
-                    raise CorpusError(f"{path}:{lineno}: feature {name} has value {cell!r}, "
-                                      "expected 0, 1 or empty")
-            languages.append(lang)
-            rows.append(cells)
+    reader = csv.reader(read_lines(path))
     try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError(f"{path}: empty feature file") from None
+    if not header or header[0] != "lang":
+        raise CorpusError(f"{path}: first header column must be 'lang'")
+    languages: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise CorpusError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+        lang = row[0]
+        if lang not in registry:
+            raise CorpusError(f"{path}:{lineno}: unknown language {lang!r} (not in {registry.source})")
+        cells: list[float] = []
+        for name, cell in zip(header[1:], row[1:]):
+            if cell == "":
+                cells.append(math.nan)
+            elif cell in ("0", "1"):
+                cells.append(float(cell))
+            else:
+                raise CorpusError(f"{path}:{lineno}: feature {name} has value {cell!r}, "
+                                  "expected 0, 1 or empty")
+        languages.append(lang)
+        rows.append(cells)
+    try:
+        features = [FeatureSpec(name, category_of(name)) for name in header[1:]]
         return FeatureMatrix(languages, features, np.array(rows).reshape(len(languages), len(features)))
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from None

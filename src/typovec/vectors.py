@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bpe import EncodedCorpus, SubwordVocab
+from .corpus import read_lines
 from .models import RnnLmModel, Seq2SeqModel, encoder_batch, lstm_states
 
 METHODS = ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")
@@ -191,24 +192,23 @@ def save_vectors(path, vectors: list[LangVector]) -> None:
 
 def load_vectors(path) -> list[LangVector]:
     out: list[LangVector] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != STORE_HEADER:
-            raise ValueError(f"{path}: bad vector store header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
-            lang, method, dim_s, n_s, values_s = fields
-            try:
-                dim, n_sentences = int(dim_s), int(n_s)
-                values = np.array([float(x) for x in values_s.split(" ")])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    lines = read_lines(path)
+    header = next(lines, "")
+    if header != STORE_HEADER:
+        raise ValueError(f"{path}: bad vector store header {header!r}")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
+        lang, method, dim_s, n_s, values_s = fields
+        try:
+            dim, n_sentences = int(dim_s), int(n_s)
+            values = np.array([float(x) for x in values_s.split(" ")])
             if len(values) != dim:
-                raise ValueError(f"{path}:{lineno}: dim {dim_s} but {len(values)} values")
+                raise ValueError(f"dim {dim_s} but {len(values)} values")
             out.append(LangVector(lang, method, values, n_sentences))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

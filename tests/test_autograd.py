@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -241,3 +242,15 @@ class TestCheckpoint:
         cut.write_bytes(data + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(cut)
+
+    @pytest.mark.parametrize("name, value, match", [
+        pytest.param("w", np.array([1.0, np.nan]), "non-finite", id="nan-value"),
+        pytest.param("\udcff", np.ones(2), "not UTF-8", id="0xff-in-name"),
+    ])
+    def test_bad_tensor_is_a_typed_error_naming_the_file(self, tmp_path, name, value, match):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"TVCK" + struct.pack("<IqI", 1, 0, 1)
+                         + struct.pack("<I", 1) + name.encode("utf-8", "surrogateescape")
+                         + struct.pack("<IQ", 1, 2) + value.astype("<f8").tobytes())
+        with pytest.raises(CheckpointError, match=f"model.ckpt: .*{match}"):
+            load_checkpoint(path)

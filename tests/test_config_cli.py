@@ -1,12 +1,16 @@
+import contextlib
 import fcntl
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import typovec
 import typovec.bpe
@@ -78,6 +82,25 @@ class TestConfig:
 
 STAGES = ("synth", "ingest", "bpe-learn", "train-lm", "train-nmt",
           "extract", "baseline", "predict", "report", "bootstrap", "traj")
+
+
+# Every artifact some stage reads: its producer, and the consumer run on a corrupted copy.
+CORRUPTIBLE = [
+    ("registry.tsv", "synth", "ingest"),
+    ("corpus.txt", "synth", "bpe-learn"),
+    ("features.csv", "synth", "baseline"),
+    ("merges.txt", "bpe-learn", "train-lm"),
+    ("vocab.tsv", "bpe-learn", "train-lm"),
+    ("lm.ckpt", "train-lm", "extract"),
+    ("lm.model", "train-lm", "extract"),
+    ("nmt.ckpt", "train-nmt", "traj"),
+    ("nmt.model", "train-nmt", "extract"),
+    *((f"vectors_{m}.tsv", "extract", "predict") for m in ("LMVec", "MTVec", "MTCell", "MTBoth")),
+    ("knn_vectors.tsv", "baseline", "predict"),
+    ("report.tsv", "predict", "report"),
+    ("feature_accuracy.tsv", "predict", "report"),
+    ("predictions.tsv", "predict", "bootstrap"),
+]
 
 
 def snapshot(work):
@@ -152,6 +175,7 @@ class TestPipeline:
         ("nmt", "hidden_size", None),
         ("nmt", "attention", "yes"),
         ("lm", "embed_size", "8.5"),
+        pytest.param("nmt", "seed", ("77", "77"), id="nmt-seed-repeated"),
     ])
     def test_bad_model_manifest_exits_one(self, pipeline, tmp_path, capsys, kind, key, value):
         work, _ = pipeline
@@ -163,8 +187,7 @@ class TestPipeline:
         manifest = copy / f"{kind}.model"
         lines = [line for line in manifest.read_text(encoding="utf-8").splitlines()
                  if not line.startswith(f"{key}=")]
-        if value is not None:
-            lines.append(f"{key}={value}")
+        lines += [f"{key}={v}" for v in ((value,) if isinstance(value, str) else value or ())]
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         cfg_path = tmp_path / "cfg.txt"
         write_config(cfg_path, workdir=str(copy))
@@ -223,6 +246,31 @@ class TestPipeline:
         work, cfg_path = pipeline
         assert main(["--config", str(cfg_path), "--stage", "baseline"]) == 0
         assert "up to date" in capsys.readouterr().out
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_corrupt_input_names_file_and_producer(self, pipeline, data):
+        name, producer, consumer = data.draw(st.sampled_from(CORRUPTIBLE))
+        work, _ = pipeline
+        blob = (work / name).read_bytes()
+        offset = data.draw(st.integers(0, len(blob) - 1))
+        byte = data.draw(st.sampled_from([b"", b"\xff", b"\x00"]))  # b"": truncate at offset
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "work"
+            shutil.copytree(work, copy)
+            # without these records the stale-input check cannot catch the damage
+            for stage in (producer, consumer):
+                (copy / f"{stage.replace('-', '_')}.manifest").unlink()
+            (copy / name).write_bytes(blob[:offset] + (byte + blob[offset + 1:] if byte else b""))
+            cfg_path = Path(tmp) / "cfg.txt"
+            write_config(cfg_path, workdir=str(copy))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--config", str(cfg_path), consumer])
+        assert code in (0, 1), err.getvalue()
+        if code == 1:
+            assert str(copy / name) in err.getvalue()
+            assert f"rerun '{producer}'" in err.getvalue()
 
 
 class TestCliErrors:
