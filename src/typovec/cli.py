@@ -319,11 +319,12 @@ def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         "seed": str(cfg.seed),
         "excluded": ";".join(f"{f}({r})" for f, r in report.excluded),
     })
-    return outputs, "\n".join(
-        f"{method} -Aux " + " ".join(f"{c}={report.cells[(method, False)][c]:.2f}"
-                                     for c in report.categories)
-        for method in methods
-    )
+    return outputs, "\n".join([
+        *(f"{method} -Aux " + " ".join(f"{c}={report.cells[(method, False)][c]:.2f}"
+                                       for c in report.categories)
+          for method in methods),
+        f"{report.fits} logistic-regression fits, {report.unconverged} not converged",
+    ])
 
 
 def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
@@ -392,7 +393,8 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
                                 cfg.traj_sentences or None, node)
     out = wd.path("trajectory.csv")
     write_trajectory_csv(out, rows)
-    return [out], f"feature {feature}, node {node}, {len(rows)} rows -> {out.name}"
+    fit = "converged" if logreg.converged else "not converged"
+    return [out], f"feature {feature} (fit {fit}), node {node}, {len(rows)} rows -> {out.name}"
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ manifests, the ``.model`` manifests and the stages' key=value summaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -60,6 +61,12 @@ class PipelineConfig:
     synth_langs: int = 40
     synth_sentences: int = 500
     synth_lexicon: int = 24
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
+        if self.n_folds < 2:
+            raise ConfigError(f"n_folds must be at least 2, got {self.n_folds}")
 
     @property
     def method_list(self) -> list[str]:

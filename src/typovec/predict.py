@@ -14,6 +14,28 @@ Prediction conditions:
   training-fold statistics only.
 
 The same fold assignment is reused for every method (paired design).
+
+One solver, :func:`_fit_batch`, fits every fold x feature of a (method, aux)
+cell at once by damped Newton iteration; :func:`train_logreg` is its
+one-fit case, in the full input space. Each fit minimizes mean logistic
+loss + l2*||w||^2/2 (bias unregularized) from w = 0, stopping at gradient
+norm <= ``tol`` or after ``max_iter`` steps. A step solves
+(H + 1e-12 I) s = g, where H is the Hessian, and halves s until the loss
+does not rise by more than 1e-15, at most 40 times (then it keeps the last
+trial point). Each Newton step is one stacked solve over the fits not yet
+converged.
+
+A cell's fit runs in the row space of its standardized (n, d) inputs X:
+with the thin QR Xᵀ = QR (Q of k = min(n, d) orthonormal columns) it fits
+the (n, k) inputs Z = Rᵀ and maps the weights back as w = Qβ. This is
+exact in exact arithmetic. From w = 0 the gradient Xᵀr/n + l2·w lies in
+span(Q), and the Hessian XᵀSX/n + l2·I + 1e-12·I maps span(Q) to itself,
+so every Newton iterate stays in span(Q) ⊕ bias and equals Q times the
+reduced iterate; since Q has orthonormal columns, the gradient norm, and so
+the stopping rule, is the same. When n >= d the reduction is a rotation.
+The features of a cell that share a labeled-language set share each fold's
+scaler and QR. In a batch, shorter fits are padded with masked rows and
+zero columns; a zero column keeps its coefficient at 0.
 """
 
 from __future__ import annotations
@@ -36,6 +58,7 @@ class LogRegModel:
     bias: float
     feature: str = ""
     l2: float = 0.0
+    converged: bool = True
 
     def __post_init__(self) -> None:
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -77,10 +100,81 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_space(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, Z) with X = Z Qᵀ: the thin QR Xᵀ = QR, Q's orthonormal columns
+    spanning X's rows, and Z = Rᵀ."""
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite training inputs")
+    Q, R = np.linalg.qr(X.T)
+    return Q, R.T
+
+
+def _loss_grad(Zb, y, mask, n, l2, beta):
+    """Loss, gradient and probabilities of a batch of fits at ``beta``;
+    ``mask`` zeroes the padding rows, the bias is the last column."""
+    z = np.matmul(Zb, beta[:, :, None])[:, :, 0]
+    # log(1 + e^z) - y z, computed stably
+    loss = (np.sum(mask * (np.logaddexp(0.0, z) - y * z), axis=1) / n
+            + 0.5 * l2 * np.sum(beta[:, :-1] ** 2, axis=1))
+    p = _sigmoid(z)
+    grad = np.matmul((mask * (p - y))[:, None, :], Zb)[:, 0, :] / n[:, None]
+    grad[:, :-1] += l2 * beta[:, :-1]
+    return loss, grad, p
+
+
+def _fit_batch(problems, l2: float, tol: float = 1e-8, max_iter: int = 200):
+    """Damped-Newton fits of every (Z, y) in ``problems`` at once (see the
+    module docstring). Returns the coefficients (B, K), zero past each fit's
+    own columns, the biases (B,) and whether each fit converged (B,)."""
+    B = len(problems)
+    N = max(len(y) for _, y in problems)
+    K = max(Z.shape[1] for Z, _ in problems)
+    Zb = np.zeros((B, N, K + 1))
+    Zb[:, :, K] = 1.0
+    y = np.zeros((B, N))
+    mask = np.zeros((B, N))
+    n = np.empty(B)
+    for b, (Z, labels) in enumerate(problems):
+        rows, cols = Z.shape
+        Zb[b, :rows, :cols] = Z
+        y[b, :rows] = labels
+        mask[b, :rows] = 1.0
+        n[b] = rows
+    reg = np.full(K + 1, float(l2))
+    reg[K] = 0.0
+    ridge = np.diag(reg) + 1e-12 * np.eye(K + 1)
+    beta = np.zeros((B, K + 1))
+    loss, grad, p = _loss_grad(Zb, y, mask, n, l2, beta)
+    live = np.arange(B)
+    for _ in range(max_iter):
+        live = live[np.linalg.norm(grad[live], axis=1) > tol]
+        if not live.size:
+            break
+        Zl = Zb[live]
+        s = p[live] * (1.0 - p[live]) * mask[live]
+        hess = np.matmul(Zl.transpose(0, 2, 1) * s[:, None, :], Zl) / n[live, None, None] + ridge
+        step = np.linalg.solve(hess, grad[live][:, :, None])[:, :, 0]
+        t = np.ones(live.size)
+        search = np.arange(live.size)  # positions in ``live`` still halving their step
+        for halving in range(40):
+            fits = live[search]
+            trial = beta[fits] - t[search, None] * step[search]
+            new_loss, new_grad, new_p = _loss_grad(Zb[fits], y[fits], mask[fits], n[fits], l2, trial)
+            ok = (new_loss <= loss[fits] + 1e-15) | (halving == 39)
+            done = fits[ok]
+            beta[done], loss[done], grad[done], p[done] = trial[ok], new_loss[ok], new_grad[ok], new_p[ok]
+            search = search[~ok]
+            if not search.size:
+                break
+            t[search] *= 0.5
+    return beta[:, :K], beta[:, K], np.linalg.norm(grad, axis=1) <= tol
+
+
 def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
                  feature: str = "", tol: float = 1e-8, max_iter: int = 200) -> LogRegModel:
     """Minimize mean logistic loss + l2*||w||^2/2 (bias unregularized) by
-    damped Newton iteration, down to gradient norm <= ``tol``."""
+    damped Newton iteration, down to gradient norm <= ``tol``: the one-fit
+    case of the batched solver, in the full input space."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -89,36 +183,8 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
         raise ValueError("non-finite training inputs")
     if X.shape[0] == 0:
         raise ValueError("no training examples")
-    n, d = X.shape
-    Xb = np.hstack([X, np.ones((n, 1))])
-    w = np.zeros(d + 1)
-    reg = np.zeros(d + 1)
-    reg[:d] = l2
-
-    def loss_grad(w):
-        z = Xb @ w
-        # log(1 + e^z) - y z, computed stably
-        loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w[:d] @ w[:d])
-        p = _sigmoid(z)
-        grad = Xb.T @ (p - y) / n + reg * w
-        return loss, grad, p
-
-    loss, grad, p = loss_grad(w)
-    for _ in range(max_iter):
-        if float(np.linalg.norm(grad)) <= tol:
-            break
-        s = p * (1.0 - p)
-        hess = (Xb.T * s) @ Xb / n + np.diag(reg) + 1e-12 * np.eye(d + 1)
-        step = np.linalg.solve(hess, grad)
-        t = 1.0
-        for _ in range(40):
-            new_loss, new_grad, new_p = loss_grad(w - t * step)
-            if new_loss <= loss + 1e-15:
-                break
-            t *= 0.5
-        w = w - t * step
-        loss, grad, p = new_loss, new_grad, new_p
-    return LogRegModel(w[:d].copy(), float(w[d]), feature=feature, l2=l2)
+    coef, bias, converged = _fit_batch([(X, y)], l2, tol, max_iter)
+    return LogRegModel(coef[0], float(bias[0]), feature=feature, l2=l2, converged=bool(converged[0]))
 
 
 def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
@@ -180,6 +246,9 @@ class EvalReport:
     # (method, aux) -> (lang, feature) -> (pred, gold)
     predictions: dict[tuple[str, bool], dict[tuple[str, str], tuple[int, int]]] = field(default_factory=dict)
     excluded: list[tuple[str, str]] = field(default_factory=list)
+    # logistic-regression fits, and those stopped at max_iter above tol
+    fits: int = 0
+    unconverged: int = 0
 
     def cell(self, method: str, category: str, aux: bool) -> float:
         return self.cells[(method, aux)][category]
@@ -219,25 +288,44 @@ def _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors):
     return preds
 
 
-def _evaluate_feature_learned(matrix, feature, labeled, method, aux, vectors,
-                              knn_vectors, folds, l2):
-    inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors) for lang in labeled}
-    preds: dict[str, int] = {}
-    for fold in range(folds.n_folds):
-        train_langs = [l for l in labeled if folds.fold_of(l) != fold]
-        test_langs = [l for l in labeled if folds.fold_of(l) == fold]
-        if not train_langs or not test_langs:
-            continue
-        y_train = np.array([matrix.value(l, feature) for l in train_langs])
-        X_train = np.stack([inputs[l] for l in train_langs])
-        scaler = Scaler.fit(X_train)
-        model = train_logreg(scaler.apply(X_train), y_train, l2=l2, feature=feature)
-        tie = majority_value(y_train)
-        X_test = np.stack([inputs[l] for l in test_langs])
-        labels = _predict_labels(predict_proba(model, scaler.apply(X_test)), tie)
-        for lang, label in zip(test_langs, labels):
-            preds[lang] = int(label)
-    return preds
+def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, l2):
+    """Cross-validated predictions {feature: {lang: label}} of one learned
+    (method, aux) cell, and whether each of its fits converged: every fold x
+    feature is one problem of one batched fit."""
+    groups: dict[tuple[str, ...], list[str]] = {}
+    for feature, labeled in usable.items():
+        groups.setdefault(tuple(labeled), []).append(feature)
+    inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors)
+              for lang in dict.fromkeys(lang for labeled in groups for lang in labeled)}
+    problems, slots = [], []
+    for labeled, features in groups.items():
+        X = np.stack([inputs[lang] for lang in labeled])
+        Y = np.array([[matrix.value(lang, f) for f in features] for lang in labeled])
+        fold_of = np.array([folds.fold_of(lang) for lang in labeled])
+        for fold in range(folds.n_folds):
+            train, test = fold_of != fold, fold_of == fold
+            if not (train.any() and test.any()):
+                continue
+            scaler = Scaler.fit(X[train])
+            Q, Z = _row_space(scaler.apply(X[train]))
+            ties = [majority_value(Y[train, j]) for j in range(len(features))]
+            test_langs = [labeled[i] for i in np.flatnonzero(test)]
+            slots.append((Q, scaler.apply(X[test]), test_langs, features, ties, len(problems)))
+            problems.extend((Z, Y[train, j]) for j in range(len(features)))
+    preds: dict[str, dict[str, int]] = {feature: {} for feature in usable}
+    if not problems:
+        return preds, np.zeros(0, dtype=bool)
+    coef, bias, converged = _fit_batch(problems, l2)
+    for Q, X_test, test_langs, features, ties, first in slots:
+        rows = slice(first, first + len(features))
+        weights, biases = coef[rows, :Q.shape[1]], bias[rows]
+        finite = np.all(np.isfinite(weights), axis=1) & np.isfinite(biases)
+        if not finite.all():
+            raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
+        probs = _sigmoid(X_test @ (Q @ weights.T) + biases)
+        for j, feature in enumerate(features):
+            preds[feature].update(zip(test_langs, _predict_labels(probs[:, j], ties[j]).tolist()))
+    return preds, converged
 
 
 def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
@@ -270,13 +358,15 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
             key = (method, aux)
             report.feature_accuracy[key] = {}
             report.predictions[key] = {}
-            for feature, labeled in usable.items():
-                if method == "None":
-                    preds = _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors)
-                else:
-                    preds = _evaluate_feature_learned(
-                        matrix, feature, labeled, method, aux, vectors, knn_vectors, folds, l2
-                    )
+            if method == "None":
+                by_feature = {feature: _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors)
+                              for feature, labeled in usable.items()}
+            else:
+                by_feature, converged = _evaluate_learned(matrix, usable, method, aux, vectors,
+                                                          knn_vectors, folds, l2)
+                report.fits += converged.size
+                report.unconverged += int(np.sum(~converged))
+            for feature, preds in by_feature.items():
                 if not preds:
                     continue
                 correct = 0

@@ -78,8 +78,17 @@ class FeatureMatrix:
         return counts
 
 
-def load_features(path, registry: Registry) -> FeatureMatrix:
+def _csv_rows(path):
+    """The rows of a CSV file; a malformed one raises CorpusError naming the file and line."""
     reader = csv.reader(read_lines(path))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def load_features(path, registry: Registry) -> FeatureMatrix:
+    reader = _csv_rows(path)
     try:
         header = next(reader)
     except StopIteration:

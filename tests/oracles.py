@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's incremental/efficient code paths:
 the BPE oracle recounts every pair from scratch at every step, the k-NN
-oracle materializes and sorts the full distance list, and gradients are
-checked against central finite differences.
+oracle materializes and sorts the full distance list, the logistic
+regression is fitted one problem at a time in the full input space, and
+gradients are checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -147,3 +148,41 @@ def finite_difference_grads(loss_fn, params, h: float = 1e-5) -> dict[str, np.nd
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def per_fit_newton_logreg(X, y, l2: float = 1.0, tol: float = 1e-8,
+                          max_iter: int = 200) -> tuple[np.ndarray, float]:
+    """(weights, bias) minimizing mean logistic loss + l2*||w||^2/2 (bias
+    unregularized): damped Newton on one problem in the full (d + 1)-dim space."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    w = np.zeros(d + 1)
+    reg = np.zeros(d + 1)
+    reg[:d] = l2
+
+    def loss_grad(w):
+        z = Xb @ w
+        loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(w[:d] @ w[:d])
+        e = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        grad = Xb.T @ (p - y) / n + reg * w
+        return loss, grad, p
+
+    loss, grad, p = loss_grad(w)
+    for _ in range(max_iter):
+        if float(np.linalg.norm(grad)) <= tol:
+            break
+        s = p * (1.0 - p)
+        hess = (Xb.T * s) @ Xb / n + np.diag(reg) + 1e-12 * np.eye(d + 1)
+        step = np.linalg.solve(hess, grad)
+        t = 1.0
+        for _ in range(40):
+            new_loss, new_grad, new_p = loss_grad(w - t * step)
+            if new_loss <= loss + 1e-15:
+                break
+            t *= 0.5
+        w = w - t * step
+        loss, grad, p = new_loss, new_grad, new_p
+    return w[:d].copy(), float(w[d])

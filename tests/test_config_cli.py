@@ -341,15 +341,33 @@ class TestCliErrors:
                 "out:merges.txt", "out:vocab.tsv"} <= keys
 
     @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
-                                      "clip_norm=nan", "clip_norm=inf"])
+                                      "clip_norm=nan", "clip_norm=inf", "l2=-1", "l2=nan", "l2=inf",
+                                      "n_folds=0", "n_folds=1"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
-        # and a non-finite lr fails with exit 2 only after a wasted batch
+        # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
+        # l2 fits a non-convex objective, and one fold leaves no fold to train on
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+def test_unterminated_quote_in_features_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w8"))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    features = tmp_path / "w8" / "features.csv"
+    lines = features.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = lines[1].replace(",", ',"', 1)
+    # the stray quote runs the cell past the csv module's field size limit (131,072)
+    features.write_text("".join(lines) + "x" * 140_000 + "\n", encoding="utf-8")
+    # without synth's record of the file, the reader itself must reject it
+    (tmp_path / "w8" / "synth.manifest").unlink()
+    assert main(["--config", str(cfg_path), "ingest"]) == 1
+    err = capsys.readouterr().err
+    assert f"{features}:" in err and "rerun 'synth'" in err
 
 
 def test_bpe_learn_counts_the_corpus_once(tmp_path, monkeypatch):

@@ -1,11 +1,18 @@
+import contextlib
+import hashlib
+import io
 import math
 
 import numpy as np
 import pytest
 
+from oracles import per_fit_newton_logreg
+from typovec.cli import main
 from typovec.predict import (
     BootstrapResult,
     Scaler,
+    _fit_batch,
+    _row_space,
     assemble_inputs,
     evaluate,
     export_trajectory,
@@ -88,6 +95,64 @@ class TestLogReg:
     def test_non_finite_inputs_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             train_logreg(np.array([[np.inf]]), np.array([1.0]), l2=1.0)
+
+    def test_reports_a_fit_stopped_at_max_iter(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(20, 3))
+        y = (X[:, 0] > 0).astype(float)
+        assert train_logreg(X, y, l2=0.1).converged
+        assert not train_logreg(X, y, l2=0.1, max_iter=1).converged
+
+
+def _oracle_problems():
+    """Random fits: n < d and n > d, fold sizes that differ within a batch, a
+    single-class training fold, a fit whose gradient is 0 at w = 0, and two
+    unstandardized fits whose full Newton step raises the loss at l2 = 1e-4."""
+    rng = np.random.default_rng(29)
+    problems = []
+    for n, d in ((8, 20), (9, 20), (7, 131), (30, 5), (31, 5), (12, 12)):
+        X = rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0, size=d)
+        y = (X[:, 0] - X[:, 1] + rng.normal(size=n) > 0).astype(float)
+        problems.append((X, y))
+    problems.append((rng.normal(size=(10, 6)), np.ones(10)))
+    problems.append((np.zeros((6, 4)), np.array([0.0, 1.0] * 3)))
+    for seed in (182, 232):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(8, 3)) * 100.0
+        problems.append((X, (rng.random(8) < 0.3).astype(float)))
+    return problems
+
+
+class TestBatchedSolver:
+    @pytest.mark.parametrize("l2", [1.0, 0.1, 1e-4])
+    def test_matches_per_fit_newton_oracle(self, l2):
+        problems = _oracle_problems()
+        bases = [_row_space(X) for X, _ in problems]
+        coef, bias, converged = _fit_batch([(Z, y) for (_, Z), (_, y) in zip(bases, problems)], l2)
+        assert converged.all()
+        rng = np.random.default_rng(31)
+        for (X, y), (Q, _), c, b in zip(problems, bases, coef, bias):
+            w_ref, b_ref = per_fit_newton_logreg(X, y, l2)
+            w = Q @ c[:Q.shape[1]]
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
+            assert abs(b - b_ref) <= 1e-9
+            X_test = np.vstack([X, rng.normal(size=(40, X.shape[1]))])
+            assert np.array_equal(X_test @ w + b > 0, X_test @ w_ref + b_ref > 0)
+
+    def test_row_space_batch_equals_full_space_single_fits(self):
+        problems = _oracle_problems()
+        bases = [_row_space(X) for X, _ in problems]
+        coef, bias, _ = _fit_batch([(Z, y) for (_, Z), (_, y) in zip(bases, problems)], 1.0)
+        for (X, y), (Q, _), c, b in zip(problems, bases, coef, bias):
+            model = train_logreg(X, y, l2=1.0)
+            np.testing.assert_allclose(Q @ c[:Q.shape[1]], model.weights, rtol=0, atol=1e-9)
+            assert b == pytest.approx(model.bias, abs=1e-9)
+
+    def test_unconverged_fits_are_flagged(self):
+        problems = _oracle_problems()
+        *_, converged = _fit_batch([(_row_space(X)[1], y) for X, y in problems], 1.0, max_iter=2)
+        # the zero-gradient fit stops at once; the others need more than two steps
+        assert converged.tolist() == [False] * (len(problems) - 3) + [True, False, False]
 
 
 def _vectors_for(langs, method, values_fn) -> dict[str, dict[str, LangVector]]:
@@ -324,3 +389,24 @@ class TestScaler:
         out = scaler.apply(X)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, np.zeros((3, 1)))
+
+
+def test_small_pipeline_files_match_pinned_digests(tmp_path):
+    # computed with the earlier solver, which fitted one fold x feature at a
+    # time in the full input space; MTVec and MTCell fits have n > d, MTBoth n < d
+    entries = {"workdir": tmp_path / "work", "seed": 5, "synth_langs": 14, "synth_sentences": 16,
+               "synth_lexicon": 12, "num_merges": 40, "hidden_size": 8, "embed_size": 8, "lr": 0.02,
+               "dropout": 0.0, "epochs": 1, "batch_size": 16, "n_folds": 5,
+               "methods": "MTVec,MTCell,MTBoth", "traj_sentences": 3}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in entries.items()), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in ("synth", "bpe-learn", "train-nmt", "extract", "baseline", "predict", "traj"):
+            assert main(["--config", str(cfg), stage]) == 0, stage
+    digests = {name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
+               for name in ("predictions.tsv", "report.tsv", "trajectory.csv")}
+    assert digests == {
+        "predictions.tsv": "ea3c9c2800896bb53112cab0590ffde2d6add65efe29867a49b9b4ca80cbcab4",
+        "report.tsv": "a8c014db512de53446f9b706c635666c0c480fe0f9e369957dcf469ec8d171a9",
+        "trajectory.csv": "14a86f19043b7f595aba261d6cde5da2688fa75e464fd6439c8e11b4cf7996fa",
+    }
