@@ -15,9 +15,9 @@ Prediction conditions:
 
 The same fold assignment is reused for every method (paired design).
 
-One solver, :func:`_fit_batch`, fits every fold x feature of a (method, aux)
-cell at once by damped Newton iteration; :func:`train_logreg` is its
-one-fit case, in the full input space. Each fit minimizes mean logistic
+One solver, :func:`_fit_batch`, fits a batch of logistic regressions at
+once by damped Newton iteration; :func:`train_logreg` is its one-fit case,
+in the full input space. Each fit minimizes mean logistic
 loss + l2*||w||^2/2 (bias unregularized) from w = 0, stopping at gradient
 norm <= ``tol`` or after ``max_iter`` steps. A step solves
 (H + 1e-12 I) s = g, where H is the Hessian, and halves s until the loss
@@ -34,8 +34,14 @@ so every Newton iterate stays in span(Q) ⊕ bias and equals Q times the
 reduced iterate; since Q has orthonormal columns, the gradient norm, and so
 the stopping rule, is the same. When n >= d the reduction is a rotation.
 The features of a cell that share a labeled-language set share each fold's
-scaler and QR. In a batch, shorter fits are padded with masked rows and
-zero columns; a zero column keeps its coefficient at 0.
+scaler and QR. The folds of a cell whose row-space inputs have one shape
+are one batch, each fit reading its own fold's inputs, so a batch needs no
+row mask or zero padding; fold sizes differ by at most one, so a
+labeled-language set has at most two shapes. ``_BATCH_BYTES`` bounds a
+batch: pending folds are fitted before their inputs and bases would pass
+it, and a batch's fits are solved in chunks whose input copies and
+Hessians stay under it, so memory does not grow with the number of
+features or folds.
 """
 
 from __future__ import annotations
@@ -92,82 +98,86 @@ def make_folds(languages, n_folds: int = 10, seed: int = 0) -> FoldAssignment:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _with_bias(X: np.ndarray) -> np.ndarray:
+    return np.hstack([X, np.ones((len(X), 1))])
 
 
 def _row_space(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, Z) with X = Z Qᵀ: the thin QR Xᵀ = QR, Q's orthonormal columns
-    spanning X's rows, and Z = Rᵀ."""
+    """(Q, Z): the thin QR Xᵀ = QR, Q's orthonormal columns spanning X's
+    rows, and the row-space inputs Z = Rᵀ with a bias column, so that
+    X = Z[:, :-1] Qᵀ."""
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite training inputs")
     Q, R = np.linalg.qr(X.T)
-    return Q, R.T
+    return Q, _with_bias(R.T)
 
 
-def _loss_grad(Zb, y, mask, n, l2, beta):
-    """Loss, gradient and probabilities of a batch of fits at ``beta``;
-    ``mask`` zeroes the padding rows, the bias is the last column."""
+def _loss_grad(Zb, Y, l2, beta):
+    """Loss (B,), gradient (B, k + 1) and probabilities (B, n) at ``beta``
+    (B, k + 1) of the fits of the labels Y (B, n) on the inputs Zb
+    (B, n, k + 1), whose last column is the bias."""
+    n = Y.shape[1]
     z = np.matmul(Zb, beta[:, :, None])[:, :, 0]
     # log(1 + e^z) - y z, computed stably
-    loss = (np.sum(mask * (np.logaddexp(0.0, z) - y * z), axis=1) / n
-            + 0.5 * l2 * np.sum(beta[:, :-1] ** 2, axis=1))
+    loss = np.sum(np.logaddexp(0.0, z) - Y * z, axis=1) / n + 0.5 * l2 * np.sum(beta[:, :-1] ** 2, axis=1)
     p = _sigmoid(z)
-    grad = np.matmul((mask * (p - y))[:, None, :], Zb)[:, 0, :] / n[:, None]
+    grad = np.matmul((p - Y)[:, None, :], Zb)[:, 0, :] / n
     grad[:, :-1] += l2 * beta[:, :-1]
     return loss, grad, p
 
 
-def _fit_batch(problems, l2: float, tol: float = 1e-8, max_iter: int = 200):
-    """Damped-Newton fits of every (Z, y) in ``problems`` at once (see the
-    module docstring). Returns the coefficients (B, K), zero past each fit's
-    own columns, the biases (B,) and whether each fit converged (B,)."""
-    B = len(problems)
-    N = max(len(y) for _, y in problems)
-    K = max(Z.shape[1] for Z, _ in problems)
-    Zb = np.zeros((B, N, K + 1))
-    Zb[:, :, K] = 1.0
-    y = np.zeros((B, N))
-    mask = np.zeros((B, N))
-    n = np.empty(B)
-    for b, (Z, labels) in enumerate(problems):
-        rows, cols = Z.shape
-        Zb[b, :rows, :cols] = Z
-        y[b, :rows] = labels
-        mask[b, :rows] = 1.0
-        n[b] = rows
-    reg = np.full(K + 1, float(l2))
-    reg[K] = 0.0
-    ridge = np.diag(reg) + 1e-12 * np.eye(K + 1)
-    beta = np.zeros((B, K + 1))
-    loss, grad, p = _loss_grad(Zb, y, mask, n, l2, beta)
+# Bytes one batch may take: the row-space inputs and bases of its folds,
+# and per fit a copy of its inputs, the Hessian's (k + 1, n) factor and the
+# Hessian. Folds and fits past it go to the next batch.
+_BATCH_BYTES = 16 << 20
+
+
+def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
+    """Damped-Newton fits of the labels Y (B, n), fit b on the inputs
+    Z[slot[b]] of the (n, k + 1) arrays Z, whose last column is the bias
+    (see the module docstring). Returns the coefficients (B, k), the
+    biases (B,) and whether each fit converged (B,)."""
+    n, k = Z[0].shape[0], Z[0].shape[1] - 1
+    B = len(slot)
+    chunk = max(1, _BATCH_BYTES // (8 * (k + 1) * (2 * n + k + 1)))
+    if B > chunk:
+        parts = [_fit_batch(Z, slot[i:i + chunk], Y[i:i + chunk], l2, tol, max_iter)
+                 for i in range(0, B, chunk)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    def inputs(fits):
+        return np.stack([Z[i] for i in slot[fits]])
+
+    ridge = np.diag(np.append(np.full(k, l2 + 1e-12), 1e-12))
+    beta = np.zeros((B, k + 1))
+    loss, grad, p = _loss_grad(inputs(slice(None)), Y, l2, beta)
     live = np.arange(B)
     for _ in range(max_iter):
         live = live[np.linalg.norm(grad[live], axis=1) > tol]
         if not live.size:
             break
-        Zl = Zb[live]
-        s = p[live] * (1.0 - p[live]) * mask[live]
-        hess = np.matmul(Zl.transpose(0, 2, 1) * s[:, None, :], Zl) / n[live, None, None] + ridge
+        Zl = inputs(live)
+        s = p[live] * (1.0 - p[live])
+        hess = np.matmul(Zl.transpose(0, 2, 1) * s[:, None, :], Zl)
+        hess /= n
+        hess += ridge
         step = np.linalg.solve(hess, grad[live][:, :, None])[:, :, 0]
-        t = np.ones(live.size)
-        search = np.arange(live.size)  # positions in ``live`` still halving their step
+        # the fits still halving their step all stand at the same t
+        fits, t = live, 1.0
         for halving in range(40):
-            fits = live[search]
-            trial = beta[fits] - t[search, None] * step[search]
-            new_loss, new_grad, new_p = _loss_grad(Zb[fits], y[fits], mask[fits], n[fits], l2, trial)
+            trial = beta[fits] - t * step
+            new_loss, new_grad, new_p = _loss_grad(inputs(fits), Y[fits], l2, trial)
             ok = (new_loss <= loss[fits] + 1e-15) | (halving == 39)
             done = fits[ok]
             beta[done], loss[done], grad[done], p[done] = trial[ok], new_loss[ok], new_grad[ok], new_p[ok]
-            search = search[~ok]
-            if not search.size:
+            if ok.all():
                 break
-            t[search] *= 0.5
-    return beta[:, :K], beta[:, K], np.linalg.norm(grad, axis=1) <= tol
+            fits, step, t = fits[~ok], step[~ok], 0.5 * t
+    return beta[:, :k], beta[:, k], np.linalg.norm(grad, axis=1) <= tol
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
@@ -183,7 +193,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
         raise ValueError("non-finite training inputs")
     if X.shape[0] == 0:
         raise ValueError("no training examples")
-    coef, bias, converged = _fit_batch([(X, y)], l2, tol, max_iter)
+    coef, bias, converged = _fit_batch([_with_bias(X)], np.zeros(1, dtype=int), y[None], l2, tol, max_iter)
     return LogRegModel(coef[0], float(bias[0]), feature=feature, l2=l2, converged=bool(converged[0]))
 
 
@@ -288,16 +298,50 @@ def _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors):
     return preds
 
 
+def _fit_slots(slots, l2, preds) -> np.ndarray:
+    """Fit every feature of the fold ``slots``, which share one input shape,
+    in one batch; record their test predictions in ``preds`` and return
+    whether each fit converged."""
+    slot = np.repeat(np.arange(len(slots)), [len(features) for *_, features in slots])
+    coef, bias, converged = _fit_batch([Z for _, Z, *_ in slots], slot,
+                                       np.concatenate([Y.T for _, _, Y, *_ in slots]), l2)
+    first = 0
+    for Q, _, Y, X_test, test_langs, features in slots:
+        rows = slice(first, first + len(features))
+        first += len(features)
+        finite = np.all(np.isfinite(coef[rows]), axis=1) & np.isfinite(bias[rows])
+        if not finite.all():
+            raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
+        probs = _sigmoid(X_test @ (Q @ coef[rows].T) + bias[rows])
+        for j, feature in enumerate(features):
+            labels = _predict_labels(probs[:, j], majority_value(Y[:, j]))
+            preds[feature].update(zip(test_langs, labels.tolist()))
+    return converged
+
+
 def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, l2):
     """Cross-validated predictions {feature: {lang: label}} of one learned
-    (method, aux) cell, and whether each of its fits converged: every fold x
-    feature is one problem of one batched fit."""
+    (method, aux) cell, and whether each of its fits converged. The features
+    with the same labeled languages share each fold's scaler and QR; the
+    folds whose row-space inputs have one shape are fitted in one batch,
+    and the pending batches are fitted before their inputs and bases would
+    pass ``_BATCH_BYTES``."""
     groups: dict[tuple[str, ...], list[str]] = {}
     for feature, labeled in usable.items():
         groups.setdefault(tuple(labeled), []).append(feature)
     inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors)
               for lang in dict.fromkeys(lang for labeled in groups for lang in labeled)}
-    problems, slots = [], []
+    preds: dict[str, dict[str, int]] = {feature: {} for feature in usable}
+    converged = []
+    batches: dict[tuple[int, int], list] = {}  # row-space input shape -> fold slots
+    held = 0  # bytes of the row-space inputs and bases in ``batches``
+
+    def flush():
+        nonlocal held
+        converged.extend(_fit_slots(slots, l2, preds) for slots in batches.values())
+        batches.clear()
+        held = 0
+
     for labeled, features in groups.items():
         X = np.stack([inputs[lang] for lang in labeled])
         Y = np.array([[matrix.value(lang, f) for f in features] for lang in labeled])
@@ -306,26 +350,17 @@ def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, 
             train, test = fold_of != fold, fold_of == fold
             if not (train.any() and test.any()):
                 continue
+            n, d = int(train.sum()), X.shape[1]
+            size = 8 * min(n, d) * d + 8 * n * (min(n, d) + 1)  # Q and Z
+            if held + size > _BATCH_BYTES:
+                flush()
+            held += size
             scaler = Scaler.fit(X[train])
             Q, Z = _row_space(scaler.apply(X[train]))
-            ties = [majority_value(Y[train, j]) for j in range(len(features))]
-            test_langs = [labeled[i] for i in np.flatnonzero(test)]
-            slots.append((Q, scaler.apply(X[test]), test_langs, features, ties, len(problems)))
-            problems.extend((Z, Y[train, j]) for j in range(len(features)))
-    preds: dict[str, dict[str, int]] = {feature: {} for feature in usable}
-    if not problems:
-        return preds, np.zeros(0, dtype=bool)
-    coef, bias, converged = _fit_batch(problems, l2)
-    for Q, X_test, test_langs, features, ties, first in slots:
-        rows = slice(first, first + len(features))
-        weights, biases = coef[rows, :Q.shape[1]], bias[rows]
-        finite = np.all(np.isfinite(weights), axis=1) & np.isfinite(biases)
-        if not finite.all():
-            raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
-        probs = _sigmoid(X_test @ (Q @ weights.T) + biases)
-        for j, feature in enumerate(features):
-            preds[feature].update(zip(test_langs, _predict_labels(probs[:, j], ties[j]).tolist()))
-    return preds, converged
+            batches.setdefault(Z.shape, []).append(
+                (Q, Z, Y[train], scaler.apply(X[test]), [labeled[i] for i in np.flatnonzero(test)], features))
+    flush()
+    return preds, np.concatenate(converged) if converged else np.zeros(0, dtype=bool)
 
 
 def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],

@@ -2,11 +2,13 @@ import contextlib
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import per_fit_newton_logreg
+from typovec import predict
 from typovec.cli import main
 from typovec.predict import (
     BootstrapResult,
@@ -104,55 +106,96 @@ class TestLogReg:
         assert not train_logreg(X, y, l2=0.1, max_iter=1).converged
 
 
-def _oracle_problems():
-    """Random fits: n < d and n > d, fold sizes that differ within a batch, a
-    single-class training fold, a fit whose gradient is 0 at w = 0, and two
-    unstandardized fits whose full Newton step raises the loss at l2 = 1e-4."""
+def _oracle_batches():
+    """Batches of fits; each is a list of slots (X, Y) of one shape, whose fits
+    share X, one fit per column of Y. They cover n < d and n > d, fold sizes
+    that differ by one, slots with different inputs in one batch, a
+    single-class column, a column whose gradient is 0 at w = 0 (duplicated
+    rows with opposite labels), so it drops out while the other fits of its
+    batch go on, and two unstandardized fits (seeds 182 and 232) whose full
+    Newton step raises the loss at l2 = 1e-4."""
     rng = np.random.default_rng(29)
-    problems = []
-    for n, d in ((8, 20), (9, 20), (7, 131), (30, 5), (31, 5), (12, 12)):
+
+    def slot(n, d):
         X = rng.normal(size=(n, d)) * rng.uniform(0.2, 3.0, size=d)
-        y = (X[:, 0] - X[:, 1] + rng.normal(size=n) > 0).astype(float)
-        problems.append((X, y))
-    problems.append((rng.normal(size=(10, 6)), np.ones(10)))
-    problems.append((np.zeros((6, 4)), np.array([0.0, 1.0] * 3)))
+        Y = np.stack([(X[:, 0] - X[:, j] + rng.normal(size=n) > 0) for j in (1, 2, 3)], axis=1)
+        return X, Y.astype(float)
+
+    batches = [[slot(8, 20), slot(8, 20)], [slot(9, 20)], [slot(7, 131)],
+               [slot(30, 5), slot(30, 5)], [slot(31, 5)], [slot(12, 12)]]
+    X = np.repeat(rng.normal(size=(5, 6)), 2, axis=0)
+    Y = np.stack([np.tile([0.0, 1.0], 5), np.ones(10), (X[:, 0] + rng.normal(size=10) > 0)], axis=1)
+    batches.append([(X, Y.astype(float))])
+    halving = []
     for seed in (182, 232):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(8, 3)) * 100.0
-        problems.append((X, (rng.random(8) < 0.3).astype(float)))
-    return problems
+        halving.append((X, (rng.random(8) < 0.3).astype(float)[:, None]))
+    batches.append(halving)
+    return batches
+
+
+def _fit_row_space(slots, l2, **kwargs):
+    """Full-space weights, biases and converged flags of every fit of a batch,
+    slot by slot."""
+    bases = [_row_space(X) for X, _ in slots]
+    slot = np.repeat(np.arange(len(slots)), [Y.shape[1] for _, Y in slots])
+    coef, bias, converged = _fit_batch([Z for _, Z in bases], slot,
+                                       np.concatenate([Y.T for _, Y in slots]), l2, **kwargs)
+    weights = [Q @ c for (Q, _), c in zip((bases[i] for i in slot), coef)]
+    return weights, bias, converged
+
+
+def _fits(slots):
+    return [(X, Y[:, j]) for X, Y in slots for j in range(Y.shape[1])]
 
 
 class TestBatchedSolver:
     @pytest.mark.parametrize("l2", [1.0, 0.1, 1e-4])
     def test_matches_per_fit_newton_oracle(self, l2):
-        problems = _oracle_problems()
-        bases = [_row_space(X) for X, _ in problems]
-        coef, bias, converged = _fit_batch([(Z, y) for (_, Z), (_, y) in zip(bases, problems)], l2)
-        assert converged.all()
         rng = np.random.default_rng(31)
-        for (X, y), (Q, _), c, b in zip(problems, bases, coef, bias):
-            w_ref, b_ref = per_fit_newton_logreg(X, y, l2)
-            w = Q @ c[:Q.shape[1]]
-            np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
-            assert abs(b - b_ref) <= 1e-9
-            X_test = np.vstack([X, rng.normal(size=(40, X.shape[1]))])
-            assert np.array_equal(X_test @ w + b > 0, X_test @ w_ref + b_ref > 0)
+        for slots in _oracle_batches():
+            weights, bias, converged = _fit_row_space(slots, l2)
+            assert converged.all()
+            for (X, y), w, b in zip(_fits(slots), weights, bias):
+                w_ref, b_ref = per_fit_newton_logreg(X, y, l2)
+                np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-9)
+                assert abs(b - b_ref) <= 1e-9
+                X_test = np.vstack([X, rng.normal(size=(40, X.shape[1]))])
+                assert np.array_equal(X_test @ w + b > 0, X_test @ w_ref + b_ref > 0)
 
     def test_row_space_batch_equals_full_space_single_fits(self):
-        problems = _oracle_problems()
-        bases = [_row_space(X) for X, _ in problems]
-        coef, bias, _ = _fit_batch([(Z, y) for (_, Z), (_, y) in zip(bases, problems)], 1.0)
-        for (X, y), (Q, _), c, b in zip(problems, bases, coef, bias):
-            model = train_logreg(X, y, l2=1.0)
-            np.testing.assert_allclose(Q @ c[:Q.shape[1]], model.weights, rtol=0, atol=1e-9)
-            assert b == pytest.approx(model.bias, abs=1e-9)
+        for slots in _oracle_batches():
+            weights, bias, _ = _fit_row_space(slots, 1.0)
+            for (X, y), w, b in zip(_fits(slots), weights, bias):
+                model = train_logreg(X, y, l2=1.0)
+                np.testing.assert_allclose(w, model.weights, rtol=0, atol=1e-9)
+                assert b == pytest.approx(model.bias, abs=1e-9)
 
     def test_unconverged_fits_are_flagged(self):
-        problems = _oracle_problems()
-        *_, converged = _fit_batch([(_row_space(X)[1], y) for X, y in problems], 1.0, max_iter=2)
+        *_, converged = _fit_row_space(_oracle_batches()[6], 1.0, max_iter=2)
         # the zero-gradient fit stops at once; the others need more than two steps
-        assert converged.tolist() == [False] * (len(problems) - 3) + [True, False, False]
+        assert converged.tolist() == [True, False, False]
+
+    def test_memory_stays_bounded_as_fits_are_added(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        Z = [np.hstack([rng.normal(size=(40, 40)), np.ones((40, 1))])]
+        Y = (rng.random((64, 40)) < 0.5).astype(float)
+        slot = np.zeros(64, dtype=int)
+
+        def fit():
+            tracemalloc.start()
+            try:
+                return _fit_batch(Z, slot, Y, 1.0), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_peak = fit()
+        monkeypatch.setattr(predict, "_BATCH_BYTES", 1)  # one fit per batch
+        split, split_peak = fit()
+        for a, b in zip(whole, split):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert split_peak < whole_peak / 4
 
 
 def _vectors_for(langs, method, values_fn) -> dict[str, dict[str, LangVector]]:
@@ -271,6 +314,23 @@ class TestEvaluate:
         for lang in same_fold:
             assert (r1.predictions[("MTVec", False)][(lang, "S_X")]
                     == r2.predictions[("MTVec", False)][(lang, "S_X")])
+
+    def test_batch_size_does_not_change_predictions(self, monkeypatch):
+        langs = self.lang_set(17)
+        rng = np.random.default_rng(41)
+        values = (rng.random((17, 3)) < 0.5).astype(float)
+        values[[2, 9], 2] = np.nan  # S_Z has its own labeled languages
+        specs = [FeatureSpec(name, "syntax") for name in ("S_X", "S_Y", "S_Z")]
+        matrix = FeatureMatrix(langs, specs, values)
+        folds = make_folds(langs, 5, seed=3)  # folds of 3 and 4 languages
+        vectors = {"MTVec": {l: LangVector(l, "MTVec", rng.normal(size=30)) for l in langs},
+                   "MTCell": {l: LangVector(l, "MTCell", rng.normal(size=6)) for l in langs}}
+        whole = evaluate(matrix, vectors, folds, ["MTVec", "MTCell"], (False,))
+        # every fold is its own batch and every fit its own chunk
+        monkeypatch.setattr(predict, "_BATCH_BYTES", 1)
+        split = evaluate(matrix, vectors, folds, ["MTVec", "MTCell"], (False,))
+        assert split.predictions == whole.predictions
+        assert (split.fits, split.unconverged) == (whole.fits, whole.unconverged) == (30, 0)
 
 
 class TestBootstrap:
