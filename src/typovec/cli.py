@@ -265,8 +265,12 @@ def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     return outputs, f"wrote {', '.join(p.name for p in outputs)} for {len(langs)} languages"
 
 
+def _knn_config(cfg: PipelineConfig) -> KnnConfig:
+    return KnnConfig(cfg.knn_k, cfg.geodesic_weight, cfg.genetic_weight)
+
+
 def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    knn_config = KnnConfig(cfg.knn_k, cfg.geodesic_weight, cfg.genetic_weight)
+    knn_config = _knn_config(cfg)
     registry = load_registry(wd.path("registry"))
     matrix = load_features(wd.path("features"), registry)
     if len(matrix.languages) <= cfg.knn_k:
@@ -278,7 +282,7 @@ def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     }
     outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
     write_knn_vectors(outputs[0], matrix, knn)
-    write_distance_dump(outputs[1], registry, knn_config)
+    write_distance_dump(outputs[1], context, knn_config)
     return outputs, f"{cfg.knn_k}-NN vectors for {len(matrix.languages)} languages"
 
 
@@ -483,7 +487,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(args.config, seed_override=args.seed)
-        _train_config(cfg)  # checks the training keys before any stage runs
+        # check the training and k-NN keys before any stage runs
+        _train_config(cfg)
+        _knn_config(cfg)
         run_stage(stage, cfg)
     except (ConfigError, CorpusError, StageInputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -202,10 +202,10 @@ def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
     return _sigmoid(X @ model.weights + model.bias)
 
 
-def _predict_labels(probs: np.ndarray, tie_label: int) -> np.ndarray:
-    labels = np.where(probs > 0.5, 1, 0)
-    labels[probs == 0.5] = tie_label
-    return labels
+def _predict_labels(probs: np.ndarray, tie_label) -> np.ndarray:
+    """Labels of probabilities thresholded at 0.5; exactly 0.5 takes ``tie_label``
+    (broadcast against ``probs``, so one per column of a matrix)."""
+    return np.where(probs == 0.5, tie_label, probs > 0.5).astype(int)
 
 
 @dataclass
@@ -272,19 +272,14 @@ class EvalReport:
                         raise ValueError(f"accuracy {acc} out of range for {method}/{category}/aux={aux}")
 
 
-def _labeled_languages(matrix: FeatureMatrix, feature: str) -> list[str]:
-    return [lang for lang in matrix.languages if not math.isnan(matrix.value(lang, feature))]
-
-
-def _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors):
+def _evaluate_feature_none(matrix, feature, rows, aux, knn_vectors):
     feat_idx = matrix.feature_names().index(feature)
-    preds: dict[str, int] = {}
+    labeled = [matrix.languages[i] for i in rows]
+    values = matrix.column(feature)[rows]
     if not aux:
-        maj = majority_value(matrix.value(lang, feature) for lang in labeled)
-        for lang in labeled:
-            preds[lang] = maj
-        return preds
-    for lang in labeled:
+        return dict.fromkeys(labeled, majority_value(values))
+    preds: dict[str, int] = {}
+    for i, lang in enumerate(labeled):
         if knn_vectors is None or lang not in knn_vectors:
             raise ValueError(f"missing k-NN feature vector for language {lang!r}")
         component = knn_vectors[lang][feat_idx]
@@ -293,8 +288,8 @@ def _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors):
         elif component < 0.5:
             preds[lang] = 0
         else:
-            others = [matrix.value(o, feature) for o in labeled if o != lang]
-            preds[lang] = majority_value(others) if others else 1
+            others = np.delete(values, i)
+            preds[lang] = majority_value(others) if len(others) else 1
     return preds
 
 
@@ -313,9 +308,10 @@ def _fit_slots(slots, l2, preds) -> np.ndarray:
         if not finite.all():
             raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
         probs = _sigmoid(X_test @ (Q @ coef[rows].T) + bias[rows])
-        for j, feature in enumerate(features):
-            labels = _predict_labels(probs[:, j], majority_value(Y[:, j]))
-            preds[feature].update(zip(test_langs, labels.tolist()))
+        # a probability of exactly 0.5 takes the training fold's majority label, ties to 1
+        labels = _predict_labels(probs, 2 * Y.sum(axis=0) >= len(Y))
+        for feature, column in zip(features, labels.T.tolist()):
+            preds[feature].update(zip(test_langs, column))
     return converged
 
 
@@ -326,11 +322,11 @@ def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, 
     folds whose row-space inputs have one shape are fitted in one batch,
     and the pending batches are fitted before their inputs and bases would
     pass ``_BATCH_BYTES``."""
-    groups: dict[tuple[str, ...], list[str]] = {}
-    for feature, labeled in usable.items():
-        groups.setdefault(tuple(labeled), []).append(feature)
+    groups: dict[tuple[int, ...], list[str]] = {}  # labeled rows of the matrix -> features
+    for feature, rows in usable.items():
+        groups.setdefault(tuple(rows.tolist()), []).append(feature)
     inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors)
-              for lang in dict.fromkeys(lang for labeled in groups for lang in labeled)}
+              for lang in dict.fromkeys(matrix.languages[i] for rows in groups for i in rows)}
     preds: dict[str, dict[str, int]] = {feature: {} for feature in usable}
     converged = []
     batches: dict[tuple[int, int], list] = {}  # row-space input shape -> fold slots
@@ -342,9 +338,10 @@ def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, 
         batches.clear()
         held = 0
 
-    for labeled, features in groups.items():
+    for rows, features in groups.items():
+        labeled = [matrix.languages[i] for i in rows]
         X = np.stack([inputs[lang] for lang in labeled])
-        Y = np.array([[matrix.value(lang, f) for f in features] for lang in labeled])
+        Y = np.stack([matrix.column(f)[list(rows)] for f in features], axis=1)
         fold_of = np.array([folds.fold_of(lang) for lang in labeled])
         for fold in range(folds.n_folds):
             train, test = fold_of != fold, fold_of == fold
@@ -380,13 +377,14 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
     categories = [c for c in CATEGORIES if matrix.feature_names(c)]
     report = EvalReport(methods, aux_settings, categories, folds.digest)
 
-    usable: dict[str, list[str]] = {}
-    for feature in matrix.feature_names():
-        labeled = _labeled_languages(matrix, feature)
-        if len(labeled) < 2:
-            report.excluded.append((feature, f"only {len(labeled)} labeled languages"))
+    usable: dict[str, np.ndarray] = {}  # feature -> matrix rows of its labeled languages
+    for feature, column in zip(matrix.feature_names(), matrix.values.T):
+        rows = np.flatnonzero(~np.isnan(column))
+        if len(rows) < 2:
+            report.excluded.append((feature, f"only {len(rows)} labeled languages"))
         else:
-            usable[feature] = labeled
+            usable[feature] = rows
+    gold = {feature: dict(zip(matrix.languages, matrix.column(feature).tolist())) for feature in usable}
 
     for method in methods:
         for aux in aux_settings:
@@ -394,8 +392,8 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
             report.feature_accuracy[key] = {}
             report.predictions[key] = {}
             if method == "None":
-                by_feature = {feature: _evaluate_feature_none(matrix, feature, labeled, aux, knn_vectors)
-                              for feature, labeled in usable.items()}
+                by_feature = {feature: _evaluate_feature_none(matrix, feature, rows, aux, knn_vectors)
+                              for feature, rows in usable.items()}
             else:
                 by_feature, converged = _evaluate_learned(matrix, usable, method, aux, vectors,
                                                           knn_vectors, folds, l2)
@@ -406,9 +404,9 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
                     continue
                 correct = 0
                 for lang, pred in preds.items():
-                    gold = int(matrix.value(lang, feature))
-                    report.predictions[key][(lang, feature)] = (pred, gold)
-                    correct += int(pred == gold)
+                    label = int(gold[feature][lang])
+                    report.predictions[key][(lang, feature)] = (pred, label)
+                    correct += int(pred == label)
                 report.feature_accuracy[key][feature] = 100.0 * correct / len(preds)
             report.cells[key] = {}
             for category in categories:

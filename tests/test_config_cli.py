@@ -342,11 +342,15 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
                                       "clip_norm=nan", "clip_norm=inf", "l2=-1", "l2=nan", "l2=inf",
-                                      "n_folds=0", "n_folds=1"])
+                                      "n_folds=0", "n_folds=1", "geodesic_weight=nan",
+                                      "geodesic_weight=inf", "geodesic_weight=-1",
+                                      "genetic_weight=nan", "knn_k=0"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
-        # l2 fits a non-convex objective, and one fold leaves no fold to train on
+        # l2 fits a non-convex objective, and one fold leaves no fold to train on;
+        # a NaN distance weight makes every combined distance NaN, and a bad k-NN
+        # key would otherwise fail only at the baseline stage
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1

@@ -464,9 +464,13 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
         for stage in ("synth", "bpe-learn", "train-nmt", "extract", "baseline", "predict", "traj"):
             assert main(["--config", str(cfg), stage]) == 0, stage
     digests = {name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
-               for name in ("predictions.tsv", "report.tsv", "trajectory.csv")}
+               for name in ("predictions.tsv", "report.tsv", "trajectory.csv", "knn_vectors.tsv",
+                            "distances.tsv")}
+    # the k-NN digests were computed when every reader recomputed each pair's distances
     assert digests == {
         "predictions.tsv": "ea3c9c2800896bb53112cab0590ffde2d6add65efe29867a49b9b4ca80cbcab4",
         "report.tsv": "a8c014db512de53446f9b706c635666c0c480fe0f9e369957dcf469ec8d171a9",
         "trajectory.csv": "14a86f19043b7f595aba261d6cde5da2688fa75e464fd6439c8e11b4cf7996fa",
+        "knn_vectors.tsv": "5ce008cfe1ddbafc01a407fe33a41ccdd40d8b2a3dac8b79d4eedd3a1f6dabc1",
+        "distances.tsv": "b9ef51d9052878055e53166b75e384f1075cf928b71fd8cb39d8fec8ede3cae2",
     }

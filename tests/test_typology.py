@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from typovec import typology
 from typovec.corpus import CorpusError, LanguageRecord, Registry
 from typovec.typology import (
     DistanceContext,
@@ -17,6 +18,7 @@ from typovec.typology import (
     load_features,
     majority_rate,
     majority_value,
+    write_distance_dump,
     write_features,
 )
 
@@ -103,6 +105,70 @@ class TestCombined:
         # and aaa-ccc attains the genetic max
         d = combined_distance(registry["aaa"], registry["ccc"], ctx)
         assert d == pytest.approx(0.5)
+
+
+def grid_registry(n: int, seed: int) -> Registry:
+    """A3's registries: grid coordinates and few lineages, so equal distances occur."""
+    rng = np.random.default_rng(seed)
+    lineages = [("F1", "B1"), ("F1", "B2"), ("F1", "B1", "C1"), ("F2",), ("F2", "B1"), ("F3", "B1")]
+    return Registry([rec(f"l{i:02d}", float(rng.integers(0, 4) * 15), float(rng.integers(0, 4) * 15),
+                         lineages[int(rng.integers(len(lineages)))]) for i in range(n)])
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestDistanceContext:
+    @pytest.mark.parametrize("seed", [303, 304])
+    def test_arrays_and_combined_match_the_scalar_definitions_bitwise(self, seed):
+        registry = grid_registry(30, seed)
+        records = list(registry)
+        ctx = DistanceContext(registry)
+        for distance, array in ((geodesic_distance, ctx.geo), (genetic_distance, ctx.gen)):
+            np.testing.assert_array_equal(bits(array), bits([[distance(a, b) for b in records] for a in records]))
+            np.testing.assert_array_equal(bits(array), bits([[distance(b, a) for b in records] for a in records]))
+        pairs = [(a, b) for i, a in enumerate(records) for b in records[i + 1:]]
+        geo_min = min(geodesic_distance(a, b) for a, b in pairs)
+        geo_span = max(geodesic_distance(a, b) for a, b in pairs) - geo_min
+        gen_min = min(genetic_distance(a, b) for a, b in pairs)
+        gen_span = max(genetic_distance(a, b) for a, b in pairs) - gen_min
+        for config in (KnnConfig(), KnnConfig(3, 0.3, 1.7), KnnConfig(3, 0.0, 1.0)):
+            w_geo, w_gen = config.geodesic_weight, config.genetic_weight
+
+            def scalar(a, b):
+                # the combined distance as computed pair by pair, from the scalar distances
+                if a.code == b.code:
+                    return 0.0
+                ngeo = (geodesic_distance(a, b) - geo_min) / geo_span if geo_span > 0 else 0.0
+                ngen = (genetic_distance(a, b) - gen_min) / gen_span if gen_span > 0 else 0.0
+                return (w_geo * ngeo + w_gen * ngen) / (w_geo + w_gen)
+
+            for a in records:
+                expected = bits([scalar(a, b) for b in records])
+                np.testing.assert_array_equal(bits([combined_distance(a, b, ctx, config) for b in records]),
+                                              expected)
+                np.testing.assert_array_equal(bits(ctx.combined_row(a.code, config)), expected)
+
+    def test_each_pair_distance_is_computed_once(self, monkeypatch, tmp_path):
+        registry = grid_registry(20, 303)
+        calls = {"geo": 0, "gen": 0}
+
+        def counting(name, distance):
+            def wrapped(a, b):
+                calls[name] += 1
+                return distance(a, b)
+            return wrapped
+
+        monkeypatch.setattr(typology, "geodesic_distance", counting("geo", geodesic_distance))
+        monkeypatch.setattr(typology, "genetic_distance", counting("gen", genetic_distance))
+        matrix = FeatureMatrix(registry.codes, [FeatureSpec("S_X", "syntax")], np.ones((20, 1)))
+        config = KnnConfig()
+        ctx = DistanceContext(registry)
+        for lang in registry.codes:
+            knn_feature_vector(lang, matrix, registry, config, ctx)
+        write_distance_dump(tmp_path / "distances.tsv", ctx, config)
+        assert calls == {"geo": 20 * 19 // 2, "gen": 20 * 19 // 2}
 
 
 def matrix_from(rows: dict[str, list[float]], names: list[str]) -> FeatureMatrix:
