@@ -145,13 +145,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(value, (x, w, b), vjp)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x) elementwise, without overflow: e^-|x| is at most 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _logistic(a.value)
 
     def vjp(g):
         return (g * out * (1.0 - out),)

@@ -43,7 +43,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, Registry, read_lines
+from .corpus import CorpusStore, PairStore, Registry, read_lines, write_tsv
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -347,19 +347,8 @@ class EncodedPair:
     target_ids: tuple[int, ...]
 
 
-@dataclass
-class EncodedCorpus:
-    """Corpus mapped to subword ids, grouped by language and in file order."""
-
-    by_lang: dict[str, list[EncodedPair]] = field(default_factory=dict)
-    ordered: list[EncodedPair] = field(default_factory=list)
-
-    def add(self, pair: EncodedPair) -> None:
-        self.by_lang.setdefault(pair.lang, []).append(pair)
-        self.ordered.append(pair)
-
-    def __len__(self) -> int:
-        return len(self.ordered)
+class EncodedCorpus(PairStore):
+    """The corpus mapped to subword ids: :class:`EncodedPair` records."""
 
 
 def encode_corpus(store: CorpusStore, merges: MergeTable, vocab: SubwordVocab) -> EncodedCorpus:
@@ -393,9 +382,7 @@ def load_merges(path) -> MergeTable:
 
 
 def save_vocab(path, vocab: SubwordVocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, tok in enumerate(vocab.id_to_token):
-            fh.write(f"{tok}\t{i}\n")
+    write_tsv(path, ((tok, i) for i, tok in enumerate(vocab.id_to_token)))
 
 
 def load_vocab(path) -> SubwordVocab:

@@ -7,10 +7,13 @@ the work dir (an input configured outside it keeps its configured path), so
 a copied or moved work dir keeps its records. Rerunning a stage whose
 manifest matches and whose recorded outputs are intact is a no-op. An input
 whose producing stage's manifest records a different ``out:`` hash is stale:
-the stage stops and names the producer to rerun. Inputs with no such record
-(e.g. a registry outside the work dir) are not checked. Every loader starts
-its errors with the file's path, so a stage that fails on a malformed input
-inside the work dir names its producer to rerun as well. A ``flock`` on
+the stage stops and names the producer to rerun. So is an upstream stage
+whose manifest records an ``in:`` hash other than its producer's ``out:``
+hash: the stage writes nothing and names the first such stage to rerun.
+Inputs with no such record (e.g. a registry outside the work dir) are not
+checked. Every loader starts its errors with the file's path, so a stage
+that fails on a malformed input inside the work dir names its producer to
+rerun as well. A ``flock`` on
 ``<workdir>/.lock`` guards against concurrent pipeline instances; the kernel
 releases it when its process dies, so a killed run leaves no lock behind.
 
@@ -385,11 +388,10 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
         raise ConfigError(f"traj_feature {feature!r} is not a column of {wd.path('features')}")
-    labeled = [l for l in matrix.languages if not np.isnan(matrix.value(l, feature))]
-    if len(labeled) < 2:
+    rows, y = matrix.labeled(feature)
+    if len(rows) < 2:
         raise ValueError(f"{wd.path('features')}: fewer than 2 languages label {feature}")
-    X = np.stack([mtcell[l].values for l in labeled])
-    y = np.array([matrix.value(l, feature) for l in labeled])
+    X = np.stack([mtcell[matrix.languages[i]].values for i in rows])
     logreg = train_logreg(Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
     node = select_trajectory_node(logreg, nmt.hidden_size)
     langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
@@ -431,11 +433,29 @@ STAGES = {
 }
 
 
+def _stale_upstream(wd: Workdir, artifacts) -> tuple[str, str] | None:
+    """(stage, input key) of the first stage in ``STAGES`` order, among the
+    producers of ``artifacts`` and the stages upstream of them, whose manifest
+    records an ``in:`` hash other than the producer's ``out:`` hash, or None;
+    stages without a manifest are skipped."""
+    stages = {PRODUCERS.get(artifact, "extract") for artifact in artifacts}
+    producer_of = {f"in:{wd.key(wd.path(artifact))}": producer for artifact, producer in PRODUCERS.items()}
+    manifests = {stage: wd.recorded(stage) for stage in STAGES}
+    # STAGES lists every stage after the producers of its inputs
+    for stage in reversed(STAGES):
+        if stage in stages:
+            stages |= {producer_of[key] for key in manifests[stage] if key in producer_of}
+    for stage in (s for s in STAGES if s in stages):
+        for key, digest in manifests[stage].items():
+            if key in producer_of and manifests[producer_of[key]].get(f"out:{key[3:]}", digest) != digest:
+                return stage, key[3:]
+    return None
+
+
 def run_stage(name: str, cfg: PipelineConfig) -> None:
     stage = STAGES[name]
     wd = Workdir(cfg)
     with _workdir_lock(wd.root):
-        write_effective_config(wd.path("effective_config.txt"), cfg)
         entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
         inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
         producers = {}  # path of each input inside the work dir -> its producer
@@ -450,6 +470,11 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
                                       f"rerun '{producer}'")
             if path.is_relative_to(wd.root):
                 producers[str(path)] = producer
+        stale = _stale_upstream(wd, inputs)
+        if stale is not None:
+            raise StageInputError(f"{wd.root / stale[1]} has changed since '{stale[0]}' read it; "
+                                  f"rerun '{stale[0]}'")
+        write_effective_config(wd.path("effective_config.txt"), cfg)
         if wd.up_to_date(name, entries):
             print(f"{name}: up to date")
             return

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain
 
 PAIR_SEPARATOR = " ||| "
 
@@ -87,17 +88,17 @@ class SentencePair:
 
 
 @dataclass
-class CorpusStore:
+class PairStore:
     """Sentence pairs grouped by language, plus the original line order.
 
     ``ordered`` holds the same pair objects in input-file order so that a
     store can be re-serialized byte-identically.
     """
 
-    by_lang: dict[str, list[SentencePair]] = field(default_factory=dict)
-    ordered: list[SentencePair] = field(default_factory=list)
+    by_lang: dict[str, list] = field(default_factory=dict)
+    ordered: list = field(default_factory=list)
 
-    def add(self, pair: SentencePair) -> None:
+    def add(self, pair) -> None:
         self.by_lang.setdefault(pair.lang, []).append(pair)
         self.ordered.append(pair)
 
@@ -110,6 +111,10 @@ class CorpusStore:
 
     def languages(self) -> list[str]:
         return list(self.by_lang)
+
+
+class CorpusStore(PairStore):
+    """Preprocessed :class:`SentencePair` records."""
 
 
 def preprocess(text: str) -> list[str]:
@@ -207,11 +212,16 @@ def serialize_parallel(store: CorpusStore) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def write_registry(path, registry: Registry) -> None:
+def write_tsv(path, rows) -> None:
+    """Writes each row as one line of its fields' ``str`` forms (a float's is its
+    round-trip ``repr``), tab-joined; a header is just the first row."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# code\tlat\tlon\tlineage\n")
-        for rec in registry:
-            fh.write(f"{rec.code}\t{rec.lat}\t{rec.lon}\t{'|'.join(rec.lineage)}\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_registry(path, registry: Registry) -> None:
+    write_tsv(path, chain([("# code", "lat", "lon", "lineage")],
+                          ((rec.code, rec.lat, rec.lon, "|".join(rec.lineage)) for rec in registry)))
 
 
 def write_parallel(path, store: CorpusStore) -> None:

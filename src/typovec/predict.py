@@ -52,9 +52,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import _logistic
 from .bpe import EncodedCorpus, SubwordVocab
 from .models import Seq2SeqModel, encoder_batch, lstm_states
-from .typology import CATEGORIES, FeatureMatrix, majority_value
+from .typology import CATEGORIES, FeatureMatrix, majority_label
 from .vectors import LangVector
 
 
@@ -97,11 +98,6 @@ def make_folds(languages, n_folds: int = 10, seed: int = 0) -> FoldAssignment:
     return FoldAssignment({lang: i % n_folds for i, lang in enumerate(shuffled)}, n_folds, seed)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def _with_bias(X: np.ndarray) -> np.ndarray:
     return np.hstack([X, np.ones((len(X), 1))])
 
@@ -124,7 +120,7 @@ def _loss_grad(Zb, Y, l2, beta):
     z = np.matmul(Zb, beta[:, :, None])[:, :, 0]
     # log(1 + e^z) - y z, computed stably
     loss = np.sum(np.logaddexp(0.0, z) - Y * z, axis=1) / n + 0.5 * l2 * np.sum(beta[:, :-1] ** 2, axis=1)
-    p = _sigmoid(z)
+    p = _logistic(z)
     grad = np.matmul((p - Y)[:, None, :], Zb)[:, 0, :] / n
     grad[:, :-1] += l2 * beta[:, :-1]
     return loss, grad, p
@@ -199,7 +195,7 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
 
 def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    return _sigmoid(X @ model.weights + model.bias)
+    return _logistic(X @ model.weights + model.bias)
 
 
 def _predict_labels(probs: np.ndarray, tie_label) -> np.ndarray:
@@ -272,24 +268,23 @@ class EvalReport:
                         raise ValueError(f"accuracy {acc} out of range for {method}/{category}/aux={aux}")
 
 
-def _evaluate_feature_none(matrix, feature, rows, aux, knn_vectors):
-    feat_idx = matrix.feature_names().index(feature)
-    labeled = [matrix.languages[i] for i in rows]
-    values = matrix.column(feature)[rows]
-    if not aux:
-        return dict.fromkeys(labeled, majority_value(values))
-    preds: dict[str, int] = {}
-    for i, lang in enumerate(labeled):
-        if knn_vectors is None or lang not in knn_vectors:
-            raise ValueError(f"missing k-NN feature vector for language {lang!r}")
-        component = knn_vectors[lang][feat_idx]
-        if component > 0.5:
-            preds[lang] = 1
-        elif component < 0.5:
-            preds[lang] = 0
+def _evaluate_none(matrix, usable, aux, knn_vectors):
+    """Predictions {feature: {lang: label}} of the None cell: -Aux predicts the
+    majority label of the feature's labeled languages, +Aux each language's
+    k-NN component thresholded at 0.5."""
+    if aux:
+        knn = np.stack([assemble_inputs(lang, "None", True, {}, knn_vectors) for lang in matrix.languages])
+    preds: dict[str, dict[str, int]] = {}
+    for j, feature in enumerate(matrix.feature_names()):
+        if feature not in usable:
+            continue
+        rows, labels = usable[feature]
+        ones, n = labels.sum(), len(labels)
+        if aux:  # exactly 0.5 takes the majority label of the other labeled languages
+            predicted = _predict_labels(knn[rows, j], majority_label(ones - labels, n - 1))
         else:
-            others = np.delete(values, i)
-            preds[lang] = majority_value(others) if len(others) else 1
+            predicted = np.full(n, majority_label(ones, n))
+        preds[feature] = dict(zip([matrix.languages[i] for i in rows], predicted.tolist()))
     return preds
 
 
@@ -307,9 +302,9 @@ def _fit_slots(slots, l2, preds) -> np.ndarray:
         finite = np.all(np.isfinite(coef[rows]), axis=1) & np.isfinite(bias[rows])
         if not finite.all():
             raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
-        probs = _sigmoid(X_test @ (Q @ coef[rows].T) + bias[rows])
+        probs = _logistic(X_test @ (Q @ coef[rows].T) + bias[rows])
         # a probability of exactly 0.5 takes the training fold's majority label, ties to 1
-        labels = _predict_labels(probs, 2 * Y.sum(axis=0) >= len(Y))
+        labels = _predict_labels(probs, majority_label(Y.sum(axis=0), len(Y)))
         for feature, column in zip(features, labels.T.tolist()):
             preds[feature].update(zip(test_langs, column))
     return converged
@@ -323,7 +318,7 @@ def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, 
     and the pending batches are fitted before their inputs and bases would
     pass ``_BATCH_BYTES``."""
     groups: dict[tuple[int, ...], list[str]] = {}  # labeled rows of the matrix -> features
-    for feature, rows in usable.items():
+    for feature, (rows, _) in usable.items():
         groups.setdefault(tuple(rows.tolist()), []).append(feature)
     inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors)
               for lang in dict.fromkeys(matrix.languages[i] for rows in groups for i in rows)}
@@ -341,7 +336,7 @@ def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, 
     for rows, features in groups.items():
         labeled = [matrix.languages[i] for i in rows]
         X = np.stack([inputs[lang] for lang in labeled])
-        Y = np.stack([matrix.column(f)[list(rows)] for f in features], axis=1)
+        Y = np.stack([usable[f][1] for f in features], axis=1)
         fold_of = np.array([folds.fold_of(lang) for lang in labeled])
         for fold in range(folds.n_folds):
             train, test = fold_of != fold, fold_of == fold
@@ -377,13 +372,13 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
     categories = [c for c in CATEGORIES if matrix.feature_names(c)]
     report = EvalReport(methods, aux_settings, categories, folds.digest)
 
-    usable: dict[str, np.ndarray] = {}  # feature -> matrix rows of its labeled languages
-    for feature, column in zip(matrix.feature_names(), matrix.values.T):
-        rows = np.flatnonzero(~np.isnan(column))
+    usable: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # feature -> its labeled rows and labels
+    for feature in matrix.feature_names():
+        rows, labels = matrix.labeled(feature)
         if len(rows) < 2:
             report.excluded.append((feature, f"only {len(rows)} labeled languages"))
         else:
-            usable[feature] = rows
+            usable[feature] = rows, labels
     gold = {feature: dict(zip(matrix.languages, matrix.column(feature).tolist())) for feature in usable}
 
     for method in methods:
@@ -392,22 +387,18 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
             report.feature_accuracy[key] = {}
             report.predictions[key] = {}
             if method == "None":
-                by_feature = {feature: _evaluate_feature_none(matrix, feature, rows, aux, knn_vectors)
-                              for feature, rows in usable.items()}
+                by_feature = _evaluate_none(matrix, usable, aux, knn_vectors)
             else:
                 by_feature, converged = _evaluate_learned(matrix, usable, method, aux, vectors,
                                                           knn_vectors, folds, l2)
                 report.fits += converged.size
                 report.unconverged += int(np.sum(~converged))
             for feature, preds in by_feature.items():
-                if not preds:
-                    continue
-                correct = 0
-                for lang, pred in preds.items():
-                    label = int(gold[feature][lang])
-                    report.predictions[key][(lang, feature)] = (pred, label)
-                    correct += int(pred == label)
-                report.feature_accuracy[key][feature] = 100.0 * correct / len(preds)
+                graded = {(lang, feature): (pred, int(gold[feature][lang])) for lang, pred in preds.items()}
+                report.predictions[key].update(graded)
+                if graded:
+                    report.feature_accuracy[key][feature] = (
+                        100.0 * sum(pred == label for pred, label in graded.values()) / len(graded))
             report.cells[key] = {}
             for category in categories:
                 names = [f for f in matrix.feature_names(category) if f in report.feature_accuracy[key]]

@@ -7,7 +7,9 @@ lists per-feature before/after/gain triples grouped by category.
 
 from __future__ import annotations
 
-from .corpus import read_tsv
+from itertools import chain
+
+from .corpus import read_tsv, write_tsv
 from .predict import EvalReport, GainRow
 from .typology import CATEGORIES, category_of
 
@@ -61,31 +63,22 @@ def render_gains_table(rows_by_category: dict[str, list[GainRow]],
 
 def write_report_tsv(path, report: EvalReport) -> None:
     """Flat accuracy dump: method, category, aux, accuracy."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\tcategory\taux\taccuracy\n")
-        for method in report.methods:
-            for category in report.categories:
-                for aux in report.aux_settings:
-                    value = report.cells[(method, aux)][category]
-                    fh.write(f"{method}\t{category}\t{AUX_LABELS[aux]}\t{value!r}\n")
+    write_tsv(path, chain([("method", "category", "aux", "accuracy")], (
+        (method, category, AUX_LABELS[aux], report.cells[(method, aux)][category])
+        for method in report.methods for category in report.categories for aux in report.aux_settings)))
 
 
 def write_feature_accuracy_tsv(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\taux\tfeature\taccuracy\n")
-        for (method, aux), accs in sorted(report.feature_accuracy.items(),
-                                          key=lambda kv: (kv[0][0], kv[0][1])):
-            for feature in sorted(accs):
-                fh.write(f"{method}\t{AUX_LABELS[aux]}\t{feature}\t{accs[feature]!r}\n")
+    write_tsv(path, chain([("method", "aux", "feature", "accuracy")], (
+        (method, AUX_LABELS[aux], feature, accs[feature])
+        for (method, aux), accs in sorted(report.feature_accuracy.items()) for feature in sorted(accs))))
 
 
 def write_predictions_tsv(path, report: EvalReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method\taux\tlang\tfeature\tpred\tgold\n")
-        for (method, aux), preds in sorted(report.predictions.items(),
-                                           key=lambda kv: (kv[0][0], kv[0][1])):
-            for (lang, feature), (pred, gold) in sorted(preds.items()):
-                fh.write(f"{method}\t{AUX_LABELS[aux]}\t{lang}\t{feature}\t{pred}\t{gold}\n")
+    write_tsv(path, chain([("method", "aux", "lang", "feature", "pred", "gold")], (
+        (method, AUX_LABELS[aux], lang, feature, pred, gold)
+        for (method, aux), preds in sorted(report.predictions.items())
+        for (lang, feature), (pred, gold) in sorted(preds.items()))))
 
 
 def _parse_aux(label: str) -> bool:

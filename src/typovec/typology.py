@@ -26,10 +26,11 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusError, LanguageRecord, Registry, read_lines, read_tsv
+from .corpus import CorpusError, LanguageRecord, Registry, read_lines, read_tsv, write_tsv
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -80,6 +81,13 @@ class FeatureMatrix:
 
     def column(self, feature: str) -> np.ndarray:
         return self.values[:, self._feat_index[feature]]
+
+    def labeled(self, feature: str) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, labels): the row indices of the languages that label
+        ``feature``, in row order, and their 0/1 values."""
+        column = self.column(feature)
+        rows = np.flatnonzero(~np.isnan(column))
+        return rows, column[rows]
 
     def feature_names(self, category: str | None = None) -> list[str]:
         return [f.name for f in self.features if category is None or f.category == category]
@@ -148,17 +156,17 @@ def write_features(path, matrix: FeatureMatrix) -> None:
 
 
 def write_knn_vectors(path, matrix: FeatureMatrix, knn: dict[str, np.ndarray]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lang\t" + "\t".join(matrix.feature_names()) + "\n")
-        for lang in matrix.languages:
-            fh.write(lang + "\t" + "\t".join(repr(float(x)) for x in knn[lang]) + "\n")
+    write_tsv(path, chain([("lang", *matrix.feature_names())],
+                          ((lang, *knn[lang].tolist()) for lang in matrix.languages)))
 
 
 def read_knn_vectors(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
 
     def row(fields):
-        out[fields[0]] = np.array([float(v) for v in fields[1:]])
+        values = out[fields[0]] = np.array([float(v) for v in fields[1:]])
+        if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
+            raise ValueError("k-NN feature values must lie in [0, 1]")
 
     read_tsv(path, ("lang",), row)
     return out
@@ -217,6 +225,7 @@ class DistanceContext:
     and their min-max normalization bounds over the distinct pairs."""
 
     def __init__(self, registry: Registry):
+        self.registry = registry
         records = list(registry)
         n = len(records)
         self.index = {record.code: i for i, record in enumerate(records)}
@@ -250,10 +259,12 @@ def combined_distance(a: LanguageRecord, b: LanguageRecord, context: DistanceCon
 
 
 def nearest_neighbors(lang: str, matrix: FeatureMatrix, registry: Registry,
-                      config: KnnConfig, context: DistanceContext | None = None) -> list[str]:
+                      config: KnnConfig, context: DistanceContext) -> list[str]:
     """The k nearest other languages by combined distance; distance ties are
-    broken lexicographically by language code."""
-    context = context or DistanceContext(registry)
+    broken lexicographically by language code. ``context`` must be built from
+    ``registry`` itself."""
+    if context.registry is not registry:
+        raise ValueError("the distance context was built from another registry")
     candidates = [code for code in matrix.languages if code != lang]
     if len(candidates) < config.k:
         raise ValueError(f"{lang}: need at least {config.k} candidate languages, have {len(candidates)}")
@@ -262,8 +273,7 @@ def nearest_neighbors(lang: str, matrix: FeatureMatrix, registry: Registry,
 
 
 def knn_feature_vector(lang: str, matrix: FeatureMatrix, registry: Registry,
-                       config: KnnConfig | None = None,
-                       context: DistanceContext | None = None) -> np.ndarray:
+                       config: KnnConfig, context: DistanceContext) -> np.ndarray:
     """Average feature vector of the language's k nearest neighbors.
 
     Per feature, neighbors missing that feature are skipped (the divisor
@@ -271,36 +281,39 @@ def knn_feature_vector(lang: str, matrix: FeatureMatrix, registry: Registry,
     mean over all other languages, and to 0.5 if that is empty too. The
     target language's own row is never used.
     """
-    config = config or KnnConfig()
     neighbors = nearest_neighbors(lang, matrix, registry, config, context)
     rows = matrix.values[[matrix._lang_index[nb] for nb in neighbors]]
     counts = np.sum(~np.isnan(rows), axis=0)
     # values are 0 or 1, so the sum is exact in any order
     out = np.nansum(rows, axis=0) / np.maximum(counts, 1)
     for j in np.flatnonzero(counts == 0):
-        column = np.delete(matrix.values[:, j], matrix._lang_index[lang])
-        column = column[~np.isnan(column)]
-        out[j] = float(column.mean()) if len(column) else 0.5
+        labeled, labels = matrix.labeled(matrix.features[j].name)
+        others = labels[labeled != matrix._lang_index[lang]]
+        out[j] = float(others.mean()) if len(others) else 0.5
     return out
 
 
-def majority_value(values) -> int:
-    """Most common value among non-missing entries; ties go to 1."""
-    vals = [v for v in values if not math.isnan(v)]
-    if not vals:
-        raise ValueError("all values missing")
-    ones = sum(1 for v in vals if v == 1.0)
-    return 1 if ones >= len(vals) - ones else 0
+def majority_label(ones, n):
+    """The most common label of ``n`` 0/1 labels of which ``ones`` are 1, ties
+    to 1; elementwise over arrays of counts."""
+    return (2 * np.asarray(ones) >= n).astype(int)
 
-def majority_rate(feature: str, matrix: FeatureMatrix, languages=None) -> float:
+
+def majority_value(values) -> int:
+    """Most common value among the 0/1 entries, skipping missing ones; ties go to 1."""
+    values = np.asarray(values, dtype=np.float64)
+    ones, zeros = np.count_nonzero(values == 1.0), np.count_nonzero(values == 0.0)
+    if not ones + zeros:
+        raise ValueError("all values missing")
+    return int(majority_label(ones, ones + zeros))
+
+
+def majority_rate(feature: str, matrix: FeatureMatrix) -> float:
     """Accuracy in [0,1] of always predicting the feature's most common value."""
-    languages = matrix.languages if languages is None else list(languages)
-    vals = [matrix.value(lang, feature) for lang in languages]
-    vals = [v for v in vals if not math.isnan(v)]
-    if not vals:
-        raise ValueError(f"{feature}: all values missing in subset")
-    maj = majority_value(vals)
-    return sum(1 for v in vals if v == maj) / len(vals)
+    _, labels = matrix.labeled(feature)
+    if not len(labels):
+        raise ValueError(f"{feature}: all values missing")
+    return np.count_nonzero(labels == majority_value(labels)) / len(labels)
 
 
 def write_distance_dump(path, context: DistanceContext, config: KnnConfig | None = None) -> None:
@@ -308,10 +321,11 @@ def write_distance_dump(path, context: DistanceContext, config: KnnConfig | None
     order: langA langB geodesic genetic combined."""
     config = config or KnnConfig()
     codes = list(context.index)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("langA\tlangB\tgeodesic\tgenetic\tcombined\n")
+
+    def rows():  # lazily: one registry row of floats in memory at a time
+        yield "langA", "langB", "geodesic", "genetic", "combined"
         for i, a in enumerate(codes):
-            rest = slice(i + 1, None)
-            fh.writelines(f"{a}\t{b}\t{geo!r}\t{gen!r}\t{combined!r}\n" for b, geo, gen, combined in
-                          zip(codes[rest], context.geo[i, rest].tolist(), context.gen[i, rest].tolist(),
-                              context.combined_row(a, config)[rest].tolist()))
+            yield from zip(repeat(a), codes[i + 1:], context.geo[i, i + 1:].tolist(),
+                           context.gen[i, i + 1:].tolist(), context.combined_row(a, config)[i + 1:].tolist())
+
+    write_tsv(path, rows())

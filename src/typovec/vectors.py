@@ -21,11 +21,12 @@ language's vector depends on its own sentences only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .bpe import EncodedCorpus, SubwordVocab
-from .corpus import read_lines
+from .corpus import read_lines, write_tsv
 from .models import RnnLmModel, Seq2SeqModel, encoder_batch, lstm_states
 
 METHODS = ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")
@@ -183,11 +184,8 @@ STORE_HEADER = "lang\tmethod\tdim\tn_sentences"
 
 def save_vectors(path, vectors: list[LangVector]) -> None:
     """Write a vector store; float repr keeps full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(STORE_HEADER + "\n")
-        for v in vectors:
-            values = " ".join(repr(float(x)) for x in v.values)
-            fh.write(f"{v.lang}\t{v.method}\t{v.dim}\t{v.n_sentences}\t{values}\n")
+    write_tsv(path, chain([STORE_HEADER.split("\t")], (
+        (v.lang, v.method, v.dim, v.n_sentences, " ".join(map(repr, v.values.tolist()))) for v in vectors)))
 
 
 def load_vectors(path) -> list[LangVector]:

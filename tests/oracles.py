@@ -127,6 +127,41 @@ def brute_force_knn_vector(lang, records, languages, values, k,
     return out
 
 
+def per_language_none_predictions(languages, names, values, aux: bool,
+                                  knn_vectors=None) -> dict[tuple[str, str], int]:
+    """{(lang, feature): label} of the None condition, one language at a time.
+
+    Features with fewer than 2 labeled languages are skipped. -Aux predicts
+    the majority label of the feature's labeled languages, ties to 1; +Aux
+    thresholds the language's k-NN component at 0.5, and exactly 0.5 takes
+    the majority label of the other labeled languages. ``values`` is the
+    (L, F) matrix with NaN for missing, rows aligned with ``languages``.
+    """
+
+    def majority(labels):
+        ones = sum(1 for v in labels if v == 1.0)
+        return 1 if ones >= len(labels) - ones else 0
+
+    preds: dict[tuple[str, str], int] = {}
+    for f, feature in enumerate(names):
+        labeled = [(lang, values[i, f]) for i, lang in enumerate(languages) if not math.isnan(values[i, f])]
+        if len(labeled) < 2:
+            continue
+        labels = [label for _, label in labeled]
+        for i, (lang, _) in enumerate(labeled):
+            if not aux:
+                preds[(lang, feature)] = majority(labels)
+                continue
+            component = knn_vectors[lang][f]
+            if component > 0.5:
+                preds[(lang, feature)] = 1
+            elif component < 0.5:
+                preds[(lang, feature)] = 0
+            else:
+                preds[(lang, feature)] = majority(labels[:i] + labels[i + 1:])
+    return preds
+
+
 def finite_difference_grads(loss_fn, params, h: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of ``loss_fn()`` w.r.t. each parameter."""
     grads: dict[str, np.ndarray] = {}

@@ -236,6 +236,23 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert {p.name: p.read_bytes() for p in copy.glob("*.manifest")} == manifests
 
+    @pytest.mark.parametrize("stage", ["predict", "traj"])
+    def test_stale_upstream_stage_is_named(self, pipeline, tmp_path, capsys, stage):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        # a new suite: every stage after synth last ran on the old one, and
+        # the direct inputs of predict and traj match their producers' records
+        assert main(["--config", str(cfg_path), "--seed", "78", "synth"]) == 0
+        before = snapshot(copy)
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "--seed", "78", stage]) == 1
+        err = capsys.readouterr().err
+        assert f"{copy / 'registry.tsv'} has changed since 'bpe-learn' read it; rerun 'bpe-learn'" in err
+        assert snapshot(copy) == before
+
     def test_trajectory_has_header_and_rows(self, pipeline):
         work, _ = pipeline
         lines = (work / "trajectory.csv").read_text(encoding="utf-8").splitlines()

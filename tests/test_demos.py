@@ -10,6 +10,7 @@ import pytest
 import typovec
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DATA = Path(__file__).resolve().parent / "data"
 
 # each demo's last printed line starts with this
 LAST_LINES = {
@@ -21,6 +22,9 @@ LAST_LINES = {
     "06_full_pipeline.py": "  vocab.tsv",
 }
 
+# demos whose whole stdout is pinned: no training, so no BLAS-dependent digits
+GOLDEN = {"05_typology_baseline.py": DATA / "demo05_stdout.golden.txt"}
+
 
 @pytest.mark.parametrize("name", sorted(LAST_LINES))
 def test_demo_runs(name, tmp_path):
@@ -30,4 +34,6 @@ def test_demo_runs(name, tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-3000:]
     assert proc.stdout.strip().splitlines()[-1].startswith(LAST_LINES[name])
+    if name in GOLDEN:
+        assert proc.stdout == GOLDEN[name].read_text(encoding="utf-8")
     assert not list(tmp_path.iterdir())

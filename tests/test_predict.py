@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import per_fit_newton_logreg
+from oracles import per_fit_newton_logreg, per_language_none_predictions
 from typovec import predict
 from typovec.cli import main
 from typovec.predict import (
@@ -333,6 +333,28 @@ class TestEvaluate:
         assert (split.fits, split.unconverged) == (whole.fits, whole.unconverged) == (30, 0)
 
 
+class TestNoneConditions:
+    def test_matches_per_language_oracle(self):
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            n, n_feats = int(rng.integers(4, 16)), int(rng.integers(3, 8))
+            langs = [f"l{i:02d}" for i in range(n)]
+            values = (rng.random((n, n_feats)) < 0.5).astype(float)
+            values[rng.random((n, n_feats)) < 0.3] = np.nan  # missing cells
+            values[:, 0] = np.nan
+            values[int(rng.integers(n)), 0] = 1.0  # one labeled language: excluded
+            values[:, 1] = [i % 2 if i < n - n % 2 else np.nan for i in range(n)]  # an even split
+            names = [f"S_F{j}" for j in range(n_feats)]
+            matrix = FeatureMatrix(langs, [FeatureSpec(name, "syntax") for name in names], values)
+            # k-NN components of exactly 0.5 are frequent
+            knn = {lang: rng.choice([0.0, 1 / 3, 0.5, 2 / 3, 1.0], size=n_feats) for lang in langs}
+            report = evaluate(matrix, {}, make_folds(langs, 2, seed=trial), ["None"], (False, True), knn)
+            assert [f for f, _ in report.excluded] == ["S_F0"]
+            for aux in (False, True):
+                preds = {key: pred for key, (pred, _) in report.predictions[("None", aux)].items()}
+                assert preds == per_language_none_predictions(langs, names, values, aux, knn), (trial, aux)
+
+
 class TestBootstrap:
     def test_identical_predictions_give_p_one(self):
         gold = np.array([1, 0, 1, 1, 0])
@@ -465,7 +487,7 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
             assert main(["--config", str(cfg), stage]) == 0, stage
     digests = {name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
                for name in ("predictions.tsv", "report.tsv", "trajectory.csv", "knn_vectors.tsv",
-                            "distances.tsv")}
+                            "distances.tsv", "registry.tsv")}
     # the k-NN digests were computed when every reader recomputed each pair's distances
     assert digests == {
         "predictions.tsv": "ea3c9c2800896bb53112cab0590ffde2d6add65efe29867a49b9b4ca80cbcab4",
@@ -473,4 +495,5 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
         "trajectory.csv": "14a86f19043b7f595aba261d6cde5da2688fa75e464fd6439c8e11b4cf7996fa",
         "knn_vectors.tsv": "5ce008cfe1ddbafc01a407fe33a41ccdd40d8b2a3dac8b79d4eedd3a1f6dabc1",
         "distances.tsv": "b9ef51d9052878055e53166b75e384f1075cf928b71fd8cb39d8fec8ede3cae2",
+        "registry.tsv": "3eb911ee0f7ef6f439060991703b15fc8f960f446eb1749a44e543a20bf77147",
     }

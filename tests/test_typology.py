@@ -231,14 +231,14 @@ class TestKnn:
         matrix = matrix_from(
             {"aaa": [0.0], "bbb": [1.0], "ccc": [1.0], "ddd": [0.0], "eee": [1.0]}, ["S_X"]
         )
-        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3))
+        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3), DistanceContext(registry))
         assert out[0] == pytest.approx(2.0 / 3.0)
 
     def test_missing_neighbor_skipped(self, registry):
         matrix = matrix_from(
             {"aaa": [0.0], "bbb": [1.0], "ccc": [math.nan], "ddd": [0.0], "eee": [1.0]}, ["S_X"]
         )
-        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3))
+        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3), DistanceContext(registry))
         assert out[0] == pytest.approx(0.5)
 
     def test_all_neighbors_missing_falls_back_to_global_mean(self):
@@ -259,21 +259,26 @@ class TestKnn:
         )
         # the 3 nearest (bbb, ccc, ddd) are all missing; the global non-missing
         # mean over the other languages is (1+0+0+0)/4 = 0.25
-        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3))
+        out = knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3), DistanceContext(registry))
         assert out[0] == pytest.approx(0.25)
 
     def test_own_row_never_used(self, registry):
         m1 = matrix_from({"aaa": [0.0], "bbb": [1.0], "ccc": [1.0], "ddd": [1.0], "eee": [1.0]}, ["S_X"])
         m2 = matrix_from({"aaa": [1.0], "bbb": [1.0], "ccc": [1.0], "ddd": [1.0], "eee": [1.0]}, ["S_X"])
-        out1 = knn_feature_vector("aaa", m1, registry, KnnConfig(k=3))
-        out2 = knn_feature_vector("aaa", m2, registry, KnnConfig(k=3))
+        out1 = knn_feature_vector("aaa", m1, registry, KnnConfig(k=3), DistanceContext(registry))
+        out2 = knn_feature_vector("aaa", m2, registry, KnnConfig(k=3), DistanceContext(registry))
         np.testing.assert_array_equal(out1, out2)
+
+    def test_context_of_another_registry_rejected(self, registry):
+        matrix = matrix_from({code: [1.0] for code in registry.codes}, ["S_X"])
+        with pytest.raises(ValueError, match="another registry"):
+            knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3), DistanceContext(Registry(list(registry))))
 
     def test_too_few_candidates_rejected(self):
         registry = Registry([rec("aaa", 0, 0, ["F"]), rec("bbb", 1, 1, ["F"])])
         matrix = matrix_from({"aaa": [1.0], "bbb": [1.0]}, ["S_X"])
         with pytest.raises(ValueError, match="candidate"):
-            knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3))
+            knn_feature_vector("aaa", matrix, registry, KnnConfig(k=3), DistanceContext(registry))
 
     def test_outputs_in_unit_interval(self, registry):
         rng = np.random.default_rng(3)
@@ -283,7 +288,7 @@ class TestKnn:
             [FeatureSpec(f"S_F{i}", "syntax") for i in range(4)],
             values,
         )
-        out = knn_feature_vector("bbb", matrix, registry, KnnConfig(k=3))
+        out = knn_feature_vector("bbb", matrix, registry, KnnConfig(k=3), DistanceContext(registry))
         assert np.all((out >= 0.0) & (out <= 1.0))
 
     def test_matches_full_sort_oracle_with_ties_and_missing(self):
