@@ -14,13 +14,50 @@ The package is organized as a numpy library:
 - :mod:`typovec.predict`: per-feature logistic regression, cross-validation,
   paired bootstrap, cell-trajectory export
 - :mod:`typovec.synth`: synthetic mini-languages with known word order
+- :mod:`typovec.config`: pipeline, training and k-NN settings, method and
+  category names, the key=value codec
+- :mod:`typovec.report`: tables and result TSVs
 - :mod:`typovec.cli`: pipeline orchestration
+
+Submodules load on first use. Importing the package registers every
+submodule except ``cli`` in ``sys.modules``, and as a package attribute,
+through :class:`importlib.util.LazyLoader`; a module's code runs when one of
+its attributes is first read. Each CLI stage runs in its own process, so
+it compiles and imports only the modules it uses: ``report`` loads no
+numpy, ``baseline`` and ``bpe-learn`` no models. Every submodule is still
+in ``sys.modules``, for tools that walk it. ``from typovec import bpe``
+keeps a module lazy; ``import typovec.bpe`` loads it. ``cli`` is imported
+as usual: ``python -m typovec.cli`` runs it as ``__main__``, and a lazy
+``typovec.cli`` entry would make runpy warn and run the module twice.
 """
 
 __version__ = "0.1.0"
 
-from .corpus import LanguageRecord, Registry, SentencePair, CorpusStore
-from .vectors import LangVector
+import importlib.util
+import sys
+
+
+def _register_lazily(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in ("autograd", "bpe", "checkpoint", "config", "corpus", "models", "optim", "predict",
+              "report", "synth", "training", "typology", "vectors"):
+    globals()[_name] = _register_lazily(_name)
+
+from .corpus import LanguageRecord, Registry, SentencePair, CorpusStore  # noqa: E402
+
+
+def __getattr__(name: str):
+    if name == "LangVector":  # resolved on first use, so that the package loads no numpy
+        return vectors.LangVector  # noqa: F821  (registered above)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -32,41 +32,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import __version__
-from .bpe import (build_vocab, corpus_word_frequencies, encode_corpus, learn_bpe, load_merges, load_vocab,
-                  save_merges, save_vocab)
-from .config import (INPUT_FILES, ConfigError, PipelineConfig, format_value, parse_config, read_kv,
-                     write_effective_config, write_kv)
-from .corpus import CorpusError, load_parallel, load_registry, write_parallel, write_registry
-from .models import TrainConfig, load_model, save_model
-from .predict import (
-    export_trajectory,
-    make_folds,
-    paired_bootstrap,
-    Scaler,
-    select_trajectory_node,
-    top_gains,
-    train_logreg,
-    evaluate,
-    write_trajectory_csv,
-)
-from .report import (
-    read_feature_accuracy_tsv,
-    read_predictions_tsv,
-    read_report_tsv,
-    render_gains_table,
-    render_main_table,
-    write_feature_accuracy_tsv,
-    write_predictions_tsv,
-    write_report_tsv,
-)
-from .synth import generate_suite
-from .training import train_lm, train_nmt
-from .typology import (CATEGORIES, DistanceContext, KnnConfig, category_of, knn_feature_vector, load_features,
-                       read_knn_vectors, write_distance_dump, write_features, write_knn_vectors)
-from .vectors import METHODS, combine_mtboth, extract_encoder_vectors, extract_lmvec, extract_mtvec, load_vectors, save_vectors
+from . import __version__, bpe, corpus, models, predict, report, synth, training, typology, vectors
+from .config import (CATEGORIES, INPUT_FILES, METHODS, ConfigError, KnnConfig, PipelineConfig, TrainConfig,
+                     category_of, format_value, parse_config, read_kv, write_effective_config, write_kv)
 
 
 class StageInputError(ValueError):
@@ -159,18 +127,18 @@ StageResult = tuple[list[Path], str]
 
 
 def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    suite = generate_suite(cfg.synth_langs, cfg.synth_sentences, cfg.seed, cfg.synth_lexicon)
-    write_registry(wd.path("registry"), suite.registry)
-    write_parallel(wd.path("corpus"), suite.corpus)
-    write_features(wd.path("features"), suite.features)
+    suite = synth.generate_suite(cfg.synth_langs, cfg.synth_sentences, cfg.seed, cfg.synth_lexicon)
+    corpus.write_registry(wd.path("registry"), suite.registry)
+    corpus.write_parallel(wd.path("corpus"), suite.corpus)
+    typology.write_features(wd.path("features"), suite.features)
     return ([wd.path("registry"), wd.path("corpus"), wd.path("features")],
             f"wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences")
 
 
 def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    registry = load_registry(wd.path("registry"))
-    store = load_parallel(wd.path("corpus"), registry)
-    counts = load_features(wd.path("features"), registry).category_counts()
+    registry = corpus.load_registry(wd.path("registry"))
+    store = corpus.load_parallel(wd.path("corpus"), registry)
+    counts = typology.load_features(wd.path("features"), registry).category_counts()
     summary = wd.path("ingest_summary.txt")
     write_kv(summary, {
         "languages": str(len(registry)),
@@ -183,13 +151,13 @@ def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 
 def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    registry = load_registry(wd.path("registry"))
-    freqs = corpus_word_frequencies(load_parallel(wd.path("corpus"), registry))
-    merges = learn_bpe(freqs, cfg.num_merges)
-    vocab = build_vocab(freqs, merges, registry)
+    registry = corpus.load_registry(wd.path("registry"))
+    freqs = bpe.corpus_word_frequencies(corpus.load_parallel(wd.path("corpus"), registry))
+    merges = bpe.learn_bpe(freqs, cfg.num_merges)
+    vocab = bpe.build_vocab(freqs, merges, registry)
     outputs = [wd.path("merges.txt"), wd.path("vocab.tsv")]
-    save_merges(outputs[0], merges)
-    save_vocab(outputs[1], vocab)
+    bpe.save_merges(outputs[0], merges)
+    bpe.save_vocab(outputs[1], vocab)
     return outputs, f"{len(merges)} merges, vocab size {len(vocab)}"
 
 
@@ -198,28 +166,28 @@ _ENCODED_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
 
 
 def _load_encoded(cfg: PipelineConfig, wd: Workdir):
-    registry = load_registry(wd.path("registry"))
-    store = load_parallel(wd.path("corpus"), registry)
-    merges = load_merges(wd.path("merges.txt"))
-    vocab = load_vocab(wd.path("vocab.tsv"))
+    registry = corpus.load_registry(wd.path("registry"))
+    store = corpus.load_parallel(wd.path("corpus"), registry)
+    merges = bpe.load_merges(wd.path("merges.txt"))
+    vocab = bpe.load_vocab(wd.path("vocab.tsv"))
     missing = [code for code in registry.codes if vocab.lang_token(code) not in vocab]
     if missing:
         raise ValueError(f"{wd.path('vocab.tsv')}: no token for language {missing[0]!r}")
-    return registry, encode_corpus(store, merges, vocab), vocab
+    return registry, bpe.encode_corpus(store, merges, vocab), vocab
 
 
 def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:
     _, encoded, vocab = _load_encoded(cfg, wd)
-    trainer = train_nmt if kind == "nmt" else train_lm
+    trainer = training.train_nmt if kind == "nmt" else training.train_lm
     model, curve = trainer(encoded, vocab, _train_config(cfg))
     outputs = [wd.path(f"{kind}.ckpt"), wd.path(f"{kind}.model")]
-    save_model(*outputs, model, _train_config(cfg), curve, _sha256(wd.path("vocab.tsv")))
+    models.save_model(*outputs, model, _train_config(cfg), curve, _sha256(wd.path("vocab.tsv")))
     return outputs, f"{len(curve)} epochs, final loss/token {curve[-1]:.4f}"
 
 
 def _load_trained(wd: Workdir, kind: str):
     manifest_path = wd.path(f"{kind}.model")
-    model, manifest, _curve = load_model(wd.path(f"{kind}.ckpt"), manifest_path)
+    model, manifest, _curve = models.load_model(wd.path(f"{kind}.ckpt"), manifest_path)
     if manifest.get("vocab_sha256") != _sha256(wd.path("vocab.tsv")):
         raise ValueError(f"{manifest_path}: the model was trained with a vocabulary "
                          f"other than {wd.path('vocab.tsv')}")
@@ -250,21 +218,21 @@ def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     for lang in langs:
         found = {}
         if lm is not None:
-            found["LMVec"] = extract_lmvec(lm, vocab, lang)
+            found["LMVec"] = vectors.extract_lmvec(lm, vocab, lang)
         if nmt is not None:
-            found["MTVec"] = extract_mtvec(nmt, vocab, lang)
+            found["MTVec"] = vectors.extract_mtvec(nmt, vocab, lang)
         if need_encoder:
-            found.update(extract_encoder_vectors(
+            found.update(vectors.extract_encoder_vectors(
                 nmt, encoded, vocab, lang, cfg.max_sentences or None,
                 include_special=cfg.mtcell_include_special,
                 sentence_equal=cfg.mtcell_sentence_equal,
                 seed=cfg.seed,
             ))
-            found["MTBoth"] = combine_mtboth(found["MTVec"], found["MTCell"])
+            found["MTBoth"] = vectors.combine_mtboth(found["MTVec"], found["MTCell"])
         per_lang.append(found)
     outputs = [wd.path(f"vectors_{method}.tsv") for method in methods]
     for method, out in zip(methods, outputs):
-        save_vectors(out, [found[method] for found in per_lang])
+        vectors.save_vectors(out, [found[method] for found in per_lang])
     return outputs, f"wrote {', '.join(p.name for p in outputs)} for {len(langs)} languages"
 
 
@@ -274,18 +242,18 @@ def _knn_config(cfg: PipelineConfig) -> KnnConfig:
 
 def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     knn_config = _knn_config(cfg)
-    registry = load_registry(wd.path("registry"))
-    matrix = load_features(wd.path("features"), registry)
+    registry = corpus.load_registry(wd.path("registry"))
+    matrix = typology.load_features(wd.path("features"), registry)
     if len(matrix.languages) <= cfg.knn_k:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, knn_k={cfg.knn_k}")
-    context = DistanceContext(registry)
+    context = typology.DistanceContext(registry)
     knn = {
-        lang: knn_feature_vector(lang, matrix, registry, knn_config, context)
+        lang: typology.knn_feature_vector(lang, matrix, registry, knn_config, context)
         for lang in matrix.languages
     }
     outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
-    write_knn_vectors(outputs[0], matrix, knn)
-    write_distance_dump(outputs[1], context, knn_config)
+    typology.write_knn_vectors(outputs[0], matrix, knn)
+    typology.write_distance_dump(outputs[1], context, knn_config)
     return outputs, f"{cfg.knn_k}-NN vectors for {len(matrix.languages)} languages"
 
 
@@ -304,46 +272,46 @@ def _covering(path: Path, languages: list[str], by_lang: dict) -> dict:
 
 def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = ["None"] + cfg.method_list
-    registry = load_registry(wd.path("registry"))
-    matrix = load_features(wd.path("features"), registry)
+    registry = corpus.load_registry(wd.path("registry"))
+    matrix = typology.load_features(wd.path("features"), registry)
     if len(matrix.languages) < cfg.n_folds:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, n_folds={cfg.n_folds}")
     stores = {method: wd.path(f"vectors_{method}.tsv") for method in cfg.method_list}
-    vectors = {method: _covering(path, matrix.languages, {v.lang: v for v in load_vectors(path)})
-               for method, path in stores.items()}
+    by_method = {method: _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path)})
+                 for method, path in stores.items()}
     knn = _covering(wd.path("knn_vectors.tsv"), matrix.languages,
-                    read_knn_vectors(wd.path("knn_vectors.tsv")))
-    folds = make_folds(matrix.languages, cfg.n_folds, cfg.seed)
-    report = evaluate(matrix, vectors, folds, methods, (False, True), knn, cfg.l2)
+                    typology.read_knn_vectors(wd.path("knn_vectors.tsv")))
+    folds = predict.make_folds(matrix.languages, cfg.n_folds, cfg.seed)
+    result = predict.evaluate(matrix, by_method, folds, methods, (False, True), knn, cfg.l2)
     outputs = [wd.path("report.tsv"), wd.path("feature_accuracy.tsv"),
                wd.path("predictions.tsv"), wd.path("predict_meta.txt")]
-    write_report_tsv(outputs[0], report)
-    write_feature_accuracy_tsv(outputs[1], report)
-    write_predictions_tsv(outputs[2], report)
+    report.write_report_tsv(outputs[0], result)
+    report.write_feature_accuracy_tsv(outputs[1], result)
+    report.write_predictions_tsv(outputs[2], result)
     write_kv(outputs[3], {
-        "fold_digest": report.fold_digest,
+        "fold_digest": result.fold_digest,
         "n_folds": str(cfg.n_folds),
         "seed": str(cfg.seed),
-        "excluded": ";".join(f"{f}({r})" for f, r in report.excluded),
+        "excluded": ";".join(f"{f}({r})" for f, r in result.excluded),
     })
     return outputs, "\n".join([
-        *(f"{method} -Aux " + " ".join(f"{c}={report.cells[(method, False)][c]:.2f}"
-                                       for c in report.categories)
+        *(f"{method} -Aux " + " ".join(f"{c}={result.cells[(method, False)][c]:.2f}"
+                                       for c in result.categories)
           for method in methods),
-        f"{report.fits} logistic-regression fits, {report.unconverged} not converged",
+        f"{result.fits} logistic-regression fits, {result.unconverged} not converged",
     ])
 
 
 def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
-    cells, methods, categories = read_report_tsv(wd.path("report.tsv"))
+    cells, methods, categories = report.read_report_tsv(wd.path("report.tsv"))
     outputs = [wd.path("table_main.md")]
-    outputs[0].write_text(render_main_table(cells, methods, categories), encoding="utf-8")
-    feature_acc = read_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"))
+    outputs[0].write_text(report.render_main_table(cells, methods, categories), encoding="utf-8")
+    feature_acc = report.read_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"))
     base, best = feature_acc.get(("None", False)), feature_acc.get(("MTBoth", False))
     if base is not None and best is not None:
-        rows = {cat: top_gains(base, best, cat, 5) for cat in categories}
+        rows = {cat: report.top_gains(base, best, cat, 5) for cat in categories}
         outputs.append(wd.path("table_gains.md"))
-        outputs[1].write_text(render_gains_table(rows), encoding="utf-8")
+        outputs[1].write_text(report.render_gains_table(rows), encoding="utf-8")
     return outputs, f"wrote {', '.join(p.name for p in outputs)}"
 
 
@@ -358,7 +326,7 @@ def _condition(text: str, preds, path: Path) -> tuple[str, bool]:
 
 def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     path = wd.path("predictions.tsv")
-    preds = read_predictions_tsv(path)
+    preds = report.read_predictions_tsv(path)
     key_a = _condition(cfg.bootstrap_a, preds, path)
     key_b = _condition(cfg.bootstrap_b, preds, path)
     title = f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}"
@@ -368,10 +336,10 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         instances = [k for k in shared if category == "all" or category_of(k[1]) == category]
         if not instances:
             continue
-        a = np.array([preds[key_a][k][0] for k in instances])
-        b = np.array([preds[key_b][k][0] for k in instances])
-        gold = np.array([preds[key_a][k][1] for k in instances])
-        result = paired_bootstrap(a, b, gold, cfg.bootstrap_n, cfg.seed)
+        a = [preds[key_a][k][0] for k in instances]
+        b = [preds[key_b][k][0] for k in instances]
+        gold = [preds[key_a][k][1] for k in instances]
+        result = predict.paired_bootstrap(a, b, gold, cfg.bootstrap_n, cfg.seed)
         lines.append(f"{category}\tn={len(instances)}\tgain={result.observed_gain!r}\t"
                      f"p={result.p_value!r}\tresamples={result.n_resamples}")
     out = wd.path("bootstrap.txt")
@@ -380,11 +348,13 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 
 def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
+    import numpy as np  # here, not at module level: the stages without array work load no numpy
+
     registry, encoded, vocab = _load_encoded(cfg, wd)
-    matrix = load_features(wd.path("features"), registry)
+    matrix = typology.load_features(wd.path("features"), registry)
     nmt = _load_trained(wd, "nmt")
     path = wd.path("vectors_MTCell.tsv")
-    mtcell = _covering(path, matrix.languages, {v.lang: v for v in load_vectors(path)})
+    mtcell = _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path)})
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
         raise ConfigError(f"traj_feature {feature!r} is not a column of {wd.path('features')}")
@@ -392,13 +362,13 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     if len(rows) < 2:
         raise ValueError(f"{wd.path('features')}: fewer than 2 languages label {feature}")
     X = np.stack([mtcell[matrix.languages[i]].values for i in rows])
-    logreg = train_logreg(Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
-    node = select_trajectory_node(logreg, nmt.hidden_size)
+    logreg = predict.train_logreg(predict.Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
+    node = predict.select_trajectory_node(logreg, nmt.hidden_size)
     langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
-    _, rows = export_trajectory(nmt, logreg, encoded, vocab, langs,
-                                cfg.traj_sentences or None, node)
+    _, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs,
+                                        cfg.traj_sentences or None, node)
     out = wd.path("trajectory.csv")
-    write_trajectory_csv(out, rows)
+    predict.write_trajectory_csv(out, rows)
     fit = "converged" if logreg.converged else "not converged"
     return [out], f"feature {feature} (fit {fit}), node {node}, {len(rows)} rows -> {out.name}"
 
@@ -516,7 +486,7 @@ def main(argv=None) -> int:
         _train_config(cfg)
         _knn_config(cfg)
         run_stage(stage, cfg)
-    except (ConfigError, CorpusError, StageInputError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, corpus.CorpusError, StageInputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001  (TrainingError and anything unexpected)

@@ -1,5 +1,12 @@
 """Pipeline configuration: a flat UTF-8 key=value file with "#" comments.
 
+This module also holds the records and names that the CLI needs before it
+runs a stage: the training and k-NN settings (:class:`TrainConfig`,
+:class:`KnnConfig`), the extraction methods and the feature categories. It
+imports no numpy, so a stage that does no array work loads none; the
+modules that use these names (``models``, ``typology``, ``vectors``)
+re-export them.
+
 Every knob has a default except ``workdir`` and ``seed``, which are
 mandatory. ``registry``, ``corpus`` and ``features`` default to the synth
 stage's outputs inside the work directory. Writing the effective config and
@@ -21,6 +28,63 @@ from .corpus import read_lines
 
 class ConfigError(ValueError):
     pass
+
+
+METHODS = ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")
+
+CATEGORIES = ("syntax", "phonology", "inventory")
+_PREFIX_TO_CATEGORY = {"S_": "syntax", "P_": "phonology", "I_": "inventory"}
+
+
+def category_of(feature_name: str) -> str:
+    prefix = feature_name[:2]
+    try:
+        return _PREFIX_TO_CATEGORY[prefix]
+    except KeyError:
+        raise ValueError(f"feature {feature_name!r} has no category prefix (S_/P_/I_)") from None
+
+
+@dataclass
+class TrainConfig:
+    hidden_size: int = 512
+    embed_size: int | None = None
+    lr: float = 0.001
+    dropout: float = 0.5
+    epochs: int = 10
+    batch_size: int = 64
+    seed: int = 0
+    clip_norm: float = 5.0
+    attention: bool = False
+
+    def __post_init__(self) -> None:
+        if self.embed_size is None:
+            self.embed_size = self.hidden_size
+        if self.hidden_size <= 0 or self.embed_size <= 0:
+            raise ValueError("hidden_size and embed_size must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm >= 0):
+            raise ValueError(f"clip_norm must be finite and >= 0 (0 turns clipping off), got {self.clip_norm}")
+
+
+@dataclass
+class KnnConfig:
+    k: int = 3
+    geodesic_weight: float = 1.0
+    genetic_weight: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.k}")
+        if not all(math.isfinite(w) and w >= 0 for w in (self.geodesic_weight, self.genetic_weight)):
+            raise ValueError("geodesic_weight and genetic_weight must be finite and >= 0, "
+                             f"got {self.geodesic_weight} and {self.genetic_weight}")
+        if self.geodesic_weight == 0 and self.genetic_weight == 0:
+            raise ValueError("geodesic_weight or genetic_weight must be positive")
 
 
 # Config keys that name input files, with the synth output each defaults to.

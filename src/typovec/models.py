@@ -42,34 +42,7 @@ from . import autograd as ag
 from .autograd import Parameter, Tensor
 from .bpe import EOS_ID, PAD_ID, SubwordVocab
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import format_value, parse_fields, read_kv, write_kv
-
-
-@dataclass
-class TrainConfig:
-    hidden_size: int = 512
-    embed_size: int | None = None
-    lr: float = 0.001
-    dropout: float = 0.5
-    epochs: int = 10
-    batch_size: int = 64
-    seed: int = 0
-    clip_norm: float = 5.0
-    attention: bool = False
-
-    def __post_init__(self) -> None:
-        if self.embed_size is None:
-            self.embed_size = self.hidden_size
-        if self.hidden_size <= 0 or self.embed_size <= 0:
-            raise ValueError("hidden_size and embed_size must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
-        if not (np.isfinite(self.clip_norm) and self.clip_norm >= 0):
-            raise ValueError(f"clip_norm must be finite and >= 0 (0 turns clipping off), got {self.clip_norm}")
+from .config import TrainConfig, format_value, parse_fields, read_kv, write_kv  # TrainConfig re-exported
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

@@ -49,14 +49,21 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import models
 from .autograd import _logistic
-from .bpe import EncodedCorpus, SubwordVocab
-from .models import Seq2SeqModel, encoder_batch, lstm_states
-from .typology import CATEGORIES, FeatureMatrix, majority_label
-from .vectors import LangVector
+from .config import CATEGORIES
+from .report import GainRow, top_gains  # re-exported
+from .typology import majority_label
+
+if TYPE_CHECKING:
+    from .bpe import EncodedCorpus, SubwordVocab
+    from .models import Seq2SeqModel
+    from .typology import FeatureMatrix
+    from .vectors import LangVector
 
 
 @dataclass
@@ -448,28 +455,6 @@ def paired_bootstrap(preds_a, preds_b, gold, n: int = 10000, seed: int = 0) -> B
     return BootstrapResult(observed, fails / n, n)
 
 
-@dataclass
-class GainRow:
-    feature: str
-    before: float
-    after: float
-    gain: float
-
-
-def top_gains(acc_a: dict[str, float], acc_b: dict[str, float],
-              category: str, n: int = 5) -> list[GainRow]:
-    """Largest per-feature accuracy improvements from A to B in a category."""
-    from .typology import category_of
-
-    rows = [
-        GainRow(f, acc_a[f], acc_b[f], acc_b[f] - acc_a[f])
-        for f in acc_a
-        if f in acc_b and category_of(f) == category
-    ]
-    rows.sort(key=lambda r: (-r.gain, r.feature))
-    return rows if n >= len(rows) else rows[:n]
-
-
 def select_trajectory_node(logreg: LogRegModel, hidden_size: int) -> int:
     """The encoder cell dimension with the largest absolute classifier weight."""
     if len(logreg.weights) != hidden_size:
@@ -500,9 +485,9 @@ def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCo
             raise ValueError(f"no sentences for language {lang!r}")
         if max_sentences is not None:
             sentences = sentences[:max_sentences]
-        ids, lens, order = encoder_batch(vocab, lang, sentences)
-        series = np.stack([c[:, node] for _, c in lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)],
-                          axis=1)
+        ids, lens, order = models.encoder_batch(vocab, lang, sentences)
+        states = models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)
+        series = np.stack([c[:, node] for _, c in states], axis=1)
         for sent_idx, row in enumerate(np.argsort(order)):
             rows.extend((lang, sent_idx, step, float(series[row, step])) for step in range(lens[row]))
     return node, rows

@@ -2,16 +2,22 @@
 
 The main accuracy table has one row per method and one (category, +-Aux)
 column pair per category; the per-column maximum is bold. The gains table
-lists per-feature before/after/gain triples grouped by category.
+lists per-feature before/after/gain triples grouped by category
+(:func:`top_gains`). The module imports no numpy, so the ``report`` stage
+loads none.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
+from .config import CATEGORIES, category_of
 from .corpus import read_tsv, write_tsv
-from .predict import EvalReport, GainRow
-from .typology import CATEGORIES, category_of
+
+if TYPE_CHECKING:
+    from .predict import EvalReport
 
 CATEGORY_LABELS = {"syntax": "Syntax", "phonology": "Phonology", "inventory": "Inventory"}
 AUX_LABELS = {False: "-Aux", True: "+Aux"}
@@ -44,6 +50,26 @@ def render_main_table(cells: dict[tuple[str, bool], dict[str, float]],
             row.append(text)
         lines.append("| " + " | ".join(row) + " |")
     return "\n".join(lines) + "\n"
+
+
+@dataclass
+class GainRow:
+    feature: str
+    before: float
+    after: float
+    gain: float
+
+
+def top_gains(acc_a: dict[str, float], acc_b: dict[str, float],
+              category: str, n: int = 5) -> list[GainRow]:
+    """Largest per-feature accuracy improvements from A to B in a category."""
+    rows = [
+        GainRow(f, acc_a[f], acc_b[f], acc_b[f] - acc_a[f])
+        for f in acc_a
+        if f in acc_b and category_of(f) == category
+    ]
+    rows.sort(key=lambda r: (-r.gain, r.feature))
+    return rows if n >= len(rows) else rows[:n]
 
 
 def render_gains_table(rows_by_category: dict[str, list[GainRow]],

@@ -30,20 +30,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
+from .config import CATEGORIES, KnnConfig, category_of  # re-exported
 from .corpus import CorpusError, LanguageRecord, Registry, read_lines, read_tsv, write_tsv
 
 EARTH_RADIUS_KM = 6371.0
-
-CATEGORIES = ("syntax", "phonology", "inventory")
-_PREFIX_TO_CATEGORY = {"S_": "syntax", "P_": "phonology", "I_": "inventory"}
-
-
-def category_of(feature_name: str) -> str:
-    prefix = feature_name[:2]
-    try:
-        return _PREFIX_TO_CATEGORY[prefix]
-    except KeyError:
-        raise ValueError(f"feature {feature_name!r} has no category prefix (S_/P_/I_)") from None
 
 
 @dataclass(frozen=True)
@@ -192,22 +182,6 @@ def genetic_distance(a: LanguageRecord, b: LanguageRecord) -> float:
             break
         shared += 1
     return 1.0 - 2.0 * shared / (len(a.lineage) + len(b.lineage))
-
-
-@dataclass
-class KnnConfig:
-    k: int = 3
-    geodesic_weight: float = 1.0
-    genetic_weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.k}")
-        if not all(math.isfinite(w) and w >= 0 for w in (self.geodesic_weight, self.genetic_weight)):
-            raise ValueError("geodesic_weight and genetic_weight must be finite and >= 0, "
-                             f"got {self.geodesic_weight} and {self.genetic_weight}")
-        if self.geodesic_weight == 0 and self.genetic_weight == 0:
-            raise ValueError("geodesic_weight or genetic_weight must be positive")
 
 
 def _normalized(d: np.ndarray, lo: float, hi: float) -> np.ndarray:

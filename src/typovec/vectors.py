@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bpe import EncodedCorpus, SubwordVocab
+from . import models
+from .config import METHODS  # re-exported
 from .corpus import read_lines, write_tsv
-from .models import RnnLmModel, Seq2SeqModel, encoder_batch, lstm_states
 
-METHODS = ("LMVec", "MTVec", "MTCell", "MTBoth", "MTCellFinal", "MTHiddenMean")
-
+if TYPE_CHECKING:
+    from .bpe import EncodedCorpus, SubwordVocab
+    from .models import RnnLmModel, Seq2SeqModel
 
 @dataclass
 class LangVector:
@@ -90,12 +92,12 @@ def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: Su
     sentences (MTCellFinal).
     """
     sentences = _select_sentences(encoded, lang, max_sentences, seed)
-    ids, lens, _ = encoder_batch(vocab, lang, sentences)
+    ids, lens, _ = models.encoder_batch(vocab, lang, sentences)
     cell_sums, inner_sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(3))
     # encoder_batch sorts rows by length, so the rows with lens > t are a
     # suffix; adding only it leaves the other sums as they were (x + 0.0 == x,
     # and a sum started at +0.0 never reads -0.0)
-    for t, (h, c) in enumerate(lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
+    for t, (h, c) in enumerate(models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
         live = np.searchsorted(lens, t, side="right")
         cell_sums[live:] += c[live:]
         hidden_sums[live:] += h[live:]
@@ -203,7 +205,7 @@ def load_vectors(path) -> list[LangVector]:
         lang, method, dim_s, n_s, values_s = fields
         try:
             dim, n_sentences = int(dim_s), int(n_s)
-            values = np.array([float(x) for x in values_s.split(" ")])
+            values = np.array(values_s.split(" "), dtype=np.float64)
             if len(values) != dim:
                 raise ValueError(f"dim {dim_s} but {len(values)} values")
             out.append(LangVector(lang, method, values, n_sentences))

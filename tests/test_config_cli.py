@@ -398,9 +398,8 @@ def test_bpe_learn_counts_the_corpus_once(tmp_path, monkeypatch):
         calls.append(corpus)
         return corpus_word_frequencies(corpus)
 
-    # both module globals, wherever the stage or the learner looks the function up
+    # the stage and the learner both look the function up on the bpe module
     monkeypatch.setattr(typovec.bpe, "corpus_word_frequencies", counting)
-    monkeypatch.setattr(typovec.cli, "corpus_word_frequencies", counting)
     cfg_path = tmp_path / "cfg.txt"
     write_config(cfg_path, workdir=str(tmp_path / "w7"))
     assert main(["--config", str(cfg_path), "synth"]) == 0

@@ -1,0 +1,114 @@
+"""What each CLI stage loads.
+
+Every stage runs in a fresh interpreter, so each module it imports, and
+numpy, is paid for on every run. The package registers its submodules
+lazily and a stage loads only the ones it uses.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import typovec
+from typovec.cli import main
+from typovec.corpus import load_registry
+from typovec.typology import load_features, write_knn_vectors
+from typovec.vectors import LangVector, save_vectors
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+
+# Runs one stage, then prints its exit code, whether numpy is loaded and
+# which typovec modules have run (a module not yet loaded is a lazy stub).
+STAGE_SNIPPET = """
+import json, sys, types
+from typovec.cli import main
+code = main(["--config", sys.argv[1], sys.argv[2]])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "loaded": sorted(name for name, module in sys.modules.items()
+                                   if name.startswith("typovec.") and type(module) is types.ModuleType)}))
+"""
+
+MODEL_MODULES = {"typovec.models", "typovec.autograd", "typovec.training", "typovec.predict"}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A synthetic suite plus hand-written upstream outputs for ``predict``
+    and ``report``; each stage under test runs only in its child."""
+    root = tmp_path_factory.mktemp("stages")
+    cfg = root / "cfg.txt"
+    cfg.write_text(f"workdir={root / 'work'}\nseed=5\nsynth_langs=8\nsynth_sentences=6\n"
+                   "synth_lexicon=10\nnum_merges=10\nn_folds=4\nmethods=MTVec\n", encoding="utf-8")
+    assert main(["--config", str(cfg), "synth"]) == 0
+    work = root / "work"
+    matrix = load_features(work / "features.csv", load_registry(work / "registry.tsv"))
+    rng = np.random.default_rng(5)
+    write_knn_vectors(work / "knn_vectors.tsv", matrix,
+                      {lang: rng.random(len(matrix.features)) for lang in matrix.languages})
+    save_vectors(work / "vectors_MTVec.tsv",
+                 [LangVector(lang, "MTVec", rng.standard_normal(4)) for lang in matrix.languages])
+    (work / "report.tsv").write_text(
+        "method\tcategory\taux\taccuracy\n"
+        + "".join(f"{m}\tsyntax\t{aux}\t{acc}\n" for m, acc in (("None", 50.0), ("MTBoth", 75.0))
+                  for aux in ("-Aux", "+Aux")), encoding="utf-8")
+    (work / "feature_accuracy.tsv").write_text(
+        "method\taux\tfeature\taccuracy\n"
+        "None\t-Aux\tS_OBJECT_BEFORE_VERB\t50.0\nMTBoth\t-Aux\tS_OBJECT_BEFORE_VERB\t75.0\n",
+        encoding="utf-8")
+    return cfg
+
+
+def run_stage_in_child(cfg: Path, stage: str) -> dict:
+    out = subprocess.run([sys.executable, "-c", STAGE_SNIPPET, str(cfg), stage], env=ENV,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_report_stage_loads_no_numpy(workdir):
+    result = run_stage_in_child(workdir, "report")
+    assert result["code"] == 0
+    assert (workdir.parent / "work" / "table_gains.md").is_file()
+    assert "typovec.report" in result["loaded"]
+    assert not result["numpy"]
+
+
+@pytest.mark.parametrize("stage, module, unloaded", [
+    ("baseline", "typovec.typology", MODEL_MODULES),
+    ("bpe-learn", "typovec.bpe", MODEL_MODULES),
+    ("predict", "typovec.predict", {"typovec.models", "typovec.training", "typovec.bpe"}),
+])
+def test_stage_leaves_model_code_unloaded(workdir, stage, module, unloaded):
+    result = run_stage_in_child(workdir, stage)
+    assert result["code"] == 0
+    assert module in result["loaded"]
+    assert not unloaded & set(result["loaded"])
+
+
+def test_cli_import_registers_every_submodule_and_loads_few():
+    # perfbench's tracer wraps the typovec modules it finds in sys.modules
+    script = ("import json, sys, types, typovec.cli\n"
+              "names = sorted(n for n in sys.modules if n.startswith('typovec.'))\n"
+              "loaded = [n for n in names if type(sys.modules[n]) is types.ModuleType]\n"
+              "print(json.dumps([names, loaded, typovec.LangVector.__module__]))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=ENV, check=True,
+                         capture_output=True, text=True, timeout=60)
+    registered, loaded, home = json.loads(out.stdout)
+    names = {path.stem for path in Path(typovec.__file__).parent.glob("*.py")} - {"__init__"}
+    assert registered == sorted(f"typovec.{name}" for name in names)
+    assert loaded == ["typovec.cli", "typovec.config", "typovec.corpus"]
+    assert home == "typovec.vectors"
+    assert typovec.LangVector is typovec.vectors.LangVector
+
+
+def test_module_entry_point_runs_cli_once():
+    # a lazily registered typovec.cli would make runpy warn and run the module twice
+    out = subprocess.run([sys.executable, "-m", "typovec.cli", "--help"], env=ENV,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""

@@ -310,6 +310,21 @@ class TestStore:
             assert a.n_sentences == b.n_sentences
             assert a.method == b.method
 
+    def test_round_trip_is_bitwise(self, tmp_path):
+        # random bit patterns cover every exponent, subnormals included
+        bits = np.random.default_rng(11).integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3]
+        values = np.concatenate([special, bits[np.isfinite(bits)]])
+        vectors = [LangVector(f"l{i:02d}", "MTCell", chunk, i)
+                   for i, chunk in enumerate(np.array_split(values, 16))]
+        path = tmp_path / "vectors.tsv"
+        save_vectors(path, vectors)
+        loaded = load_vectors(path)
+        assert [(v.lang, v.method, v.n_sentences) for v in loaded] == \
+            [(v.lang, v.method, v.n_sentences) for v in vectors]
+        for a, b in zip(vectors, loaded):
+            assert a.values.view(np.uint64).tolist() == b.values.view(np.uint64).tolist()
+
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("nope\n", encoding="utf-8")
@@ -320,7 +335,9 @@ class TestStore:
         "aaa\tMTVec\t2\t5\t0.5 x0.25",
         "aaa\tMTVec\ttwo\t5\t0.5 0.25",
         "aaa\tMTVec\t2\t5.0\t0.5 0.25",
-    ], ids=["float", "dim", "n_sentences"])
+        "aaa\tMTVec\t3\t5\t0.5 0.25",
+        "aaa\tMTVec\t2\t5\t0.5 inf",
+    ], ids=["float", "dim", "n_sentences", "value-count", "non-finite"])
     def test_bad_number_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "vectors.tsv"
         path.write_text("lang\tmethod\tdim\tn_sentences\n"
