@@ -29,6 +29,9 @@ in ``sys.modules``, for tools that walk it. ``from typovec import bpe``
 keeps a module lazy; ``import typovec.bpe`` loads it. ``cli`` is imported
 as usual: ``python -m typovec.cli`` runs it as ``__main__``, and a lazy
 ``typovec.cli`` entry would make runpy warn and run the module twice.
+Before Python 3.12.3, two threads that first read a module at the same time
+can both run it; a threaded caller imports what it needs before it starts
+its threads.
 """
 
 __version__ = "0.1.0"
