@@ -1,16 +1,18 @@
-"""Extract per-language vectors from trained models and cluster them.
+"""Extract per-language vectors from trained models and compare them.
 
 Uses a small synthetic suite so related languages exist by construction:
 languages that share word-order flags should end up with more similar
-vectors. Shows LMVec, MTVec, MTCell, MTBoth and agglomerative clustering.
+vectors. Shows LMVec, MTVec, MTCell, MTBoth, the two ablation variants and
+each language's nearest other language by cosine distance of MTCell.
 """
+
+import numpy as np
 
 from typovec.bpe import build_vocab, encode_corpus, learn_bpe
 from typovec.models import TrainConfig
 from typovec.synth import generate_suite
 from typovec.training import train_lm, train_nmt
 from typovec.vectors import (
-    cluster_vectors,
     combine_mtboth,
     extract_lmvec,
     extract_mtcell,
@@ -44,14 +46,14 @@ hidden = extract_variant(nmt, encoded, vocab, langs[0], "mean-hidden")
 print(f"\nablation variants for {langs[0]}: final-cell var {final.values.var():.4f}, "
       f"mean-hidden var {hidden.values.var():.4f} (hidden is gated, flatter)")
 
-dend = cluster_vectors([mtcell[lang] for lang in langs])
-print(f"\nagglomerative clustering of MTCell vectors ({dend.leaf_count} leaves):")
-labels = list(dend.labels)
-for left, right, dist, size in dend.merges:
-    a = labels[int(left)] if int(left) < len(langs) else f"cluster{int(left)}"
-    b = labels[int(right)] if int(right) < len(langs) else f"cluster{int(right)}"
-    labels.append(f"({a}+{b})")
-    print(f"  merge {a} with {b} at cosine distance {dist:.4f} (size {int(size)})")
+# cosine distance 1 - cos(u, v) between every pair of MTCell vectors
+unit = np.stack([mtcell[lang].values / np.linalg.norm(mtcell[lang].values) for lang in langs])
+distance = 1.0 - unit @ unit.T
+np.fill_diagonal(distance, np.inf)
+print("\nnearest other language by cosine distance of MTCell:")
+for lang, row in zip(langs, distance):
+    j = int(np.argmin(row))
+    print(f"  {lang} -> {langs[j]} at {row[j]:.4f}")
 
 flags = {code: suite.grammars[code].flags["S_OBJECT_BEFORE_VERB"] for code in langs}
 print("\nobject-before-verb flags:", flags)

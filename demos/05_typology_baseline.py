@@ -13,7 +13,6 @@ from typovec.typology import (
     FeatureMatrix,
     FeatureSpec,
     KnnConfig,
-    combined_distance,
     genetic_distance,
     geodesic_distance,
     knn_feature_vector,
@@ -35,11 +34,12 @@ config = KnnConfig(k=3)
 print("pairwise distances (km / lineage / combined):")
 codes = registry.codes
 for i, a in enumerate(codes):
+    combined = ctx.combined_row(a, config)
     for b in codes[i + 1:]:
         ra, rb = registry[a], registry[b]
         print(f"  {a}-{b}: {geodesic_distance(ra, rb):8.0f} km, "
               f"genetic {genetic_distance(ra, rb):.2f}, "
-              f"combined {combined_distance(ra, rb, ctx, config):.3f}")
+              f"combined {combined[ctx.index[b]]:.3f}")
 
 # two syntax features: verb-final order, postpositions
 features = [FeatureSpec("S_OBJECT_BEFORE_VERB", "syntax"),

@@ -253,7 +253,7 @@ def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     }
     outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
     typology.write_knn_vectors(outputs[0], matrix, knn)
-    typology.write_distance_dump(outputs[1], context, knn_config)
+    typology.write_neighbors(outputs[1], matrix, registry, knn_config, context)
     return outputs, f"{cfg.knn_k}-NN vectors for {len(matrix.languages)} languages"
 
 

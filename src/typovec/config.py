@@ -87,6 +87,9 @@ class KnnConfig:
             raise ValueError("geodesic_weight or genetic_weight must be positive")
 
 
+# The fewest resamples a paired bootstrap may draw.
+MIN_RESAMPLES = 1000
+
 # Config keys that name input files, with the synth output each defaults to.
 INPUT_FILES = {"registry": "registry.tsv", "corpus": "corpus.txt", "features": "features.csv"}
 
@@ -131,6 +134,11 @@ class PipelineConfig:
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.n_folds < 2:
             raise ConfigError(f"n_folds must be at least 2, got {self.n_folds}")
+        if self.bootstrap_n < MIN_RESAMPLES:
+            raise ConfigError(f"bootstrap_n must be at least {MIN_RESAMPLES}, got {self.bootstrap_n}")
+        for key in ("max_sentences", "traj_sentences"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be >= 0 (0 means all sentences), got {getattr(self, key)}")
 
     @property
     def method_list(self) -> list[str]:

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import models
 from .autograd import _logistic
-from .config import CATEGORIES
+from .config import CATEGORIES, MIN_RESAMPLES
 from .report import GainRow, top_gains  # re-exported
 from .typology import majority_label
 
@@ -423,8 +423,8 @@ class BootstrapResult:
     n_resamples: int
 
     def __post_init__(self) -> None:
-        if self.n_resamples < 1000:
-            raise ValueError(f"resample count must be >= 1000, got {self.n_resamples}")
+        if self.n_resamples < MIN_RESAMPLES:
+            raise ValueError(f"resample count must be >= {MIN_RESAMPLES}, got {self.n_resamples}")
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p-value {self.p_value} out of [0, 1]")
 

@@ -11,13 +11,13 @@ Distances are computed once per registry pair: :class:`DistanceContext`
 calls the scalar :func:`geodesic_distance` and :func:`genetic_distance` for
 each distinct pair and keeps the results as two symmetric (n, n) float64
 arrays, 8·n² bytes each (8.3 MB at 1,017 languages). The normalization
-bounds, the k-NN ranking and the ``distances.tsv`` dump all read those
-arrays; the ranking combines one row per target language, never the whole
-matrix. The haversine stays scalar Python, as the only definition of the
-distance: on the 1,017-language synthetic suite (seed 7) a numpy haversine
-differs from it for 33,139 of the 516,636 pairs (225 with
-``math.asin`` kept), and since the k-NN ranking breaks exact distance ties
-by language code, one differing bit can change a neighbor set.
+bounds, the k-NN ranking and the ``distances.tsv`` table of each language's
+k neighbors all read those arrays; the ranking combines one row per target
+language, never the whole matrix. The haversine stays scalar Python, as
+the only definition of the distance: on the 1,017-language synthetic suite
+(seed 7) a numpy haversine differs from it for 33,139 of the 516,636 pairs
+(225 with ``math.asin`` kept), and since the k-NN ranking breaks exact
+distance ties by language code, one differing bit can change a neighbor set.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import csv
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -222,16 +222,6 @@ class DistanceContext:
         return row
 
 
-def combined_distance(a: LanguageRecord, b: LanguageRecord, context: DistanceContext,
-                      config: KnnConfig | None = None) -> float:
-    """Weighted mean of min-max normalized geodesic and genetic distances.
-
-    Identical records are at distance 0; a degenerate component (all registry
-    pairs equal) contributes 0.
-    """
-    return float(context.combined_row(a.code, config or KnnConfig())[context.index[b.code]])
-
-
 def nearest_neighbors(lang: str, matrix: FeatureMatrix, registry: Registry,
                       config: KnnConfig, context: DistanceContext) -> list[str]:
     """The k nearest other languages by combined distance; distance ties are
@@ -273,33 +263,27 @@ def majority_label(ones, n):
     return (2 * np.asarray(ones) >= n).astype(int)
 
 
-def majority_value(values) -> int:
-    """Most common value among the 0/1 entries, skipping missing ones; ties go to 1."""
-    values = np.asarray(values, dtype=np.float64)
-    ones, zeros = np.count_nonzero(values == 1.0), np.count_nonzero(values == 0.0)
-    if not ones + zeros:
-        raise ValueError("all values missing")
-    return int(majority_label(ones, ones + zeros))
-
-
 def majority_rate(feature: str, matrix: FeatureMatrix) -> float:
     """Accuracy in [0,1] of always predicting the feature's most common value."""
     _, labels = matrix.labeled(feature)
     if not len(labels):
         raise ValueError(f"{feature}: all values missing")
-    return np.count_nonzero(labels == majority_value(labels)) / len(labels)
+    majority = majority_label(np.count_nonzero(labels), len(labels))
+    return np.count_nonzero(labels == majority) / len(labels)
 
 
-def write_distance_dump(path, context: DistanceContext, config: KnnConfig | None = None) -> None:
-    """The ``baseline`` stage's TSV of every distinct registry pair, in registry
-    order: langA langB geodesic genetic combined."""
-    config = config or KnnConfig()
-    codes = list(context.index)
-
-    def rows():  # lazily: one registry row of floats in memory at a time
-        yield "langA", "langB", "geodesic", "genetic", "combined"
-        for i, a in enumerate(codes):
-            yield from zip(repeat(a), codes[i + 1:], context.geo[i, i + 1:].tolist(),
-                           context.gen[i, i + 1:].tolist(), context.combined_row(a, config)[i + 1:].tolist())
+def write_neighbors(path, matrix: FeatureMatrix, registry: Registry, config: KnnConfig,
+                    context: DistanceContext) -> None:
+    """The ``baseline`` stage's TSV of the neighbors the k-NN vectors average: for
+    each language of ``matrix`` in row order, its :func:`nearest_neighbors` in rank
+    order, as lang rank neighbor geodesic genetic combined."""
+    def rows():
+        yield "lang", "rank", "neighbor", "geodesic", "genetic", "combined"
+        for lang in matrix.languages:
+            i, combined = context.index[lang], context.combined_row(lang, config)
+            for rank, neighbor in enumerate(nearest_neighbors(lang, matrix, registry, config, context), 1):
+                j = context.index[neighbor]
+                yield (lang, rank, neighbor,
+                       float(context.geo[i, j]), float(context.gen[i, j]), float(combined[j]))
 
     write_tsv(path, rows())

@@ -152,33 +152,6 @@ def combine_mtboth(v1: LangVector, v2: LangVector) -> LangVector:
     return LangVector(v1.lang, "MTBoth", np.concatenate([v1.values, v2.values]), v2.n_sentences)
 
 
-@dataclass
-class Dendrogram:
-    """Agglomerative clustering result: scipy linkage matrix plus labels."""
-
-    labels: list[str]
-    merges: np.ndarray  # (n-1, 4) scipy linkage matrix
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.labels)
-
-
-def cluster_vectors(vectors: list[LangVector], linkage: str = "average") -> Dendrogram:
-    """Hierarchical clustering of language vectors under cosine distance."""
-    # imported here: scipy.cluster costs most of a CLI start-up and no stage clusters
-    from scipy.cluster.hierarchy import linkage as scipy_linkage
-
-    if len(vectors) < 2:
-        raise ValueError("clustering needs at least 2 vectors")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"vectors have mixed dimensions {sorted(dims)}")
-    data = np.stack([v.values for v in vectors])
-    merges = scipy_linkage(data, method=linkage, metric="cosine")
-    return Dendrogram([v.lang for v in vectors], merges)
-
-
 # --- vector store -----------------------------------------------------------
 
 STORE_HEADER = "lang\tmethod\tdim\tn_sentences"

@@ -17,7 +17,8 @@ import typovec.bpe
 from typovec.bpe import corpus_word_frequencies
 from typovec.cli import main
 from typovec.config import ConfigError, PipelineConfig, parse_config, write_effective_config
-from typovec.typology import read_knn_vectors
+from typovec.corpus import load_registry
+from typovec.typology import DistanceContext, KnnConfig, load_features, read_knn_vectors, write_features
 
 
 def write_config(path, **overrides) -> None:
@@ -361,18 +362,64 @@ class TestCliErrors:
                                       "clip_norm=nan", "clip_norm=inf", "l2=-1", "l2=nan", "l2=inf",
                                       "n_folds=0", "n_folds=1", "geodesic_weight=nan",
                                       "geodesic_weight=inf", "geodesic_weight=-1",
-                                      "genetic_weight=nan", "knn_k=0"])
+                                      "genetic_weight=nan", "knn_k=0", "bootstrap_n=0",
+                                      "bootstrap_n=500", "traj_sentences=-1", "max_sentences=-1"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
         # l2 fits a non-convex objective, and one fold leaves no fold to train on;
         # a NaN distance weight makes every combined distance NaN, and a bad k-NN
-        # key would otherwise fail only at the baseline stage
+        # key would otherwise fail only at the baseline stage; bootstrap_n=0 divides
+        # by zero and too few resamples fail only after all of them are drawn, and a
+        # negative sentence count silently drops sentences or means all of them
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
         assert line.split("=")[0] in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
+
+
+def test_distances_list_the_neighbors_each_knn_vector_averages(tmp_path):
+    source = tmp_path / "source"
+    write_config(tmp_path / "synth.cfg", workdir=str(source), synth_langs=30)
+    assert main(["--config", str(tmp_path / "synth.cfg"), "synth"]) == 0
+    registry = load_registry(source / "registry.tsv")
+    matrix = load_features(source / "features.csv", registry)
+    # synth labels every cell; blank some so that neighbors lacking a label are skipped
+    matrix.values[np.random.default_rng(3).random(matrix.values.shape) < 0.4] = np.nan
+    write_features(tmp_path / "features.csv", matrix)
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w"), registry=str(source / "registry.tsv"),
+                 features=str(tmp_path / "features.csv"))
+    assert main(["--config", str(cfg_path), "baseline"]) == 0
+    context, config = DistanceContext(registry), KnnConfig()  # write_config's k-NN keys
+    knn = read_knn_vectors(tmp_path / "w" / "knn_vectors.tsv")
+    header, *lines = (tmp_path / "w" / "distances.tsv").read_text(encoding="utf-8").splitlines()
+    assert header.split("\t") == ["lang", "rank", "neighbor", "geodesic", "genetic", "combined"]
+    rows = [line.split("\t") for line in lines]
+    assert [row[0] for row in rows] == [lang for lang in matrix.languages for _ in range(config.k)]
+    skipped = 0
+    for lang in matrix.languages:
+        ranked = [row[1:] for row in rows if row[0] == lang]
+        assert [int(rank) for rank, *_ in ranked] == list(range(1, config.k + 1))
+        i, combined = context.index[lang], context.combined_row(lang, config)
+        listed = [float(value) for *_, value in ranked]
+        assert listed == sorted(listed)
+        for _, neighbor, *distances in ranked:
+            j = context.index[neighbor]
+            np.testing.assert_array_equal(
+                np.array([float(d) for d in distances]).view(np.int64),
+                np.array([context.geo[i, j], context.gen[i, j], combined[j]]).view(np.int64))
+        # no unlisted language is nearer than the last listed one
+        neighbors = [neighbor for _, neighbor, *_ in ranked]
+        last = (listed[-1], neighbors[-1])
+        assert all((combined[context.index[other]], other) > last for other in matrix.languages
+                   if other != lang and other not in neighbors)
+        values = matrix.values[[matrix.languages.index(neighbor) for neighbor in neighbors]]
+        labeled = ~np.isnan(values).all(axis=0)
+        np.testing.assert_array_equal(knn[lang][labeled], np.nanmean(values[:, labeled], axis=0))
+        skipped += int(np.isnan(values[:, labeled]).sum())
+    assert skipped  # the NaN-skipping mean was exercised
 
 
 def test_unterminated_quote_in_features_names_the_file(tmp_path, capsys):

@@ -1,12 +1,14 @@
-"""What each CLI stage loads.
+"""What each CLI stage loads, and what the package may import at all.
 
 Every stage runs in a fresh interpreter, so each module it imports, and
 numpy, is paid for on every run. The package registers its submodules
 lazily and a stage loads only the ones it uses.
 """
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,3 +114,20 @@ def test_module_entry_point_runs_cli_once():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+def test_imported_third_party_modules_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in sorted((root / "src" / "typovec").glob("*.py")):
+        # ast.walk reaches the imports inside functions too
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
+                for requirement in project["dependencies"]}
+    assert imported - set(sys.stdlib_module_names) - {"typovec"} == declared

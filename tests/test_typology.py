@@ -11,15 +11,14 @@ from typovec.typology import (
     FeatureMatrix,
     FeatureSpec,
     KnnConfig,
-    combined_distance,
     genetic_distance,
     geodesic_distance,
     knn_feature_vector,
     load_features,
+    majority_label,
     majority_rate,
-    majority_value,
-    write_distance_dump,
     write_features,
+    write_neighbors,
 )
 
 from oracles import brute_force_knn_vector
@@ -80,17 +79,17 @@ class TestCombined:
 
     def test_identical_is_zero(self, registry):
         ctx = DistanceContext(registry)
-        assert combined_distance(registry["aaa"], registry["aaa"], ctx) == 0.0
+        assert ctx.combined_row("aaa", KnnConfig())[ctx.index["aaa"]] == 0.0
 
     def test_pair_attaining_both_maxima_is_one(self, registry):
         ctx = DistanceContext(registry)
         # aaa-ccc attains both the geodesic max and the genetic max
-        assert combined_distance(registry["aaa"], registry["ccc"], ctx) == pytest.approx(1.0)
+        assert ctx.combined_row("aaa", KnnConfig())[ctx.index["ccc"]] == pytest.approx(1.0)
 
     def test_symmetric(self, registry):
         ctx = DistanceContext(registry)
-        d1 = combined_distance(registry["aaa"], registry["bbb"], ctx)
-        d2 = combined_distance(registry["bbb"], registry["aaa"], ctx)
+        d1 = ctx.combined_row("aaa", KnnConfig())[ctx.index["bbb"]]
+        d2 = ctx.combined_row("bbb", KnnConfig())[ctx.index["aaa"]]
         assert d1 == d2
         assert 0.0 <= d1 <= 1.0
 
@@ -103,7 +102,7 @@ class TestCombined:
         ctx = DistanceContext(registry)
         # all geodesic distances equal (zero): only the genetic half remains,
         # and aaa-ccc attains the genetic max
-        d = combined_distance(registry["aaa"], registry["ccc"], ctx)
+        d = ctx.combined_row("aaa", KnnConfig())[ctx.index["ccc"]]
         assert d == pytest.approx(0.5)
 
 
@@ -145,10 +144,8 @@ class TestDistanceContext:
                 return (w_geo * ngeo + w_gen * ngen) / (w_geo + w_gen)
 
             for a in records:
-                expected = bits([scalar(a, b) for b in records])
-                np.testing.assert_array_equal(bits([combined_distance(a, b, ctx, config) for b in records]),
-                                              expected)
-                np.testing.assert_array_equal(bits(ctx.combined_row(a.code, config)), expected)
+                np.testing.assert_array_equal(bits(ctx.combined_row(a.code, config)),
+                                              bits([scalar(a, b) for b in records]))
 
     def test_each_pair_distance_is_computed_once(self, monkeypatch, tmp_path):
         registry = grid_registry(20, 303)
@@ -167,7 +164,7 @@ class TestDistanceContext:
         ctx = DistanceContext(registry)
         for lang in registry.codes:
             knn_feature_vector(lang, matrix, registry, config, ctx)
-        write_distance_dump(tmp_path / "distances.tsv", ctx, config)
+        write_neighbors(tmp_path / "distances.tsv", matrix, registry, config, ctx)
         assert calls == {"geo": 20 * 19 // 2, "gen": 20 * 19 // 2}
 
 
@@ -327,7 +324,7 @@ class TestMajority:
     def test_tie_breaks_toward_one(self):
         matrix = matrix_from({f"l{i:02d}": [1.0 if i < 5 else 0.0] for i in range(10)}, ["S_X"])
         assert majority_rate("S_X", matrix) == pytest.approx(0.50)
-        assert majority_value([1.0] * 5 + [0.0] * 5) == 1
+        assert majority_label(5, 10) == 1
 
     def test_unanimous(self):
         matrix = matrix_from({f"l{i:02d}": [1.0] for i in range(4)}, ["S_X"])

@@ -13,7 +13,6 @@ from typovec.bpe import EncodedCorpus, build_vocab, encode_corpus, learn_bpe
 from typovec.models import Seq2SeqModel, TrainConfig, encode
 from typovec.vectors import (
     LangVector,
-    cluster_vectors,
     combine_mtboth,
     extract_lmvec,
     extract_mtcell,
@@ -271,30 +270,6 @@ class TestMtboth:
         v2 = extract_mtcell(model, encoded, vocab, "kor")
         with pytest.raises(ValueError, match="MTVec"):
             combine_mtboth(v2, v2)
-
-
-class TestClustering:
-    def test_identical_vectors_merge_at_zero(self):
-        vs = [LangVector("aaa", "MTVec", np.array([1.0, 2.0, 3.0])),
-              LangVector("bbb", "MTVec", np.array([1.0, 2.0, 3.0]))]
-        dend = cluster_vectors(vs)
-        assert dend.leaf_count == 2
-        assert abs(dend.merges[0, 2]) < 1e-12
-
-    def test_equal_pair_merges_before_orthogonal(self):
-        vs = [LangVector("aaa", "MTVec", np.array([1.0, 0.0])),
-              LangVector("bbb", "MTVec", np.array([1.0, 0.0])),
-              LangVector("ccc", "MTVec", np.array([0.0, 1.0]))]
-        dend = cluster_vectors(vs)
-        first = set(dend.merges[0, :2].astype(int))
-        assert first == {0, 1}
-        assert dend.leaf_count == 3
-
-    def test_dimension_mismatch_rejected(self):
-        vs = [LangVector("aaa", "MTVec", np.zeros(3)),
-              LangVector("bbb", "MTVec", np.zeros(4))]
-        with pytest.raises(ValueError, match="dimension"):
-            cluster_vectors(vs)
 
 
 class TestStore:
