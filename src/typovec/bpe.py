@@ -24,8 +24,12 @@ two adjacent occurrences giving ``(LR, LR)``. The training words sit end to
 end in flat numpy arrays of symbol ids with next/previous links, so one
 merge is a few whole-array operations over its occurrences rather than a
 Python loop over the words that hold them. The most frequent pair comes
-from a max-heap keyed on ``(-count, pair)`` whose stale entries are skipped
-when popped.
+from a heap ordered on ``(-count, pair)`` with lazy decrease: a pair whose
+count rises is pushed at its new count, a pair whose count falls is not
+pushed at all, and a popped entry whose count has since fallen is pushed
+again at its current count. Every pair keeps an entry at or above its
+count, so an entry popped at its current count is the true first pair in
+that order, and the merges are those of a full recount.
 
 A ``MergeTable`` memoizes word -> marked pieces. ``learn_bpe`` seeds the
 memo with the training words' final symbols, so ``build_vocab`` does not
@@ -37,13 +41,13 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, PairStore, Registry, read_lines, write_tsv
+from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_lines, write_tsv
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -100,9 +104,15 @@ class MergeTable:
         return len(self.pairs)
 
 
-def corpus_word_frequencies(corpus: CorpusStore) -> Counter:
-    sides = (side for pair in corpus.ordered for side in (pair.source, pair.target))
-    return Counter(chain.from_iterable(sides))
+def corpus_word_frequencies(pairs: CorpusStore | Iterable[SentencePair]) -> Counter:
+    """Word -> frequency over both sides of every pair, in first-seen order.
+
+    ``pairs`` is a store or any iterable of pairs, such as the stream of
+    ``corpus.read_pairs``, which the count consumes as the file is read.
+    """
+    if isinstance(pairs, CorpusStore):
+        pairs = pairs.ordered
+    return Counter(chain.from_iterable(chain.from_iterable((p.source, p.target) for p in pairs)))
 
 
 def _word_frequencies(corpus: CorpusStore | Mapping[str, int]) -> Mapping[str, int]:
@@ -129,9 +139,20 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     in a run of overlapping occurrences, greedy from the left as
     ``apply_word`` merges. It relinks the merged positions, and each pair
     that starts at or just before a merged site changes the counts by its
-    weight after the merge minus its weight before: one ``np.unique`` and
-    one ``np.bincount`` per merge, and Python work per distinct changed
-    pair only.
+    weight after the merge minus its weight before: one sort of the changed
+    keys and one ``np.add.reduceat`` per merge, and Python work per distinct
+    changed pair only.
+
+    The heap is lazy on decrease. A pair is pushed when its count rises and
+    not when it falls, so each pair in ``counts`` has an entry at or above
+    its count. A popped entry above the current count is pushed again at
+    that count; one below it is dropped, since the rise pushed a higher
+    entry; one for a pair no longer counted is dropped. An entry popped at
+    its current count is first on ``(-count, pair)``: another pair first on
+    that order would have an entry first too, and would have been popped
+    before it. So the pop order, with its lexicographic ties, is that of a
+    full recount, and the learner pushes one entry per rise and per requeue
+    instead of one per change.
 
     The returned table's memo holds every training word's final symbols when
     every merge product ``left + right`` is a distinct string. The learner's
@@ -153,9 +174,11 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     lengths = np.fromiter(map(len, words), np.int64, len(words))
     starts = np.concatenate(([0], np.cumsum(lengths)))
     codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    chars, sym = np.unique(codes, return_inverse=True)
-    sym = sym.astype(np.int32)
-    names = [chr(code) for code in chars.tolist()]  # symbol id -> string
+    # a character's symbol id is its rank among the corpus's code points
+    present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+    present[codes] = True
+    sym = (np.cumsum(present, dtype=np.int32) - 1)[codes]
+    names = [chr(code) for code in np.flatnonzero(present).tolist()]  # symbol id -> string
     ids = {name: i for i, name in enumerate(names)}
     stride = len(names) + num_merges  # more than any symbol id
     weight = np.repeat(np.array(list(word_freqs.values()), dtype=np.float64), lengths)
@@ -172,20 +195,24 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         return names[left], names[right]
 
     pos = np.flatnonzero(nxt >= 0).astype(np.int32)
-    keys, group = np.unique(keys_at(pos), return_inverse=True)
-    counts = dict(zip(keys.tolist(), np.bincount(group, weight[pos]).astype(np.int64).tolist()))
+    keys, sums = _sum_by_key(keys_at(pos), weight[pos])
+    counts = dict(zip(keys.tolist(), sums.astype(np.int64).tolist()))
     heap = [(-count, pair_of(key), key) for key, count in counts.items()]
     heapq.heapify(heap)
     # a position keeps its right neighbour while it holds its symbol, so
     # every position the filter keeps has one
     bounds = np.cumsum(np.bincount(sym[pos], minlength=len(names)))[:-1]
-    index = dict(enumerate(np.split(pos[np.argsort(sym[pos], kind="stable")], bounds)))
+    held = sym[pos] if len(names) > 1 << 16 else sym[pos].astype(np.uint16)  # 16 bits sort by radix
+    index = dict(enumerate(np.split(pos[np.argsort(held, kind="stable")], bounds)))
 
     table = MergeTable()
     while heap and len(table) < num_merges:
         neg, best, key = heapq.heappop(heap)
-        if counts.get(key) != -neg:
-            continue  # stale: the pair's count changed after this entry
+        count = counts.get(key)
+        if count != -neg:
+            if count is not None and count < -neg:
+                heapq.heappush(heap, (-count, best, key))  # fell since pushed: requeue
+            continue  # else gone, or a later entry holds its higher count
         if -neg < 2:
             break
         table.append(best)
@@ -217,24 +244,39 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         new = np.concatenate((prv[at][lead], at[joined]))
         grown = index.get(merged)  # a product made before, when products repeat
         index[merged] = at[joined] if grown is None else np.sort(np.concatenate((grown, at[joined])))
-        keys, group = np.unique(np.concatenate((keys_at(new), old_keys)), return_inverse=True)
-        change = np.bincount(group, np.concatenate((weight[new], -weight[old])))
+        keys, change = _sum_by_key(np.concatenate((keys_at(new), old_keys)),
+                                   np.concatenate((weight[new], -weight[old])))
         moved = np.flatnonzero(change)
         for key, delta in zip(keys[moved].tolist(), change[moved].astype(np.int64).tolist()):
             count = counts.get(key, 0) + delta
-            if count > 0:
-                counts[key] = count
-                heapq.heappush(heap, (-count, pair_of(key), key))
-            else:
+            if count <= 0:
                 counts.pop(key, None)
+            else:
+                counts[key] = count
+                if delta > 0:  # a fall pushes nothing: the pair's entries still bound it
+                    heapq.heappush(heap, (-count, pair_of(key), key))
     del counts, index, heap  # freed before the memo is built, so peak memory does not grow
     if len({left + right for left, right in table.pairs}) == len(table):
         live = np.flatnonzero(sym >= 0)
-        pieces = [names[s] for s in sym[live].tolist()]
+        # piece s is symbol s's name, and piece len(names) + s that name marked,
+        # which a word's last symbol takes
+        pieces = np.array(names + [name + END_OF_WORD for name in names], dtype=object)
+        pieces = pieces[sym[live] + len(names) * (nxt[live] < 0)].tolist()
         bounds = np.searchsorted(live, starts).tolist()
-        table._pieces.update((word, _marked(pieces[a:b]))
+        table._pieces.update((word, tuple(pieces[a:b]))
                              for word, a, b in zip(words, bounds, bounds[1:]) if b > a)
     return table
+
+
+def _sum_by_key(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the sum of the weights of each; the
+    sums are exact, since every weight is an integer in float64."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return keys[starts], np.add.reduceat(weights[order], starts)
 
 
 def _marked(symbols: list[str]) -> tuple[str, ...]:

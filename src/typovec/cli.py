@@ -152,7 +152,7 @@ def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry = corpus.load_registry(wd.path("registry"))
-    freqs = bpe.corpus_word_frequencies(corpus.load_parallel(wd.path("corpus"), registry))
+    freqs = bpe.corpus_word_frequencies(corpus.read_pairs(wd.path("corpus"), registry))
     merges = bpe.learn_bpe(freqs, cfg.num_merges)
     vocab = bpe.build_vocab(freqs, merges, registry)
     outputs = [wd.path("merges.txt"), wd.path("vocab.tsv")]
@@ -247,13 +247,14 @@ def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     if len(matrix.languages) <= cfg.knn_k:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, knn_k={cfg.knn_k}")
     context = typology.DistanceContext(registry)
-    knn = {
-        lang: typology.knn_feature_vector(lang, matrix, registry, knn_config, context)
-        for lang in matrix.languages
-    }
+    # each language is ranked once; its vector and its rows of the table read the list
+    neighbors = {lang: typology.nearest_neighbors(lang, matrix, registry, knn_config, context)
+                 for lang in matrix.languages}
+    knn = {lang: typology.knn_feature_vector(lang, matrix, registry, knn_config, context, ranked)
+           for lang, ranked in neighbors.items()}
     outputs = [wd.path("knn_vectors.tsv"), wd.path("distances.tsv")]
     typology.write_knn_vectors(outputs[0], matrix, knn)
-    typology.write_neighbors(outputs[1], matrix, registry, knn_config, context)
+    typology.write_neighbors(outputs[1], neighbors, knn_config, context)
     return outputs, f"{cfg.knn_k}-NN vectors for {len(matrix.languages)} languages"
 
 

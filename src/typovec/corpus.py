@@ -7,7 +7,9 @@ a "|"-separated path of family nodes, root first. Lines starting with "#"
 are comments.
 
 Parallel corpus: UTF-8 text, one pair per line, ``lang<TAB>source ||| target``
-with the literal 5-character separator ``" ||| "``.
+with the literal 5-character separator ``" ||| "``. :func:`read_pairs` is its
+one validated reader: it streams the pairs, and :func:`load_parallel` keeps
+them in a :class:`CorpusStore` grouped by language.
 """
 
 from __future__ import annotations
@@ -154,10 +156,18 @@ def load_registry(path) -> Registry:
     return registry
 
 
-def load_parallel(path, registry: Registry) -> CorpusStore:
-    """Load a parallel corpus; unknown language codes, empty sides and a file
-    without sentence pairs are hard errors."""
-    store = CorpusStore()
+def read_pairs(path, registry: Registry):
+    """Yields the corpus's sentence pairs in file order, preprocessed, as it
+    reads the file, so a caller that needs one pass over them (word counting)
+    holds no :class:`CorpusStore`.
+
+    Every line is checked as it is read: a missing tab, a language code not in
+    ``registry``, a separator count other than one and an empty side raise
+    CorpusError naming ``path:line``; bytes that are not UTF-8 and a file
+    without pairs raise it naming ``path``. A pair is yielded only once its
+    line has passed, so the error comes at the first bad line.
+    """
+    empty = True
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
@@ -176,9 +186,17 @@ def load_parallel(path, registry: Registry) -> CorpusStore:
             raise CorpusError(f"{path}:{lineno}: empty source side")
         if not target:
             raise CorpusError(f"{path}:{lineno}: empty target side")
-        store.add(SentencePair(lang=lang, source=tuple(source), target=tuple(target)))
-    if not store:
+        empty = False
+        yield SentencePair(lang, tuple(source), tuple(target))
+    if empty:
         raise CorpusError(f"{path}: no sentence pairs")
+
+
+def load_parallel(path, registry: Registry) -> CorpusStore:
+    """The pairs of :func:`read_pairs`, kept in a store; it raises the same errors."""
+    store = CorpusStore()
+    for pair in read_pairs(path, registry):
+        store.add(pair)
     return store
 
 

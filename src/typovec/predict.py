@@ -440,6 +440,8 @@ def paired_bootstrap(preds_a, preds_b, gold, n: int = 10000, seed: int = 0) -> B
                          f"{preds_a.shape}, {preds_b.shape}, {gold.shape}")
     if len(gold) == 0:
         raise ValueError("no evaluation instances")
+    if n < MIN_RESAMPLES:
+        raise ValueError(f"resample count must be >= {MIN_RESAMPLES}, got {n}")
     correct_a = (preds_a == gold).astype(np.float64)
     correct_b = (preds_b == gold).astype(np.float64)
     observed = 100.0 * float(correct_b.mean() - correct_a.mean())

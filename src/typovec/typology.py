@@ -237,15 +237,19 @@ def nearest_neighbors(lang: str, matrix: FeatureMatrix, registry: Registry,
 
 
 def knn_feature_vector(lang: str, matrix: FeatureMatrix, registry: Registry,
-                       config: KnnConfig, context: DistanceContext) -> np.ndarray:
+                       config: KnnConfig, context: DistanceContext,
+                       neighbors: list[str] | None = None) -> np.ndarray:
     """Average feature vector of the language's k nearest neighbors.
 
     Per feature, neighbors missing that feature are skipped (the divisor
     shrinks); if all k are missing, falls back to the global non-missing
     mean over all other languages, and to 0.5 if that is empty too. The
-    target language's own row is never used.
+    target language's own row is never used. ``neighbors``, when given, is
+    the list :func:`nearest_neighbors` returned for these arguments, so a
+    caller that also needs the list ranks once.
     """
-    neighbors = nearest_neighbors(lang, matrix, registry, config, context)
+    if neighbors is None:
+        neighbors = nearest_neighbors(lang, matrix, registry, config, context)
     rows = matrix.values[[matrix._lang_index[nb] for nb in neighbors]]
     counts = np.sum(~np.isnan(rows), axis=0)
     # values are 0 or 1, so the sum is exact in any order
@@ -272,16 +276,17 @@ def majority_rate(feature: str, matrix: FeatureMatrix) -> float:
     return np.count_nonzero(labels == majority) / len(labels)
 
 
-def write_neighbors(path, matrix: FeatureMatrix, registry: Registry, config: KnnConfig,
+def write_neighbors(path, neighbors: dict[str, list[str]], config: KnnConfig,
                     context: DistanceContext) -> None:
-    """The ``baseline`` stage's TSV of the neighbors the k-NN vectors average: for
-    each language of ``matrix`` in row order, its :func:`nearest_neighbors` in rank
-    order, as lang rank neighbor geodesic genetic combined."""
+    """The ``baseline`` stage's TSV of the neighbors the k-NN vectors average:
+    ``neighbors`` maps each language, in the order its rows are written (the
+    stage's is the feature matrix's), to its :func:`nearest_neighbors` in rank
+    order; each row is lang rank neighbor geodesic genetic combined."""
     def rows():
         yield "lang", "rank", "neighbor", "geodesic", "genetic", "combined"
-        for lang in matrix.languages:
+        for lang, ranked in neighbors.items():
             i, combined = context.index[lang], context.combined_row(lang, config)
-            for rank, neighbor in enumerate(nearest_neighbors(lang, matrix, registry, config, context), 1):
+            for rank, neighbor in enumerate(ranked, 1):
                 j = context.index[neighbor]
                 yield (lang, rank, neighbor,
                        float(context.geo[i, j]), float(context.gen[i, j]), float(combined[j]))

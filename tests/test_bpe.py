@@ -75,6 +75,14 @@ class TestLearn:
         table = learn_bpe({"ab": 2, "cd": 2}, 1)
         assert table.pairs == [("a", "b")]
 
+    def test_fallen_pair_is_requeued_into_its_tie(self):
+        # (b,c) is pushed at 8; merging (a,b) at 15 drops it to 3, where it ties
+        # with (a,d), which sorts before it, and (d,e), which sorts after it
+        words = {"ab": 10, "abc": 5, "bc": 3, "ad": 3, "de": 3}
+        expect = [("a", "b"), ("ab", "c"), ("a", "d"), ("b", "c"), ("d", "e")]
+        assert brute_force_learn_bpe(words, 10) == expect
+        assert learn_bpe(words, 10).pairs == expect
+
     def test_matches_recount_oracle_on_random_corpora(self):
         rng = np.random.default_rng(77)
         alphabet = "abcdef"

@@ -422,6 +422,28 @@ def test_distances_list_the_neighbors_each_knn_vector_averages(tmp_path):
     assert skipped  # the NaN-skipping mean was exercised
 
 
+def test_baseline_ranks_each_language_once(tmp_path, monkeypatch):
+    calls = {"nearest_neighbors": [], "knn_feature_vector": []}
+
+    def counting(name):
+        original = getattr(typovec.typology, name)
+
+        def wrapped(lang, *args):
+            calls[name].append(lang)
+            return original(lang, *args)
+        return wrapped
+
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w11"))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    for name in calls:
+        monkeypatch.setattr(typovec.typology, name, counting(name))
+    assert main(["--config", str(cfg_path), "baseline"]) == 0
+    languages = load_features(tmp_path / "w11" / "features.csv",
+                              load_registry(tmp_path / "w11" / "registry.tsv")).languages
+    assert calls == {"nearest_neighbors": languages, "knn_feature_vector": languages}
+
+
 def test_unterminated_quote_in_features_names_the_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     write_config(cfg_path, workdir=str(tmp_path / "w8"))
@@ -452,6 +474,58 @@ def test_bpe_learn_counts_the_corpus_once(tmp_path, monkeypatch):
     assert main(["--config", str(cfg_path), "synth"]) == 0
     assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
     assert len(calls) == 1
+
+
+def test_bpe_learn_streams_the_corpus_without_a_store(tmp_path, monkeypatch):
+    def no_store(*_args):
+        raise AssertionError("bpe-learn built a CorpusStore")
+
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w9"))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    monkeypatch.setattr(typovec.corpus, "load_parallel", no_store)
+    assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
+    assert (tmp_path / "w9" / "merges.txt").exists()
+
+
+def _replace_line_3(new):
+    def edit(lines):
+        lines[2] = new(lines[2].decode("utf-8")).encode("utf-8")
+        return b"\n".join(lines) + b"\n"
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    pytest.param(_replace_line_3(lambda line: line.replace("\t", " ", 1)),
+                 ":3: missing tab after language code", id="missing-tab"),
+    pytest.param(_replace_line_3(lambda line: "zzz" + line[line.index("\t"):]),
+                 ":3: unknown language code 'zzz'", id="unknown-code"),
+    pytest.param(_replace_line_3(lambda line: line.replace(" ||| ", " | ")),
+                 ":3: expected exactly one ' ||| ' separator", id="no-separator"),
+    pytest.param(_replace_line_3(lambda line: line + " ||| x"),
+                 ":3: expected exactly one ' ||| ' separator", id="two-separators"),
+    pytest.param(_replace_line_3(lambda line: line.partition("\t")[0] + "\t ||| x"),
+                 ":3: empty source side", id="empty-source"),
+    pytest.param(_replace_line_3(lambda line: line.partition(" ||| ")[0] + " ||| "),
+                 ":3: empty target side", id="empty-target"),
+    pytest.param(lambda lines: b"\n".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]),
+                 ": not UTF-8 text", id="not-utf8"),
+    pytest.param(lambda lines: b"\n\n", ": no sentence pairs", id="no-pairs"),
+])
+def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where):
+    cfg_path = tmp_path / "cfg.txt"
+    workdir = tmp_path / "w10"
+    write_config(cfg_path, workdir=str(workdir))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    corpus_path = workdir / "corpus.txt"
+    corpus_path.write_bytes(edit(corpus_path.read_bytes().splitlines()))
+    # without synth's record of the file, the reader itself must reject it
+    (workdir / "synth.manifest").unlink()
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "bpe-learn"]) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus_path}{where}" in err and "rerun 'synth'" in err
+    assert not (workdir / "merges.txt").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

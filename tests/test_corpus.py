@@ -1,14 +1,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from typovec.bpe import corpus_word_frequencies
 from typovec.corpus import (
     CorpusError,
     LanguageRecord,
     load_parallel,
     load_registry,
     preprocess,
+    read_pairs,
     serialize_parallel,
+    write_parallel,
+    write_registry,
 )
+from typovec.synth import generate_suite
 
 REGISTRY_TEXT = (
     "# code\tlat\tlon\tlineage\n"
@@ -87,6 +92,24 @@ class TestParallel:
         )
         store = load_parallel(_write(tmp_path, "c.txt", text), reg)
         assert serialize_parallel(store) == text
+
+    def test_streamed_word_counts_equal_the_stores(self, tmp_path):
+        suite = generate_suite(12, 10, seed=3, lexicon_size=20)
+        write_registry(tmp_path / "r.tsv", suite.registry)
+        write_parallel(tmp_path / "c.txt", suite.corpus)
+        reg = load_registry(tmp_path / "r.tsv")
+        store = load_parallel(tmp_path / "c.txt", reg)
+        assert list(read_pairs(tmp_path / "c.txt", reg)) == store.ordered
+        streamed = corpus_word_frequencies(read_pairs(tmp_path / "c.txt", reg))
+        # equal counts in the same first-seen order, which fixes the learner's word order
+        assert list(streamed.items()) == list(corpus_word_frequencies(store).items())
+
+    def test_reader_yields_each_pair_before_it_reads_the_next_line(self, tmp_path):
+        reg = load_registry(_write(tmp_path, "r.tsv", REGISTRY_TEXT))
+        pairs = read_pairs(_write(tmp_path, "c.txt", "deu\tein hund ||| a dog\nbroken\n"), reg)
+        assert next(pairs).source == ("ein", "hund")
+        with pytest.raises(CorpusError, match=r"c\.txt:2: missing tab"):
+            next(pairs)
 
 
 class TestPreprocess:

@@ -388,6 +388,15 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="1000"):
             BootstrapResult(0.0, 0.5, 100)
 
+    @pytest.mark.parametrize("n", [0, 999])
+    def test_resample_count_checked_before_any_draw(self, n, monkeypatch):
+        def no_draws(*_args):
+            raise AssertionError("drew resamples")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"resample count must be >= 1000, got {n}"):
+            paired_bootstrap(np.ones(4), np.zeros(4), np.ones(4), n=n)
+
 
 class TestTopGains:
     def test_ranked_descending(self):

@@ -17,6 +17,7 @@ from typovec.typology import (
     load_features,
     majority_label,
     majority_rate,
+    nearest_neighbors,
     write_features,
     write_neighbors,
 )
@@ -164,7 +165,8 @@ class TestDistanceContext:
         ctx = DistanceContext(registry)
         for lang in registry.codes:
             knn_feature_vector(lang, matrix, registry, config, ctx)
-        write_neighbors(tmp_path / "distances.tsv", matrix, registry, config, ctx)
+        neighbors = {lang: nearest_neighbors(lang, matrix, registry, config, ctx) for lang in registry.codes}
+        write_neighbors(tmp_path / "distances.tsv", neighbors, config, ctx)
         assert calls == {"geo": 20 * 19 // 2, "gen": 20 * 19 // 2}
 
 
@@ -314,6 +316,18 @@ class TestKnn:
                 mine = knn_feature_vector(lang, matrix, registry, config, context)
                 oracle = brute_force_knn_vector(lang, records, codes, values, k=3)
                 np.testing.assert_array_equal(mine, oracle, err_msg=f"trial {trial} lang {lang}")
+
+    def test_given_neighbors_give_the_ranked_vector(self):
+        registry = grid_registry(12, 7)
+        values = np.random.default_rng(5).integers(0, 2, size=(12, 4)).astype(float)
+        values[np.random.default_rng(6).random(values.shape) < 0.3] = math.nan
+        matrix = FeatureMatrix(registry.codes, [FeatureSpec(f"S_F{i}", "syntax") for i in range(4)], values)
+        config, context = KnnConfig(k=3), DistanceContext(registry)
+        for lang in registry.codes:
+            ranked = nearest_neighbors(lang, matrix, registry, config, context)
+            np.testing.assert_array_equal(
+                knn_feature_vector(lang, matrix, registry, config, context, ranked),
+                knn_feature_vector(lang, matrix, registry, config, context))
 
 
 class TestMajority:
