@@ -38,15 +38,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 class Parameter:
     """Named trainable tensor with a persistent gradient accumulator."""

@@ -47,7 +47,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_lines, write_tsv
+from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_records, write_tsv
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -409,18 +409,17 @@ def save_merges(path, merges: MergeTable) -> None:
 
 
 def load_merges(path) -> MergeTable:
-    pairs: list[tuple[str, str]] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
+    merges = MergeTable()
+
+    def parse(line):
         parts = line.split(" ")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'left right'")
-        pairs.append((parts[0], parts[1]))
-    try:
-        return MergeTable(pairs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            raise ValueError("expected 'left right'")
+        merges.append((parts[0], parts[1]))
+
+    for _ in read_records(path, parse):
+        pass
+    return merges
 
 
 def save_vocab(path, vocab: SubwordVocab) -> None:
@@ -428,18 +427,16 @@ def save_vocab(path, vocab: SubwordVocab) -> None:
 
 
 def load_vocab(path) -> SubwordVocab:
-    entries: list[tuple[int, str]] = []
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
+    def parse(line):
         tok, tab, ident = line.partition("\t")
         if not tab:
-            raise ValueError(f"{path}:{lineno}: expected 'token<TAB>id'")
+            raise ValueError("expected 'token<TAB>id'")
         try:
-            entries.append((int(ident), tok))
+            return int(ident), tok
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: id {ident!r} is not an integer") from None
-    entries.sort()
+            raise ValueError(f"id {ident!r} is not an integer") from None
+
+    entries = sorted(read_records(path, parse))
     if [i for i, _ in entries] != list(range(len(entries))):
         raise ValueError(f"{path}: vocabulary ids are not dense and contiguous")
     try:

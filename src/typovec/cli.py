@@ -11,11 +11,12 @@ the stage stops and names the producer to rerun. So is an upstream stage
 whose manifest records an ``in:`` hash other than its producer's ``out:``
 hash: the stage writes nothing and names the first such stage to rerun.
 Inputs with no such record (e.g. a registry outside the work dir) are not
-checked. Every loader starts its errors with the file's path, so a stage
-that fails on a malformed input inside the work dir names its producer to
-rerun as well. A ``flock`` on
-``<workdir>/.lock`` guards against concurrent pipeline instances; the kernel
-releases it when its process dies, so a killed run leaves no lock behind.
+checked. Every loader starts its errors with ``<path>:`` (the one line
+reader, ``corpus.read_records``, writes ``<path>:<line>:``), so a stage that
+fails on a malformed input inside the work dir names its producer to rerun
+as well. A ``flock`` on ``<workdir>/.lock`` guards against concurrent
+pipeline instances; the kernel releases it when its process dies, so a
+killed run leaves no lock behind.
 
 Exit codes: 0 success, 1 validation error (bad inputs, missing or stale
 upstream artifacts), 2 runtime error.
@@ -205,9 +206,6 @@ def _extract_inputs(cfg: PipelineConfig) -> list[str]:
 
 def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = cfg.method_list
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ConfigError(f"unknown methods in config: {unknown}")
     _, encoded, vocab = _load_encoded(cfg, wd)
     langs = sorted(encoded.by_lang)
     nmt = _load_trained(wd, "nmt") if "nmt.ckpt" in _extract_inputs(cfg) else None
@@ -318,11 +316,10 @@ def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 def _condition(text: str, preds, path: Path) -> tuple[str, bool]:
     """The predictions key of a bootstrap condition such as ``MTBoth+Aux``."""
-    if text[-4:] not in ("+Aux", "-Aux"):
-        raise ConfigError(f"bootstrap condition {text!r} must end in +Aux or -Aux")
-    if (text[:-4], text.endswith("+Aux")) not in preds:
+    key = text[:-4], text.endswith("+Aux")
+    if key not in preds:
         raise ValueError(f"{path}: no predictions for condition {text}; check 'methods'")
-    return text[:-4], text.endswith("+Aux")
+    return key
 
 
 def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
@@ -409,7 +406,7 @@ def _stale_upstream(wd: Workdir, artifacts) -> tuple[str, str] | None:
     producers of ``artifacts`` and the stages upstream of them, whose manifest
     records an ``in:`` hash other than the producer's ``out:`` hash, or None;
     stages without a manifest are skipped."""
-    stages = {PRODUCERS.get(artifact, "extract") for artifact in artifacts}
+    stages = {PRODUCERS[artifact] for artifact in artifacts}
     producer_of = {f"in:{wd.key(wd.path(artifact))}": producer for artifact, producer in PRODUCERS.items()}
     manifests = {stage: wd.recorded(stage) for stage in STAGES}
     # STAGES lists every stage after the producers of its inputs
@@ -429,10 +426,9 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
     with _workdir_lock(wd.root):
         entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
         inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
-        producers = {}  # path of each input inside the work dir -> its producer
+        producers = {}  # "<path>:" of each input inside the work dir -> its producer
         for artifact in inputs:
-            # vectors_<method>.tsv of a method extract does not know: extract rejects it
-            path, producer = wd.path(artifact), PRODUCERS.get(artifact, "extract")
+            path, producer = wd.path(artifact), PRODUCERS[artifact]
             if not path.exists():
                 raise StageInputError(f"missing {path}; run the '{producer}' stage first")
             digest = entries[f"in:{wd.key(path)}"] = _sha256(path)
@@ -440,7 +436,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
                 raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
                                       f"rerun '{producer}'")
             if path.is_relative_to(wd.root):
-                producers[str(path)] = producer
+                producers[f"{path}:"] = producer
         stale = _stale_upstream(wd, inputs)
         if stale is not None:
             raise StageInputError(f"{wd.root / stale[1]} has changed since '{stale[0]}' read it; "
@@ -452,7 +448,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
         try:
             outputs, summary = stage.body(cfg, wd)
         except ValueError as exc:
-            producer = producers.get(str(exc).partition(":")[0])  # loaders put the path first
+            # a loader's error starts with "<path>:"; the path itself may hold a ":"
+            producer = next((p for prefix, p in producers.items() if str(exc).startswith(prefix)), None)
             if producer is None:
                 raise
             raise StageInputError(f"{exc}; rerun '{producer}'") from None

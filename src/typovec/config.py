@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .corpus import read_lines
+from .corpus import read_records
 
 
 class ConfigError(ValueError):
@@ -134,6 +134,13 @@ class PipelineConfig:
             raise ConfigError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.n_folds < 2:
             raise ConfigError(f"n_folds must be at least 2, got {self.n_folds}")
+        unknown = [m for m in self.method_list if m not in METHODS]
+        if unknown:
+            raise ConfigError(f"unknown methods in config: {unknown}")
+        for key in ("bootstrap_a", "bootstrap_b"):
+            condition = getattr(self, key)
+            if condition[-4:] not in ("+Aux", "-Aux") or condition[:-4] not in ("None", *METHODS):
+                raise ConfigError(f"{key} must be None or a method, then +Aux or -Aux, got {condition!r}")
         if self.bootstrap_n < MIN_RESAMPLES:
             raise ConfigError(f"bootstrap_n must be at least {MIN_RESAMPLES}, got {self.bootstrap_n}")
         for key in ("max_sentences", "traj_sentences"):
@@ -155,17 +162,21 @@ def read_kv(path) -> dict[str, str]:
     "#" comments are skipped; a line without "=" or a repeated key raises
     ConfigError naming ``path`` and the line."""
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(read_lines(path), start=1):
+
+    def parse(line):
         line = line.strip()
         if not line or line.startswith("#"):
-            continue
+            return
         key, sep, value = line.partition("=")
         key = key.strip()
         if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key=value")
+            raise ConfigError("expected key=value")
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ConfigError(f"duplicate key {key!r}")
         entries[key] = value.strip()
+
+    for _ in read_records(path, parse):
+        pass
     return entries
 
 

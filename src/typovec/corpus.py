@@ -10,6 +10,15 @@ Parallel corpus: UTF-8 text, one pair per line, ``lang<TAB>source ||| target``
 with the literal 5-character separator ``" ||| "``. :func:`read_pairs` is its
 one validated reader: it streams the pairs, and :func:`load_parallel` keeps
 them in a :class:`CorpusStore` grouped by language.
+
+Reading text: :func:`read_records` is the one reader of every text input,
+the config and manifests, the registry, corpus and features, the merge
+table, vocabulary, vector stores and the TSV artifacts. It reads a UTF-8 file
+lazily, numbers its lines, skips empty ones and hands each line to the
+loader's own parse function, which raises ValueError (or a subclass) with a
+message that names no location. The reader alone puts ``path:line:`` in
+front of it, and of a line that is not UTF-8, so a stage that fails on a
+malformed input can match the path and name the stage that wrote the file.
 """
 
 from __future__ import annotations
@@ -124,35 +133,51 @@ def preprocess(text: str) -> list[str]:
     return unicodedata.normalize("NFC", text).split()
 
 
-def read_lines(path):
-    """Yields the lines of a UTF-8 text file without their newlines, reading
-    lazily; a byte sequence that is not UTF-8 raises CorpusError naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from (line.rstrip("\n") for line in fh)
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"{path}: not UTF-8 text ({exc.reason})") from None
+def read_records(path, parse):
+    """Yields ``parse(line)`` for each non-empty line of a UTF-8 text file, in
+    file order, reading lazily; each line is passed without its newline.
+
+    A ValueError from ``parse`` is raised again as the same class with
+    ``path:line:`` in front of its message, and a line holding bytes that are
+    not UTF-8 raises CorpusError the same way.
+    """
+    # surrogateescape turns a byte that is not UTF-8 into a lone surrogate,
+    # which encoding then rejects; ASCII lines skip that check
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                if not line.isascii():
+                    line.encode("utf-8")
+                record = parse(line)
+            except UnicodeEncodeError:
+                raise CorpusError(f"{path}:{lineno}: not UTF-8 text") from None
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from None
+            yield record
 
 
 def load_registry(path) -> Registry:
     registry = Registry()
     registry.source = str(path)
-    for lineno, line in enumerate(read_lines(path), start=1):
+
+    def parse(line):
         if not line.strip() or line.lstrip().startswith("#"):
-            continue
+            return
         fields = line.split("\t")
         if len(fields) != 4:
-            raise CorpusError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+            raise CorpusError(f"expected 4 tab-separated fields, got {len(fields)}")
         code, lat_s, lon_s, lineage_s = fields
         try:
             lat, lon = float(lat_s), float(lon_s)
         except ValueError:
-            raise CorpusError(f"{path}:{lineno}: non-numeric coordinate") from None
-        try:
-            record = LanguageRecord(code=code, lineage=tuple(lineage_s.split("|")), lat=lat, lon=lon)
-            registry.add(record)
-        except CorpusError as exc:
-            raise CorpusError(f"{path}:{lineno}: {exc}") from None
+            raise CorpusError("non-numeric coordinate") from None
+        registry.add(LanguageRecord(code=code, lineage=tuple(lineage_s.split("|")), lat=lat, lon=lon))
+
+    for _ in read_records(path, parse):
+        pass
     return registry
 
 
@@ -163,33 +188,33 @@ def read_pairs(path, registry: Registry):
 
     Every line is checked as it is read: a missing tab, a language code not in
     ``registry``, a separator count other than one and an empty side raise
-    CorpusError naming ``path:line``; bytes that are not UTF-8 and a file
-    without pairs raise it naming ``path``. A pair is yielded only once its
+    CorpusError naming ``path:line``, as do bytes that are not UTF-8; a file
+    without pairs raises it naming ``path``. A pair is yielded only once its
     line has passed, so the error comes at the first bad line.
     """
-    empty = True
-    for lineno, line in enumerate(read_lines(path), start=1):
-        if not line:
-            continue
+    def parse(line):
         lang, tab, rest = line.partition("\t")
         if not tab:
-            raise CorpusError(f"{path}:{lineno}: missing tab after language code")
+            raise CorpusError("missing tab after language code")
         if lang not in registry:
-            raise CorpusError(f"{path}:{lineno}: unknown language code {lang!r} "
-                              f"(not in {registry.source})")
+            raise CorpusError(f"unknown language code {lang!r} (not in {registry.source})")
         if rest.count(PAIR_SEPARATOR) != 1:
-            raise CorpusError(f"{path}:{lineno}: expected exactly one {PAIR_SEPARATOR!r} separator")
+            raise CorpusError(f"expected exactly one {PAIR_SEPARATOR!r} separator")
         source_s, _, target_s = rest.partition(PAIR_SEPARATOR)
         source = preprocess(source_s)
         target = preprocess(target_s)
         if not source:
-            raise CorpusError(f"{path}:{lineno}: empty source side")
+            raise CorpusError("empty source side")
         if not target:
-            raise CorpusError(f"{path}:{lineno}: empty target side")
-        empty = False
-        yield SentencePair(lang, tuple(source), tuple(target))
-    if empty:
+            raise CorpusError("empty target side")
+        return SentencePair(lang, tuple(source), tuple(target))
+
+    pairs = read_records(path, parse)
+    first = next(pairs, None)
+    if first is None:
         raise CorpusError(f"{path}: no sentence pairs")
+    yield first
+    yield from pairs
 
 
 def load_parallel(path, registry: Registry) -> CorpusStore:
@@ -201,25 +226,29 @@ def load_parallel(path, registry: Registry) -> CorpusStore:
 
 
 def read_tsv(path, columns: tuple[str, ...], parse_row) -> None:
-    """Calls ``parse_row(fields)`` on each non-empty row of a tab-separated file.
+    """Calls ``parse_row(fields)`` on each row of a tab-separated file.
 
-    The header must start with ``columns``; each row has as many fields as the
-    header. Any breach, or a ValueError from ``parse_row``, names ``path:line``.
+    The header, the first non-empty line, must start with ``columns``; each
+    row has as many fields as the header. A breach, or a ValueError from
+    ``parse_row``, names ``path:line``; a file without a header names ``path``.
     """
-    lines = read_lines(path)
-    header = next(lines, "").split("\t")
-    if tuple(header[:len(columns)]) != columns:
-        raise ValueError(f"{path}:1: header must start with {' '.join(columns)}")
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
+    header: list[str] = []
+
+    def parse(line):
         fields = line.split("\t")
-        try:
-            if len(fields) != len(header):
-                raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
+        if not header:
+            if tuple(fields[:len(columns)]) != columns:
+                raise ValueError(f"header must start with {' '.join(columns)}")
+            header.extend(fields)
+        elif len(fields) != len(header):
+            raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
+        else:
             parse_row(fields)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+    for _ in read_records(path, parse):
+        pass
+    if not header:
+        raise ValueError(f"{path}: no header; it must start with {' '.join(columns)}")
 
 
 def serialize_parallel(store: CorpusStore) -> str:

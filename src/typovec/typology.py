@@ -5,7 +5,8 @@ prefix: syntax ("S_"), phonology ("P_"), phonetic inventory ("I_").
 Missing cells are allowed and represented as NaN internally.
 
 Feature CSV format: header ``lang,<feature names...>``, one row per
-language, cells "0", "1", or empty for missing.
+language, cells "0", "1", or empty for missing. Each line is read as one
+CSV record, so no quoted cell spans lines.
 
 Distances are computed once per registry pair: :class:`DistanceContext`
 calls the scalar :func:`geodesic_distance` and :func:`genetic_distance` for
@@ -31,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .config import CATEGORIES, KnnConfig, category_of  # re-exported
-from .corpus import CorpusError, LanguageRecord, Registry, read_lines, read_tsv, write_tsv
+from .corpus import CorpusError, LanguageRecord, Registry, read_records, read_tsv, write_tsv
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -89,33 +90,26 @@ class FeatureMatrix:
         return counts
 
 
-def _csv_rows(path):
-    """The rows of a CSV file; a malformed one raises CorpusError naming the file and line."""
-    reader = csv.reader(read_lines(path))
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
-
-
 def load_features(path, registry: Registry) -> FeatureMatrix:
-    reader = _csv_rows(path)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise CorpusError(f"{path}: empty feature file") from None
-    if not header or header[0] != "lang":
-        raise CorpusError(f"{path}: first header column must be 'lang'")
+    header: list[str] = []
     languages: list[str] = []
     rows: list[list[float]] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+
+    def parse(line):
+        try:
+            row = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise CorpusError(str(exc)) from None
+        if not header:
+            if row[0] != "lang":
+                raise CorpusError("first header column must be 'lang'")
+            header.extend(row)
+            return
         if len(row) != len(header):
-            raise CorpusError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            raise CorpusError(f"expected {len(header)} cells, got {len(row)}")
         lang = row[0]
         if lang not in registry:
-            raise CorpusError(f"{path}:{lineno}: unknown language {lang!r} (not in {registry.source})")
+            raise CorpusError(f"unknown language {lang!r} (not in {registry.source})")
         cells: list[float] = []
         for name, cell in zip(header[1:], row[1:]):
             if cell == "":
@@ -123,10 +117,14 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
             elif cell in ("0", "1"):
                 cells.append(float(cell))
             else:
-                raise CorpusError(f"{path}:{lineno}: feature {name} has value {cell!r}, "
-                                  "expected 0, 1 or empty")
+                raise CorpusError(f"feature {name} has value {cell!r}, expected 0, 1 or empty")
         languages.append(lang)
         rows.append(cells)
+
+    for _ in read_records(path, parse):
+        pass
+    if not header:
+        raise CorpusError(f"{path}: empty feature file")
     try:
         features = [FeatureSpec(name, category_of(name)) for name in header[1:]]
         return FeatureMatrix(languages, features, np.array(rows).reshape(len(languages), len(features)))

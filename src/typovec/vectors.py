@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models
 from .config import METHODS  # re-exported
-from .corpus import read_lines, write_tsv
+from .corpus import read_records, write_tsv
 
 if TYPE_CHECKING:
     from .bpe import EncodedCorpus, SubwordVocab
@@ -164,24 +164,25 @@ def save_vectors(path, vectors: list[LangVector]) -> None:
 
 
 def load_vectors(path) -> list[LangVector]:
-    out: list[LangVector] = []
-    lines = read_lines(path)
-    header = next(lines, "")
-    if header != STORE_HEADER:
-        raise ValueError(f"{path}: bad vector store header {header!r}")
-    for lineno, line in enumerate(lines, start=2):
-        if not line:
-            continue
+    header: list[str] = []
+
+    def parse(line):
+        if not header:
+            if line != STORE_HEADER:
+                raise ValueError(f"bad vector store header {line!r}")
+            header.append(line)
+            return None
         fields = line.split("\t")
         if len(fields) != 5:
-            raise ValueError(f"{path}:{lineno}: expected 5 tab-separated fields")
+            raise ValueError("expected 5 tab-separated fields")
         lang, method, dim_s, n_s, values_s = fields
-        try:
-            dim, n_sentences = int(dim_s), int(n_s)
-            values = np.array(values_s.split(" "), dtype=np.float64)
-            if len(values) != dim:
-                raise ValueError(f"dim {dim_s} but {len(values)} values")
-            out.append(LangVector(lang, method, values, n_sentences))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        dim, n_sentences = int(dim_s), int(n_s)
+        values = np.array(values_s.split(" "), dtype=np.float64)
+        if len(values) != dim:
+            raise ValueError(f"dim {dim_s} but {len(values)} values")
+        return LangVector(lang, method, values, n_sentences)
+
+    out = [vector for vector in read_records(path, parse) if vector is not None]
+    if not header:
+        raise ValueError(f"{path}: bad vector store header ''")
     return out

@@ -363,7 +363,9 @@ class TestCliErrors:
                                       "n_folds=0", "n_folds=1", "geodesic_weight=nan",
                                       "geodesic_weight=inf", "geodesic_weight=-1",
                                       "genetic_weight=nan", "knn_k=0", "bootstrap_n=0",
-                                      "bootstrap_n=500", "traj_sentences=-1", "max_sentences=-1"])
+                                      "bootstrap_n=500", "traj_sentences=-1", "max_sentences=-1",
+                                      "methods=MTVec,MTcell", "bootstrap_a=MTBoth",
+                                      "bootstrap_b=MTCel+Aux", "bootstrap_a=None"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
@@ -371,7 +373,8 @@ class TestCliErrors:
         # a NaN distance weight makes every combined distance NaN, and a bad k-NN
         # key would otherwise fail only at the baseline stage; bootstrap_n=0 divides
         # by zero and too few resamples fail only after all of them are drawn, and a
-        # negative sentence count silently drops sentences or means all of them
+        # negative sentence count silently drops sentences or means all of them; a
+        # misspelt method or bootstrap condition would otherwise fail stages later
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
@@ -509,7 +512,7 @@ def _replace_line_3(new):
     pytest.param(_replace_line_3(lambda line: line.partition(" ||| ")[0] + " ||| "),
                  ":3: empty target side", id="empty-target"),
     pytest.param(lambda lines: b"\n".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]),
-                 ": not UTF-8 text", id="not-utf8"),
+                 ":3: not UTF-8 text", id="not-utf8"),
     pytest.param(lambda lines: b"\n\n", ": no sentence pairs", id="no-pairs"),
 ])
 def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where):
@@ -526,6 +529,22 @@ def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where
     err = capsys.readouterr().err
     assert f"{corpus_path}{where}" in err and "rerun 'synth'" in err
     assert not (workdir / "merges.txt").exists()
+
+
+def test_work_dir_path_with_a_colon_keeps_the_rerun_hint(tmp_path, capsys):
+    # the producer is found by the "<path>:" prefix, not by cutting at the first ":"
+    cfg_path = tmp_path / "cfg.txt"
+    workdir = tmp_path / "a:b" / "w"
+    write_config(cfg_path, workdir=str(workdir))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    corpus_path = workdir / "corpus.txt"
+    edit = _replace_line_3(lambda line: line.replace("\t", " ", 1))
+    corpus_path.write_bytes(edit(corpus_path.read_bytes().splitlines()))
+    (workdir / "synth.manifest").unlink()
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "bpe-learn"]) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus_path}:3: missing tab after language code; rerun 'synth'" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from typovec.bpe import corpus_word_frequencies
+from typovec.bpe import corpus_word_frequencies, load_merges, load_vocab
+from typovec.config import ConfigError, read_kv
 from typovec.corpus import (
     CorpusError,
     LanguageRecord,
@@ -9,11 +12,15 @@ from typovec.corpus import (
     load_registry,
     preprocess,
     read_pairs,
+    read_records,
     serialize_parallel,
     write_parallel,
     write_registry,
 )
+from typovec.report import read_report_tsv
 from typovec.synth import generate_suite
+from typovec.typology import load_features, read_knn_vectors
+from typovec.vectors import load_vectors
 
 REGISTRY_TEXT = (
     "# code\tlat\tlon\tlineage\n"
@@ -110,6 +117,55 @@ class TestParallel:
         assert next(pairs).source == ("ein", "hund")
         with pytest.raises(CorpusError, match=r"c\.txt:2: missing tab"):
             next(pairs)
+
+
+def _registry(tmp_path):
+    return load_registry(_write(tmp_path, "registry.tsv", REGISTRY_TEXT))
+
+
+# One well-formed file of each text format, and the loader that reads it: every
+# line before a bad one parses, so the error can only be the bad byte's.
+TEXT_FORMATS = [
+    pytest.param(REGISTRY_TEXT, lambda path, tmp_path: load_registry(path), id="registry"),
+    pytest.param("lang,S_A,P_B\nfra,1,0\ndeu,,1\n",
+                 lambda path, tmp_path: load_features(path, _registry(tmp_path)), id="features"),
+    pytest.param("a b\nab c\nx y\n", lambda path, tmp_path: load_merges(path), id="merges"),
+    pytest.param("<pad>\t0\n<bos>\t1\n<eos>\t2\n<unk>\t3\nab\t4\n",
+                 lambda path, tmp_path: load_vocab(path), id="vocab"),
+    pytest.param("lang\tmethod\tdim\tn_sentences\nfra\tMTVec\t2\t5\t0.5 0.25\n"
+                 "deu\tMTVec\t2\t5\t0.125 1.0\n", lambda path, tmp_path: load_vectors(path), id="vectors"),
+    pytest.param("lang\tS_A\tP_B\nfra\t0.5\t1.0\ndeu\t0.0\t0.25\n",
+                 lambda path, tmp_path: read_knn_vectors(path), id="knn_vectors"),
+    pytest.param("method\tcategory\taux\taccuracy\nNone\tsyntax\t-Aux\t0.5\nNone\tsyntax\t+Aux\t0.75\n",
+                 lambda path, tmp_path: read_report_tsv(path), id="report"),
+    pytest.param("# comment\nworkdir=w\nseed=1\nlr=0.1\n", lambda path, tmp_path: read_kv(path),
+                 id="key-value"),
+]
+
+
+class TestReadRecords:
+    @pytest.mark.parametrize("text, load", TEXT_FORMATS)
+    def test_bad_byte_on_line_k_names_path_and_k(self, tmp_path, text, load):
+        lines = text.encode("utf-8").splitlines(keepends=True)
+        path = tmp_path / "input"
+        for k in range(1, len(lines) + 1):
+            bad = lines[k - 1][:1] + b"\xff" + lines[k - 1][1:]
+            path.write_bytes(b"".join([*lines[:k - 1], bad, *lines[k:]]))
+            with pytest.raises(CorpusError, match=re.escape(f"{path}:{k}: not UTF-8 text")):
+                load(path, tmp_path)
+
+    def test_parse_error_keeps_its_class_and_empty_lines_keep_their_numbers(self, tmp_path):
+        def parse(line):
+            if line == "bad":
+                raise ConfigError("rejected")
+            return line
+
+        path = tmp_path / "input"
+        path.write_bytes(b"a\n\n\xc3\xa9\r\nbad\n")
+        records = read_records(path, parse)
+        assert [next(records), next(records)] == ["a", "\u00e9"]
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:4: rejected")):
+            next(records)
 
 
 class TestPreprocess:
