@@ -47,7 +47,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_records, write_tsv
+from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_each, read_records, write_tsv
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -417,8 +417,7 @@ def load_merges(path) -> MergeTable:
             raise ValueError("expected 'left right'")
         merges.append((parts[0], parts[1]))
 
-    for _ in read_records(path, parse):
-        pass
+    read_each(path, parse)
     return merges
 
 

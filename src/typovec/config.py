@@ -23,7 +23,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .corpus import read_records
+from .corpus import read_each
 
 
 class ConfigError(ValueError):
@@ -175,8 +175,7 @@ def read_kv(path) -> dict[str, str]:
             raise ConfigError(f"duplicate key {key!r}")
         entries[key] = value.strip()
 
-    for _ in read_records(path, parse):
-        pass
+    read_each(path, parse)
     return entries
 
 

@@ -16,16 +16,22 @@ the config and manifests, the registry, corpus and features, the merge
 table, vocabulary, vector stores and the TSV artifacts. It reads a UTF-8 file
 lazily, numbers its lines, skips empty ones and hands each line to the
 loader's own parse function, which raises ValueError (or a subclass) with a
-message that names no location. The reader alone puts ``path:line:`` in
-front of it, and of a line that is not UTF-8, so a stage that fails on a
-malformed input can match the path and name the stage that wrote the file.
+message that names no location; a file with a header has it on line 1. The
+reader alone puts ``path:line:`` in front of that message, and of a line
+that is not UTF-8, so a stage that fails on a malformed input can match the
+path and name the stage that wrote the file. Lines end at "\n" only; a
+"\r" before it is dropped. Valid text is decoded a buffer at a time with no
+check per line; only after a decoding error is the rest of the file decoded
+line by line, to name the line. :func:`read_each` runs the reader to the end
+for a loader whose parse function keeps what it reads.
 """
 
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 
 PAIR_SEPARATOR = " ||| "
 
@@ -133,30 +139,56 @@ def preprocess(text: str) -> list[str]:
     return unicodedata.normalize("NFC", text).split()
 
 
-def read_records(path, parse):
+def read_records(path, parse, header=None):
     """Yields ``parse(line)`` for each non-empty line of a UTF-8 text file, in
-    file order, reading lazily; each line is passed without its newline.
+    file order, reading lazily; each line is passed without its line end.
 
-    A ValueError from ``parse`` is raised again as the same class with
+    With ``header``, line 1 is the header even when it is empty or missing:
+    the first record is ``header(line)``, and each later line is parsed as
+    ``parse(head, line)`` with that record.
+
+    A ValueError from either function is raised again as the same class with
     ``path:line:`` in front of its message, and a line holding bytes that are
     not UTF-8 raises CorpusError the same way.
     """
-    # surrogateescape turns a byte that is not UTF-8 into a lone surrogate,
-    # which encoding then rejects; ASCII lines skip that check
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
+    lineno = 0  # the last line read
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        lines = fh
+        while True:
             try:
-                if not line.isascii():
-                    line.encode("utf-8")
-                record = parse(line)
-            except UnicodeEncodeError:
-                raise CorpusError(f"{path}:{lineno}: not UTF-8 text") from None
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from None
-            yield record
+                if header is not None and lineno == 0:
+                    line = next(lines, "").rstrip("\r\n")
+                    lineno = 1
+                    try:
+                        head = header(line)
+                    except ValueError as exc:
+                        raise type(exc)(f"{path}:{lineno}: {exc}") from None
+                    yield head
+                    parse = partial(parse, head)
+                for lineno, line in enumerate(lines, start=lineno + 1):
+                    line = line.rstrip("\r\n")
+                    if not line:
+                        continue
+                    try:
+                        record = parse(line)
+                    except ValueError as exc:
+                        raise type(exc)(f"{path}:{lineno}: {exc}") from None
+                    yield record
+                return
+            except UnicodeDecodeError:
+                # the decoder fails on a read buffer, not on a line: the lines
+                # after the last one read are decoded again one at a time
+                if lines is not fh:
+                    raise CorpusError(f"{path}:{lineno + 1}: not UTF-8 text") from None
+                fh.buffer.seek(0)
+                lines = (raw.decode("utf-8") for raw in islice(fh.buffer, lineno, None))
+
+
+def read_each(path, parse, header=None) -> None:
+    """Reads the whole file through :func:`read_records`, for a loader whose
+    ``parse`` keeps what it reads."""
+    for _ in read_records(path, parse, header):
+        pass
 
 
 def load_registry(path) -> Registry:
@@ -176,8 +208,7 @@ def load_registry(path) -> Registry:
             raise CorpusError("non-numeric coordinate") from None
         registry.add(LanguageRecord(code=code, lineage=tuple(lineage_s.split("|")), lat=lat, lon=lon))
 
-    for _ in read_records(path, parse):
-        pass
+    read_each(path, parse)
     return registry
 
 
@@ -228,27 +259,23 @@ def load_parallel(path, registry: Registry) -> CorpusStore:
 def read_tsv(path, columns: tuple[str, ...], parse_row) -> None:
     """Calls ``parse_row(fields)`` on each row of a tab-separated file.
 
-    The header, the first non-empty line, must start with ``columns``; each
-    row has as many fields as the header. A breach, or a ValueError from
-    ``parse_row``, names ``path:line``; a file without a header names ``path``.
+    The header, line 1, must start with ``columns``; each row has as many
+    fields as the header. A breach, or a ValueError from ``parse_row``, names
+    ``path:line``.
     """
-    header: list[str] = []
-
-    def parse(line):
+    def parse_header(line):
         fields = line.split("\t")
-        if not header:
-            if tuple(fields[:len(columns)]) != columns:
-                raise ValueError(f"header must start with {' '.join(columns)}")
-            header.extend(fields)
-        elif len(fields) != len(header):
-            raise ValueError(f"expected {len(header)} tab-separated fields, got {len(fields)}")
-        else:
-            parse_row(fields)
+        if tuple(fields[:len(columns)]) != columns:
+            raise ValueError(f"header must start with {' '.join(columns)}")
+        return len(fields)
 
-    for _ in read_records(path, parse):
-        pass
-    if not header:
-        raise ValueError(f"{path}: no header; it must start with {' '.join(columns)}")
+    def parse(width, line):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ValueError(f"expected {width} tab-separated fields, got {len(fields)}")
+        parse_row(fields)
+
+    read_each(path, parse, header=parse_header)
 
 
 def serialize_parallel(store: CorpusStore) -> str:

@@ -90,21 +90,22 @@ class FeatureMatrix:
         return counts
 
 
-def load_features(path, registry: Registry) -> FeatureMatrix:
-    header: list[str] = []
-    languages: list[str] = []
-    rows: list[list[float]] = []
+def _csv_record(line) -> list[str]:
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise CorpusError(str(exc)) from None
 
-    def parse(line):
-        try:
-            row = next(csv.reader([line]))
-        except csv.Error as exc:
-            raise CorpusError(str(exc)) from None
-        if not header:
-            if row[0] != "lang":
-                raise CorpusError("first header column must be 'lang'")
-            header.extend(row)
-            return
+
+def load_features(path, registry: Registry) -> FeatureMatrix:
+    def parse_header(line):
+        header = _csv_record(line)
+        if not header or header[0] != "lang":
+            raise CorpusError("first header column must be 'lang'")
+        return header
+
+    def parse(header, line):
+        row = _csv_record(line)
         if len(row) != len(header):
             raise CorpusError(f"expected {len(header)} cells, got {len(row)}")
         lang = row[0]
@@ -118,16 +119,13 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
                 cells.append(float(cell))
             else:
                 raise CorpusError(f"feature {name} has value {cell!r}, expected 0, 1 or empty")
-        languages.append(lang)
-        rows.append(cells)
+        return lang, cells
 
-    for _ in read_records(path, parse):
-        pass
-    if not header:
-        raise CorpusError(f"{path}: empty feature file")
+    header, *rows = read_records(path, parse, header=parse_header)
     try:
         features = [FeatureSpec(name, category_of(name)) for name in header[1:]]
-        return FeatureMatrix(languages, features, np.array(rows).reshape(len(languages), len(features)))
+        values = np.array([cells for _, cells in rows]).reshape(len(rows), len(features))
+        return FeatureMatrix([lang for lang, _ in rows], features, values)
     except ValueError as exc:
         raise CorpusError(f"{path}: {exc}") from None
 

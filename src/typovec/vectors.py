@@ -164,14 +164,11 @@ def save_vectors(path, vectors: list[LangVector]) -> None:
 
 
 def load_vectors(path) -> list[LangVector]:
-    header: list[str] = []
+    def check_header(line):
+        if line != STORE_HEADER:
+            raise ValueError(f"bad vector store header {line!r}")
 
-    def parse(line):
-        if not header:
-            if line != STORE_HEADER:
-                raise ValueError(f"bad vector store header {line!r}")
-            header.append(line)
-            return None
+    def parse(_, line):
         fields = line.split("\t")
         if len(fields) != 5:
             raise ValueError("expected 5 tab-separated fields")
@@ -182,7 +179,5 @@ def load_vectors(path) -> list[LangVector]:
             raise ValueError(f"dim {dim_s} but {len(values)} values")
         return LangVector(lang, method, values, n_sentences)
 
-    out = [vector for vector in read_records(path, parse) if vector is not None]
-    if not header:
-        raise ValueError(f"{path}: bad vector store header ''")
-    return out
+    _, *vectors = read_records(path, parse, header=check_header)
+    return vectors

@@ -142,6 +142,8 @@ TEXT_FORMATS = [
                  id="key-value"),
 ]
 
+HEADED = ("features", "vectors", "knn_vectors", "report")
+
 
 class TestReadRecords:
     @pytest.mark.parametrize("text, load", TEXT_FORMATS)
@@ -166,6 +168,34 @@ class TestReadRecords:
         assert [next(records), next(records)] == ["a", "\u00e9"]
         with pytest.raises(ConfigError, match=re.escape(f"{path}:4: rejected")):
             next(records)
+
+    def test_a_bad_byte_past_the_first_read_buffer_names_its_line(self, tmp_path):
+        path = tmp_path / "input"
+        lines = [f"line {k}\n".encode() for k in range(1, 3001)]  # about 28 KB
+        lines[2499] = b"bad \xff\n"
+        path.write_bytes(b"".join(lines))
+        records = read_records(path, lambda line: line)
+        assert [next(records) for _ in range(2499)][-1] == "line 2499"
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:2500: not UTF-8 text")):
+            next(records)
+
+    def test_a_malformed_line_before_a_bad_byte_is_named_first(self, tmp_path):
+        def parse(line):
+            if line == "bad":
+                raise ConfigError("rejected")
+            return line
+
+        path = tmp_path / "input"
+        path.write_bytes(b"a\nbad\nb\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2: rejected")):
+            list(read_records(path, parse))
+
+    @pytest.mark.parametrize("text, load", [p for p in TEXT_FORMATS if p.id in HEADED])
+    def test_the_header_is_line_1(self, tmp_path, text, load):
+        path = tmp_path / "input"
+        path.write_text("\n" + text, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: ")):
+            load(path, tmp_path)
 
 
 class TestPreprocess:
