@@ -430,11 +430,15 @@ def load_vocab(path) -> SubwordVocab:
         tok, tab, ident = line.partition("\t")
         if not tab:
             raise ValueError("expected 'token<TAB>id'")
+        if tok in seen:
+            raise ValueError(f"duplicate token {tok!r}")
+        seen.add(tok)
         try:
             return int(ident), tok
         except ValueError:
             raise ValueError(f"id {ident!r} is not an integer") from None
 
+    seen: set[str] = set()
     entries = sorted(read_records(path, parse))
     if [i for i, _ in entries] != list(range(len(entries))):
         raise ValueError(f"{path}: vocabulary ids are not dense and contiguous")

@@ -465,25 +465,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="path to key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--stage", choices=STAGES, default=None,
-                        help="stage to run (alternative to the positional subcommand)")
-    parser.add_argument("stage_name", nargs="?", choices=STAGES, metavar="stage",
+    parser.add_argument("stage", nargs="?", choices=STAGES, metavar="stage",
                         help="one of: " + " | ".join(STAGES))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    stage = args.stage_name or args.stage
-    if stage is None:
-        print("error: no stage given (positional or --stage)", file=sys.stderr)
+    if args.stage is None:
+        print("error: no stage given", file=sys.stderr)
         return 1
     try:
         cfg = parse_config(args.config, seed_override=args.seed)
         # check the training and k-NN keys before any stage runs
         _train_config(cfg)
         _knn_config(cfg)
-        run_stage(stage, cfg)
+        run_stage(args.stage, cfg)
     except (ConfigError, corpus.CorpusError, StageInputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,14 @@
 """Synthetic mini-languages with controlled word order.
 
-Each language has a disjoint lexicon (tokens end in the decimal lexicon
-seed, bodies are letters only, so cross-language collisions are impossible)
-and three word-order flags that map one-to-one onto the gold features
-S_OBJECT_BEFORE_VERB, S_ADPOSITION_AFTER_NOUN, S_NUMERAL_BEFORE_NOUN.
+``SYNTH_FEATURES`` is the one table of synthetic features: the grammar's
+flags, their balanced assignment over languages, the sentence generator's
+reads and the gold matrix's columns all come from it, and a feature's
+URIEL category (syntax, phonology or inventory) comes from its name's
+``S_``/``P_``/``I_`` prefix. Its rows are three word-order flags, each the
+gold value of the syntax feature of the same name.
 
+Each language has a disjoint lexicon (tokens end in the decimal lexicon
+seed, bodies are letters only, so cross-language collisions are impossible).
 Sentences are subject-verb-object clauses with optional numeral modifiers
 and an optional adpositional phrase, ordered by the flags. The target side
 is a canonical fixed-order realization with a single lexicon shared by all
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import category_of
 from .corpus import CorpusStore, LanguageRecord, Registry, SentencePair
 from .typology import FeatureMatrix, FeatureSpec
 
@@ -30,19 +35,14 @@ _VOWELS = "aeiou"
 
 @dataclass(frozen=True)
 class SynthGrammar:
-    obj_before_verb: bool
-    adposition_after_noun: bool
-    numeral_before_noun: bool
+    flags: dict[str, bool]  # keyed by the names of SYNTH_FEATURES
     lexicon_seed: int
     lexicon_size: int = 24
 
-    @property
-    def flags(self) -> dict[str, bool]:
-        return {
-            "S_OBJECT_BEFORE_VERB": self.obj_before_verb,
-            "S_ADPOSITION_AFTER_NOUN": self.adposition_after_noun,
-            "S_NUMERAL_BEFORE_NOUN": self.numeral_before_noun,
-        }
+
+def _ordered(flag: bool, first: list[str], second: list[str]) -> list[str]:
+    """``first`` before ``second`` if ``flag`` is set, else after it."""
+    return first + second if flag else second + first
 
 
 class SynthLanguage:
@@ -86,7 +86,7 @@ class SynthLanguage:
     def sentence(self, rng: np.random.Generator) -> tuple[list[str], list[str]]:
         """One (source, target) pair; the target realization is canonical
         SVO with numerals before nouns and prepositions."""
-        g = self.grammar
+        flags = self.grammar.flags
         subj = int(rng.integers(len(self.nouns)))
         verb = int(rng.integers(len(self.verbs)))
         obj = int(rng.integers(len(self.nouns)))
@@ -97,31 +97,22 @@ class SynthLanguage:
             pp = (int(rng.integers(len(self.adpositions))), int(rng.integers(len(self.nouns))))
 
         def src_np(noun_i: int, num_i: int | None) -> list[str]:
+            noun = [self.nouns[noun_i]]
             if num_i is None:
-                return [self.nouns[noun_i]]
-            if g.numeral_before_noun:
-                return [self.numerals[num_i], self.nouns[noun_i]]
-            return [self.nouns[noun_i], self.numerals[num_i]]
-
-        source = src_np(subj, subj_num)
-        obj_np = src_np(obj, obj_num)
-        if g.obj_before_verb:
-            source += obj_np + [self.verbs[verb]]
-        else:
-            source += [self.verbs[verb]] + obj_np
-        if pp is not None:
-            adp_i, ppn_i = pp
-            phrase = [self.nouns[ppn_i], self.adpositions[adp_i]] if g.adposition_after_noun \
-                else [self.adpositions[adp_i], self.nouns[ppn_i]]
-            source += phrase
+                return noun
+            return _ordered(flags["S_NUMERAL_BEFORE_NOUN"], [self.numerals[num_i]], noun)
 
         def tgt_np(noun_i: int, num_i: int | None) -> list[str]:
             out = [] if num_i is None else [f"en_num{num_i}"]
             return out + [f"en_n{noun_i}"]
 
+        source = src_np(subj, subj_num) + _ordered(
+            flags["S_OBJECT_BEFORE_VERB"], src_np(obj, obj_num), [self.verbs[verb]])
         target = tgt_np(subj, subj_num) + [f"en_v{verb}"] + tgt_np(obj, obj_num)
         if pp is not None:
             adp_i, ppn_i = pp
+            source += _ordered(flags["S_ADPOSITION_AFTER_NOUN"],
+                               [self.nouns[ppn_i]], [self.adpositions[adp_i]])
             target += [f"en_p{adp_i}", f"en_n{ppn_i}"]
         return source, target
 
@@ -137,8 +128,10 @@ class SynthSuite:
 
 def generate_suite(n_langs: int, sentences_per_lang: int, seed: int,
                    lexicon_size: int = 24) -> SynthSuite:
-    """A balanced suite: flag combinations cycle over languages, geography
-    and lineage are random, and the gold matrix mirrors the flags."""
+    """A balanced suite: language ``i`` sets the j-th feature of
+    ``SYNTH_FEATURES`` where bit j of ``i`` is set, so flag combinations
+    cycle over languages; geography and lineage are random, and the gold
+    matrix mirrors the flags."""
     if n_langs < 4:
         raise ValueError(f"need at least 4 languages, got {n_langs}")
     if sentences_per_lang < 1:
@@ -151,14 +144,8 @@ def generate_suite(n_langs: int, sentences_per_lang: int, seed: int,
     rows = []
     for i in range(n_langs):
         code = f"s{i:0{width}d}"
-        combo = i % 8
-        grammar = SynthGrammar(
-            obj_before_verb=bool(combo & 1),
-            adposition_after_noun=bool(combo & 2),
-            numeral_before_noun=bool(combo & 4),
-            lexicon_seed=seed * 1000 + i,
-            lexicon_size=lexicon_size,
-        )
+        flags = {name: bool(i >> j & 1) for j, name in enumerate(SYNTH_FEATURES)}
+        grammar = SynthGrammar(flags, lexicon_seed=seed * 1000 + i, lexicon_size=lexicon_size)
         grammars[code] = grammar
         language = SynthLanguage(grammar)
         registry.add(LanguageRecord(
@@ -171,10 +158,10 @@ def generate_suite(n_langs: int, sentences_per_lang: int, seed: int,
         for _ in range(sentences_per_lang):
             source, target = language.sentence(sent_rng)
             corpus.add(SentencePair(code, tuple(source), tuple(target)))
-        rows.append([float(grammar.flags[name]) for name in SYNTH_FEATURES])
+        rows.append([float(flags[name]) for name in SYNTH_FEATURES])
     features = FeatureMatrix(
         list(grammars),
-        [FeatureSpec(name, "syntax") for name in SYNTH_FEATURES],
+        [FeatureSpec(name, category_of(name)) for name in SYNTH_FEATURES],
         np.array(rows),
     )
     return SynthSuite(registry, corpus, features, grammars, seed)

@@ -102,6 +102,9 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
         header = _csv_record(line)
         if not header or header[0] != "lang":
             raise CorpusError("first header column must be 'lang'")
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise CorpusError(f"duplicate feature column {name!r}")
         return header
 
     def parse(header, line):
@@ -111,6 +114,9 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
         lang = row[0]
         if lang not in registry:
             raise CorpusError(f"unknown language {lang!r} (not in {registry.source})")
+        if lang in seen_langs:
+            raise CorpusError(f"duplicate language row {lang!r}")
+        seen_langs.add(lang)
         cells: list[float] = []
         for name, cell in zip(header[1:], row[1:]):
             if cell == "":
@@ -121,6 +127,7 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
                 raise CorpusError(f"feature {name} has value {cell!r}, expected 0, 1 or empty")
         return lang, cells
 
+    seen_langs: set[str] = set()
     header, *rows = read_records(path, parse, header=parse_header)
     try:
         features = [FeatureSpec(name, category_of(name)) for name in header[1:]]

@@ -285,6 +285,13 @@ class TestVocab:
         with pytest.raises(ValueError, match=message):
             load_vocab(path)
 
+    def test_duplicate_token_names_file_line_and_token(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        path.write_text("<pad>\t0\n<bos>\t1\n<eos>\t2\n<unk>\t3\nab\t4\nab\t5\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:6: duplicate token 'ab'")):
+            load_vocab(path)
+
     def test_encode_corpus_groups_by_language(self, setup):
         registry, store, table = setup
         vocab = build_vocab(store, table, registry)

@@ -260,11 +260,6 @@ class TestPipeline:
         assert lines[0] == "lang,sentence,step,value"
         assert len(lines) > 12
 
-    def test_stage_flag_equivalent_to_positional(self, pipeline, capsys):
-        work, cfg_path = pipeline
-        assert main(["--config", str(cfg_path), "--stage", "baseline"]) == 0
-        assert "up to date" in capsys.readouterr().out
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_corrupt_input_names_file_and_producer(self, pipeline, data):

@@ -1,7 +1,19 @@
+import contextlib
+import hashlib
+import io
+import re
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
+from typovec.cli import main
 from typovec.synth import SYNTH_FEATURES, SynthGrammar, SynthLanguage, generate_suite
+
+
+def grammar_of(obj_before_verb, adposition_after_noun, numeral_before_noun, **kwargs):
+    flags = (obj_before_verb, adposition_after_noun, numeral_before_noun)
+    return SynthGrammar(dict(zip(SYNTH_FEATURES, flags)), **kwargs)
 
 
 def classify(language: SynthLanguage, token: str) -> str:
@@ -12,31 +24,31 @@ def classify(language: SynthLanguage, token: str) -> str:
 
 
 def check_sentence(language: SynthLanguage, tokens: list[str]) -> None:
-    g = language.grammar
+    flags = language.grammar.flags
     classes = [classify(language, t) for t in tokens]
     verb_idx = classes.index("verbs")
     noun_positions = [i for i, c in enumerate(classes) if c == "nouns"]
     # clause structure: subject NP, verb, object NP, optional PP
     if "adpositions" in classes:
         adp_idx = classes.index("adpositions")
-        pp_noun = adp_idx - 1 if g.adposition_after_noun else adp_idx + 1
+        pp_noun = adp_idx - 1 if flags["S_ADPOSITION_AFTER_NOUN"] else adp_idx + 1
         assert classes[pp_noun] == "nouns", "adposition must be adjacent to its noun"
         noun_positions = [i for i in noun_positions if i != pp_noun]
     obj_idx = noun_positions[1]  # second core noun is the object
-    if g.obj_before_verb:
+    if flags["S_OBJECT_BEFORE_VERB"]:
         assert obj_idx < verb_idx
     else:
         assert obj_idx > verb_idx
     for i, c in enumerate(classes):
         if c == "numerals":
-            neighbor = i + 1 if g.numeral_before_noun else i - 1
+            neighbor = i + 1 if flags["S_NUMERAL_BEFORE_NOUN"] else i - 1
             assert 0 <= neighbor < len(classes) and classes[neighbor] == "nouns"
 
 
 class TestLanguage:
     def test_object_position_respects_flag(self):
         for flag in (True, False):
-            grammar = SynthGrammar(flag, False, True, lexicon_seed=5, lexicon_size=12)
+            grammar = grammar_of(flag, False, True, lexicon_seed=5, lexicon_size=12)
             language = SynthLanguage(grammar)
             rng = np.random.default_rng(0)
             for _ in range(200):
@@ -45,8 +57,8 @@ class TestLanguage:
 
     def test_all_flag_combinations_parse(self):
         for combo in range(8):
-            grammar = SynthGrammar(bool(combo & 1), bool(combo & 2), bool(combo & 4),
-                                   lexicon_seed=100 + combo, lexicon_size=14)
+            grammar = grammar_of(bool(combo & 1), bool(combo & 2), bool(combo & 4),
+                                 lexicon_seed=100 + combo, lexicon_size=14)
             language = SynthLanguage(grammar)
             rng = np.random.default_rng(combo)
             for _ in range(100):
@@ -55,26 +67,26 @@ class TestLanguage:
                 assert target  # canonical side always non-empty
 
     def test_different_seeds_have_disjoint_lexicons(self):
-        a = SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=20))
-        b = SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=2, lexicon_size=20))
+        a = SynthLanguage(grammar_of(True, True, True, lexicon_seed=1, lexicon_size=20))
+        b = SynthLanguage(grammar_of(True, True, True, lexicon_seed=2, lexicon_size=20))
         assert not (a.lexicon & b.lexicon)
 
     def test_same_seed_same_stream(self):
-        grammar = SynthGrammar(False, True, False, lexicon_seed=9, lexicon_size=16)
+        grammar = grammar_of(False, True, False, lexicon_seed=9, lexicon_size=16)
         s1 = [SynthLanguage(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
         s2 = [SynthLanguage(grammar).sentence(np.random.default_rng(3)) for _ in range(1)]
         assert s1 == s2
 
     def test_small_lexicon_rejected(self):
         with pytest.raises(ValueError, match=">= 10"):
-            SynthLanguage(SynthGrammar(True, True, True, lexicon_seed=1, lexicon_size=5))
+            SynthLanguage(grammar_of(True, True, True, lexicon_seed=1, lexicon_size=5))
 
     def test_target_is_canonical_order(self):
         # same meaning frame must realize identically regardless of flags:
         # compare a fully flagged and an unflagged language drawing the same
         # random choices
-        g1 = SynthGrammar(True, True, True, lexicon_seed=8, lexicon_size=12)
-        g2 = SynthGrammar(False, False, False, lexicon_seed=8, lexicon_size=12)
+        g1 = grammar_of(True, True, True, lexicon_seed=8, lexicon_size=12)
+        g2 = grammar_of(False, False, False, lexicon_seed=8, lexicon_size=12)
         l1, l2 = SynthLanguage(g1), SynthLanguage(g2)
         _, t1 = l1.sentence(np.random.default_rng(42))
         _, t2 = l2.sentence(np.random.default_rng(42))
@@ -119,3 +131,77 @@ class TestSuite:
     def test_too_few_languages_rejected(self):
         with pytest.raises(ValueError, match="at least 4"):
             generate_suite(2, 5, seed=1)
+
+
+@pytest.fixture(scope="module")
+def synth_stage(tmp_path_factory):
+    """Runs the ``synth`` stage once per (seed, languages, sentences, lexicon)
+    and returns the work dir it wrote."""
+    works = {}
+
+    def run(seed, n_langs, sentences, lexicon):
+        key = (seed, n_langs, sentences, lexicon)
+        if key not in works:
+            root = tmp_path_factory.mktemp("synth")
+            cfg = root / "cfg.txt"
+            cfg.write_text(f"workdir={root / 'work'}\nseed={seed}\nsynth_langs={n_langs}\n"
+                           f"synth_sentences={sentences}\nsynth_lexicon={lexicon}\n",
+                           encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--config", str(cfg), "synth"]) == 0
+            works[key] = root / "work"
+        return works[key]
+
+    return run
+
+
+@pytest.mark.parametrize("suite, digests", [
+    # the suite of the small pinned pipeline in test_predict
+    ((5, 14, 16, 12), {
+        "registry.tsv": "3eb911ee0f7ef6f439060991703b15fc8f960f446eb1749a44e543a20bf77147",
+        "corpus.txt": "4435c55c80266013df366a65675613d81193bcac8c49e615395a67e4a93562e0",
+        "features.csv": "d33e45e35a60a2e80fba41e71ab08cb47323c017f6ef8199cce362c5a0b2438a",
+    }),
+    # the pinned acceptance suite (A5)
+    ((20250810, 40, 500, 24), {
+        "registry.tsv": "88c7ac89af78441789e9b647c5cc300dcf7614ded8c695dfb46cebdb95209f28",
+        "corpus.txt": "48cfb3cbf861fe006e4724fdcea67c5deb0c8ef8793239711b3edf1defaf592b",
+        "features.csv": "85c6aee7d03bac2be6867db8b0bf9e0ba6444a2e914049f136174c408cd879f8",
+    }),
+])
+def test_synth_stage_files_match_pinned_digests(synth_stage, suite, digests):
+    work = synth_stage(*suite)
+    assert {name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+            for name in digests} == digests
+
+
+# For each flag: the target shape of the sentences it is read from, and the two
+# source positions it orders, the first being the closed class's when it is set.
+ORACLE_SHAPES = {
+    "S_OBJECT_BEFORE_VERB": ("n v n", (2, 1)),  # subject object verb | subject verb object
+    "S_ADPOSITION_AFTER_NOUN": ("n v n p n", (4, 3)),  # ... noun adposition | adposition noun
+    "S_NUMERAL_BEFORE_NOUN": ("num n v n", (0, 1)),  # numeral noun ... | noun numeral ...
+}
+
+
+@pytest.mark.parametrize("suite", [(20250810, 40, 500, 24), (3, 40, 120, 24)])
+def test_word_order_oracle_recovers_every_flag_from_the_corpus(synth_stage, suite):
+    # reads corpus.txt alone, with no lexicon: of the two source positions a flag
+    # orders, the closed class (verb, adposition, numeral) shows fewer distinct types
+    work = synth_stage(*suite)
+    types = defaultdict(set)  # (lang, target shape, source position) -> tokens seen there
+    for line in (work / "corpus.txt").read_text(encoding="utf-8").splitlines():
+        lang, pair = line.split("\t")
+        source, target = (side.split() for side in pair.split(" ||| "))
+        shape = " ".join(re.fullmatch(r"en_([a-z]+)\d+", tok).group(1) for tok in target)
+        for position, tok in enumerate(source):
+            types[lang, shape, position].add(tok)
+    header, *rows = (work / "features.csv").read_text(encoding="utf-8").splitlines()
+    names = header.split(",")[1:]
+    assert set(names) == set(ORACLE_SHAPES)
+    for row in rows:
+        lang, *gold = row.split(",")
+        for name, value in zip(names, gold):
+            shape, positions = ORACLE_SHAPES[name]
+            n_set, n_unset = (len(types[lang, shape, position]) for position in positions)
+            assert n_set != n_unset and (n_set < n_unset) == (value == "1"), (lang, name)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,16 @@ class TestFeatureMatrix:
         path = tmp_path / "f.csv"
         path.write_text("lang,S_X\nzzz,1\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="unknown language"):
+            load_features(path, small_registry)
+
+    @pytest.mark.parametrize("text, message", [
+        ("lang,S_X,P_Y\ndeu,1,0\nfra,0,1\ndeu,1,1\n", "4: duplicate language row 'deu'"),
+        ("lang,S_X,P_Y,S_X\ndeu,1,0,1\n", "1: duplicate feature column 'S_X'"),
+    ], ids=["row", "column"])
+    def test_duplicate_names_path_line_and_value(self, tmp_path, small_registry, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusError, match=re.escape(f"{path}:{message}")):
             load_features(path, small_registry)
 
     def test_write_read_round_trip(self, tmp_path, small_registry):
