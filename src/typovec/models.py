@@ -30,6 +30,13 @@ with a hand-written backward pass) and the inference generator
   and f) over its slice of the input projection, and the VJP overwrites them
   with d(loss)/dz. One (T, B, 4H) buffer serves all three, and the VJP
   consumes it.
+
+Buffer lifetime: :func:`lstm_sequence` takes its (T, B, .) arrays and the
+step's scratch from the training run's workspace when it is given one, and
+they live until the next batch takes them again; its outputs are views of
+one of them, read only within the batch. Inference (:func:`lstm_states`,
+:func:`encode`) and every call without a workspace allocate afresh, so what
+they return is the caller's own.
 """
 
 from __future__ import annotations
@@ -130,16 +137,18 @@ class _Cell:
     four gates: sigmoid(z) = (tanh(z/2) + 1) * 0.5 and g = tanh(z). The
     activations are then laid out gate-major, (4, rows, H), so that every
     later element-wise op runs on contiguous blocks. The step buffers are
-    sized for ``bsz`` rows and reused by every step.
+    sized for ``bsz`` rows and reused by every step; ``empty`` allocates them
+    and the scaled copies (a workspace's ``take`` in training).
     """
 
-    def __init__(self, cell: LSTMCellParams, bsz: int):
+    def __init__(self, cell: LSTMCellParams, bsz: int, empty=np.empty):
         hsz = cell.hidden_size
         scale = np.repeat([0.5, 0.5, 0.5, 1.0], hsz)
-        self.w, self.u, self.b = (p.value * scale for p in cell.parameters())
-        self.pre = np.empty((bsz, 4 * hsz))
-        self.gates = np.empty(4 * bsz * hsz)
-        self.t1, self.t2 = np.empty((bsz, hsz)), np.empty((bsz, hsz))
+        self.w, self.u, self.b = (np.multiply(p.value, scale, out=empty(p.value.shape))
+                                  for p in cell.parameters())
+        self.pre = empty((bsz, 4 * hsz))
+        self.gates = empty((4 * bsz * hsz,))
+        self.t1, self.t2 = empty((bsz, hsz)), empty((bsz, hsz))
 
     def step(self, zx, h, c, h_out, c_out, keep, saved=None) -> None:
         """Steps the rows of ``zx`` (the pre-halved x @ w + b) from (h, c).
@@ -187,7 +196,7 @@ class _Cell:
 
 
 def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = None,
-                  c0: Tensor | None = None) -> tuple[Tensor, Tensor, Tensor]:
+                  c0: Tensor | None = None, ws: ag.Workspace | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """The LSTM over a padded (T, B) batch as one autograd op: returns (hs, h, c).
 
     ``x`` holds the (T*B, E) inputs in time-major order (row t*B + k is row
@@ -204,6 +213,12 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
     loop, overwrites them with d(loss)/dz, from which dx, dw, du and db each
     come from one GEMM or one sum over the T*B rows (Appleyard et al. 2016,
     arXiv:1604.01946). The VJP consumes the buffer, so it runs once.
+
+    The op's (T, B, .) arrays are that buffer, the saved factors dc_dh and f,
+    the states (h0, h_1 .. h_T, c_T), of which ``hs``, ``h`` and ``c`` are
+    views, the gradient buffer the three outputs share, and dx. Given ``ws``,
+    they and the step's scratch come from it and are reused by the next
+    batch; without it, each call allocates them afresh.
     """
     lens = np.asarray(lens)
     bsz, hsz = len(lens), cell.hidden_size
@@ -217,12 +232,15 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
         )
     steps = rows // bsz
     w, u, b = cell.w.node(), cell.u.node(), cell.b.node()
-    run = _Cell(cell, bsz)
+    empty = np.empty if ws is None else ws.take
+    run = _Cell(cell, bsz, empty)
     spans = _live_spans(lens, steps)
-    zs = np.matmul(x.value, run.w).reshape(steps, bsz, 4 * hsz)  # x @ w + b, then dact, then dz
+    zs = empty((steps, bsz, 4 * hsz))  # x @ w + b, then dact, then dz
+    np.matmul(x.value, run.w, out=zs.reshape(rows, 4 * hsz))
     zs += run.b
-    dc_dh, f = np.empty((steps, bsz, hsz)), np.empty((steps, bsz, hsz))
-    packed = np.empty((steps + 2, bsz, hsz))  # h0, h_1 .. h_T, then c_T: the op's value is packed[1:]
+    dc_dh, f = empty((steps, bsz, hsz)), empty((steps, bsz, hsz))
+    packed = empty((steps + 2, bsz, hsz))  # h0, h_1 .. h_T, then c_T: the op's value is packed[1:]
+    grad_buf = empty(((steps + 1) * bsz, hsz))  # the gradient that hs, h and c share
     packed[0] = h0.value
     c = packed[-1]
     c[...] = c0.value
@@ -260,13 +278,14 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
             dc_t *= f[t, lo:hi]
             np.copyto(dhs, dh_prev, where=keep)
             np.copyto(dcs, dc_t, where=keep)
-        dz = zs.reshape(steps * bsz, 4 * hsz)
-        h_prev = packed[:steps].reshape(steps * bsz, hsz)
-        return dz @ w.value.T, x.value.T @ dz, h_prev.T @ dz, dz.sum(axis=0), dh, dc
+        dz = zs.reshape(rows, 4 * hsz)
+        h_prev = packed[:steps].reshape(rows, hsz)
+        dx = np.matmul(dz, w.value.T, out=empty((rows, width)))
+        return dx, x.value.T @ dz, h_prev.T @ dz, dz.sum(axis=0), dh, dc
 
     out = Tensor(packed[1:].reshape((steps + 1) * bsz, hsz), (x, w, u, b, h0, c0), vjp)
     n = steps * bsz
-    return ag.slice_(out, np.s_[:n]), ag.slice_(out, np.s_[n - bsz : n]), ag.slice_(out, np.s_[n:])
+    return tuple(ag.slice_(out, index, grad_buf) for index in (np.s_[:n], np.s_[n - bsz : n], np.s_[n:]))
 
 
 def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, lens: np.ndarray,

@@ -1,4 +1,10 @@
-"""Adam with bias correction, plus global-norm gradient clipping."""
+"""Adam with bias correction, plus global-norm gradient clipping.
+
+Buffer lifetime: :class:`AdamState` owns each parameter's moments and two
+scratch arrays, allocated at the parameter's first step and kept for the
+run; the update reads the gradient and writes only the moments, the scratch
+and the parameter's own value.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +17,12 @@ from .autograd import Parameter
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter name and the step counter."""
+    """First/second moment buffers per parameter name and the step counter.
+
+    ``scratch`` holds two work arrays per parameter, shaped like it, through
+    which :func:`adam_step` computes the update; like the moments they are
+    allocated at a parameter's first step and reused by every later one.
+    """
 
     beta1: float = 0.9
     beta2: float = 0.999
@@ -19,13 +30,17 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
 
 def adam_step(params, grads, lr: float, state: AdamState) -> AdamState:
     """One Adam update over ``params`` with aligned ``grads``, in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t).
+    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t). Each product,
+    quotient and sum is formed in that order in the state's scratch arrays,
+    so after a parameter's first step the update allocates only the
+    finiteness check's boolean array.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
@@ -45,12 +60,22 @@ def adam_step(params, grads, lr: float, state: AdamState) -> AdamState:
         if p.name not in state.m:
             state.m[p.name] = np.zeros_like(p.value)
             state.v[p.name] = np.zeros_like(p.value)
+            state.scratch[p.name] = (np.empty_like(p.value), np.empty_like(p.value))
         m, v = state.m[p.name], state.v[p.name]
+        s1, s2 = state.scratch[p.name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=s1)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, g, out=s1)
+        s1 *= 1.0 - state.beta2
+        v += s1
+        np.divide(m, bc1, out=s1)
+        s1 *= lr
+        np.divide(v, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += state.eps
+        s1 /= s2
+        p.value -= s1
     return state
 
 

@@ -16,11 +16,25 @@ epoch-derived seed. Each padded batch is a handful of graph nodes:
   encoder states with batched (B, T_dec, T_enc) scores, then
   tanh([h_t; context_t] @ wc). Attention is not fed back into the
   recurrence, so it runs once, after it;
-- one (T*B, H) @ (H, V) projection and one masked cross-entropy; padded
-  positions are masked out of the loss.
+- one output-layer node: the (T*B, H) @ (H, V) projection and the masked
+  cross-entropy; padded positions are masked out of the loss.
+
+Buffer lifetime. :func:`_train` owns one :class:`typovec.autograd.Workspace`
+for the run and resets it before each batch. The batch's ops take their
+(rows, .) arrays from it in a fixed order: the embedding output, the dropout
+mask and output, one gradient buffer for the two halves of the NMT input,
+each recurrence's buffers and gradient buffer, and the output layer's
+logits and input gradient. A later batch reuses them, so the arrays of the
+previous batch's graph are overwritten once the next batch starts. Nothing
+that outlives a batch points into them: the loss is read as a float, the
+gradients reach the parameters through their own ``grad`` arrays, and Adam
+updates the parameters' own values, so the model and curve that
+:func:`train_nmt` and :func:`train_lm` return share no memory with the
+workspace. Attention's arrays are still allocated per batch.
 
 Perplexity runs the training loss path: it sums the same batch losses over
-length-sorted batches, with dropout off.
+length-sorted batches, with dropout off and without a workspace, so each op
+allocates its arrays afresh.
 """
 
 from __future__ import annotations
@@ -79,7 +93,7 @@ def _make_batches(rows: list[_Row], batch_size: int, rng: np.random.Generator) -
     return [chunks[i] for i in rng.permutation(len(chunks))]
 
 
-def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float) -> Tensor:
+def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float, ws) -> Tensor:
     """One embedding lookup and one dropout over every (B, T) id matrix.
 
     Rows are time-major within each matrix and the matrices follow each
@@ -87,8 +101,8 @@ def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float) ->
     the order of a per-step loop that runs the matrices one after another.
     """
     ids = np.concatenate([m.T.ravel() for m in id_mats])
-    x = ag.embedding_lookup(model.embedding.node(), ids)
-    return ag.dropout(x, rate, drop_rng) if rate > 0.0 else x
+    x = ag.embedding_lookup(model.embedding.node(), ids, ws)
+    return ag.dropout(x, rate, drop_rng, ws) if rate > 0.0 else x
 
 
 def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
@@ -127,36 +141,39 @@ def _attend(model: Seq2SeqModel, hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarra
 
 
 def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None = None,
-                   c: Tensor | None = None, enc=None) -> tuple[Tensor, int]:
+                   c: Tensor | None = None, enc=None, ws=None) -> tuple[Tensor, int]:
     """The loss path the LM and the translation decoder share.
 
-    Runs ``cell`` from (h, c) over the time-major inputs ``x``, then one
-    projection and one masked cross-entropy over every step. ``enc`` holds
-    the encoder's (states, lengths) when the decoder attends. Returns the
-    summed cross-entropy and the token count.
+    Runs ``cell`` from (h, c) over the time-major inputs ``x``, then the
+    output layer, one projection and one masked cross-entropy over every
+    step as one node. ``enc`` holds the encoder's (states, lengths) when the
+    decoder attends. Returns the summed cross-entropy and the token count.
     """
     dec_out, out_lens = pad_batch([r.dec_out for r in batch])
-    hs, _, _ = lstm_sequence(cell, x, out_lens, h, c)
+    hs, _, _ = lstm_sequence(cell, x, out_lens, h, c, ws)
     if enc is not None:
         hs = _attend(model, hs, *enc)
-    logits = ag.linear(hs, model.proj_w.node(), model.proj_b.node())
     mask = (np.arange(dec_out.shape[1])[:, None] < out_lens).astype(np.float64)
-    loss = ag.softmax_cross_entropy(logits, dec_out.T.ravel(), mask.ravel())
+    loss = ag.softmax_cross_entropy(hs, dec_out.T.ravel(), mask.ravel(),
+                                    proj=(model.proj_w.node(), model.proj_b.node()), ws=ws)
     return loss, int(out_lens.sum())
 
 
-def _nmt_batch_loss(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: float):
+def _nmt_batch_loss(model: Seq2SeqModel, batch: list[_Row], drop_rng, rate: float, ws=None):
     enc_ids, enc_lens = pad_batch([r.enc_ids for r in batch])
     dec_in, _ = pad_batch([r.dec_in for r in batch])
-    x = _embedded_inputs(model, [enc_ids, dec_in], drop_rng, rate)
-    enc_hs, h, c = lstm_sequence(model.encoder, ag.slice_(x, np.s_[: enc_ids.size]), enc_lens)
+    x = _embedded_inputs(model, [enc_ids, dec_in], drop_rng, rate, ws)
+    split = (np.empty if ws is None else ws.take)(x.value.shape)  # both halves' gradient
+    enc_hs, h, c = lstm_sequence(model.encoder, ag.slice_(x, np.s_[: enc_ids.size], split), enc_lens, ws=ws)
     enc = (enc_hs, enc_lens) if model.attn_wc is not None else None
-    return _sequence_loss(model, model.decoder, batch, ag.slice_(x, np.s_[enc_ids.size :]), h, c, enc)
+    return _sequence_loss(model, model.decoder, batch, ag.slice_(x, np.s_[enc_ids.size :], split),
+                          h, c, enc, ws)
 
 
-def _lm_batch_loss(model: RnnLmModel, batch: list[_Row], drop_rng, rate: float):
+def _lm_batch_loss(model: RnnLmModel, batch: list[_Row], drop_rng, rate: float, ws=None):
     dec_in, _ = pad_batch([r.dec_in for r in batch])
-    return _sequence_loss(model, model.cell, batch, _embedded_inputs(model, [dec_in], drop_rng, rate))
+    return _sequence_loss(model, model.cell, batch, _embedded_inputs(model, [dec_in], drop_rng, rate, ws),
+                          ws=ws)
 
 
 def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[float]:
@@ -164,6 +181,7 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
         raise TrainingError("training corpus is empty")
     params = model.parameters()
     state = AdamState()
+    ws = ag.Workspace()
     curve: list[float] = []
     for epoch in range(config.epochs):
         order_rng = np.random.default_rng([config.seed, 7, epoch])
@@ -171,15 +189,18 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
         epoch_ce, epoch_tokens = 0.0, 0
         for batch_idx, batch in enumerate(_make_batches(rows, config.batch_size, order_rng)):
             zero_gradients(params)
-            loss_sum, n_tokens = batch_loss(model, batch, drop_rng, config.dropout)
+            ws.reset()
+            loss_sum, n_tokens = batch_loss(model, batch, drop_rng, config.dropout, ws)
             value = float(loss_sum.value)
+            where = f"at epoch {epoch + 1}, batch {batch_idx} ({len(batch)} rows, {n_tokens} tokens)"
             if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss {value} at epoch {epoch + 1}, batch {batch_idx} "
-                    f"({len(batch)} rows, {n_tokens} tokens)"
-                )
+                raise TrainingError(f"non-finite loss {value} {where}")
             ag.backward(ag.scale(loss_sum, 1.0 / n_tokens))
-            clip_gradients(params, config.clip_norm)
+            # the norm is non-finite if a gradient is; finite ones may overflow it, and clipping zeroes them
+            if not np.isfinite(clip_gradients(params, config.clip_norm)):
+                bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
+                if bad:
+                    raise TrainingError(f"non-finite gradient for parameter {bad[0]!r} {where}")
             adam_step(params, [p.grad for p in params], config.lr, state)
             epoch_ce += value
             epoch_tokens += n_tokens

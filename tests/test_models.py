@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from typovec import autograd as ag
 from typovec.autograd import backward
 from typovec.bpe import build_vocab, encode_corpus, learn_bpe
+from typovec.checkpoint import save_checkpoint
+from typovec.cli import main
 from typovec.corpus import CorpusStore, LanguageRecord, Registry, SentencePair
 from typovec.models import (
     LSTMCellParams,
@@ -20,6 +26,7 @@ from typovec.models import (
     save_model,
 )
 from typovec.synth import generate_suite
+from typovec import training
 from typovec.training import (
     TrainingError,
     _lm_batch_loss,
@@ -363,6 +370,129 @@ class TestTraining:
             swapped.add(SentencePair("bbb" if p.lang == "aaa" else "aaa", p.source, p.target))
         swapped_ppl = perplexity(model, encode_corpus(swapped, merges, vocab), vocab)
         assert true_ppl < swapped_ppl
+
+
+def _suite_setup(n_langs, n_sentences, merges):
+    suite = generate_suite(n_langs, n_sentences, seed=3)
+    table = learn_bpe(suite.corpus, merges)
+    vocab = build_vocab(suite.corpus, table, suite.registry)
+    return vocab, encode_corpus(suite.corpus, table, vocab)
+
+
+class TestTrainingWorkspace:
+    """Training reuses one workspace for every batch; nothing it returns may alias it."""
+
+    CONFIG = TrainConfig(hidden_size=10, embed_size=6, lr=0.02, dropout=0.2, epochs=2, batch_size=8, seed=3)
+
+    def test_two_runs_in_one_process_give_identical_checkpoints(self, tmp_path):
+        vocab, encoded = _suite_setup(4, 24, 30)
+        digests = []
+        for run in range(2):
+            model, _ = train_nmt(encoded, vocab, self.CONFIG)
+            path = tmp_path / f"run{run}.ckpt"
+            save_checkpoint(path, {p.name: p.value for p in model.parameters()}, seed=3)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("trainer", [train_lm, train_nmt])
+    def test_perplexity_after_training_equals_that_of_the_loaded_model(self, trainer, tmp_path):
+        vocab, encoded = _suite_setup(4, 24, 30)
+        model, curve = trainer(encoded, vocab, self.CONFIG)
+        save_model(tmp_path / "m.ckpt", tmp_path / "m.model", model, self.CONFIG, curve, "sha")
+        loaded, _, _ = load_model(tmp_path / "m.ckpt", tmp_path / "m.model")
+        assert perplexity(model, encoded, vocab) == perplexity(loaded, encoded, vocab)
+
+    def test_ops_outside_training_return_fresh_arrays(self, rng):
+        cell = LSTMCellParams.create("fresh", 3, 4, rng)
+        x, lens = rng.normal(size=(6, 3)), np.array([3, 2])
+        runs = []
+        for _ in range(2):
+            xt = ag.constant(x)
+            hs, h, c = lstm_sequence(cell, xt, lens)
+            proj = (ag.constant(rng.normal(size=(4, 5))), ag.constant(rng.normal(size=5)))
+            loss = ag.add(ag.softmax_cross_entropy(hs, [0, 1, 2, 3, 4, 0], proj=proj),
+                          ag.softmax_cross_entropy(ag.constant(rng.normal(size=(2, 5))), [1, 2]))
+            backward(loss)
+            runs.append([t.value for t in (hs, h, c)] + [t.grad for t in (xt, hs, *proj)])
+        for a, b in zip(*runs):
+            assert not np.shares_memory(a, b)
+
+    def test_second_epoch_allocates_no_buffer_of_batch_size(self):
+        # every (T*B, .) array comes from the run's workspace, which the first epoch grows to
+        # its largest batch: the second epoch's newly traced peak stays below one (T*B, E)
+        # embedding output of its longest batch (it was 10 to 12 of them without the workspace)
+        vocab, encoded = _suite_setup(4, 64, 20)
+        config = TrainConfig(hidden_size=32, embed_size=32, lr=0.02, dropout=0.1, epochs=2, batch_size=32,
+                             seed=4)
+        for rows, model, batch_loss in [
+            (training._nmt_rows(encoded, vocab), Seq2SeqModel(len(vocab), config, np.random.default_rng(0)),
+             _nmt_batch_loss),
+            (training._lm_rows(encoded, vocab), RnnLmModel(len(vocab), config, np.random.default_rng(0)),
+             _lm_batch_loss),
+        ]:
+            per_epoch = math.ceil(len(rows) / config.batch_size)
+            seen = {"calls": 0, "base": 0, "largest": 0}
+
+            def traced(model, batch, *args):
+                if seen["calls"] == per_epoch:  # the second epoch starts
+                    tracemalloc.reset_peak()
+                    seen["base"] = tracemalloc.get_traced_memory()[0]
+                if seen["calls"] >= per_epoch:
+                    steps = max(len(r.enc_ids) for r in batch) + max(len(r.dec_in) for r in batch)
+                    seen["largest"] = max(seen["largest"], steps * len(batch) * config.embed_size * 8)
+                seen["calls"] += 1
+                return batch_loss(model, batch, *args)
+
+            tracemalloc.start()
+            try:
+                training._train(model, rows, config, traced)
+                peak = tracemalloc.get_traced_memory()[1] - seen["base"]
+            finally:
+                tracemalloc.stop()
+            assert seen["calls"] == 2 * per_epoch
+            assert peak < seen["largest"], batch_loss.__name__
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    def test_non_finite_gradient_names_epoch_batch_and_parameter(self, tmp_path, capsys, monkeypatch):
+        # a finite loss whose backward writes inf into one gradient is a training fault (exit 2);
+        # clipping by the infinite norm multiplies inf by 0, which numpy warns about
+        def inf_gradient(model, batch, drop_rng, rate, ws=None):
+            b = model.proj_b.node()
+            grad = np.zeros(b.shape)
+            grad[1] = np.inf
+            return ag.Tensor(np.float64(1.0), (b,), lambda g: (grad,)), len(batch)
+
+        monkeypatch.setattr(training, "_nmt_batch_loss", inf_gradient)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"workdir={tmp_path / 'work'}\nseed=5\nsynth_langs=4\nsynth_sentences=6\n"
+                       "synth_lexicon=10\nnum_merges=10\nhidden_size=4\nembed_size=4\nepochs=1\n",
+                       encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            for stage in ("synth", "bpe-learn"):
+                assert main(["--config", str(cfg), stage]) == 0
+        assert main(["--config", str(cfg), "train-nmt"]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite gradient for parameter 'proj.b' at epoch 1, batch 0" in err
+
+
+@pytest.mark.parametrize("attention, digests", [
+    (0, ("d812f6055d441388e4724ae4366b62a1b3fcd6218e5a9fce009b81f5b4363dfe",
+         "6d5c694f37b5b8cfd8c3d3f2f7128daf3b35c3ca4420347ce0c6964e47dd6de4")),
+    (1, ("d812f6055d441388e4724ae4366b62a1b3fcd6218e5a9fce009b81f5b4363dfe",
+         "eaed5880cbe4b298176a99eb304712e5bdc44969d662c5fe6690173f56eb816a")),
+])
+def test_small_suite_checkpoints_match_pinned_digests(tmp_path, attention, digests):
+    # computed when every training op allocated its arrays afresh for each batch
+    entries = {"workdir": tmp_path / "work", "seed": 5, "synth_langs": 10, "synth_sentences": 20,
+               "synth_lexicon": 12, "num_merges": 40, "hidden_size": 16, "embed_size": 12, "lr": 0.02,
+               "dropout": 0.1, "epochs": 2, "batch_size": 8, "attention": attention}
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in entries.items()), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in ("synth", "bpe-learn", "train-lm", "train-nmt"):
+            assert main(["--config", str(cfg), stage]) == 0, stage
+    assert tuple(hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
+                 for name in ("lm.ckpt", "nmt.ckpt")) == digests
 
 
 class TestPerplexity:
