@@ -42,6 +42,11 @@ class Workspace:
     the same calls in the same order, so each buffer keeps one role and grows
     to the largest batch, not to the sum over batches. A buffer's contents
     are undefined when it is taken.
+
+    A buffer that a larger request outgrows is dropped before its successor
+    is allocated, so once nothing else holds it (the training loop keeps no
+    array of the previous batch) its memory can serve the new one; the two
+    never coexist, and the workspace never holds more than its final size.
     """
 
     def __init__(self):
@@ -58,6 +63,7 @@ class Workspace:
             self._buffers.append(np.empty(0, dtype))
         buf = self._buffers[self._next]
         if buf.dtype != dtype or buf.size < size:
+            self._buffers[self._next] = buf = None  # the outgrown buffer goes before its successor comes
             buf = self._buffers[self._next] = np.empty(size, dtype)
         self._next += 1
         return buf[:size].reshape(shape)
@@ -342,12 +348,15 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None, proj=None,
     return Tensor(value, (logits,) if proj is None else (x, w, b), vjp)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, ws: Workspace | None = None) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator, ws: Workspace | None = None,
+            out: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-rate). rate 0 is the identity.
 
     One array holds the uniform draw, then the mask; the VJP multiplies the
     gradient into it, so it may run only once. With ``ws``, that array and
-    the output are two of its buffers.
+    the output are two of its buffers. Given ``out``, the output is written
+    there instead: ``out`` may be ``a.value`` itself when nothing else reads
+    that value, since the VJP needs only the mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -358,7 +367,7 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, ws: Workspace | No
     mask = rng.random(a.value.shape, out=take(a.value.shape))
     np.less(mask, keep, out=mask)  # 1.0 or 0.0: the bool that (draw < keep) / keep would cast
     mask /= keep
-    value = np.multiply(a.value, mask, out=take(a.value.shape))
+    value = np.multiply(a.value, mask, out=take(a.value.shape) if out is None else out)
     return Tensor(value, (a,), lambda g: (np.multiply(g, mask, out=mask),))
 
 

@@ -104,14 +104,12 @@ class MergeTable:
         return len(self.pairs)
 
 
-def corpus_word_frequencies(pairs: CorpusStore | Iterable[SentencePair]) -> Counter:
+def corpus_word_frequencies(pairs: Iterable[SentencePair]) -> Counter:
     """Word -> frequency over both sides of every pair, in first-seen order.
 
-    ``pairs`` is a store or any iterable of pairs, such as the stream of
-    ``corpus.read_pairs``, which the count consumes as the file is read.
+    ``pairs`` is a store or any other iterable of pairs, such as the stream
+    of ``corpus.read_pairs``, which the count consumes as the file is read.
     """
-    if isinstance(pairs, CorpusStore):
-        pairs = pairs.ordered
     return Counter(chain.from_iterable(chain.from_iterable((p.source, p.target) for p in pairs)))
 
 
@@ -393,9 +391,15 @@ class EncodedCorpus(PairStore):
     """The corpus mapped to subword ids: :class:`EncodedPair` records."""
 
 
-def encode_corpus(store: CorpusStore, merges: MergeTable, vocab: SubwordVocab) -> EncodedCorpus:
+def encode_corpus(pairs: Iterable[SentencePair], merges: MergeTable, vocab: SubwordVocab) -> EncodedCorpus:
+    """The pairs mapped to subword ids, in their order and grouped by language.
+
+    ``pairs`` is a store or any other iterable of pairs, such as the stream
+    of ``corpus.read_pairs``: each pair is encoded as it is read, so a caller
+    that streams the corpus holds its ids only, never its words.
+    """
     encoded = EncodedCorpus()
-    for pair in store.ordered:
+    for pair in pairs:
         src = vocab.encode(apply_bpe(pair.source, merges))
         tgt = vocab.encode(apply_bpe(pair.target, merges))
         encoded.add(EncodedPair(pair.lang, tuple(src), tuple(tgt)))

@@ -167,14 +167,16 @@ _ENCODED_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
 
 
 def _load_encoded(cfg: PipelineConfig, wd: Workdir):
+    """The registry, the encoded corpus and the vocabulary; the corpus is
+    encoded as it is read, so no stage that calls this holds its words."""
     registry = corpus.load_registry(wd.path("registry"))
-    store = corpus.load_parallel(wd.path("corpus"), registry)
     merges = bpe.load_merges(wd.path("merges.txt"))
     vocab = bpe.load_vocab(wd.path("vocab.tsv"))
     missing = [code for code in registry.codes if vocab.lang_token(code) not in vocab]
     if missing:
         raise ValueError(f"{wd.path('vocab.tsv')}: no token for language {missing[0]!r}")
-    return registry, bpe.encode_corpus(store, merges, vocab), vocab
+    pairs = corpus.read_pairs(wd.path("corpus"), registry)
+    return registry, bpe.encode_corpus(pairs, merges, vocab), vocab
 
 
 def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:

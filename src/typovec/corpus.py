@@ -126,6 +126,10 @@ class PairStore:
     def __len__(self) -> int:
         return len(self.ordered)
 
+    def __iter__(self):
+        """The pairs in input-file order."""
+        return iter(self.ordered)
+
     def languages(self) -> list[str]:
         return list(self.by_lang)
 

@@ -87,10 +87,15 @@ def global_grad_norm(params) -> float:
 
 
 def clip_gradients(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
+    """Scale all gradients so their global L2 norm is at most ``max_norm``.
+
+    Returns the norm before clipping. A norm that is not finite (a gradient
+    holds inf or nan, or the squares overflow) is returned with the gradients
+    left as they are: no factor brings it to ``max_norm``, and inf * 0 is nan.
+    """
     params = list(params)
     norm = global_grad_norm(params)
-    if max_norm > 0 and norm > max_norm:
+    if max_norm > 0 and max_norm < norm < np.inf:
         factor = max_norm / norm
         for p in params:
             p.grad *= factor

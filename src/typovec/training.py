@@ -21,16 +21,21 @@ epoch-derived seed. Each padded batch is a handful of graph nodes:
 
 Buffer lifetime. :func:`_train` owns one :class:`typovec.autograd.Workspace`
 for the run and resets it before each batch. The batch's ops take their
-(rows, .) arrays from it in a fixed order: the embedding output, the dropout
-mask and output, one gradient buffer for the two halves of the NMT input,
-each recurrence's buffers and gradient buffer, and the output layer's
-logits and input gradient. A later batch reuses them, so the arrays of the
-previous batch's graph are overwritten once the next batch starts. Nothing
-that outlives a batch points into them: the loss is read as a float, the
-gradients reach the parameters through their own ``grad`` arrays, and Adam
-updates the parameters' own values, so the model and curve that
-:func:`train_nmt` and :func:`train_lm` return share no memory with the
-workspace. Attention's arrays are still allocated per batch.
+(rows, .) arrays from it in a fixed order: the embedding output (which the
+dropout overwrites in place), the dropout mask, one gradient buffer for the
+two halves of the NMT input, each recurrence's buffers and gradient buffer,
+and the output layer's logits and input gradient. A later batch reuses
+them. A batch's graph lives from its forward pass to the end of its
+backward pass: :func:`_train` then drops it, and with it the node gradients
+and every view of the workspace, before the update. So no array of one
+batch is reachable when the next batch starts, and a buffer that the next
+batch outgrows is freed before its successor is allocated: the run peaks
+at its final workspace, not at that plus the buffers it outgrew. Nothing
+that outlives a batch points into the workspace: the loss is read as a
+float, the gradients reach the parameters through their own ``grad``
+arrays, and Adam updates the parameters' own values, so the model and
+curve that :func:`train_nmt` and :func:`train_lm` return share no memory
+with it. Attention's arrays are still allocated per batch.
 
 Perplexity runs the training loss path: it sums the same batch losses over
 length-sorted batches, with dropout off and without a workspace, so each op
@@ -99,10 +104,12 @@ def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float, ws
     Rows are time-major within each matrix and the matrices follow each
     other, so the single (sum T * B, E) mask draw consumes the generator in
     the order of a per-step loop that runs the matrices one after another.
+    The dropout writes over the lookup's output, which only it reads (the
+    lookup's VJP needs the ids alone).
     """
     ids = np.concatenate([m.T.ravel() for m in id_mats])
     x = ag.embedding_lookup(model.embedding.node(), ids, ws)
-    return ag.dropout(x, rate, drop_rng, ws) if rate > 0.0 else x
+    return ag.dropout(x, rate, drop_rng, ws, out=x.value) if rate > 0.0 else x
 
 
 def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
@@ -196,11 +203,12 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} {where}")
             ag.backward(ag.scale(loss_sum, 1.0 / n_tokens))
-            # the norm is non-finite if a gradient is; finite ones may overflow it, and clipping zeroes them
-            if not np.isfinite(clip_gradients(params, config.clip_norm)):
+            del loss_sum  # the batch's graph: its node gradients and its views of outgrown buffers
+            norm = clip_gradients(params, config.clip_norm)
+            if not np.isfinite(norm):  # a non-finite gradient, or finite ones whose squares overflow
                 bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
-                if bad:
-                    raise TrainingError(f"non-finite gradient for parameter {bad[0]!r} {where}")
+                raise TrainingError(f"non-finite gradient for parameter {bad[0]!r} {where}" if bad
+                                    else f"gradient norm overflows {where}")
             adam_step(params, [p.grad for p in params], config.lr, state)
             epoch_ce += value
             epoch_tokens += n_tokens

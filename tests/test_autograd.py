@@ -139,6 +139,18 @@ class TestDropout:
         backward(ag.reduce_sum(out))
         np.testing.assert_array_equal(w.grad, out.value)  # input was all ones
 
+    def test_in_place_output_is_bitwise_the_out_of_place_one(self, rng):
+        # training writes the dropout over the embedding output, which only the dropout reads
+        x = rng.normal(size=(40, 7))
+        runs = []
+        for in_place in (False, True):
+            a = ag.constant(x.copy())
+            out = ag.dropout(a, 0.3, np.random.default_rng(9), out=a.value if in_place else None)
+            assert np.shares_memory(out.value, a.value) == in_place
+            backward(ag.reduce_sum(ag.mul(out, ag.constant(x))))
+            runs.append((out.value.tobytes(), a.grad.tobytes()))
+        assert runs[0] == runs[1]
+
 
 class TestAdam:
     def test_first_step_magnitude(self):
@@ -207,6 +219,16 @@ class TestAdam:
         p.grad = np.array([0.1, 0.0, 0.0])
         clip_gradients([p], 5.0)
         np.testing.assert_array_equal(p.grad, [0.1, 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_norm_is_returned_with_gradients_unscaled(self):
+        # scaling by max_norm / inf = 0 would turn inf into nan (with a numpy warning)
+        p1, p2 = Parameter("a", np.zeros(3)), Parameter("b", np.zeros(2))
+        p1.grad = np.array([1.0, np.inf, -2.0])
+        p2.grad = np.array([3.0, 4.0])
+        assert clip_gradients([p1, p2], 5.0) == np.inf
+        np.testing.assert_array_equal(p1.grad, [1.0, np.inf, -2.0])
+        np.testing.assert_array_equal(p2.grad, [3.0, 4.0])
 
 
 class TestCheckpoint:

@@ -21,7 +21,17 @@ from typovec.bpe import (
     save_merges,
     save_vocab,
 )
-from typovec.corpus import CorpusStore, LanguageRecord, Registry, SentencePair
+from typovec.corpus import (
+    CorpusStore,
+    LanguageRecord,
+    Registry,
+    SentencePair,
+    load_parallel,
+    load_registry,
+    read_pairs,
+    write_parallel,
+    write_registry,
+)
 from typovec.synth import generate_suite
 
 from oracles import brute_force_learn_bpe, naive_apply_bpe
@@ -299,6 +309,20 @@ class TestVocab:
         assert set(encoded.by_lang) == {"aaa", "bbb"}
         assert len(encoded.ordered) == 2
         assert all(UNK_ID not in p.source_ids for p in encoded.ordered)
+
+
+def test_encoding_the_streamed_corpus_equals_encoding_its_store(tmp_path):
+    suite = generate_suite(6, 20, seed=4)
+    write_registry(tmp_path / "registry.tsv", suite.registry)
+    write_parallel(tmp_path / "corpus.txt", suite.corpus)
+    registry = load_registry(tmp_path / "registry.tsv")
+    table = learn_bpe(suite.corpus, 40)
+    vocab = build_vocab(suite.corpus, table, registry)
+    streamed = encode_corpus(read_pairs(tmp_path / "corpus.txt", registry), table, vocab)
+    stored = encode_corpus(load_parallel(tmp_path / "corpus.txt", registry), table, vocab)
+    assert len(streamed) == 120
+    assert streamed.ordered == stored.ordered
+    assert streamed.by_lang == stored.by_lang
 
 
 def test_learning_is_deterministic(small_corpus):

@@ -493,7 +493,7 @@ def _replace_line_3(new):
     return edit
 
 
-@pytest.mark.parametrize("edit, where", [
+MALFORMED_CORPUS = [
     pytest.param(_replace_line_3(lambda line: line.replace("\t", " ", 1)),
                  ":3: missing tab after language code", id="missing-tab"),
     pytest.param(_replace_line_3(lambda line: "zzz" + line[line.index("\t"):]),
@@ -509,7 +509,10 @@ def _replace_line_3(new):
     pytest.param(lambda lines: b"\n".join([*lines[:2], b"\xff" + lines[2], *lines[3:]]),
                  ":3: not UTF-8 text", id="not-utf8"),
     pytest.param(lambda lines: b"\n\n", ": no sentence pairs", id="no-pairs"),
-])
+]
+
+
+@pytest.mark.parametrize("edit, where", MALFORMED_CORPUS)
 def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where):
     cfg_path = tmp_path / "cfg.txt"
     workdir = tmp_path / "w10"
@@ -524,6 +527,45 @@ def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where
     err = capsys.readouterr().err
     assert f"{corpus_path}{where}" in err and "rerun 'synth'" in err
     assert not (workdir / "merges.txt").exists()
+
+
+ENCODING_STAGES = ("train-lm", "train-nmt", "extract", "traj")  # the stages that stream the encoded corpus
+
+
+@pytest.mark.parametrize("stage", ENCODING_STAGES)
+def test_encoding_stages_stream_the_corpus_without_a_store(pipeline, tmp_path, monkeypatch, stage):
+    def no_store(*_args):
+        raise AssertionError(f"{stage} built a CorpusStore")
+
+    work, _ = pipeline
+    copy = tmp_path / "work"
+    shutil.copytree(work, copy)
+    (copy / f"{stage.replace('-', '_')}.manifest").unlink()  # so that the stage runs again
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(copy))
+    monkeypatch.setattr(typovec.corpus, "load_parallel", no_store)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--config", str(cfg_path), stage]) == 0
+    before = snapshot(work)
+    # the stage rewrote its outputs and manifest bit for bit; only the effective config names the copy
+    assert {name for name, data in snapshot(copy).items() if before[name] != data} == {"effective_config.txt"}
+
+
+@pytest.mark.parametrize("stage", ENCODING_STAGES)
+@pytest.mark.parametrize("edit, where", MALFORMED_CORPUS)
+def test_encoding_stages_name_the_malformed_corpus_line(pipeline, tmp_path, capsys, stage, edit, where):
+    work, _ = pipeline
+    copy = tmp_path / "work"
+    shutil.copytree(work, copy)
+    corpus_path = copy / "corpus.txt"
+    corpus_path.write_bytes(edit(corpus_path.read_bytes().splitlines()))
+    (copy / "synth.manifest").unlink()  # without it the stale-input check cannot catch the damage
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(copy))
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), stage]) == 1
+    err = capsys.readouterr().err
+    assert f"{corpus_path}{where}" in err and "rerun 'synth'" in err
 
 
 def test_work_dir_path_with_a_colon_keeps_the_rerun_hint(tmp_path, capsys):

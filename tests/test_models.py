@@ -452,10 +452,59 @@ class TestTrainingWorkspace:
             assert seen["calls"] == 2 * per_epoch
             assert peak < seen["largest"], batch_loss.__name__
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+    def test_first_epoch_peak_holds_no_outgrown_buffer(self):
+        # at seed 8 the shuffled batches grow three times in the first epoch. Each batch's graph
+        # is gone before the next batch takes its buffers, and an outgrown buffer is freed before
+        # its successor is allocated, so the traced peak is the final workspace, the Adam state
+        # that the first step allocates (two moments and two scratch arrays per parameter) and
+        # less than one (T*B, E) buffer of the longest batch. Were the previous graph still
+        # alive, the outgrown buffers would stay with it: 7 to 9 such buffers more
+        vocab, encoded = _suite_setup(4, 128, 20)
+        config = TrainConfig(hidden_size=32, embed_size=32, lr=0.02, dropout=0.1, epochs=1, batch_size=64,
+                             seed=8)
+        for rows, model, batch_loss in [
+            (training._nmt_rows(encoded, vocab), Seq2SeqModel(len(vocab), config, np.random.default_rng(0)),
+             _nmt_batch_loss),
+            (training._lm_rows(encoded, vocab), RnnLmModel(len(vocab), config, np.random.default_rng(0)),
+             _lm_batch_loss),
+        ]:
+            sizes, seen = [], {}  # each batch's (T*B, E) bytes; the run's workspace
+
+            def traced(model, batch, drop_rng, rate, ws):
+                steps = max(len(r.enc_ids) for r in batch) + max(len(r.dec_in) for r in batch)
+                sizes.append(steps * len(batch) * config.embed_size * 8)
+                seen["ws"] = ws
+                return batch_loss(model, batch, drop_rng, rate, ws)
+
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                training._train(model, rows, config, traced)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            workspace = sum(buf.nbytes for buf in seen["ws"]._buffers)
+            adam = 4 * sum(p.value.nbytes for p in model.parameters())
+            assert sum(size > max(sizes[:i]) for i, size in enumerate(sizes) if i) == 3
+            assert peak < workspace + adam + max(sizes), batch_loss.__name__
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowing_gradient_norm_is_a_training_error(self, tiny_setup):
+        # finite gradients whose squares overflow the norm: no factor clips them, and Adam's
+        # second moment would overflow too
+        def huge_gradient(model, batch, drop_rng, rate, ws=None):
+            b = model.proj_b.node()
+            return ag.Tensor(np.float64(1.0), (b,), lambda g: (np.full(b.shape, 1e200),)), len(batch)
+
+        vocab, encoded = tiny_setup
+        model = Seq2SeqModel(len(vocab), self.CONFIG, np.random.default_rng(0))
+        with pytest.raises(TrainingError, match="gradient norm overflows at epoch 1, batch 0"):
+            training._train(model, training._nmt_rows(encoded, vocab), self.CONFIG, huge_gradient)
+
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_gradient_names_epoch_batch_and_parameter(self, tmp_path, capsys, monkeypatch):
         # a finite loss whose backward writes inf into one gradient is a training fault (exit 2);
-        # clipping by the infinite norm multiplies inf by 0, which numpy warns about
+        # clipping leaves the gradients as they are, so numpy warns of no inf * 0
         def inf_gradient(model, batch, drop_rng, rate, ws=None):
             b = model.proj_b.node()
             grad = np.zeros(b.shape)
