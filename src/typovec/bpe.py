@@ -47,7 +47,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_each, read_records, write_tsv
+from .corpus import CorpusStore, PairStore, Registry, SentencePair, read_each, read_records, write_records
 
 END_OF_WORD = "⟨/w⟩"
 
@@ -407,9 +407,7 @@ def encode_corpus(pairs: Iterable[SentencePair], merges: MergeTable, vocab: Subw
 
 
 def save_merges(path, merges: MergeTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for left, right in merges.pairs:
-            fh.write(f"{left} {right}\n")
+    write_records(path, merges.pairs, sep=" ")
 
 
 def load_merges(path) -> MergeTable:
@@ -426,7 +424,7 @@ def load_merges(path) -> MergeTable:
 
 
 def save_vocab(path, vocab: SubwordVocab) -> None:
-    write_tsv(path, ((tok, i) for i, tok in enumerate(vocab.id_to_token)))
+    write_records(path, ((tok, i) for i, tok in enumerate(vocab.id_to_token)))
 
 
 def load_vocab(path) -> SubwordVocab:

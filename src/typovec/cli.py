@@ -305,14 +305,16 @@ def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     cells, methods, categories = report.read_report_tsv(wd.path("report.tsv"))
-    outputs = [wd.path("table_main.md")]
-    outputs[0].write_text(report.render_main_table(cells, methods, categories), encoding="utf-8")
+    tables = {"table_main.md": report.render_main_table(cells, methods, categories)}
     feature_acc = report.read_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"))
     base, best = feature_acc.get(("None", False)), feature_acc.get(("MTBoth", False))
     if base is not None and best is not None:
         rows = {cat: report.top_gains(base, best, cat, 5) for cat in categories}
-        outputs.append(wd.path("table_gains.md"))
-        outputs[1].write_text(report.render_gains_table(rows), encoding="utf-8")
+        tables["table_gains.md"] = report.render_gains_table(rows)
+    outputs = [wd.path(name) for name in tables]
+    for path, text in zip(outputs, tables.values()):
+        # each rendered line ends in "\n"
+        corpus.write_records(path, ((line,) for line in text.removesuffix("\n").split("\n")))
     return outputs, f"wrote {', '.join(p.name for p in outputs)}"
 
 
@@ -329,8 +331,7 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     preds = report.read_predictions_tsv(path)
     key_a = _condition(cfg.bootstrap_a, preds, path)
     key_b = _condition(cfg.bootstrap_b, preds, path)
-    title = f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}"
-    lines = []
+    rows = [(f"# paired bootstrap: {cfg.bootstrap_a} vs {cfg.bootstrap_b}",)]
     shared = sorted(set(preds[key_a]) & set(preds[key_b]))
     for category in (*CATEGORIES, "all"):
         instances = [k for k in shared if category == "all" or category_of(k[1]) == category]
@@ -340,10 +341,10 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         b = [preds[key_b][k][0] for k in instances]
         gold = [preds[key_a][k][1] for k in instances]
         result = predict.paired_bootstrap(a, b, gold, cfg.bootstrap_n, cfg.seed)
-        lines.append(f"{category}\tn={len(instances)}\tgain={result.observed_gain!r}\t"
-                     f"p={result.p_value!r}\tresamples={result.n_resamples}")
+        rows.append((category, f"n={len(instances)}", f"gain={result.observed_gain!r}",
+                     f"p={result.p_value!r}", f"resamples={result.n_resamples}"))
     out = wd.path("bootstrap.txt")
-    out.write_text(f"{title}\n" + "\n".join(lines) + "\n", encoding="utf-8")
+    corpus.write_records(out, rows)
     return [out], f"{cfg.bootstrap_a} vs {cfg.bootstrap_b} -> {out.name}"
 
 
@@ -351,6 +352,10 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     import numpy as np  # here, not at module level: the stages without array work load no numpy
 
     registry, encoded, vocab = _load_encoded(cfg, wd)
+    langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
+    unknown = [lang for lang in langs if lang not in encoded.by_lang]
+    if unknown:
+        raise ConfigError(f"traj_langs names {unknown[0]!r}, which has no sentences in {wd.path('corpus')}")
     matrix = typology.load_features(wd.path("features"), registry)
     nmt = _load_trained(wd, "nmt")
     path = wd.path("vectors_MTCell.tsv")
@@ -364,13 +369,18 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     X = np.stack([mtcell[matrix.languages[i]].values for i in rows])
     logreg = predict.train_logreg(predict.Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
     node = predict.select_trajectory_node(logreg, nmt.hidden_size)
-    langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
     _, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs,
                                         cfg.traj_sentences or None, node)
     out = wd.path("trajectory.csv")
     predict.write_trajectory_csv(out, rows)
     fit = "converged" if logreg.converged else "not converged"
     return [out], f"feature {feature} (fit {fit}), node {node}, {len(rows)} rows -> {out.name}"
+
+
+def _traj_inputs(cfg: PipelineConfig) -> list[str]:
+    if "MTCell" not in cfg.method_list:
+        raise ConfigError("the 'traj' stage reads the MTCell vectors; add MTCell to methods")
+    return [*_ENCODED_INPUTS, "features", "nmt.ckpt", "nmt.model", "vectors_MTCell.tsv"]
 
 
 @dataclass(frozen=True)
@@ -397,9 +407,7 @@ STAGES = {
     "report": Stage(_report, ("report.tsv", "feature_accuracy.tsv")),
     "bootstrap": Stage(_bootstrap, ("predictions.tsv",),
                        ("bootstrap_n", "seed", "bootstrap_a", "bootstrap_b")),
-    "traj": Stage(_traj, (*_ENCODED_INPUTS, "features", "nmt.ckpt", "nmt.model",
-                          "vectors_MTCell.tsv"),
-                  ("traj_feature", "seed", "traj_langs", "traj_sentences", "l2")),
+    "traj": Stage(_traj, _traj_inputs, ("traj_feature", "seed", "traj_langs", "traj_sentences", "l2")),
 }
 
 
@@ -424,10 +432,11 @@ def _stale_upstream(wd: Workdir, artifacts) -> tuple[str, str] | None:
 
 def run_stage(name: str, cfg: PipelineConfig) -> None:
     stage = STAGES[name]
+    # a config under which the stage has no inputs fails before the work dir is made
+    inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
     wd = Workdir(cfg)
     with _workdir_lock(wd.root):
         entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
-        inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
         producers = {}  # "<path>:" of each input inside the work dir -> its producer
         for artifact in inputs:
             path, producer = wd.path(artifact), PRODUCERS[artifact]

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from pathlib import Path
 
-from .corpus import read_each
+from .corpus import read_each, write_records
 
 
 class ConfigError(ValueError):
@@ -137,6 +138,8 @@ class PipelineConfig:
         unknown = [m for m in self.method_list if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods in config: {unknown}")
+        if not self.method_list:
+            raise ConfigError(f"methods must name at least one of {', '.join(METHODS)}")
         for key in ("bootstrap_a", "bootstrap_b"):
             condition = getattr(self, key)
             if condition[-4:] not in ("+Aux", "-Aux") or condition[:-4] not in ("None", *METHODS):
@@ -180,11 +183,7 @@ def read_kv(path) -> dict[str, str]:
 
 
 def write_kv(path, entries: dict[str, str], comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for key, value in entries.items():
-            fh.write(f"{key}={value}\n")
+    write_records(path, chain([(f"# {comment}",)] if comment else [], entries.items()), sep="=")
 
 
 def format_value(record, name: str) -> str:

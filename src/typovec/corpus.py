@@ -24,6 +24,13 @@ path and name the stage that wrote the file. Lines end at "\n" only; a
 check per line; only after a decoding error is the rest of the file decoded
 line by line, to name the line. :func:`read_each` runs the reader to the end
 for a loader whose parse function keeps what it reads.
+
+Writing text: :func:`write_records` is the one writer of every text
+artifact: the TSV and CSV files, the corpus and merge table, the config,
+manifests and stage summaries, and the Markdown tables. It writes each row
+as one line, the ``str`` of its fields joined by a separator (a tab unless
+the caller passes another), in UTF-8 with "\n" line ends; every other writer
+builds the rows of its format and calls it.
 """
 
 from __future__ import annotations
@@ -282,26 +289,18 @@ def read_tsv(path, columns: tuple[str, ...], parse_row) -> None:
     read_each(path, parse, header=parse_header)
 
 
-def serialize_parallel(store: CorpusStore) -> str:
-    lines = [
-        f"{p.lang}\t{' '.join(p.source)}{PAIR_SEPARATOR}{' '.join(p.target)}"
-        for p in store.ordered
-    ]
-    return "".join(line + "\n" for line in lines)
-
-
-def write_tsv(path, rows) -> None:
+def write_records(path, rows, sep: str = "\t") -> None:
     """Writes each row as one line of its fields' ``str`` forms (a float's is its
-    round-trip ``repr``), tab-joined; a header is just the first row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines("\t".join(map(str, row)) + "\n" for row in rows)
+    round-trip ``repr``) joined by ``sep``; a header is just the first row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(sep.join(map(str, row)) + "\n" for row in rows)
 
 
 def write_registry(path, registry: Registry) -> None:
-    write_tsv(path, chain([("# code", "lat", "lon", "lineage")],
-                          ((rec.code, rec.lat, rec.lon, "|".join(rec.lineage)) for rec in registry)))
+    write_records(path, chain([("# code", "lat", "lon", "lineage")],
+                              ((rec.code, rec.lat, rec.lon, "|".join(rec.lineage)) for rec in registry)))
 
 
 def write_parallel(path, store: CorpusStore) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_parallel(store))
+    write_records(path, ((p.lang, f"{' '.join(p.source)}{PAIR_SEPARATOR}{' '.join(p.target)}")
+                         for p in store))

@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -56,6 +57,7 @@ import numpy as np
 from . import models
 from .autograd import _logistic
 from .config import CATEGORIES, MIN_RESAMPLES
+from .corpus import write_records
 from .report import GainRow, top_gains  # re-exported
 from .typology import majority_label
 
@@ -496,7 +498,4 @@ def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCo
 
 
 def write_trajectory_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lang,sentence,step,value\n")
-        for lang, sent, step, value in rows:
-            fh.write(f"{lang},{sent},{step},{value!r}\n")
+    write_records(path, chain([("lang", "sentence", "step", "value")], rows), sep=",")

@@ -14,13 +14,18 @@ from itertools import chain
 from typing import TYPE_CHECKING
 
 from .config import CATEGORIES, category_of
-from .corpus import read_tsv, write_tsv
+from .corpus import read_tsv, write_records
 
 if TYPE_CHECKING:
     from .predict import EvalReport
 
 CATEGORY_LABELS = {"syntax": "Syntax", "phonology": "Phonology", "inventory": "Inventory"}
 AUX_LABELS = {False: "-Aux", True: "+Aux"}
+
+# The header of each TSV that the ``predict`` stage writes and later stages read.
+REPORT_HEADER = ("method", "category", "aux", "accuracy")
+FEATURE_ACCURACY_HEADER = ("method", "aux", "feature", "accuracy")
+PREDICTIONS_HEADER = ("method", "aux", "lang", "feature", "pred", "gold")
 
 
 def _fmt(x: float) -> str:
@@ -89,19 +94,19 @@ def render_gains_table(rows_by_category: dict[str, list[GainRow]],
 
 def write_report_tsv(path, report: EvalReport) -> None:
     """Flat accuracy dump: method, category, aux, accuracy."""
-    write_tsv(path, chain([("method", "category", "aux", "accuracy")], (
+    write_records(path, chain([REPORT_HEADER], (
         (method, category, AUX_LABELS[aux], report.cells[(method, aux)][category])
         for method in report.methods for category in report.categories for aux in report.aux_settings)))
 
 
 def write_feature_accuracy_tsv(path, report: EvalReport) -> None:
-    write_tsv(path, chain([("method", "aux", "feature", "accuracy")], (
+    write_records(path, chain([FEATURE_ACCURACY_HEADER], (
         (method, AUX_LABELS[aux], feature, accs[feature])
         for (method, aux), accs in sorted(report.feature_accuracy.items()) for feature in sorted(accs))))
 
 
 def write_predictions_tsv(path, report: EvalReport) -> None:
-    write_tsv(path, chain([("method", "aux", "lang", "feature", "pred", "gold")], (
+    write_records(path, chain([PREDICTIONS_HEADER], (
         (method, AUX_LABELS[aux], lang, feature, pred, gold)
         for (method, aux), preds in sorted(report.predictions.items())
         for (lang, feature), (pred, gold) in sorted(preds.items()))))
@@ -131,7 +136,7 @@ def read_report_tsv(path):
         if category not in categories:
             categories.append(category)
 
-    read_tsv(path, ("method", "category", "aux", "accuracy"), row)
+    read_tsv(path, REPORT_HEADER, row)
     missing = [(m, label, c) for m in methods for aux, label in AUX_LABELS.items()
                for c in categories if c not in cells.get((m, aux), {})]
     if missing:
@@ -147,7 +152,7 @@ def read_feature_accuracy_tsv(path) -> dict[tuple[str, bool], dict[str, float]]:
         category_of(feature)  # rejects a name without a category prefix
         out.setdefault((method, _parse_aux(aux)), {})[feature] = float(accuracy)
 
-    read_tsv(path, ("method", "aux", "feature", "accuracy"), row)
+    read_tsv(path, FEATURE_ACCURACY_HEADER, row)
     return out
 
 
@@ -158,5 +163,5 @@ def read_predictions_tsv(path) -> dict[tuple[str, bool], dict[tuple[str, str], t
         method, aux, lang, feature, pred, gold = fields
         out.setdefault((method, _parse_aux(aux)), {})[(lang, feature)] = (int(pred), int(gold))
 
-    read_tsv(path, ("method", "aux", "lang", "feature", "pred", "gold"), row)
+    read_tsv(path, PREDICTIONS_HEADER, row)
     return out

@@ -5,8 +5,8 @@ prefix: syntax ("S_"), phonology ("P_"), phonetic inventory ("I_").
 Missing cells are allowed and represented as NaN internally.
 
 Feature CSV format: header ``lang,<feature names...>``, one row per
-language, cells "0", "1", or empty for missing. Each line is read as one
-CSV record, so no quoted cell spans lines.
+language, cells "0", "1", or empty for missing. Each line is read and
+written as one CSV record, so no quoted cell spans lines.
 
 Distances are computed once per registry pair: :class:`DistanceContext`
 calls the scalar :func:`geodesic_distance` and :func:`genetic_distance` for
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -32,7 +33,7 @@ from itertools import chain
 import numpy as np
 
 from .config import CATEGORIES, KnnConfig, category_of  # re-exported
-from .corpus import CorpusError, LanguageRecord, Registry, read_records, read_tsv, write_tsv
+from .corpus import CorpusError, LanguageRecord, Registry, read_records, read_tsv, write_records
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -97,6 +98,13 @@ def _csv_record(line) -> list[str]:
         raise CorpusError(str(exc)) from None
 
 
+def _csv_line(cells) -> str:
+    """``cells`` as one CSV record, the inverse of :func:`_csv_record`."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()[:-1]
+
+
 def load_features(path, registry: Registry) -> FeatureMatrix:
     def parse_header(line):
         header = _csv_record(line)
@@ -138,18 +146,14 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
 
 
 def write_features(path, matrix: FeatureMatrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lang"] + [f.name for f in matrix.features])
-        for i, lang in enumerate(matrix.languages):
-            row: list[str] = [lang]
-            for v in matrix.values[i]:
-                row.append("" if math.isnan(v) else str(int(v)))
-            writer.writerow(row)
+    write_records(path, ([_csv_line(row)] for row in chain(
+        [("lang", *matrix.feature_names())],
+        ((lang, *("" if math.isnan(v) else int(v) for v in values))
+         for lang, values in zip(matrix.languages, matrix.values)))))
 
 
 def write_knn_vectors(path, matrix: FeatureMatrix, knn: dict[str, np.ndarray]) -> None:
-    write_tsv(path, chain([("lang", *matrix.feature_names())],
+    write_records(path, chain([("lang", *matrix.feature_names())],
                           ((lang, *knn[lang].tolist()) for lang in matrix.languages)))
 
 
@@ -294,4 +298,4 @@ def write_neighbors(path, neighbors: dict[str, list[str]], config: KnnConfig,
                 yield (lang, rank, neighbor,
                        float(context.geo[i, j]), float(context.gen[i, j]), float(combined[j]))
 
-    write_tsv(path, rows())
+    write_records(path, rows())

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import models
 from .config import METHODS  # re-exported
-from .corpus import read_records, write_tsv
+from .corpus import read_records, write_records
 
 if TYPE_CHECKING:
     from .bpe import EncodedCorpus, SubwordVocab
@@ -159,7 +159,7 @@ STORE_HEADER = "lang\tmethod\tdim\tn_sentences"
 
 def save_vectors(path, vectors: list[LangVector]) -> None:
     """Write a vector store; float repr keeps full round-trip precision."""
-    write_tsv(path, chain([STORE_HEADER.split("\t")], (
+    write_records(path, chain([STORE_HEADER.split("\t")], (
         (v.lang, v.method, v.dim, v.n_sentences, " ".join(map(repr, v.values.tolist()))) for v in vectors)))
 
 

@@ -260,6 +260,24 @@ class TestPipeline:
         assert lines[0] == "lang,sentence,step,value"
         assert len(lines) > 12
 
+    @pytest.mark.parametrize("override, message", [
+        # extract writes only the listed methods' vectors, so no rerun of it helps
+        ({"methods": "MTVec"}, "the 'traj' stage reads the MTCell vectors; add MTCell to methods"),
+        ({"traj_langs": "s01,zz"}, "traj_langs names 'zz', which has no sentences in"),
+    ], ids=["methods", "traj_langs"])
+    def test_traj_config_error_names_the_key(self, pipeline, tmp_path, capsys, override, message):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy), **override)
+        before = snapshot(copy)
+        assert main(["--config", str(cfg_path), "traj"]) == 1
+        assert message in capsys.readouterr().err
+        after = snapshot(copy)
+        del before["effective_config.txt"], after["effective_config.txt"]
+        assert after == before
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_corrupt_input_names_file_and_producer(self, pipeline, data):
@@ -360,7 +378,7 @@ class TestCliErrors:
                                       "genetic_weight=nan", "knn_k=0", "bootstrap_n=0",
                                       "bootstrap_n=500", "traj_sentences=-1", "max_sentences=-1",
                                       "methods=MTVec,MTcell", "bootstrap_a=MTBoth",
-                                      "bootstrap_b=MTCel+Aux", "bootstrap_a=None"])
+                                      "bootstrap_b=MTCel+Aux", "bootstrap_a=None", "methods="])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
@@ -369,7 +387,8 @@ class TestCliErrors:
         # key would otherwise fail only at the baseline stage; bootstrap_n=0 divides
         # by zero and too few resamples fail only after all of them are drawn, and a
         # negative sentence count silently drops sentences or means all of them; a
-        # misspelt method or bootstrap condition would otherwise fail stages later
+        # misspelt method or bootstrap condition would otherwise fail stages later, and
+        # with no method extract writes nothing and is never up to date
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1

@@ -492,11 +492,13 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("".join(f"{k}={v}\n" for k, v in entries.items()), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
-        for stage in ("synth", "bpe-learn", "train-nmt", "extract", "baseline", "predict", "traj"):
+        for stage in ("synth", "ingest", "bpe-learn", "train-nmt", "extract", "baseline", "predict",
+                      "report", "bootstrap", "traj"):
             assert main(["--config", str(cfg), stage]) == 0, stage
-    digests = {name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
-               for name in ("predictions.tsv", "report.tsv", "trajectory.csv", "knn_vectors.tsv",
-                            "distances.tsv", "registry.tsv")}
+    work = tmp_path / "work"
+    # every file the run writes; the config holds the work dir's path, the lock nothing
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in work.iterdir()
+               if path.name not in (".lock", "effective_config.txt")}
     # the k-NN digests were computed when every reader recomputed each pair's distances;
     # the distances.tsv digest is of the 3 rows per language, in features.csv order, that
     # have the smallest combined distance (ties by code) in the earlier dump of every pair
@@ -507,4 +509,38 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
         "knn_vectors.tsv": "5ce008cfe1ddbafc01a407fe33a41ccdd40d8b2a3dac8b79d4eedd3a1f6dabc1",
         "distances.tsv": "c3787adf812293708126106c728cefa94f81bc7607a7e927e0879029a3eaf4a7",
         "registry.tsv": "3eb911ee0f7ef6f439060991703b15fc8f960f446eb1749a44e543a20bf77147",
+        # taken before every text artifact had the one writer
+        "corpus.txt": "4435c55c80266013df366a65675613d81193bcac8c49e615395a67e4a93562e0",
+        "features.csv": "d33e45e35a60a2e80fba41e71ab08cb47323c017f6ef8199cce362c5a0b2438a",
+        "ingest_summary.txt": "0734f95f59506f6ec5a330830e799b701f517f0b5916d8f033e6fcd43d9154ec",
+        "merges.txt": "5d6cc490536cfdf50dd3354925e3ffcbb14cc1744c9764745c37603313cdbe68",
+        "vocab.tsv": "a065b6f55e4facc4d5becc6e277afe98655486f863e9285719ddec03c5fcf793",
+        "nmt.ckpt": "998e450048d9fc0846eba8ce7caf3b3948d87745d6cbf938f72a20d68ee09671",
+        "nmt.model": "75272888c262d773af1b1e28cb914cfaf321f80c137834720f6fbd595d058648",
+        "vectors_MTVec.tsv": "dd77111359f17ae8a34d2c10737e3015dea2b539151ce16f169ffca0ae0e32bd",
+        "vectors_MTCell.tsv": "efa9bb554f4f854ae1e058643a8520c9fcc0068cfffce07a8474e44fa51d1f7c",
+        "vectors_MTBoth.tsv": "c7a4b57ca3e19ca047aef61d1757d76228873a541e518b154b3dcbe0d17b165b",
+        "feature_accuracy.tsv": "ad358ff4d42497836ae2f7574cd7bd3cdc23aff3e61bde835058c0963cb6f9b3",
+        "predict_meta.txt": "f0743837ffcfe568625183543ac7e4088c17b5a520ca57eafd3c1976a3622338",
+        "table_main.md": "9ade61660b5812a420d2765d53435db77158a6ddb3b6c2fbf50851f447381629",
+        "table_gains.md": "f161f99a041f456a7a5fd5a1e24ad06b3850fba2db2d1b90d7d161ba5ff35963",
+        "bootstrap.txt": "ab3fc1b1d5d796dbf36f126b5816148ea810fdcc1f3cb4b9628645becbd980a6",
+        "synth.manifest": "31e34a07f5ecfac79fec74ba7472c9ceba41ff351f614a2b56eeb3aec7b72bca",
+        "ingest.manifest": "a166b048c9a543f8151e5331fe938c8b55707b6438779529289c42b8e2b5b3ec",
+        "bpe_learn.manifest": "a2f935a47fdb5842e3058903cb83f71f441f0c9afd79fb11856b7e289994c894",
+        "train_nmt.manifest": "9239b22d977507d9e82f2a3973d950ae37f188ed7d65eca8ad7476d5f5e2d811",
+        "extract.manifest": "0abf8813951a1c5960836c893f0b1389133987e0711e5d2f5224484c2c84cb66",
+        "baseline.manifest": "2540643a0de21cd3762820f6c15e575264e6725c5571f41053d1b9e5d06ea680",
+        "predict.manifest": "80de49239febe96cb1baac60efca50037c7bdcb95c7ae7f20bed065e8cc025ba",
+        "report.manifest": "b75b0d67894d6fc3b72e059529101266522773ba03dafe8e0fc718ff917f84ea",
+        "bootstrap.manifest": "8744657690776a4e9391a9cc0454225df65af9a3f5b14844ba9988a4b9a8f24d",
+        "traj.manifest": "b4fb03537ab16b8daebc2088aaf30e279fddb8982ef55183363826ad375ad4e7",
     }
+    assert (work / "effective_config.txt").read_bytes().decode("utf-8") == (
+        f"# effective pipeline configuration\nworkdir={work}\nseed=5\nregistry=\ncorpus=\nfeatures=\n"
+        "num_merges=40\nhidden_size=8\nembed_size=8\nlr=0.02\ndropout=0.0\nepochs=1\nbatch_size=16\n"
+        "clip_norm=5.0\nattention=0\nknn_k=3\ngeodesic_weight=1.0\ngenetic_weight=1.0\nl2=1.0\n"
+        "n_folds=5\nmethods=MTVec,MTCell,MTBoth\nmax_sentences=0\nmtcell_include_special=1\n"
+        "mtcell_sentence_equal=0\nbootstrap_n=10000\nbootstrap_a=None+Aux\nbootstrap_b=MTBoth+Aux\n"
+        "traj_feature=S_OBJECT_BEFORE_VERB\ntraj_langs=\ntraj_sentences=3\nsynth_langs=14\n"
+        "synth_sentences=16\nsynth_lexicon=12\n")

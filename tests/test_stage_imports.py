@@ -131,3 +131,33 @@ def test_imported_third_party_modules_are_the_declared_dependencies():
     declared = {re.match(r"[\w.-]+", requirement).group().lower().replace("-", "_")
                 for requirement in project["dependencies"]}
     assert imported - set(sys.stdlib_module_names) - {"typovec"} == declared
+
+
+# The functions that may open a file to write: the one text writer, the
+# binary checkpoint and the lock file.
+WRITERS = {("corpus", "write_records"), ("checkpoint", "save_checkpoint"), ("cli", "_workdir_lock")}
+
+
+def _opens_to_write(node: ast.AST) -> bool:
+    """A call of ``open`` in a mode that is not a read-only constant, or of
+    ``.write_text`` or ``.write_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("write_text", "write_bytes")
+    if not (isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def test_only_the_writers_open_files_to_write():
+    found = set()
+    for path in sorted(Path(typovec.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            found |= {(path.stem, getattr(top, "name", None), node.lineno)
+                      for node in ast.walk(top) if _opens_to_write(node)}
+    outside = sorted(site for site in found if site[:2] not in WRITERS)
+    assert not outside, f"(module, top-level name, line) of files opened to write: {outside}"
+    assert {site[:2] for site in found} == WRITERS
