@@ -195,15 +195,6 @@ def tanh(a: Tensor) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.value)
-
-    def vjp(g):
-        return (g * out,)
-
-    return Tensor(out, (a,), vjp)
-
-
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:

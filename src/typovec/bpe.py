@@ -97,9 +97,6 @@ class MergeTable:
         self.pairs.append(pair)
         self._pieces.clear()
 
-    def rank(self, pair: tuple[str, str]) -> int | None:
-        return self._ranks.get(pair)
-
     def __len__(self) -> int:
         return len(self.pairs)
 

@@ -6,17 +6,19 @@ params, and sha256 hashes of inputs and outputs, keyed by path relative to
 the work dir (an input configured outside it keeps its configured path), so
 a copied or moved work dir keeps its records. Rerunning a stage whose
 manifest matches and whose recorded outputs are intact is a no-op. An input
-whose producing stage's manifest records a different ``out:`` hash is stale:
-the stage stops and names the producer to rerun. So is an upstream stage
-whose manifest records an ``in:`` hash other than its producer's ``out:``
-hash: the stage writes nothing and names the first such stage to rerun.
-Inputs with no such record (e.g. a registry outside the work dir) are not
-checked. Every loader starts its errors with ``<path>:`` (the one line
-reader, ``corpus.read_records``, writes ``<path>:<line>:``), so a stage that
-fails on a malformed input inside the work dir names its producer to rerun
-as well. A ``flock`` on ``<workdir>/.lock`` guards against concurrent
-pipeline instances; the kernel releases it when its process dies, so a
-killed run leaves no lock behind.
+whose producing stage's manifest records a different ``out:`` hash, or does
+not list a work-dir artifact at all (a file left from an earlier run), is
+stale: the stage stops and names the producer to rerun. So is an upstream
+stage whose manifest records an ``in:`` hash other than its producer's
+``out:`` hash: the stage writes nothing and names the first such stage to
+rerun. Inputs whose producer has no manifest, and the config's input files
+that ``synth``'s manifest does not list (e.g. a registry outside the work
+dir), are not checked. Every loader starts its errors with ``<path>:``
+(the one line reader, ``corpus.read_records``, writes ``<path>:<line>:``),
+so a stage that fails on a malformed input inside the work dir names its
+producer to rerun as well. A ``flock`` on ``<workdir>/.lock`` guards
+against concurrent pipeline instances; the kernel releases it when its
+process dies, so a killed run leaves no lock behind.
 
 Exit codes: 0 success, 1 validation error (bad inputs, missing or stale
 upstream artifacts), 2 runtime error.
@@ -28,6 +30,7 @@ import argparse
 import fcntl
 import hashlib
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -138,16 +141,16 @@ def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 
 def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry = corpus.load_registry(wd.path("registry"))
-    store = corpus.load_parallel(wd.path("corpus"), registry)
+    pairs = Counter(pair.lang for pair in corpus.read_pairs(wd.path("corpus"), registry))
     counts = typology.load_features(wd.path("features"), registry).category_counts()
     summary = wd.path("ingest_summary.txt")
     write_kv(summary, {
         "languages": str(len(registry)),
-        "sentence_pairs": str(len(store)),
-        **{f"count:{lang}": str(store.counts[lang]) for lang in sorted(store.counts)},
+        "sentence_pairs": str(pairs.total()),
+        **{f"count:{lang}": str(pairs[lang]) for lang in sorted(pairs)},
         **{f"features:{cat}": str(counts[cat]) for cat in CATEGORIES},
     })
-    return [summary], (f"{len(registry)} languages, {len(store)} pairs, "
+    return [summary], (f"{len(registry)} languages, {pairs.total()} pairs, "
                        f"{sum(counts.values())} features")
 
 
@@ -443,7 +446,11 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             if not path.exists():
                 raise StageInputError(f"missing {path}; run the '{producer}' stage first")
             digest = entries[f"in:{wd.key(path)}"] = _sha256(path)
-            if wd.recorded(producer).get(f"out:{wd.key(path)}", digest) != digest:
+            # a file that its producer's manifest does not list is left from an
+            # earlier run, unless it is one of the config's input files
+            recorded = wd.recorded(producer)
+            unlisted = digest if not recorded or artifact in INPUT_FILES else None
+            if recorded.get(f"out:{wd.key(path)}", unlisted) != digest:
                 raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
                                       f"rerun '{producer}'")
             if path.is_relative_to(wd.root):

@@ -137,9 +137,6 @@ class PairStore:
         """The pairs in input-file order."""
         return iter(self.ordered)
 
-    def languages(self) -> list[str]:
-        return list(self.by_lang)
-
 
 class CorpusStore(PairStore):
     """Preprocessed :class:`SentencePair` records."""

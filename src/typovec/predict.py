@@ -202,11 +202,6 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
     return LogRegModel(coef[0], float(bias[0]), feature=feature, l2=l2, converged=bool(converged[0]))
 
 
-def predict_proba(model: LogRegModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    return _logistic(X @ model.weights + model.bias)
-
-
 def _predict_labels(probs: np.ndarray, tie_label) -> np.ndarray:
     """Labels of probabilities thresholded at 0.5; exactly 0.5 takes ``tie_label``
     (broadcast against ``probs``, so one per column of a matrix)."""

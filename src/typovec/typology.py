@@ -68,9 +68,6 @@ class FeatureMatrix:
         if len(self._feat_index) != len(self.features):
             raise ValueError("duplicate feature columns")
 
-    def value(self, lang: str, feature: str) -> float:
-        return float(self.values[self._lang_index[lang], self._feat_index[feature]])
-
     def column(self, feature: str) -> np.ndarray:
         return self.values[:, self._feat_index[feature]]
 

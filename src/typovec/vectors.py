@@ -11,11 +11,13 @@ Methods:
 - ``MTCellFinal`` / ``MTHiddenMean``: ablation variants (mean of final cell
   states, and mean of hidden states h over all steps).
 
-One encoder pass per language yields all three cell/hidden methods. The
-pass runs on the language's canonical batch (sentences sorted by
-(length, ids)), so every sum is taken in an order fixed by the sentence
-multiset: results are exactly invariant under sentence permutation and each
-language's vector depends on its own sentences only.
+One encoder pass per language, :func:`extract_encoder_vectors`, yields all
+three cell/hidden methods, keyed by method name; :func:`extract_mtcell` is
+its MTCell and :func:`extract_variant` its ablation variants. The pass runs
+on the language's canonical batch (sentences sorted by (length, ids)), so
+every sum is taken in an order fixed by the sentence multiset: results are
+exactly invariant under sentence permutation and each language's vector
+depends on its own sentences only.
 """
 
 from __future__ import annotations
@@ -93,18 +95,18 @@ def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: Su
     """
     sentences = _select_sentences(encoded, lang, max_sentences, seed)
     ids, lens, _ = models.encoder_batch(vocab, lang, sentences)
-    cell_sums, inner_sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(3))
+    skip = 0 if include_special else 1  # MTCell steps left out at each end: language token, EOS
+    sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(2))
     # encoder_batch sorts rows by length, so the rows with lens > t are a
     # suffix; adding only it leaves the other sums as they were (x + 0.0 == x,
     # and a sum started at +0.0 never reads -0.0)
     for t, (h, c) in enumerate(models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
         live = np.searchsorted(lens, t, side="right")
-        cell_sums[live:] += c[live:]
         hidden_sums[live:] += h[live:]
-        if t >= 1:
-            inner = np.searchsorted(lens, t + 1, side="right")
-            inner_sums[inner:] += c[inner:]
-    sums, counts = (cell_sums, lens) if include_special else (inner_sums, lens - 2)
+        if t >= skip:
+            counted = np.searchsorted(lens, t + skip, side="right") if skip else live
+            sums[counted:] += c[counted:]
+    counts = lens - 2 * skip
     keep = counts > 0
     if not keep.any():
         raise ValueError(f"no time steps selected for language {lang!r}")

@@ -358,6 +358,26 @@ class TestCliErrors:
         assert main(["--config", str(cfg_path), "bpe-learn"]) == 0
         assert len(merges.read_text(encoding="utf-8").splitlines()) == 30
 
+    def test_store_left_by_an_earlier_extract_is_stale(self, tmp_path, capsys):
+        # extract with fewer methods leaves the stores it no longer writes in place,
+        # and its manifest no longer lists them
+        cfg_path = tmp_path / "cfg.txt"
+        work = tmp_path / "w7"
+        sizes = {"workdir": str(work), "synth_langs": 10, "synth_sentences": 8}
+        write_config(cfg_path, **sizes, methods="MTVec,MTCell")
+        for argv in (["synth"], ["bpe-learn"], ["train-nmt"], ["extract"], ["baseline"],
+                     ["--seed", "6", "train-nmt"]):
+            assert main(["--config", str(cfg_path), *argv]) == 0, argv
+        write_config(cfg_path, **sizes, methods="MTVec")
+        assert main(["--config", str(cfg_path), "extract"]) == 0
+        write_config(cfg_path, **sizes, methods="MTVec,MTCell")
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "predict"]) == 1
+        err = capsys.readouterr().err
+        assert f"{work / 'vectors_MTCell.tsv'} is not the file 'extract' last wrote" in err
+        assert "rerun 'extract'" in err
+        assert not (work / "report.tsv").exists()
+
     def test_input_outside_the_work_dir_keeps_its_configured_path(self, tmp_path):
         source = tmp_path / "source"
         write_config(tmp_path / "synth.cfg", workdir=str(source))
@@ -551,7 +571,7 @@ def test_bpe_learn_names_the_malformed_corpus_line(tmp_path, capsys, edit, where
 ENCODING_STAGES = ("train-lm", "train-nmt", "extract", "traj")  # the stages that stream the encoded corpus
 
 
-@pytest.mark.parametrize("stage", ENCODING_STAGES)
+@pytest.mark.parametrize("stage", [*ENCODING_STAGES, "ingest"])
 def test_encoding_stages_stream_the_corpus_without_a_store(pipeline, tmp_path, monkeypatch, stage):
     def no_store(*_args):
         raise AssertionError(f"{stage} built a CorpusStore")

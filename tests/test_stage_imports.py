@@ -1,4 +1,6 @@
-"""What each CLI stage loads, and what the package may import at all.
+"""What each CLI stage loads, what the package may import at all, which of
+its functions write files, and that every public module-level function and
+class has a user outside the unit tests.
 
 Every stage runs in a fresh interpreter, so each module it imports, and
 numpy, is paid for on every run. The package registers its submodules
@@ -161,3 +163,56 @@ def test_only_the_writers_open_files_to_write():
     outside = sorted(site for site in found if site[:2] not in WRITERS)
     assert not outside, f"(module, top-level name, line) of files opened to write: {outside}"
     assert {site[:2] for site in found} == WRITERS
+
+
+def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``path`` refers to: each name imported from a
+    module, each attribute read on an alias of a module (``ag.f``, ``vectors.f``)
+    and, when ``path`` is the file of ``module``, each name it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    found, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # "import a.b" binds a; "import a.b as x" binds x to a.b
+                bound = alias.name if alias.asname else alias.name.partition(".")[0]
+                aliases[alias.asname or bound] = bound
+        elif isinstance(node, ast.ImportFrom):
+            source = node.module if node.level == 0 else ".".join(filter(None, ("typovec", node.module)))
+            for alias in node.names:
+                found.add((source, alias.name))
+                aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
+        elif isinstance(node, ast.Name) and module is not None:
+            found.add((module, node.id))
+
+    def dotted(node) -> str | None:
+        """The dotted module path that an expression names through an alias, or None."""
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if isinstance(node, ast.Attribute) and (base := dotted(node.value)):
+            return f"{base}.{node.attr}"
+        return None
+
+    found |= {(base, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and (base := dotted(node.value))}
+    return found
+
+
+def test_every_public_name_is_used_outside_the_unit_tests():
+    # a public function or class that only unit tests call is code no stage, demo,
+    # benchmark or acceptance criterion needs
+    root = Path(__file__).resolve().parents[1]
+    package = Path(typovec.__file__).resolve().parent
+    defined = {(f"typovec.{path.stem}", top.name)
+               for path in sorted(package.glob("*.py"))
+               for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")}
+    referenced = set()
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).parts
+        hidden = any(part.startswith(".") for part in parts)
+        if hidden or (parts[0] == "tests" and path.name != "test_acceptance.py"):
+            continue
+        referenced |= _references(path, f"typovec.{path.stem}" if path.parent == package else None)
+    unused = sorted(f"{module}.{name}" for module, name in defined - referenced)
+    assert not unused, f"public names that only unit tests use: {unused}"

@@ -197,8 +197,9 @@ class TestFeatureMatrix:
         path = tmp_path / "f.csv"
         path.write_text("lang,S_X,S_Y\ndeu,,1\n", encoding="utf-8")
         matrix = load_features(path, small_registry)
-        assert math.isnan(matrix.value("deu", "S_X"))
-        assert matrix.value("deu", "S_Y") == 1.0
+        assert matrix.languages == ["deu"]
+        assert math.isnan(matrix.column("S_X")[0])
+        assert matrix.column("S_Y")[0] == 1.0
 
     def test_unknown_language_rejected(self, tmp_path, small_registry):
         path = tmp_path / "f.csv"
