@@ -31,10 +31,15 @@ again at its current count. Every pair keeps an entry at or above its
 count, so an entry popped at its current count is the true first pair in
 that order, and the merges are those of a full recount.
 
-A ``MergeTable`` memoizes word -> marked pieces. ``learn_bpe`` seeds the
-memo with the training words' final symbols, so ``build_vocab`` does not
-segment them again; ``apply_bpe`` reads the memo and fills it with the words
-it segments. ``apply_word`` itself is the plain algorithm and keeps no memo.
+A table that ``learn_bpe`` returns keeps its learned vocabulary: the set
+of marked pieces of its training words, read off the learner's final
+symbols, which ``build_vocab`` uses for those words instead of segmenting
+them again. The learner's state is the table applied in rank order, one
+pass per merge, and it agrees with ``apply_word`` when every merge product
+is a distinct string (see ``learn_bpe``); otherwise the table keeps none. A
+``MergeTable`` also memoizes word -> marked pieces: ``apply_bpe`` reads the
+memo and fills it with the words it segments. ``apply_word`` itself is the
+plain algorithm and keeps no memo.
 """
 
 from __future__ import annotations
@@ -77,9 +82,11 @@ class MergeTable:
     """Ordered BPE merges; position in the list is the rank.
 
     ``_pieces`` memoizes word -> marked pieces under this table and holds
-    every word the table has segmented. It is not a field, so it takes no
-    part in construction or equality, and ``append`` clears it: a table that
-    grows makes earlier segmentations stale.
+    every word the table has segmented. ``_learned`` is set by ``learn_bpe``
+    only: its training words and the set of their marked pieces. Neither is
+    a field, so they take no part in construction or equality, and
+    ``append`` clears both: a table that grows makes earlier segmentations
+    stale.
     """
 
     pairs: list[tuple[str, str]] = field(default_factory=list)
@@ -89,6 +96,7 @@ class MergeTable:
             raise ValueError("merge table contains duplicate pairs")
         self._ranks = {pair: rank for rank, pair in enumerate(self.pairs)}
         self._pieces: dict[str, tuple[str, ...]] = {}
+        self._learned: tuple[list[str], set[str]] | None = None
 
     def append(self, pair: tuple[str, str]) -> None:
         if pair in self._ranks:
@@ -96,6 +104,7 @@ class MergeTable:
         self._ranks[pair] = len(self.pairs)
         self.pairs.append(pair)
         self._pieces.clear()
+        self._learned = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -128,15 +137,27 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     ``weight`` (the word's frequency; sums of integers below 2**53 are exact
     in float64). A pair is keyed ``left * stride + right`` by symbol id.
     ``index`` maps a symbol to the positions that held it with a right
-    neighbour, a superset that a merge with that symbol on the left filters
-    to the positions still holding it. A merge of ``(L, R)`` takes its
-    occurrences in position order; for ``L == R`` it keeps every other one
-    in a run of overlapping occurrences, greedy from the left as
-    ``apply_word`` merges. It relinks the merged positions, and each pair
-    that starts at or just before a merged site changes the counts by its
-    weight after the merge minus its weight before: one sort of the changed
-    keys and one ``np.add.reduceat`` per merge, and Python work per distinct
-    changed pair only.
+    neighbour, grouped by one radix sort of the symbols; it is a superset
+    that a merge with that symbol on the left filters to the positions
+    still holding it. The initial count of every pair comes from these
+    groups: one ``np.bincount`` of each group's right neighbours, weighted.
+    The set-up's temporaries are freed before ``prv`` and ``weight`` are
+    made, so the set-up never holds both.
+
+    A merge of ``(L, R)`` takes its occurrences in position order; for
+    ``L == R`` it keeps every other one in a run of overlapping occurrences,
+    greedy from the left as ``apply_word`` merges. It relinks the merged
+    positions and changes the counts of the pairs next to each merged site.
+    Each such pair has the site on one side and a neighbour symbol ``x`` on
+    the other: ``(x, L)`` becomes ``(x, LR)`` before a site, and ``(R, x)``
+    goes and ``(LR, x')`` comes after it, where ``x'`` is ``x``, or ``LR``
+    when the next site follows at once. So one ``np.bincount`` over the
+    neighbour symbols, offset by side, sums the weights of the changes, and
+    Python work runs per distinct neighbour and side only. A pair may have
+    changes on two sides, such as ``(R, L)``; the falls are applied before
+    the rises, so no count passes below its final value, and each rise
+    pushes its pair at the new count. In ``(L, R, L, R)`` the pair between
+    the two sites is counted once, after the first.
 
     The heap is lazy on decrease. A pair is pushed when its count rises and
     not when it falls, so each pair in ``counts`` has an entry at or above
@@ -149,15 +170,17 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     full recount, and the learner pushes one entry per rise and per requeue
     instead of one per change.
 
-    The returned table's memo holds every training word's final symbols when
-    every merge product ``left + right`` is a distinct string. The learner's
-    state is the table applied in rank order, one pass per merge, while
-    ``apply_word`` merges the lowest-rank pair present until none is left.
-    The two agree unless a merge re-forms a pair of earlier rank. A pass
-    leaves no occurrence of its own pair, so a re-formed pair would hold a
-    symbol made by a later merge; that symbol existed when the earlier pair
-    was counted and is longer than one character, so an earlier merge made
-    it too, and two products would be equal. Otherwise the memo stays empty.
+    The returned table keeps the learned vocabulary, the marked pieces of
+    the final symbols, when every merge product ``left + right`` is a
+    distinct string. The learner's state is the table applied in rank
+    order, one pass per merge, while ``apply_word`` merges the lowest-rank
+    pair present until none is left. The two agree unless a merge re-forms
+    a pair of earlier rank. A pass leaves no occurrence of its own pair, so
+    a re-formed pair would hold a symbol made by a later merge; that symbol
+    existed when the earlier pair was counted and is longer than one
+    character, so an earlier merge made it too, and two products would be
+    equal. Otherwise the table keeps no vocabulary, and ``build_vocab``
+    segments the words.
     """
     if num_merges <= 0:
         raise ValueError(f"num_merges must be positive, got {num_merges}")
@@ -167,38 +190,41 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
 
     words = list(word_freqs)
     lengths = np.fromiter(map(len, words), np.int64, len(words))
-    starts = np.concatenate(([0], np.cumsum(lengths)))
     codes = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     # a character's symbol id is its rank among the corpus's code points
     present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
     present[codes] = True
     sym = (np.cumsum(present, dtype=np.int32) - 1)[codes]
     names = [chr(code) for code in np.flatnonzero(present).tolist()]  # symbol id -> string
+    del codes, present
     ids = {name: i for i, name in enumerate(names)}
     stride = len(names) + num_merges  # more than any symbol id
-    weight = np.repeat(np.array(list(word_freqs.values()), dtype=np.float64), lengths)
+    ends = np.cumsum(lengths)[lengths > 0]
     nxt = np.arange(1, len(sym) + 1, dtype=np.int32)
-    prv = np.arange(-1, len(sym) - 1, dtype=np.int32)
-    nxt[starts[1:][lengths > 0] - 1] = -1
-    prv[starts[:-1][lengths > 0]] = -1
-
-    def keys_at(pos):
-        return sym[pos].astype(np.int64) * stride + sym[nxt[pos]]
+    nxt[ends - 1] = -1
 
     def pair_of(key):
         left, right = divmod(key, stride)
         return names[left], names[right]
 
-    pos = np.flatnonzero(nxt >= 0).astype(np.int32)
-    keys, sums = _sum_by_key(keys_at(pos), weight[pos])
-    counts = dict(zip(keys.tolist(), sums.astype(np.int64).tolist()))
-    heap = [(-count, pair_of(key), key) for key, count in counts.items()]
-    heapq.heapify(heap)
     # a position keeps its right neighbour while it holds its symbol, so
     # every position the filter keeps has one
-    bounds = np.cumsum(np.bincount(sym[pos], minlength=len(names)))[:-1]
+    pos = np.flatnonzero(nxt >= 0).astype(np.int32)
     held = sym[pos] if len(names) > 1 << 16 else sym[pos].astype(np.uint16)  # 16 bits sort by radix
+    bounds = np.cumsum(np.bincount(held, minlength=len(names)))[:-1]
     index = dict(enumerate(np.split(pos[np.argsort(held, kind="stable")], bounds)))
+    del pos, held, bounds  # before the arrays made next, so that the peak stays low
+    prv = np.arange(-1, len(sym) - 1, dtype=np.int32)
+    prv[ends - lengths[lengths > 0]] = -1
+    weight = np.repeat(np.array(list(word_freqs.values()), dtype=np.float64), lengths)
+    del lengths, ends
+    counts = {}
+    for left, at in index.items():
+        sums = np.bincount(sym[nxt[at]], weight[at])
+        right = np.flatnonzero(sums)
+        counts.update(zip((right + left * stride).tolist(), sums[right].astype(np.int64).tolist()))
+    heap = [(-count, pair_of(key), key) for key, count in counts.items()]
+    heapq.heapify(heap)
 
     table = MergeTable()
     while heap and len(table) < num_merges:
@@ -232,50 +258,55 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         # in (L, R, L, R) the pair between the two sites is counted once, at the first
         lead = prv[at] >= 0
         lead[1:] &= after[:-1] != at[1:]
-        old = np.concatenate((prv[at][lead], at, to[joined]))
-        old_keys = keys_at(old)
+        after_j, at_j = after[joined], at[joined]
+        n = len(names)
+        # the neighbour symbols x of the sites, offset by n per side: before a
+        # lead site, and after a site before the merge and after it
+        beside = [sym[prv[at[lead]]], sym[after_j] + n]
         sym[at], sym[to], nxt[at] = merged, -1, after
-        prv[after[joined]] = at[joined]
-        new = np.concatenate((prv[at][lead], at[joined]))
+        prv[after_j] = at_j
+        beside.append(sym[after_j] + 2 * n)
+        w, w_j = weight[at], weight[at_j]
+        sums = np.bincount(np.concatenate(beside), np.concatenate((w[lead], w_j, w_j)))
+        slots = (sums > 0).nonzero()[0]
+        fell, rose = [(key, w.sum())], []
+        for slot, c in zip(slots.tolist(), sums[slots].tolist()):
+            side, x = divmod(slot, n)
+            if side == 0:  # (x, L) becomes (x, LR)
+                fell.append((x * stride + left, c))
+                rose.append((x * stride + merged, c))
+            elif side == 1:  # (R, x) goes
+                fell.append((right * stride + x, c))
+            else:  # (LR, x) comes
+                rose.append((merged * stride + x, c))
         grown = index.get(merged)  # a product made before, when products repeat
-        index[merged] = at[joined] if grown is None else np.sort(np.concatenate((grown, at[joined])))
-        keys, change = _sum_by_key(np.concatenate((keys_at(new), old_keys)),
-                                   np.concatenate((weight[new], -weight[old])))
-        moved = np.flatnonzero(change)
-        for key, delta in zip(keys[moved].tolist(), change[moved].astype(np.int64).tolist()):
-            count = counts.get(key, 0) + delta
-            if count <= 0:
-                counts.pop(key, None)
-            else:
+        index[merged] = at_j if grown is None else np.sort(np.concatenate((grown, at_j)))
+        # the falls first, so that no count passes below its final value
+        for key, c in fell:
+            count = counts[key] - int(c)
+            if count > 0:
                 counts[key] = count
-                if delta > 0:  # a fall pushes nothing: the pair's entries still bound it
-                    heapq.heappush(heap, (-count, pair_of(key), key))
-    del counts, index, heap  # freed before the memo is built, so peak memory does not grow
+            else:
+                del counts[key]
+        for key, c in rose:
+            count = counts[key] = counts.get(key, 0) + int(c)
+            heapq.heappush(heap, (-count, pair_of(key), key))
+    del counts, index, heap, prv, weight  # before the vocabulary is read, so the peak does not grow
     if len({left + right for left, right in table.pairs}) == len(table):
-        live = np.flatnonzero(sym >= 0)
+        live = sym >= 0
         # piece s is symbol s's name, and piece len(names) + s that name marked,
         # which a word's last symbol takes
-        pieces = np.array(names + [name + END_OF_WORD for name in names], dtype=object)
-        pieces = pieces[sym[live] + len(names) * (nxt[live] < 0)].tolist()
-        bounds = np.searchsorted(live, starts).tolist()
-        table._pieces.update((word, tuple(pieces[a:b]))
-                             for word, a, b in zip(words, bounds, bounds[1:]) if b > a)
+        pieces = names + [name + END_OF_WORD for name in names]
+        seen = np.flatnonzero(np.bincount(sym[live] + len(names) * (nxt[live] < 0)))
+        table._learned = (words, {pieces[s] for s in seen.tolist()})
     return table
 
 
-def _sum_by_key(keys: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the sum of the weights of each; the
-    sums are exact, since every weight is an integer in float64."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    starts = np.flatnonzero(first)
-    return keys[starts], np.add.reduceat(weights[order], starts)
-
-
 def _marked(symbols: list[str]) -> tuple[str, ...]:
-    """The pieces of a word: its symbols with the marker on the last one."""
+    """The pieces of a word: its symbols with the marker on the last one;
+    an empty word has none."""
+    if not symbols:
+        return ()
     symbols[-1] += END_OF_WORD
     return tuple(symbols)
 
@@ -364,9 +395,17 @@ def build_vocab(corpus: CorpusStore | Mapping[str, int], merges: MergeTable,
     """Reserved tokens, one token per registry language, then all corpus subwords.
 
     ``corpus`` may be the word frequencies ``learn_bpe`` was given, so a
-    caller counts the corpus once.
+    caller counts the corpus once. If its words are exactly those
+    ``merges`` was learned from, their pieces are the table's learned
+    vocabulary; other words are segmented through ``apply_bpe``.
     """
-    subwords = set(apply_bpe(_word_frequencies(corpus), merges))
+    word_freqs = _word_frequencies(corpus)
+    learned = merges._learned
+    if (learned is not None and len(learned[0]) == len(word_freqs)
+            and all(map(word_freqs.__contains__, learned[0]))):
+        subwords = learned[1]
+    else:
+        subwords = set(apply_bpe(word_freqs, merges))
     tokens = list(RESERVED)
     tokens.extend(f"<{code}>" for code in sorted(registry.codes))
     seen = set(tokens)

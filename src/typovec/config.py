@@ -149,6 +149,10 @@ class PipelineConfig:
         for key in ("max_sentences", "traj_sentences"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0 (0 means all sentences), got {getattr(self, key)}")
+        # the least value bpe.learn_bpe and synth.generate_suite accept
+        for key, least in (("num_merges", 1), ("synth_langs", 4), ("synth_sentences", 1), ("synth_lexicon", 10)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {getattr(self, key)}")
 
     @property
     def method_list(self) -> list[str]:

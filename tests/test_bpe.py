@@ -1,13 +1,17 @@
+import gc
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from typovec import bpe
 from typovec.bpe import (
     END_OF_WORD,
     MergeTable,
+    RESERVED,
     UNK_ID,
     apply_bpe,
     apply_word,
@@ -147,18 +151,33 @@ class TestLearn:
         assert digests == (merges_sha, vocab_sha)
 
 
+def apply_word_pieces(words, pairs) -> set[str]:
+    """The pieces of ``words`` under a table of ``pairs`` that no learner made."""
+    loaded = MergeTable(list(pairs))
+    return {piece for word in words for piece in apply_word(word, loaded)}
+
+
+def one_language() -> Registry:
+    return Registry([LanguageRecord("xx", ("F",), 0.0, 0.0)])
+
+
+def learned_vocab(table: MergeTable) -> set[str] | None:
+    """The pieces the learner read off its final symbols, if it kept them."""
+    return None if table._learned is None else table._learned[1]
+
+
 class TestMemo:
     @settings(max_examples=300, deadline=None)
     @given(small_alphabet_corpora, st.integers(1, 25))
-    def test_memo_holds_every_training_word_as_apply_word_splits_it(self, words, merges):
+    def test_learned_vocab_is_every_training_piece_as_apply_word_splits_it(self, words, merges):
         table = learn_bpe(words, merges)
         products = [left + right for left, right in table.pairs]
         assert len(set(products)) == len(products)
-        assert table._pieces == {word: apply_word(word, table) for word in words}
+        assert learned_vocab(table) == apply_word_pieces(words, table.pairs)
 
     @settings(max_examples=300, deadline=None)
     @given(exotic_corpora, st.integers(1, 25))
-    def test_any_characters_match_recount_oracle_and_memo(self, words, merges):
+    def test_any_characters_match_recount_oracle_and_learned_vocab(self, words, merges):
         table = learn_bpe(words, merges)
         # the oracle marks word ends inside the string, so it is given no word
         # holding the whole marker; an empty word has no pairs to count
@@ -167,16 +186,15 @@ class TestMemo:
             assert table.pairs == brute_force_learn_bpe(nonempty, merges)
         products = [left + right for left, right in table.pairs]
         distinct = len(set(products)) == len(products)
-        assert table._pieces == ({word: apply_word(word, table) for word in words if word}
-                                 if distinct else {})
+        assert learned_vocab(table) == (apply_word_pieces(words, table.pairs) if distinct else None)
 
     @pytest.mark.parametrize("suite_args, merges", PINNED_SUITES)
-    def test_memo_on_pinned_suites(self, suite_args, merges):
+    def test_learned_vocab_on_pinned_suites(self, suite_args, merges):
         n_langs, sentences, seed, lexicon = suite_args
         suite = generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
         table = learn_bpe(suite.corpus, merges)
         words = corpus_word_frequencies(suite.corpus)
-        assert table._pieces == {word: apply_word(word, table) for word in words}
+        assert learned_vocab(table) == apply_word_pieces(words, table.pairs)
 
     def test_learned_rebuilt_and_loaded_tables_are_equal(self, tmp_path):
         words = {"abab": 3, "abc": 2, "bcbc": 2, "cab": 2}
@@ -184,12 +202,24 @@ class TestMemo:
         save_merges(tmp_path / "m.txt", table)
         loaded = load_merges(tmp_path / "m.txt")
         assert table == MergeTable(list(table.pairs)) == loaded
-        assert table._pieces and not loaded._pieces
+        assert learned_vocab(table) == apply_word_pieces(words, loaded.pairs)
+        assert learned_vocab(loaded) is None
         # the loaded table segments through apply_word and builds the same vocabulary
-        registry = Registry([LanguageRecord("xx", ("F",), 0.0, 0.0)])
+        registry = one_language()
         store = store_from_words(words)
         assert (build_vocab(store, table, registry).id_to_token
                 == build_vocab(store, loaded, registry).id_to_token)
+
+    def test_without_a_learned_vocab_the_words_are_segmented(self):
+        # what the learner leaves when two merges make one product; no corpus
+        # has been found that makes one, as ("ab", "c") and ("a", "bc") would
+        words = {"ab": 3, "bc": 2, "abc": 2}
+        table = learn_bpe(words, 5)
+        assert len({left + right for left, right in table.pairs}) == len(table)
+        table._learned = None
+        registry = one_language()
+        assert (build_vocab(words, table, registry).id_to_token
+                == build_vocab(words, MergeTable(list(table.pairs)), registry).id_to_token)
 
     def test_apply_bpe_fills_the_memo(self):
         table = MergeTable([("a", "b")])
@@ -203,6 +233,64 @@ class TestMemo:
         assert table._pieces == {}
         assert apply_bpe(["abc"], table) == [f"abc{END_OF_WORD}"]
 
+    def test_append_clears_the_learned_vocab(self):
+        words = {"abc": 3, "ab": 2}
+        table = learn_bpe(words, 1)
+        assert learned_vocab(table) == {"ab", f"c{END_OF_WORD}", f"ab{END_OF_WORD}"}
+        table.append(("ab", "c"))
+        assert learned_vocab(table) is None
+        registry = one_language()
+        assert f"abc{END_OF_WORD}" in build_vocab(words, table, registry)
+
+    @pytest.mark.parametrize("other", [
+        {"abc": 1},  # fewer words
+        {"abc": 3, "ab": 2, "cab": 1},  # more words
+        {"abc": 3, "abd": 2},  # as many words, not the same ones
+    ])
+    def test_learned_table_given_another_corpus_segments_it(self, other):
+        table = learn_bpe({"abc": 3, "ab": 2}, 2)
+        registry = one_language()
+        assert (build_vocab(other, table, registry).id_to_token
+                == build_vocab(other, MergeTable(list(table.pairs)), registry).id_to_token)
+
+    def test_learning_and_vocab_never_segment_a_word_again(self, monkeypatch):
+        suite_args, merges = PINNED_SUITES[0]
+        n_langs, sentences, seed, lexicon = suite_args
+        suite = generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
+        words = corpus_word_frequencies(suite.corpus)
+        with monkeypatch.context() as patch:
+            def refuse(word, merges):
+                raise AssertionError(f"apply_word({word!r}) called")
+            patch.setattr(bpe, "apply_word", refuse)
+            table = learn_bpe(words, merges)
+            vocab = build_vocab(words, table, suite.registry)
+        assert vocab.id_to_token == build_vocab(words, MergeTable(list(table.pairs)),
+                                                suite.registry).id_to_token
+
+    def test_learner_memory(self):
+        # the bpe benchmark workload's suite; with the per-word memo the learner
+        # peaked 62 bytes per training position above its input, and the table
+        # it returned kept 105 bytes per word type (39 and 10 without it)
+        suite = generate_suite(200, 100, seed=11, lexicon_size=200)
+        words = corpus_word_frequencies(suite.corpus)
+        del suite
+        gc.collect()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = learn_bpe(words, 200)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(table) == 200
+        assert peak / sum(map(len, words)) < 50
+        assert kept / len(words) < 32
+
 
 class TestApply:
     def test_merge_crosses_end_of_word_marker(self):
@@ -211,6 +299,15 @@ class TestApply:
 
     def test_empty_sequence(self):
         assert apply_bpe([], MergeTable([("a", "b")])) == []
+
+    def test_empty_word_has_no_pieces(self):
+        words = {"ab": 3, "": 2, "abab": 2}
+        table = learn_bpe(words, 1)
+        assert apply_word("", table) == ()
+        registry = one_language()
+        assert (build_vocab(words, table, registry).id_to_token
+                == build_vocab(words, MergeTable(list(table.pairs)), registry).id_to_token
+                == list(RESERVED) + ["<xx>", "ab", f"ab{END_OF_WORD}"])
 
     def test_unseen_characters_stay_as_characters(self):
         table = MergeTable([("a", "b")])

@@ -398,7 +398,9 @@ class TestCliErrors:
                                       "genetic_weight=nan", "knn_k=0", "bootstrap_n=0",
                                       "bootstrap_n=500", "traj_sentences=-1", "max_sentences=-1",
                                       "methods=MTVec,MTcell", "bootstrap_a=MTBoth",
-                                      "bootstrap_b=MTCel+Aux", "bootstrap_a=None", "methods="])
+                                      "bootstrap_b=MTCel+Aux", "bootstrap_a=None", "methods=",
+                                      "num_merges=0", "synth_langs=3", "synth_sentences=0",
+                                      "synth_lexicon=5"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
@@ -408,7 +410,9 @@ class TestCliErrors:
         # by zero and too few resamples fail only after all of them are drawn, and a
         # negative sentence count silently drops sentences or means all of them; a
         # misspelt method or bootstrap condition would otherwise fail stages later, and
-        # with no method extract writes nothing and is never up to date
+        # with no method extract writes nothing and is never up to date; no merges
+        # would fail only at bpe-learn, and a too-small suite fails inside synth
+        # without naming its key
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1
