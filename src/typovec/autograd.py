@@ -43,10 +43,10 @@ class Workspace:
     to the largest batch, not to the sum over batches. A buffer's contents
     are undefined when it is taken.
 
-    A buffer that a larger request outgrows is dropped before its successor
-    is allocated, so once nothing else holds it (the training loop keeps no
-    array of the previous batch) its memory can serve the new one; the two
-    never coexist, and the workspace never holds more than its final size.
+    Training grows every buffer to its final size with one pass over a batch
+    sized from all of its batches before the first one
+    (:func:`typovec.training._size_workspace`), so no later request outgrows
+    a buffer and each is allocated once.
     """
 
     def __init__(self):
@@ -63,7 +63,6 @@ class Workspace:
             self._buffers.append(np.empty(0, dtype))
         buf = self._buffers[self._next]
         if buf.dtype != dtype or buf.size < size:
-            self._buffers[self._next] = buf = None  # the outgrown buffer goes before its successor comes
             buf = self._buffers[self._next] = np.empty(size, dtype)
         self._next += 1
         return buf[:size].reshape(shape)
@@ -94,7 +93,7 @@ class Parameter:
 
     def __init__(self, name: str, value):
         self.name = name
-        self.value = np.array(value, dtype=np.float64)
+        self.value = np.array(value, dtype=np.float64, order="C")  # adam_step updates it through a flat view
         self.grad = np.zeros_like(self.value)
 
     @property

@@ -1,9 +1,11 @@
 """Adam with bias correction, plus global-norm gradient clipping.
 
-Buffer lifetime: :class:`AdamState` owns each parameter's moments and two
-scratch arrays, allocated at the parameter's first step and kept for the
-run; the update reads the gradient and writes only the moments, the scratch
-and the parameter's own value.
+Buffer lifetime: :class:`AdamState` owns each parameter's two moments,
+allocated at the parameter's first step and kept for the run, and one pair
+of scratch arrays that every parameter shares, as long as the largest
+parameter but at most :data:`BLOCK` elements. The update reads the gradient
+and writes only the moments, the scratch and the parameter's own value, one
+block of elements at a time, so the scratch does not grow with the model.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ import numpy as np
 
 from .autograd import Parameter
 
+BLOCK = 32_768  # elements per block of the update: 256 KB of float64 per scratch array
+
 
 @dataclass
 class AdamState:
     """First/second moment buffers per parameter name and the step counter.
 
-    ``scratch`` holds two work arrays per parameter, shaped like it, through
-    which :func:`adam_step` computes the update; like the moments they are
-    allocated at a parameter's first step and reused by every later one.
+    ``scratch`` is the pair of work arrays through which :func:`adam_step`
+    computes each block of every parameter's update; the first step sizes it
+    to the largest parameter, capped at :data:`BLOCK` elements.
     """
 
     beta1: float = 0.9
@@ -30,52 +34,64 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    scratch: tuple[np.ndarray, np.ndarray] = field(default_factory=lambda: (np.empty(0), np.empty(0)))
 
 
 def adam_step(params, grads, lr: float, state: AdamState) -> AdamState:
     """One Adam update over ``params`` with aligned ``grads``, in place.
 
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps) with
-    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t). Each product,
-    quotient and sum is formed in that order in the state's scratch arrays,
-    so after a parameter's first step the update allocates only the
-    finiteness check's boolean array.
+    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t). The learning
+    rate, every gradient's shape and finiteness and every value's C order are
+    checked first: a step that raises changes no parameter, moment or
+    counter. Then each parameter is updated in blocks of :data:`BLOCK`
+    elements, every product, quotient and sum formed in that order in the
+    state's scratch pair, which is the whole-array update bit for bit. After a parameter's first step the update
+    allocates only the finiteness check's boolean array.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     params = list(params)
-    grads = list(grads)
+    grads = [np.asarray(g, dtype=np.float64) for g in grads]
     if len(params) != len(grads):
         raise ValueError(f"{len(params)} parameters but {len(grads)} gradients")
-    state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
     for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=np.float64)
         if g.shape != p.value.shape:
             raise ValueError(f"{p.name}: gradient shape {g.shape} != parameter shape {p.value.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
+        if not p.value.flags.c_contiguous:  # its flat view would be a copy, and the update would be lost
+            raise ValueError(f"{p.name}: value is not C-contiguous, so it cannot be updated in place")
+    state.t += 1
+    bc1 = 1.0 - state.beta1**state.t
+    bc2 = 1.0 - state.beta2**state.t
+    width = min(BLOCK, max((p.value.size for p in params), default=0))
+    if state.scratch[0].size < width:
+        state.scratch = (np.empty(width), np.empty(width))
+    scratch1, scratch2 = state.scratch
+    for p, g in zip(params, grads):
         if p.name not in state.m:
             state.m[p.name] = np.zeros_like(p.value)
             state.v[p.name] = np.zeros_like(p.value)
-            state.scratch[p.name] = (np.empty_like(p.value), np.empty_like(p.value))
-        m, v = state.m[p.name], state.v[p.name]
-        s1, s2 = state.scratch[p.name]
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=s1)
-        v *= state.beta2
-        np.multiply(g, g, out=s1)
-        s1 *= 1.0 - state.beta2
-        v += s1
-        np.divide(m, bc1, out=s1)
-        s1 *= lr
-        np.divide(v, bc2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += state.eps
-        s1 /= s2
-        p.value -= s1
+        # flat views, not copies: the value is C-contiguous, and so are the moments made like it
+        value, m_all, v_all = (a.reshape(-1) for a in (p.value, state.m[p.name], state.v[p.name]))
+        g = g.ravel()
+        for lo in range(0, value.size, BLOCK):
+            hi = min(lo + BLOCK, value.size)
+            m, v, gb, s1, s2 = m_all[lo:hi], v_all[lo:hi], g[lo:hi], scratch1[: hi - lo], scratch2[: hi - lo]
+            m *= state.beta1
+            m += np.multiply(gb, 1.0 - state.beta1, out=s1)
+            v *= state.beta2
+            np.multiply(gb, gb, out=s1)
+            s1 *= 1.0 - state.beta2
+            v += s1
+            np.divide(m, bc1, out=s1)
+            s1 *= lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += state.eps
+            s1 /= s2
+            value[lo:hi] -= s1
     return state
 
 

@@ -24,18 +24,20 @@ for the run and resets it before each batch. The batch's ops take their
 (rows, .) arrays from it in a fixed order: the embedding output (which the
 dropout overwrites in place), the dropout mask, one gradient buffer for the
 two halves of the NMT input, each recurrence's buffers and gradient buffer,
-and the output layer's logits and input gradient. A later batch reuses
-them. A batch's graph lives from its forward pass to the end of its
-backward pass: :func:`_train` then drops it, and with it the node gradients
-and every view of the workspace, before the update. So no array of one
-batch is reachable when the next batch starts, and a buffer that the next
-batch outgrows is freed before its successor is allocated: the run peaks
-at its final workspace, not at that plus the buffers it outgrew. Nothing
-that outlives a batch points into the workspace: the loss is read as a
-float, the gradients reach the parameters through their own ``grad``
-arrays, and Adam updates the parameters' own values, so the model and
-curve that :func:`train_nmt` and :func:`train_lm` return share no memory
-with it. Attention's arrays are still allocated per batch.
+and the output layer's logits and input gradient. Before the first batch,
+:func:`_size_workspace` runs one throwaway forward and backward pass over a
+batch that asks every buffer for at least what any real batch asks, which
+grows every buffer to its final size; so no batch ever outgrows a buffer,
+and each batch reuses the same arrays. A batch's graph lives from its
+forward pass to the end of its backward pass: :func:`_train` then drops
+it, and with it the node gradients and every view of the workspace, before
+the update, so no array of one batch is reachable when the next batch
+starts. Nothing that outlives a batch points into the
+workspace: the loss is read as a float, the gradients reach the parameters
+through their own ``grad`` arrays, and Adam updates the parameters' own
+values, so the model and curve that :func:`train_nmt` and :func:`train_lm`
+return share no memory with it. Attention's arrays are still allocated per
+batch.
 
 Perplexity runs the training loss path: it sums the same batch losses over
 length-sorted batches, with dropout off and without a workspace, so each op
@@ -89,13 +91,10 @@ def _lm_rows(encoded: EncodedCorpus, vocab: SubwordVocab) -> list[_Row]:
     return rows
 
 
-def _make_batches(rows: list[_Row], batch_size: int, rng: np.random.Generator) -> list[list[_Row]]:
+def _length_batches(rows: list[_Row], batch_size: int) -> list[list[_Row]]:
+    """The rows sorted by length and cut into batches; each epoch shuffles these same batches."""
     order = sorted(range(len(rows)), key=lambda i: (len(rows[i].enc_ids), len(rows[i].dec_in), i))
-    chunks = [
-        [rows[i] for i in order[start : start + batch_size]]
-        for start in range(0, len(order), batch_size)
-    ]
-    return [chunks[i] for i in rng.permutation(len(chunks))]
+    return [[rows[i] for i in order[start : start + batch_size]] for start in range(0, len(order), batch_size)]
 
 
 def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float, ws) -> Tensor:
@@ -183,18 +182,47 @@ def _lm_batch_loss(model: RnnLmModel, batch: list[_Row], drop_rng, rate: float, 
                           ws=ws)
 
 
+def _size_workspace(model, batches: list[list[_Row]], config: TrainConfig, batch_loss,
+                    ws: ag.Workspace) -> None:
+    """Grows every buffer of ``ws`` to its final size before the first batch.
+
+    Runs one forward and backward pass, whose graph this function drops, over
+    B copies of one row, B being the largest batch's row count. A buffer's
+    size is a batch's row count times a sum of its step counts plus a
+    constant, so the row's encoder input, decoder input and decoder output
+    each take as many steps as the largest product of a batch's row count and
+    its longest such sequence, over B and rounded up. The pass thus asks
+    every buffer for at least what any batch asks, and a long row in a short
+    last batch does not count as B long rows. Dropout runs at the run's rate
+    from a generator of its own, so the pass takes the buffers in the order
+    every batch does. It leaves the parameters' gradients dirty, which each
+    batch zeroes first, and makes no update.
+    """
+    width = max(map(len, batches))
+
+    def steps(seq):  # the longest such sequence, cut to the steps the pass needs
+        need = max(len(batch) * max(len(seq(r)) for r in batch) for batch in batches)
+        return max((seq(r) for batch in batches for r in batch), key=len)[: -(-need // width)]
+
+    row = _Row(steps(lambda r: r.enc_ids), steps(lambda r: r.dec_in), steps(lambda r: r.dec_out))
+    loss_sum, n_tokens = batch_loss(model, [row] * width, np.random.default_rng(0), config.dropout, ws)
+    ag.backward(ag.scale(loss_sum, 1.0 / n_tokens))
+
+
 def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[float]:
     if not rows:
         raise TrainingError("training corpus is empty")
     params = model.parameters()
     state = AdamState()
     ws = ag.Workspace()
+    batches = _length_batches(rows, config.batch_size)
+    _size_workspace(model, batches, config, batch_loss, ws)
     curve: list[float] = []
     for epoch in range(config.epochs):
         order_rng = np.random.default_rng([config.seed, 7, epoch])
         drop_rng = np.random.default_rng([config.seed, 11, epoch])
         epoch_ce, epoch_tokens = 0.0, 0
-        for batch_idx, batch in enumerate(_make_batches(rows, config.batch_size, order_rng)):
+        for batch_idx, batch in enumerate(batches[i] for i in order_rng.permutation(len(batches))):
             zero_gradients(params)
             ws.reset()
             loss_sum, n_tokens = batch_loss(model, batch, drop_rng, config.dropout, ws)
@@ -203,7 +231,7 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
             if not np.isfinite(value):
                 raise TrainingError(f"non-finite loss {value} {where}")
             ag.backward(ag.scale(loss_sum, 1.0 / n_tokens))
-            del loss_sum  # the batch's graph: its node gradients and its views of outgrown buffers
+            del loss_sum  # the batch's graph and its node gradients, gone before the update
             norm = clip_gradients(params, config.clip_norm)
             if not np.isfinite(norm):  # a non-finite gradient, or finite ones whose squares overflow
                 bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]

@@ -7,7 +7,7 @@ import pytest
 from typovec import autograd as ag
 from typovec.autograd import Parameter, ShapeError, backward
 from typovec.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from typovec.optim import AdamState, adam_step, clip_gradients, global_grad_norm
+from typovec.optim import BLOCK, AdamState, adam_step, clip_gradients, global_grad_norm
 
 from oracles import finite_difference_grads, max_relative_error
 
@@ -176,24 +176,67 @@ class TestAdam:
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_moments_are_allocated_once_and_follow_the_formula(self, rng):
-        p = Parameter("p", rng.normal(size=(3, 4)))
-        theta, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
-        state = AdamState()
-        for t in range(1, 4):
-            g = rng.normal(size=(3, 4))
-            adam_step([p], [g], lr=0.01, state=state)
-            if t == 1:
-                moments = state.m["p"], state.v["p"]
-            assert state.m["p"] is moments[0] and state.v["p"] is moments[1]
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * (g * g)
-            theta = theta - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
-            assert p.value.tobytes() == theta.tobytes()
+        # the long parameter spans three whole blocks of the update and a ragged tail
+        for shape in [(3, 4), (3 * BLOCK + 5,)]:
+            p = Parameter("p", rng.normal(size=shape))
+            theta, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+            state = AdamState()
+            for t in range(1, 4):
+                g = rng.normal(size=shape)
+                adam_step([p], [g], lr=0.01, state=state)
+                if t == 1:
+                    moments, scratch = (state.m["p"], state.v["p"]), state.scratch
+                assert state.m["p"] is moments[0] and state.v["p"] is moments[1]
+                assert state.scratch[0] is scratch[0] and state.scratch[1] is scratch[1]
+                assert scratch[0].size == min(BLOCK, p.value.size)
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * (g * g)
+                theta = theta - 0.01 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+                assert p.value.tobytes() == theta.tobytes(), shape
 
     def test_non_finite_gradient_names_parameter(self):
         p = Parameter("badparam", np.array([1.0]))
         with pytest.raises(ValueError, match="badparam"):
             adam_step([p], [np.array([np.nan])], lr=0.01, state=AdamState())
+
+    def test_non_contiguous_value_is_rejected(self, rng):
+        # the update writes through a flat view of the value, which for a transposed array is a copy
+        p = Parameter("p", rng.normal(size=(3, 4)))
+        p.value = p.value.T
+        before = p.value.copy()
+        with pytest.raises(ValueError, match="p: value is not C-contiguous"):
+            adam_step([p], [np.ones((4, 3))], lr=0.01, state=AdamState())
+        assert p.value.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("bad, match", [(np.array([np.nan, 1.0]), "non-finite gradient for parameter 'b'"),
+                                            (np.ones(3), "b: gradient shape")], ids=["nan", "shape"])
+    def test_rejected_step_changes_nothing(self, bad, match):
+        # every gradient is checked before the first parameter, moment or counter moves
+        a, b = Parameter("a", np.array([1.0])), Parameter("b", np.array([2.0, 3.0]))
+        state = AdamState()
+        adam_step([a, b], [np.array([0.5]), np.array([0.1, 0.2])], lr=0.1, state=state)
+        before = [x.copy() for x in (a.value, b.value, state.m["a"], state.v["a"], state.m["b"], state.v["b"])]
+        with pytest.raises(ValueError, match=match):
+            adam_step([a, b], [np.array([0.5]), bad], lr=0.1, state=state)
+        assert state.t == 1
+        after = (a.value, b.value, state.m["a"], state.v["a"], state.m["b"], state.v["b"])
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(before, after))
+
+    def test_first_step_rejected_allocates_no_moments(self):
+        a, b = Parameter("a", np.array([1.0])), Parameter("b", np.array([2.0]))
+        state = AdamState()
+        with pytest.raises(ValueError, match="'b'"):
+            adam_step([a, b], [np.array([0.5]), np.array([np.inf])], lr=0.1, state=state)
+        assert (a.value[0], state.t, state.m, state.v) == (1.0, 0, {}, {})
+
+    def test_state_holds_two_moments_and_one_block_pair(self, rng):
+        # the update's scratch is one block-sized pair for all parameters, not two arrays per parameter
+        params = [Parameter("long", rng.normal(size=3 * BLOCK + 5)), Parameter("w", rng.normal(size=(40, 30)))]
+        state = AdamState()
+        for _ in range(2):
+            adam_step(params, [rng.normal(size=p.value.shape) for p in params], lr=0.01, state=state)
+        held = sum(a.nbytes for a in (*state.m.values(), *state.v.values(), *state.scratch))
+        assert held <= 2 * sum(p.value.nbytes for p in params) + 2 * BLOCK * 8
 
     def test_moment_invariants(self, rng):
         p = Parameter("p", rng.normal(size=(3, 3)))

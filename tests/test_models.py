@@ -25,6 +25,7 @@ from typovec.models import (
     lstm_step,
     save_model,
 )
+from typovec.optim import BLOCK
 from typovec.synth import generate_suite
 from typovec import training
 from typovec.training import (
@@ -431,7 +432,7 @@ class TestTrainingWorkspace:
              _lm_batch_loss),
         ]:
             per_epoch = math.ceil(len(rows) / config.batch_size)
-            seen = {"calls": 0, "base": 0, "largest": 0}
+            seen = {"calls": -1, "base": 0, "largest": 0}  # call -1 is the pass that sizes the workspace
 
             def traced(model, batch, *args):
                 if seen["calls"] == per_epoch:  # the second epoch starts
@@ -453,12 +454,11 @@ class TestTrainingWorkspace:
             assert peak < seen["largest"], batch_loss.__name__
 
     def test_first_epoch_peak_holds_no_outgrown_buffer(self):
-        # at seed 8 the shuffled batches grow three times in the first epoch. Each batch's graph
-        # is gone before the next batch takes its buffers, and an outgrown buffer is freed before
-        # its successor is allocated, so the traced peak is the final workspace, the Adam state
-        # that the first step allocates (two moments and two scratch arrays per parameter) and
-        # less than one (T*B, E) buffer of the longest batch. Were the previous graph still
-        # alive, the outgrown buffers would stay with it: 7 to 9 such buffers more
+        # at seed 8 the shuffled batches grow three times in the first epoch. The workspace is
+        # sized before the first batch and each batch's graph is gone before the next batch takes
+        # its buffers, so the traced peak is the final workspace, the Adam state that the first
+        # step allocates (two moments per parameter and one scratch pair of at most one block)
+        # and less than one (T*B, E) buffer of the longest batch
         vocab, encoded = _suite_setup(4, 128, 20)
         config = TrainConfig(hidden_size=32, embed_size=32, lr=0.02, dropout=0.1, epochs=1, batch_size=64,
                              seed=8)
@@ -471,8 +471,9 @@ class TestTrainingWorkspace:
             sizes, seen = [], {}  # each batch's (T*B, E) bytes; the run's workspace
 
             def traced(model, batch, drop_rng, rate, ws):
-                steps = max(len(r.enc_ids) for r in batch) + max(len(r.dec_in) for r in batch)
-                sizes.append(steps * len(batch) * config.embed_size * 8)
+                if "ws" in seen:  # not the pass that sizes the workspace
+                    steps = max(len(r.enc_ids) for r in batch) + max(len(r.dec_in) for r in batch)
+                    sizes.append(steps * len(batch) * config.embed_size * 8)
                 seen["ws"] = ws
                 return batch_loss(model, batch, drop_rng, rate, ws)
 
@@ -484,9 +485,64 @@ class TestTrainingWorkspace:
             finally:
                 tracemalloc.stop()
             workspace = sum(buf.nbytes for buf in seen["ws"]._buffers)
-            adam = 4 * sum(p.value.nbytes for p in model.parameters())
+            params = model.parameters()
+            adam = 2 * sum(p.value.nbytes for p in params) + 2 * min(BLOCK, max(p.value.size for p in params)) * 8
             assert sum(size > max(sizes[:i]) for i, size in enumerate(sizes) if i) == 3
             assert peak < workspace + adam + max(sizes), batch_loss.__name__
+
+    def test_no_buffer_is_replaced_after_the_sizing_pass(self):
+        # the suite of the test above, whose shuffled batches grow three times: the pass before
+        # the first batch has already grown every buffer to the largest batch's size
+        vocab, encoded = _suite_setup(4, 128, 20)
+        config = TrainConfig(hidden_size=32, embed_size=32, lr=0.02, dropout=0.1, epochs=1, batch_size=64,
+                             seed=8)
+        for rows, model, batch_loss in [
+            (training._nmt_rows(encoded, vocab), Seq2SeqModel(len(vocab), config, np.random.default_rng(0)),
+             _nmt_batch_loss),
+            (training._lm_rows(encoded, vocab), RnnLmModel(len(vocab), config, np.random.default_rng(0)),
+             _lm_batch_loss),
+        ]:
+            calls, sized = [], []
+
+            def traced(model, batch, drop_rng, rate, ws):
+                if len(calls) == 1:  # the first batch: the sizing pass has run
+                    sized.extend(ws._buffers)
+                calls.append(ws)
+                return batch_loss(model, batch, drop_rng, rate, ws)
+
+            training._train(model, rows, config, traced)
+            final = calls[0]._buffers
+            assert len(final) == len(sized) and all(a is b for a, b in zip(final, sized)), batch_loss.__name__
+
+    def test_sizing_pass_asks_no_buffer_for_more_than_a_real_batch_needs(self):
+        # 64 rows and an outlier three rows long, which the length sort puts alone in the last
+        # batch: B = 64 copies of it would ask for about 1.7 times the workspace any batch needs
+        vocab, encoded = _suite_setup(4, 128, 20)
+        config = TrainConfig(hidden_size=32, embed_size=32, lr=0.02, dropout=0.1, epochs=1, batch_size=64,
+                             seed=8)
+
+        def asked(model, batch_loss, batch, ws):  # the bytes of each buffer that one batch takes
+            loss_sum, n_tokens = batch_loss(model, batch, np.random.default_rng(0), config.dropout, ws)
+            backward(ag.scale(loss_sum, 1.0 / n_tokens))
+            return np.array([buf.nbytes for buf in ws._buffers])
+
+        for rows, model, batch_loss in [
+            (training._nmt_rows(encoded, vocab), Seq2SeqModel(len(vocab), config, np.random.default_rng(0)),
+             _nmt_batch_loss),
+            (training._lm_rows(encoded, vocab), RnnLmModel(len(vocab), config, np.random.default_rng(0)),
+             _lm_batch_loss),
+        ]:
+            outlier = training._Row(*(sum((getattr(r, f) for r in rows[:3]), [])
+                                      for f in ("enc_ids", "dec_in", "dec_out")))
+            batches = training._length_batches([*rows[:64], outlier], config.batch_size)
+            assert [len(b) for b in batches] == [64, 1] and batches[1] == [outlier]
+            largest = np.max([asked(model, batch_loss, batch, ag.Workspace()) for batch in batches], axis=0)
+            ws = ag.Workspace()
+            training._size_workspace(model, batches, config, batch_loss, ws)
+            sized = np.array([buf.nbytes for buf in ws._buffers])
+            assert sized.shape == largest.shape and np.all(sized >= largest), batch_loss.__name__
+            assert sized.sum() <= 1.05 * largest.sum(), batch_loss.__name__
+            assert asked(model, batch_loss, [outlier] * 64, ag.Workspace()).sum() > 1.5 * largest.sum()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
     def test_overflowing_gradient_norm_is_a_training_error(self, tiny_setup):
