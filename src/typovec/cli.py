@@ -122,8 +122,7 @@ _TRAIN_PARAMS = tuple(f.name for f in fields(TrainConfig))
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    values = {name: getattr(cfg, name) for name in _TRAIN_PARAMS}
-    return TrainConfig(**{**values, "embed_size": cfg.embed_size or None})
+    return TrainConfig(**{name: getattr(cfg, name) for name in _TRAIN_PARAMS})
 
 
 # A stage body writes its outputs; it returns their paths and the summary to print.
@@ -225,12 +224,7 @@ def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         if nmt is not None:
             found["MTVec"] = vectors.extract_mtvec(nmt, vocab, lang)
         if need_encoder:
-            found.update(vectors.extract_encoder_vectors(
-                nmt, encoded, vocab, lang, cfg.max_sentences or None,
-                include_special=cfg.mtcell_include_special,
-                sentence_equal=cfg.mtcell_sentence_equal,
-                seed=cfg.seed,
-            ))
+            found.update(vectors.extract_encoder_vectors(nmt, encoded, vocab, lang))
             found["MTBoth"] = vectors.combine_mtboth(found["MTVec"], found["MTCell"])
         per_lang.append(found)
     outputs = [wd.path(f"vectors_{method}.tsv") for method in methods]
@@ -401,9 +395,7 @@ STAGES = {
     "bpe-learn": Stage(_bpe_learn, ("registry", "corpus"), ("num_merges",)),
     "train-lm": Stage(lambda cfg, wd: _train(cfg, wd, "lm"), _ENCODED_INPUTS, _TRAIN_PARAMS),
     "train-nmt": Stage(lambda cfg, wd: _train(cfg, wd, "nmt"), _ENCODED_INPUTS, _TRAIN_PARAMS),
-    "extract": Stage(_extract, _extract_inputs,
-                     ("methods", "max_sentences", "mtcell_include_special",
-                      "mtcell_sentence_equal", "seed")),
+    "extract": Stage(_extract, _extract_inputs, ("methods",)),
     "baseline": Stage(_baseline, ("registry", "features"),
                       ("knn_k", "geodesic_weight", "genetic_weight")),
     "predict": Stage(_predict, _predict_inputs, ("seed", "n_folds", "l2", "methods")),

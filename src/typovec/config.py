@@ -48,7 +48,7 @@ def category_of(feature_name: str) -> str:
 @dataclass
 class TrainConfig:
     hidden_size: int = 512
-    embed_size: int | None = None
+    embed_size: int = 0  # 0 means: same as hidden_size
     lr: float = 0.001
     dropout: float = 0.5
     epochs: int = 10
@@ -58,8 +58,7 @@ class TrainConfig:
     attention: bool = False
 
     def __post_init__(self) -> None:
-        if self.embed_size is None:
-            self.embed_size = self.hidden_size
+        self.embed_size = self.embed_size or self.hidden_size
         if self.hidden_size <= 0 or self.embed_size <= 0:
             raise ValueError("hidden_size and embed_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -117,9 +116,6 @@ class PipelineConfig:
     l2: float = 1.0
     n_folds: int = 10
     methods: str = "LMVec,MTVec,MTCell,MTBoth"
-    max_sentences: int = 0  # 0 means: all sentences
-    mtcell_include_special: bool = True
-    mtcell_sentence_equal: bool = False
     bootstrap_n: int = 10000
     bootstrap_a: str = "None+Aux"
     bootstrap_b: str = "MTBoth+Aux"
@@ -146,9 +142,8 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must be None or a method, then +Aux or -Aux, got {condition!r}")
         if self.bootstrap_n < MIN_RESAMPLES:
             raise ConfigError(f"bootstrap_n must be at least {MIN_RESAMPLES}, got {self.bootstrap_n}")
-        for key in ("max_sentences", "traj_sentences"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be >= 0 (0 means all sentences), got {getattr(self, key)}")
+        if self.traj_sentences < 0:
+            raise ConfigError(f"traj_sentences must be >= 0 (0 means all sentences), got {self.traj_sentences}")
         # the least value bpe.learn_bpe and synth.generate_suite accept
         for key, least in (("num_merges", 1), ("synth_langs", 4), ("synth_sentences", 1), ("synth_lexicon", 10)):
             if getattr(self, key) < least:

@@ -126,10 +126,6 @@ class PairStore:
         self.by_lang.setdefault(pair.lang, []).append(pair)
         self.ordered.append(pair)
 
-    @property
-    def counts(self) -> dict[str, int]:
-        return {lang: len(pairs) for lang, pairs in self.by_lang.items()}
-
     def __len__(self) -> int:
         return len(self.ordered)
 

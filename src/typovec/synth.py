@@ -79,10 +79,6 @@ class SynthLanguage:
                 words.append(word)
         return words
 
-    @property
-    def lexicon(self) -> frozenset:
-        return frozenset(self.nouns + self.verbs + self.numerals + self.adpositions)
-
     def sentence(self, rng: np.random.Generator) -> tuple[list[str], list[str]]:
         """One (source, target) pair; the target realization is canonical
         SVO with numerals before nouns and prepositions."""

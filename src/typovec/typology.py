@@ -158,6 +158,8 @@ def read_knn_vectors(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
 
     def row(fields):
+        if fields[0] in out:
+            raise ValueError(f"duplicate language {fields[0]!r}")
         values = out[fields[0]] = np.array([float(v) for v in fields[1:]])
         if not np.all((values >= 0.0) & (values <= 1.0)):  # NaN fails too
             raise ValueError("k-NN feature values must lie in [0, 1]")

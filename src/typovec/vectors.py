@@ -5,8 +5,8 @@ Methods:
 - ``LMVec``: embedding row of the language token in the language model.
 - ``MTVec``: embedding row of the language token in the translation model.
 - ``MTCell``: flat mean of encoder cell states c over every time step of
-  every selected sentence (language-token and EOS steps included by
-  default).
+  every sentence of the language, its language-token and EOS steps
+  included.
 - ``MTBoth``: concatenation [MTVec; MTCell].
 - ``MTCellFinal`` / ``MTHiddenMean``: ablation variants (mean of final cell
   states, and mean of hidden states h over all steps).
@@ -71,31 +71,13 @@ def extract_mtvec(nmt: Seq2SeqModel, vocab: SubwordVocab, lang: str) -> LangVect
     return LangVector(lang, "MTVec", row.copy(), 0)
 
 
-def _select_sentences(encoded: EncodedCorpus, lang: str,
-                      max_sentences: int | None, seed: int):
+def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
+                            lang: str) -> dict[str, LangVector]:
+    """MTCell, MTCellFinal and MTHiddenMean of one language from one pass."""
     sentences = encoded.by_lang.get(lang, [])
     if not sentences:
         raise ValueError(f"no sentences for language {lang!r}")
-    if max_sentences is not None and 0 < max_sentences < len(sentences):
-        rng = np.random.default_rng([seed, 3])
-        keep = sorted(rng.choice(len(sentences), size=max_sentences, replace=False))
-        sentences = [sentences[i] for i in keep]
-    return sentences
-
-
-def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
-                            lang: str, max_sentences: int | None = None, *,
-                            include_special: bool = True, sentence_equal: bool = False,
-                            seed: int = 0) -> dict[str, LangVector]:
-    """MTCell, MTCellFinal and MTHiddenMean of one language from one pass.
-
-    See :func:`extract_mtcell` for the MTCell options; the two ablation
-    variants always average over all time steps (MTHiddenMean) or over
-    sentences (MTCellFinal).
-    """
-    sentences = _select_sentences(encoded, lang, max_sentences, seed)
     ids, lens, _ = models.encoder_batch(vocab, lang, sentences)
-    skip = 0 if include_special else 1  # MTCell steps left out at each end: language token, EOS
     sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(2))
     # encoder_batch sorts rows by length, so the rows with lens > t are a
     # suffix; adding only it leaves the other sums as they were (x + 0.0 == x,
@@ -103,46 +85,26 @@ def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: Su
     for t, (h, c) in enumerate(models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
         live = np.searchsorted(lens, t, side="right")
         hidden_sums[live:] += h[live:]
-        if t >= skip:
-            counted = np.searchsorted(lens, t + skip, side="right") if skip else live
-            sums[counted:] += c[counted:]
-    counts = lens - 2 * skip
-    keep = counts > 0
-    if not keep.any():
-        raise ValueError(f"no time steps selected for language {lang!r}")
-    if sentence_equal:
-        mtcell = (sums[keep] / counts[keep, None]).sum(axis=0) / int(keep.sum())
-    else:
-        mtcell = sums.sum(axis=0) / int(counts.sum())
-    means = {"MTCell": mtcell, "MTCellFinal": c.sum(axis=0) / len(lens),
-             "MTHiddenMean": hidden_sums.sum(axis=0) / int(lens.sum())}
+        sums[live:] += c[live:]
+    steps = int(lens.sum())
+    means = {"MTCell": sums.sum(axis=0) / steps, "MTCellFinal": c.sum(axis=0) / len(lens),
+             "MTHiddenMean": hidden_sums.sum(axis=0) / steps}
     return {method: LangVector(lang, method, v, len(lens)) for method, v in means.items()}
 
 
 def extract_mtcell(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
-                   lang: str, max_sentences: int | None = None, *,
-                   include_special: bool = True, sentence_equal: bool = False,
-                   seed: int = 0) -> LangVector:
-    """Mean encoder cell state over all time steps of all selected sentences.
-
-    ``include_special=False`` drops the language-token and EOS steps from
-    the mean. ``sentence_equal=True`` weights sentences equally instead of
-    tokens; the default is the flat token-equal mean. Subsampling under
-    ``max_sentences`` is seeded and uniform.
-    """
-    return extract_encoder_vectors(nmt, encoded, vocab, lang, max_sentences, seed=seed,
-                                   include_special=include_special,
-                                   sentence_equal=sentence_equal)["MTCell"]
+                   lang: str) -> LangVector:
+    """Mean encoder cell state over every time step of every sentence of ``lang``."""
+    return extract_encoder_vectors(nmt, encoded, vocab, lang)["MTCell"]
 
 
 def extract_variant(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
-                    lang: str, kind: str, max_sentences: int | None = None, *,
-                    seed: int = 0) -> LangVector:
+                    lang: str, kind: str) -> LangVector:
     """Ablation extractors: ``final-cell`` or ``mean-hidden``."""
     methods = {"final-cell": "MTCellFinal", "mean-hidden": "MTHiddenMean"}
     if kind not in methods:
         raise ValueError(f"unknown variant kind {kind!r}")
-    return extract_encoder_vectors(nmt, encoded, vocab, lang, max_sentences, seed=seed)[methods[kind]]
+    return extract_encoder_vectors(nmt, encoded, vocab, lang)[methods[kind]]
 
 
 def combine_mtboth(v1: LangVector, v2: LangVector) -> LangVector:
@@ -166,6 +128,8 @@ def save_vectors(path, vectors: list[LangVector]) -> None:
 
 
 def load_vectors(path) -> list[LangVector]:
+    """The store's vectors in file order; a repeated language, or a dim other
+    than the first row's, raises ValueError naming ``path`` and the line."""
     def check_header(line):
         if line != STORE_HEADER:
             raise ValueError(f"bad vector store header {line!r}")
@@ -179,7 +143,14 @@ def load_vectors(path) -> list[LangVector]:
         values = np.array(values_s.split(" "), dtype=np.float64)
         if len(values) != dim:
             raise ValueError(f"dim {dim_s} but {len(values)} values")
+        if lang in dims:
+            raise ValueError(f"duplicate language {lang!r}")
+        dims[lang] = dim
+        first = next(iter(dims.values()))
+        if dim != first:
+            raise ValueError(f"dim {dim}, but the first row's is {first}")
         return LangVector(lang, method, values, n_sentences)
 
+    dims: dict[str, int] = {}  # language -> dim, in file order
     _, *vectors = read_records(path, parse, header=check_header)
     return vectors

@@ -412,7 +412,8 @@ class TestCliErrors:
         # misspelt method or bootstrap condition would otherwise fail stages later, and
         # with no method extract writes nothing and is never up to date; no merges
         # would fail only at bpe-learn, and a too-small suite fails inside synth
-        # without naming its key
+        # without naming its key; a config written earlier may still set max_sentences,
+        # which is no key now
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1

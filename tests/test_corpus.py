@@ -74,8 +74,9 @@ class TestParallel:
             "kor\tgoyangi ||| cat\n"
         )
         store = load_parallel(_write(tmp_path, "c.txt", text), reg)
-        assert store.counts == {"deu": 3, "kor": 2}
-        assert sum(store.counts.values()) == len(store)
+        counts = {lang: len(pairs) for lang, pairs in store.by_lang.items()}
+        assert counts == {"deu": 3, "kor": 2}
+        assert sum(counts.values()) == len(store)
 
     def test_unknown_language_rejected(self, tmp_path):
         reg = load_registry(_write(tmp_path, "r.tsv", REGISTRY_TEXT))

@@ -528,7 +528,8 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
         "ingest.manifest": "a166b048c9a543f8151e5331fe938c8b55707b6438779529289c42b8e2b5b3ec",
         "bpe_learn.manifest": "a2f935a47fdb5842e3058903cb83f71f441f0c9afd79fb11856b7e289994c894",
         "train_nmt.manifest": "9239b22d977507d9e82f2a3973d950ae37f188ed7d65eca8ad7476d5f5e2d811",
-        "extract.manifest": "0abf8813951a1c5960836c893f0b1389133987e0711e5d2f5224484c2c84cb66",
+        # taken when extract's only param became methods
+        "extract.manifest": "015b752d80576f0055f2441f164b72d91d48f6c3d227c7d7d48e5b70a3f9c329",
         "baseline.manifest": "2540643a0de21cd3762820f6c15e575264e6725c5571f41053d1b9e5d06ea680",
         "predict.manifest": "80de49239febe96cb1baac60efca50037c7bdcb95c7ae7f20bed065e8cc025ba",
         "report.manifest": "b75b0d67894d6fc3b72e059529101266522773ba03dafe8e0fc718ff917f84ea",
@@ -539,7 +540,7 @@ def test_small_pipeline_files_match_pinned_digests(tmp_path):
         f"# effective pipeline configuration\nworkdir={work}\nseed=5\nregistry=\ncorpus=\nfeatures=\n"
         "num_merges=40\nhidden_size=8\nembed_size=8\nlr=0.02\ndropout=0.0\nepochs=1\nbatch_size=16\n"
         "clip_norm=5.0\nattention=0\nknn_k=3\ngeodesic_weight=1.0\ngenetic_weight=1.0\nl2=1.0\n"
-        "n_folds=5\nmethods=MTVec,MTCell,MTBoth\nmax_sentences=0\nmtcell_include_special=1\n"
-        "mtcell_sentence_equal=0\nbootstrap_n=10000\nbootstrap_a=None+Aux\nbootstrap_b=MTBoth+Aux\n"
+        "n_folds=5\nmethods=MTVec,MTCell,MTBoth\n"
+        "bootstrap_n=10000\nbootstrap_a=None+Aux\nbootstrap_b=MTBoth+Aux\n"
         "traj_feature=S_OBJECT_BEFORE_VERB\ntraj_langs=\ntraj_sentences=3\nsynth_langs=14\n"
         "synth_sentences=16\nsynth_lexicon=12\n")

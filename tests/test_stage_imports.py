@@ -1,6 +1,7 @@
 """What each CLI stage loads, what the package may import at all, which of
-its functions write files, and that every public module-level function and
-class has a user outside the unit tests.
+its functions write files, that every public module-level function and
+class has a user outside the unit tests, and that the stages record every
+config key.
 
 Every stage runs in a fresh interpreter, so each module it imports, and
 numpy, is paid for on every run. The package registers its submodules
@@ -13,13 +14,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import typovec
-from typovec.cli import main
+from typovec.cli import STAGES, main
+from typovec.config import INPUT_FILES, PipelineConfig
 from typovec.corpus import load_registry
 from typovec.typology import load_features, write_knn_vectors
 from typovec.vectors import LangVector, save_vectors
@@ -216,3 +219,13 @@ def test_every_public_name_is_used_outside_the_unit_tests():
         referenced |= _references(path, f"typovec.{path.stem}" if path.parent == package else None)
     unused = sorted(f"{module}.{name}" for module, name in defined - referenced)
     assert not unused, f"public names that only unit tests use: {unused}"
+
+
+def test_every_config_key_is_a_stage_param():
+    # a stage reruns when a param in its manifest changes, so a key that no stage
+    # records could change an artifact and leave every stage up to date; the work
+    # dir and the input files are recorded by path and hash, not as params
+    keys = {f.name for f in fields(PipelineConfig)} - {"workdir", *INPUT_FILES}
+    params = {param for stage in STAGES.values() for param in stage.params}
+    assert not keys - params, f"config keys that no stage records: {sorted(keys - params)}"
+    assert not params - keys, f"stage params that are not config keys: {sorted(params - keys)}"

@@ -69,7 +69,9 @@ class TestLanguage:
     def test_different_seeds_have_disjoint_lexicons(self):
         a = SynthLanguage(grammar_of(True, True, True, lexicon_seed=1, lexicon_size=20))
         b = SynthLanguage(grammar_of(True, True, True, lexicon_seed=2, lexicon_size=20))
-        assert not (a.lexicon & b.lexicon)
+        words_a, words_b = (set(language.nouns + language.verbs + language.numerals + language.adpositions)
+                            for language in (a, b))
+        assert not (words_a & words_b)
 
     def test_same_seed_same_stream(self):
         grammar = grammar_of(False, True, False, lexicon_seed=9, lexicon_size=16)
@@ -120,8 +122,9 @@ class TestSuite:
 
     def test_corpus_counts(self):
         suite = generate_suite(6, 7, seed=2)
-        assert all(count == 7 for count in suite.corpus.counts.values())
-        assert len(suite.corpus.counts) == 6
+        counts = {lang: len(pairs) for lang, pairs in suite.corpus.by_lang.items()}
+        assert all(count == 7 for count in counts.values())
+        assert len(counts) == 6
 
     def test_every_sentence_parses_under_its_grammar(self):
         suite = generate_suite(8, 25, seed=6)

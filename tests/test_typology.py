@@ -217,6 +217,12 @@ class TestFeatureMatrix:
         with pytest.raises(CorpusError, match=re.escape(f"{path}:{message}")):
             load_features(path, small_registry)
 
+    def test_repeated_knn_language_names_path_and_line(self, tmp_path):
+        path = tmp_path / "knn_vectors.tsv"
+        path.write_text("lang\tS_X\nbbb\t0.5\naaa\t1.0\naaa\t0.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: duplicate language 'aaa'")):
+            typology.read_knn_vectors(path)
+
     def test_write_read_round_trip(self, tmp_path, small_registry):
         matrix = matrix_from({"deu": [1.0, math.nan], "fra": [0.0, 1.0]}, ["S_A", "P_B"])
         path = tmp_path / "f.csv"
