@@ -1,7 +1,7 @@
 """Reverse-mode autodiff and Adam on a tiny problem.
 
 Builds a small computation graph, checks one gradient against central
-finite differences, then fits a 2-parameter logistic model with Adam.
+finite differences, then fits a two-class output layer with Adam.
 """
 
 import numpy as np
@@ -31,21 +31,20 @@ for i in range(3):
 print("finite differences:", fd)
 print("max abs diff:      ", np.max(np.abs(w.grad - fd)))
 
-# Fit y = 1[x0 + x1 > 0] with a logistic unit trained by Adam.
+# Fit y = 1[x0 + x1 > 0] with a two-class output layer trained by Adam.
 X = rng.uniform(-1, 1, size=(64, 2))
 y = (X.sum(axis=1) > 0).astype(int)
-theta = Parameter("theta", np.zeros((2, 1)))
+theta = Parameter("theta", np.zeros((2, 2)))  # one column of weights per class
+bias = ag.constant(np.zeros(2))
 state = AdamState()
 for step in range(400):
     theta.zero_grad()
-    score = ag.matmul(ag.constant(X), theta.node())  # (64, 1)
-    # two-class cross entropy via the 2-logit trick: logits [0, score]
-    logits = ag.concat([ag.constant(np.zeros((64, 1))), score], axis=1)
-    loss = ag.scale(ag.softmax_cross_entropy(logits, y), 1.0 / 64)
+    summed = ag.softmax_cross_entropy(ag.constant(X), y, np.ones(64), theta.node(), bias)
+    loss = ag.scale(summed, 1.0 / 64)
     backward(loss)
     adam_step([theta], [theta.grad], lr=0.05, state=state)
     if step % 100 == 0:
         print(f"step {step:3d}  loss/example {float(loss.value):.4f}")
 
-accuracy = float(np.mean(((X @ theta.value).ravel() > 0) == (y == 1)))
+accuracy = float(np.mean(np.argmax(X @ theta.value, axis=1) == y))
 print("final training accuracy:", accuracy)

@@ -22,16 +22,17 @@ The package is organized as a numpy library:
 Submodules load on first use. Importing the package registers every
 submodule except ``cli`` in ``sys.modules``, and as a package attribute,
 through :class:`importlib.util.LazyLoader`; a module's code runs when one of
-its attributes is first read. Each CLI stage runs in its own process, so
-it compiles and imports only the modules it uses: ``report`` loads no
-numpy, ``baseline`` and ``bpe-learn`` no models. Every submodule is still
-in ``sys.modules``, for tools that walk it. ``from typovec import bpe``
-keeps a module lazy; ``import typovec.bpe`` loads it. ``cli`` is imported
-as usual: ``python -m typovec.cli`` runs it as ``__main__``, and a lazy
-``typovec.cli`` entry would make runpy warn and run the module twice.
-Before Python 3.12.3, two threads that first read a module at the same time
-can both run it; a threaded caller imports what it needs before it starts
-its threads.
+its attributes is first read. Besides ``__version__`` the package defines
+no names of its own: callers import them from the submodules. Each CLI
+stage runs in its own process, so it compiles and imports only the modules
+it uses: ``report`` loads no numpy, ``baseline`` and ``bpe-learn`` no
+models. Every submodule is still in ``sys.modules``, for tools that walk
+it. ``from typovec import bpe`` keeps a module lazy; ``import typovec.bpe``
+loads it. ``cli`` is imported as usual: ``python -m typovec.cli`` runs it
+as ``__main__``, and a lazy ``typovec.cli`` entry would make runpy warn and
+run the module twice. Before Python 3.12.3, two threads that first read a
+module at the same time can both run it; a threaded caller imports what it
+needs before it starts its threads.
 """
 
 __version__ = "0.1.0"
@@ -52,21 +53,3 @@ def _register_lazily(name: str):
 for _name in ("autograd", "bpe", "checkpoint", "config", "corpus", "models", "optim", "predict",
               "report", "synth", "training", "typology", "vectors"):
     globals()[_name] = _register_lazily(_name)
-
-from .corpus import LanguageRecord, Registry, SentencePair, CorpusStore  # noqa: E402
-
-
-def __getattr__(name: str):
-    if name == "LangVector":  # resolved on first use, so that the package loads no numpy
-        return vectors.LangVector  # noqa: F821  (registered above)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "__version__",
-    "LanguageRecord",
-    "Registry",
-    "SentencePair",
-    "CorpusStore",
-    "LangVector",
-]

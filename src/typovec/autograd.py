@@ -13,7 +13,7 @@ Buffer lifetime. Without a :class:`Workspace` every op allocates its value
 and its VJP's outputs afresh, so nothing one call returns shares memory with
 another call. The training loop passes one workspace (``ws``) to the ops of
 every batch: :func:`embedding_lookup`, :func:`dropout`,
-:func:`softmax_cross_entropy` (as the output layer) and
+:func:`softmax_cross_entropy` (the output layer) and
 :func:`typovec.models.lstm_sequence` then take their (rows, .) arrays from it
 in a fixed order, so each batch gets the buffers the previous batch used, and
 :func:`slice_` accumulates into one gradient buffer per sliced parent. A
@@ -80,10 +80,6 @@ class Tensor:
         self.vjp = vjp
         self.param: Parameter | None = param
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
 
@@ -95,10 +91,6 @@ class Parameter:
         self.name = name
         self.value = np.array(value, dtype=np.float64, order="C")  # adam_step updates it through a flat view
         self.grad = np.zeros_like(self.value)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -263,79 +255,61 @@ def embedding_lookup(table: Tensor, ids, ws: Workspace | None = None) -> Tensor:
     return Tensor(value, (table,), vjp)
 
 
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    value = a.value.sum(axis=axis, keepdims=keepdims)
-
+def reduce_sum(a: Tensor) -> Tensor:
+    """The sum of every element of ``a``, as a scalar node."""
     def vjp(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.value.shape).copy(),)
 
-    return Tensor(value, (a,), vjp)
+    return Tensor(a.value.sum(), (a,), vjp)
 
 
-def softmax_cross_entropy(logits: Tensor, targets, mask=None, proj=None,
+def softmax_cross_entropy(x: Tensor, targets, mask, w: Tensor, b: Tensor,
                           ws: Workspace | None = None) -> Tensor:
-    """Summed cross-entropy of ``targets`` under softmax of ``logits``.
+    """The output layer: summed cross-entropy of ``targets`` under the softmax
+    of the logits x @ w + b.
 
-    ``logits`` is (V,) with an integer target, or (B, V) with B targets.
-    ``mask`` (optional, (B,)) zeroes out padded rows. Returns a scalar node
-    holding the masked sum of per-row losses.
+    ``x`` is the (B, H) layer input, ``targets`` its B class ids and ``mask``
+    (B,) the row weights, 0 for a padded row. Returns a scalar node holding
+    the masked sum of per-row losses; the VJP returns the gradients of x, w
+    and b, so the logits never leave the op.
 
-    With ``proj`` = (w, b), the op is the output layer: ``logits`` holds the
-    (B, H) layer input x, the logits are x @ w + b, and the VJP returns the
-    gradients of x, w and b. The logits then never leave the op.
-
-    The op keeps one (B, V) buffer: the shifted logits, then their exp,
-    which its VJP turns into the gradient in place. It is a copy of the
-    caller's logits, or, as the output layer, the buffer that x @ w + b is
-    computed into (taken from ``ws`` when given, as is the (B, H) gradient of
-    x). The VJP therefore consumes the buffer and may run only once, as
+    The op keeps one (B, V) buffer, taken from ``ws`` when given, as is the
+    (B, H) gradient of x: x @ w + b is computed into it and shifted there in
+    place, then it holds their exp, which the VJP turns into the gradient in
+    place. The VJP therefore consumes the buffer and may run only once, as
     :func:`backward` runs it.
     """
-    if proj is None:
-        squeeze = logits.value.ndim == 1
-        z = logits.value[None, :] if squeeze else logits.value
-    else:
-        squeeze, x, (w, b) = False, logits, proj
-        if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0] \
-                or b.value.shape != w.value.shape[1:]:
-            raise ShapeError(f"softmax_cross_entropy: x {x.value.shape}, w {w.value.shape} and "
-                             f"b {b.value.shape} are not (n,k), (k,m) and (m,)")
-        take = np.empty if ws is None else ws.take
-        z = np.matmul(x.value, w.value, out=take((len(x.value), w.value.shape[1])))
-        z += b.value
-    if z.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: logits must be 1-D or 2-D, got {logits.value.shape}")
-    t = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0] \
+            or b.value.shape != w.value.shape[1:]:
+        raise ShapeError(f"softmax_cross_entropy: x {x.value.shape}, w {w.value.shape} and "
+                         f"b {b.value.shape} are not (n,k), (k,m) and (m,)")
+    take = np.empty if ws is None else ws.take
+    z = np.matmul(x.value, w.value, out=take((len(x.value), w.value.shape[1])))
+    z += b.value
+    t = np.asarray(targets, dtype=np.int64)
     if t.shape != (z.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: {z.shape[0]} rows but targets shape {t.shape}")
     if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
         raise ShapeError(f"softmax_cross_entropy: target id out of range for {z.shape[1]} classes")
-    m = np.ones(z.shape[0]) if mask is None else np.asarray(mask, dtype=np.float64)
+    m = np.asarray(mask, dtype=np.float64)
     if m.shape != (z.shape[0],):
         raise ShapeError(f"softmax_cross_entropy: mask shape {m.shape} != ({z.shape[0]},)")
 
-    # one (rows, V) buffer: the shifted logits, then their exp, then the gradient;
-    # only the output layer's own logits are shifted in place
-    buf = np.subtract(z, z.max(axis=1, keepdims=True), out=None if proj is None else z)
+    z -= z.max(axis=1, keepdims=True)
     rows = np.arange(z.shape[0])
-    # only the target log-probabilities are formed: logits may be (T*B, V)
-    target = buf[rows, t]
-    np.exp(buf, out=buf)
-    sez = buf.sum(axis=1, keepdims=True)
+    # only the target log-probabilities are formed: the logits may be (T*B, V)
+    target = z[rows, t]
+    np.exp(z, out=z)
+    sez = z.sum(axis=1, keepdims=True)
     value = -((target - np.log(sez[:, 0])) * m).sum()
 
     def vjp(g):
-        dz = np.divide(buf, sez, out=buf)
+        dz = np.divide(z, sez, out=z)
         dz[rows, t] -= 1.0
         dz *= m[:, None] * float(g)
-        if proj is not None:
-            return np.matmul(dz, w.value.T, out=take(x.value.shape)), x.value.T @ dz, dz.sum(axis=0)
-        return (dz[0] if squeeze else dz,)
+        return np.matmul(dz, w.value.T, out=take(x.value.shape)), x.value.T @ dz, dz.sum(axis=0)
 
-    return Tensor(value, (logits,) if proj is None else (x, w, b), vjp)
+    return Tensor(value, (x, w, b), vjp)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, ws: Workspace | None = None,

@@ -275,7 +275,7 @@ def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     if len(matrix.languages) < cfg.n_folds:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, n_folds={cfg.n_folds}")
     stores = {method: wd.path(f"vectors_{method}.tsv") for method in cfg.method_list}
-    by_method = {method: _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path)})
+    by_method = {method: _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path, method)})
                  for method, path in stores.items()}
     knn = _covering(wd.path("knn_vectors.tsv"), matrix.languages,
                     typology.read_knn_vectors(wd.path("knn_vectors.tsv")))
@@ -356,7 +356,7 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     matrix = typology.load_features(wd.path("features"), registry)
     nmt = _load_trained(wd, "nmt")
     path = wd.path("vectors_MTCell.tsv")
-    mtcell = _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path)})
+    mtcell = _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path, "MTCell")})
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
         raise ConfigError(f"traj_feature {feature!r} is not a column of {wd.path('features')}")

@@ -136,6 +136,11 @@ class PipelineConfig:
             raise ConfigError(f"unknown methods in config: {unknown}")
         if not self.method_list:
             raise ConfigError(f"methods must name at least one of {', '.join(METHODS)}")
+        for key in ("methods", "traj_langs"):
+            entries = [e for e in getattr(self, key).split(",") if e]
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ConfigError(f"{key} names {repeated[0]!r} more than once")
         for key in ("bootstrap_a", "bootstrap_b"):
             condition = getattr(self, key)
             if condition[-4:] not in ("+Aux", "-Aux") or condition[:-4] not in ("None", *METHODS):

@@ -288,20 +288,19 @@ def lstm_sequence(cell: LSTMCellParams, x: Tensor, lens, h0: Tensor | None = Non
     return tuple(ag.slice_(out, index, grad_buf) for index in (np.s_[:n], np.s_[n - bsz : n], np.s_[n:]))
 
 
-def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, lens: np.ndarray,
-                h: np.ndarray | None = None, c: np.ndarray | None = None):
+def lstm_states(cell: LSTMCellParams, embedding: np.ndarray, ids: np.ndarray, lens: np.ndarray):
     """Inference twin of :func:`lstm_sequence` over a padded (B, T) batch of ids.
 
-    Yields new (B, H) states (h_t, c_t) after each step t. Rows with
-    ``lens <= t`` keep their previous state, so after the last step every
-    row holds its own final state. Each step runs one (rows, E) @ (E, 4H) and
-    one (rows, H) @ (H, 4H) product on the live span only, and no (T, B, .)
-    array is held. Start states default to zeros.
+    Yields new (B, H) states (h_t, c_t) after each step t from zero start
+    states. Rows with ``lens <= t`` keep their previous state, so after the
+    last step every row holds its own final state. Each step runs one
+    (rows, E) @ (E, 4H) and one (rows, H) @ (H, 4H) product on the live span
+    only, and no (T, B, .) array is held.
     """
     run = _Cell(cell, len(ids))
     zx_buf = np.empty_like(run.pre)
-    h = np.zeros((len(ids), cell.hidden_size)) if h is None else h
-    c = np.zeros((len(ids), cell.hidden_size)) if c is None else c
+    h = np.zeros((len(ids), cell.hidden_size))
+    c = np.zeros((len(ids), cell.hidden_size))
     for t, (lo, hi, keep) in enumerate(_live_spans(lens, ids.shape[1])):
         h_prev, c_prev, h, c = h, c, h.copy(), c.copy()
         zx = np.matmul(embedding[ids[lo:hi, t]], run.w, out=zx_buf[: hi - lo])

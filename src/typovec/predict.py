@@ -73,7 +73,6 @@ class LogRegModel:
     weights: np.ndarray
     bias: float
     feature: str = ""
-    l2: float = 0.0
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -185,11 +184,10 @@ def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
     return beta[:, :k], beta[:, k], np.linalg.norm(grad, axis=1) <= tol
 
 
-def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
-                 feature: str = "", tol: float = 1e-8, max_iter: int = 200) -> LogRegModel:
+def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0, feature: str = "") -> LogRegModel:
     """Minimize mean logistic loss + l2*||w||^2/2 (bias unregularized) by
-    damped Newton iteration, down to gradient norm <= ``tol``: the one-fit
-    case of the batched solver, in the full input space."""
+    damped Newton iteration, down to gradient norm <= 1e-8: the one-fit case
+    of the batched solver, in the full input space."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -198,8 +196,8 @@ def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0,
         raise ValueError("non-finite training inputs")
     if X.shape[0] == 0:
         raise ValueError("no training examples")
-    coef, bias, converged = _fit_batch([_with_bias(X)], np.zeros(1, dtype=int), y[None], l2, tol, max_iter)
-    return LogRegModel(coef[0], float(bias[0]), feature=feature, l2=l2, converged=bool(converged[0]))
+    coef, bias, converged = _fit_batch([_with_bias(X)], np.zeros(1, dtype=int), y[None], l2)
+    return LogRegModel(coef[0], float(bias[0]), feature=feature, converged=bool(converged[0]))
 
 
 def _predict_labels(probs: np.ndarray, tie_label) -> np.ndarray:

@@ -33,13 +33,10 @@ def _fmt(x: float) -> str:
 
 
 def render_main_table(cells: dict[tuple[str, bool], dict[str, float]],
-                      methods, categories=CATEGORIES,
-                      aux_settings=(False, True)) -> str:
+                      methods, categories=CATEGORIES) -> str:
     """Markdown accuracy grid; ``cells`` maps (method, aux) -> category -> value."""
     methods = list(methods)
-    categories = list(categories)
-    aux_settings = list(aux_settings)
-    columns = [(cat, aux) for cat in categories for aux in aux_settings]
+    columns = [(cat, aux) for cat in categories for aux in (False, True)]
     header = ["Method"] + [f"{CATEGORY_LABELS[c]} {AUX_LABELS[a]}" for c, a in columns]
     best: dict[tuple[str, bool], float] = {
         col: max(cells[(m, col[1])][col[0]] for m in methods) for col in columns
@@ -77,11 +74,11 @@ def top_gains(acc_a: dict[str, float], acc_b: dict[str, float],
     return rows if n >= len(rows) else rows[:n]
 
 
-def render_gains_table(rows_by_category: dict[str, list[GainRow]],
-                       label_a: str = "None -Aux", label_b: str = "MTBoth -Aux") -> str:
-    """Markdown gains table, categories stacked in syntax/phonology/inventory order."""
+def render_gains_table(rows_by_category: dict[str, list[GainRow]]) -> str:
+    """Markdown gains table from None -Aux to MTBoth -Aux, categories stacked
+    in syntax/phonology/inventory order."""
     lines = [
-        f"| Feature | {label_a} | {label_b} | Gain |",
+        "| Feature | None -Aux | MTBoth -Aux | Gain |",
         "|---|---|---|---|",
     ]
     for category in CATEGORIES:

@@ -161,7 +161,7 @@ def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None =
         hs = _attend(model, hs, *enc)
     mask = (np.arange(dec_out.shape[1])[:, None] < out_lens).astype(np.float64)
     loss = ag.softmax_cross_entropy(hs, dec_out.T.ravel(), mask.ravel(),
-                                    proj=(model.proj_w.node(), model.proj_b.node()), ws=ws)
+                                    model.proj_w.node(), model.proj_b.node(), ws=ws)
     return loss, int(out_lens.sum())
 
 

@@ -127,9 +127,10 @@ def save_vectors(path, vectors: list[LangVector]) -> None:
         (v.lang, v.method, v.dim, v.n_sentences, " ".join(map(repr, v.values.tolist()))) for v in vectors)))
 
 
-def load_vectors(path) -> list[LangVector]:
-    """The store's vectors in file order; a repeated language, or a dim other
-    than the first row's, raises ValueError naming ``path`` and the line."""
+def load_vectors(path, method: str) -> list[LangVector]:
+    """The vectors of the ``method`` store in file order; a row of another
+    method, a repeated language, or a dim other than the first row's, raises
+    ValueError naming ``path`` and the line."""
     def check_header(line):
         if line != STORE_HEADER:
             raise ValueError(f"bad vector store header {line!r}")
@@ -138,7 +139,9 @@ def load_vectors(path) -> list[LangVector]:
         fields = line.split("\t")
         if len(fields) != 5:
             raise ValueError("expected 5 tab-separated fields")
-        lang, method, dim_s, n_s, values_s = fields
+        lang, row_method, dim_s, n_s, values_s = fields
+        if row_method != method:
+            raise ValueError(f"a {row_method!r} row in the {method!r} store")
         dim, n_sentences = int(dim_s), int(n_s)
         values = np.array(values_s.split(" "), dtype=np.float64)
         if len(values) != dim:

@@ -172,6 +172,27 @@ class TestPipeline:
         assert main(["--config", str(cfg_path), consumer]) == 1
         assert f"{copy / name}:2:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("consumer", ["predict", "traj"])
+    @pytest.mark.parametrize("labels", [("MTVec", "MTVec"), ("MTCell", "MTVec")], ids=["mislabeled", "mixed"])
+    def test_store_row_of_another_method_names_file_and_line(self, pipeline, tmp_path, capsys,
+                                                             consumer, labels):
+        # a row would otherwise be read, and reported, as the method its store is named for
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        (copy / "extract.manifest").unlink()
+        store = copy / "vectors_MTCell.tsv"
+        header, *rows = store.read_text(encoding="utf-8").splitlines(keepends=True)
+        rows[:2] = [row.replace("\tMTCell\t", f"\t{label}\t", 1) for row, label in zip(rows, labels)]
+        store.write_text("".join([header, *rows]), encoding="utf-8")
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        assert main(["--config", str(cfg_path), consumer]) == 1
+        line = 2 if labels[0] != "MTCell" else 3
+        err = capsys.readouterr().err
+        assert f"{store}:{line}: a 'MTVec' row in the 'MTCell' store" in err
+        assert "rerun 'extract'" in err
+
     @pytest.mark.parametrize("kind, key, value", [
         ("nmt", "hidden_size", None),
         ("nmt", "attention", "yes"),
@@ -400,7 +421,8 @@ class TestCliErrors:
                                       "methods=MTVec,MTcell", "bootstrap_a=MTBoth",
                                       "bootstrap_b=MTCel+Aux", "bootstrap_a=None", "methods=",
                                       "num_merges=0", "synth_langs=3", "synth_sentences=0",
-                                      "synth_lexicon=5"])
+                                      "synth_lexicon=5", "methods=MTVec,MTVec",
+                                      "methods=MTVec,MTCell,MTVec", "traj_langs=aaa,aaa"])
     def test_bad_config_key_exits_one(self, tmp_path, capsys, line):
         # unchecked, a NaN or negative clip_norm turns clipping off without a word,
         # and a non-finite lr fails with exit 2 only after a wasted batch; a negative
@@ -413,7 +435,8 @@ class TestCliErrors:
         # with no method extract writes nothing and is never up to date; no merges
         # would fail only at bpe-learn, and a too-small suite fails inside synth
         # without naming its key; a config written earlier may still set max_sentences,
-        # which is no key now
+        # which is no key now; a method named twice fits and reports it twice, and a
+        # trajectory language named twice writes its rows twice
         cfg_path = tmp_path / "cfg.txt"
         cfg_path.write_text(f"workdir={tmp_path / 'w'}\nseed=1\n{line}\n", encoding="utf-8")
         assert main(["--config", str(cfg_path), "synth"]) == 1

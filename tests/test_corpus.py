@@ -134,7 +134,7 @@ TEXT_FORMATS = [
     pytest.param("<pad>\t0\n<bos>\t1\n<eos>\t2\n<unk>\t3\nab\t4\n",
                  lambda path, tmp_path: load_vocab(path), id="vocab"),
     pytest.param("lang\tmethod\tdim\tn_sentences\nfra\tMTVec\t2\t5\t0.5 0.25\n"
-                 "deu\tMTVec\t2\t5\t0.125 1.0\n", lambda path, tmp_path: load_vectors(path), id="vectors"),
+                 "deu\tMTVec\t2\t5\t0.125 1.0\n", lambda path, tmp_path: load_vectors(path, "MTVec"), id="vectors"),
     pytest.param("lang\tS_A\tP_B\nfra\t0.5\t1.0\ndeu\t0.0\t0.25\n",
                  lambda path, tmp_path: read_knn_vectors(path), id="knn_vectors"),
     pytest.param("method\tcategory\taux\taccuracy\nNone\tsyntax\t-Aux\t0.5\nNone\tsyntax\t+Aux\t0.75\n",

@@ -214,7 +214,7 @@ class TestLstmSequence:
         states = {}
         for name, lens in self.ISOLATION_LENS.items():
             states[name] = [(h[0].tobytes(), c[0].tobytes())
-                            for h, c in lstm_states(cell, embedding, ids, lens, h0, c0)]
+                            for h, c in lstm_states(cell, embedding, ids, lens)]
         assert states["sorted"] == states["full"]
         assert states["unsorted"] == states["full"]
 
@@ -411,8 +411,10 @@ class TestTrainingWorkspace:
             xt = ag.constant(x)
             hs, h, c = lstm_sequence(cell, xt, lens)
             proj = (ag.constant(rng.normal(size=(4, 5))), ag.constant(rng.normal(size=5)))
-            loss = ag.add(ag.softmax_cross_entropy(hs, [0, 1, 2, 3, 4, 0], proj=proj),
-                          ag.softmax_cross_entropy(ag.constant(rng.normal(size=(2, 5))), [1, 2]))
+            identity = (ag.constant(np.eye(5)), ag.constant(np.zeros(5)))  # the logits themselves
+            loss = ag.add(ag.softmax_cross_entropy(hs, [0, 1, 2, 3, 4, 0], np.ones(6), *proj),
+                          ag.softmax_cross_entropy(ag.constant(rng.normal(size=(2, 5))), [1, 2], np.ones(2),
+                                                   *identity))
             backward(loss)
             runs.append([t.value for t in (hs, h, c)] + [t.grad for t in (xt, hs, *proj)])
         for a, b in zip(*runs):
@@ -550,7 +552,7 @@ class TestTrainingWorkspace:
         # second moment would overflow too
         def huge_gradient(model, batch, drop_rng, rate, ws=None):
             b = model.proj_b.node()
-            return ag.Tensor(np.float64(1.0), (b,), lambda g: (np.full(b.shape, 1e200),)), len(batch)
+            return ag.Tensor(np.float64(1.0), (b,), lambda g: (np.full(b.value.shape, 1e200),)), len(batch)
 
         vocab, encoded = tiny_setup
         model = Seq2SeqModel(len(vocab), self.CONFIG, np.random.default_rng(0))
@@ -563,7 +565,7 @@ class TestTrainingWorkspace:
         # clipping leaves the gradients as they are, so numpy warns of no inf * 0
         def inf_gradient(model, batch, drop_rng, rate, ws=None):
             b = model.proj_b.node()
-            grad = np.zeros(b.shape)
+            grad = np.zeros(b.value.shape)
             grad[1] = np.inf
             return ag.Tensor(np.float64(1.0), (b,), lambda g: (grad,)), len(batch)
 

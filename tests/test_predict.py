@@ -102,7 +102,9 @@ class TestLogReg:
         X = rng.normal(size=(20, 3))
         y = (X[:, 0] > 0).astype(float)
         assert train_logreg(X, y, l2=0.1).converged
-        assert not train_logreg(X, y, l2=0.1, max_iter=1).converged
+        _, _, converged = predict._fit_batch([predict._with_bias(X)], np.zeros(1, dtype=int), y[None], 0.1,
+                                             max_iter=1)
+        assert not converged[0]
 
 
 def _oracle_batches():

@@ -102,15 +102,13 @@ def test_cli_import_registers_every_submodule_and_loads_few():
     script = ("import json, sys, types, typovec.cli\n"
               "names = sorted(n for n in sys.modules if n.startswith('typovec.'))\n"
               "loaded = [n for n in names if type(sys.modules[n]) is types.ModuleType]\n"
-              "print(json.dumps([names, loaded, typovec.LangVector.__module__]))\n")
+              "print(json.dumps([names, loaded]))\n")
     out = subprocess.run([sys.executable, "-c", script], env=ENV, check=True,
                          capture_output=True, text=True, timeout=60)
-    registered, loaded, home = json.loads(out.stdout)
+    registered, loaded = json.loads(out.stdout)
     names = {path.stem for path in Path(typovec.__file__).parent.glob("*.py")} - {"__init__"}
     assert registered == sorted(f"typovec.{name}" for name in names)
     assert loaded == ["typovec.cli", "typovec.config", "typovec.corpus"]
-    assert home == "typovec.vectors"
-    assert typovec.LangVector is typovec.vectors.LangVector
 
 
 def test_module_entry_point_runs_cli_once():
@@ -168,12 +166,9 @@ def test_only_the_writers_open_files_to_write():
     assert {site[:2] for site in found} == WRITERS
 
 
-def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
-    """The (module, name) pairs that ``path`` refers to: each name imported from a
-    module, each attribute read on an alias of a module (``ag.f``, ``vectors.f``)
-    and, when ``path`` is the file of ``module``, each name it reads."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    found, aliases = set(), {}
+def _aliases(tree: ast.AST) -> dict[str, str]:
+    """Each name that an import in ``tree`` binds, mapped to the dotted path it names."""
+    aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -181,44 +176,108 @@ def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
                 bound = alias.name if alias.asname else alias.name.partition(".")[0]
                 aliases[alias.asname or bound] = bound
         elif isinstance(node, ast.ImportFrom):
-            source = node.module if node.level == 0 else ".".join(filter(None, ("typovec", node.module)))
             for alias in node.names:
-                found.add((source, alias.name))
-                aliases[alias.asname or alias.name] = f"{source}.{alias.name}"
-        elif isinstance(node, ast.Name) and module is not None:
-            found.add((module, node.id))
+                aliases[alias.asname or alias.name] = f"{_source(node)}.{alias.name}"
+    return aliases
 
-    def dotted(node) -> str | None:
-        """The dotted module path that an expression names through an alias, or None."""
-        if isinstance(node, ast.Name):
-            return aliases.get(node.id)
-        if isinstance(node, ast.Attribute) and (base := dotted(node.value)):
-            return f"{base}.{node.attr}"
-        return None
 
+def _source(node: ast.ImportFrom) -> str:
+    """The absolute name of the module that ``from ... import`` reads."""
+    return node.module if node.level == 0 else ".".join(filter(None, ("typovec", node.module)))
+
+
+def _dotted(node: ast.AST, aliases: dict[str, str]) -> str | None:
+    """The dotted path that an expression names through an alias, or None."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id)
+    if isinstance(node, ast.Attribute) and (base := _dotted(node.value, aliases)):
+        return f"{base}.{node.attr}"
+    return None
+
+
+def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
+    """The (module, name) pairs that ``path`` refers to: each name imported from a
+    module, each attribute read on an alias of a module (``ag.f``, ``vectors.f``)
+    and, when ``path`` is the file of ``module``, each name it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    aliases = _aliases(tree)
+    found = {(_source(node), alias.name)
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    found |= {(module, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name) and module}
     found |= {(base, node.attr) for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute) and (base := dotted(node.value))}
+              if isinstance(node, ast.Attribute) and (base := _dotted(node.value, aliases))}
     return found
+
+
+def _passed_arguments(path: Path, module: str | None) -> set[tuple[str, str, int | str]]:
+    """(module, function, argument) for each argument of each call in ``path``
+    of a function named as :func:`_references` names it: the position of a
+    positional argument, the name of a keyword one, and "*" or "**" for an
+    unpacked sequence or mapping, which may pass any parameter."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    aliases = _aliases(tree)
+    if module:  # the module's own functions, called by their bare names
+        aliases = {**{node.id: f"{module}.{node.id}" for node in ast.walk(tree) if isinstance(node, ast.Name)},
+                   **aliases}
+    found = set()
+    for call in ast.walk(tree):
+        if not (isinstance(call, ast.Call) and (target := _dotted(call.func, aliases))):
+            continue
+        module_name, _, name = target.rpartition(".")
+        for i, arg in enumerate(call.args):
+            found.add((module_name, name, "*" if isinstance(arg, ast.Starred) else i))
+        found |= {(module_name, name, kw.arg or "**") for kw in call.keywords}
+    return found
+
+
+def _outside_unit_tests():
+    """(path, module) of each Python file outside the unit tests: the package,
+    the demos, the benchmark, the tools and the acceptance tests; ``module`` is
+    the package module a file is, or None."""
+    root = Path(__file__).resolve().parents[1]
+    package = Path(typovec.__file__).resolve().parent
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).parts
+        hidden = any(part.startswith(".") for part in parts)
+        if not (hidden or (parts[0] == "tests" and path.name != "test_acceptance.py")):
+            yield path, f"typovec.{path.stem}" if path.parent == package else None
+
+
+def _public_definitions():
+    """(module, node) of each public module-level function or class of the package."""
+    for path in sorted(Path(typovec.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                yield f"typovec.{path.stem}", top
 
 
 def test_every_public_name_is_used_outside_the_unit_tests():
     # a public function or class that only unit tests call is code no stage, demo,
     # benchmark or acceptance criterion needs
-    root = Path(__file__).resolve().parents[1]
-    package = Path(typovec.__file__).resolve().parent
-    defined = {(f"typovec.{path.stem}", top.name)
-               for path in sorted(package.glob("*.py"))
-               for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
-               if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_")}
-    referenced = set()
-    for path in sorted(root.rglob("*.py")):
-        parts = path.relative_to(root).parts
-        hidden = any(part.startswith(".") for part in parts)
-        if hidden or (parts[0] == "tests" and path.name != "test_acceptance.py"):
-            continue
-        referenced |= _references(path, f"typovec.{path.stem}" if path.parent == package else None)
+    defined = {(module, top.name) for module, top in _public_definitions()}
+    referenced = set().union(*(_references(path, module) for path, module in _outside_unit_tests()))
     unused = sorted(f"{module}.{name}" for module, name in defined - referenced)
     assert not unused, f"public names that only unit tests use: {unused}"
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
+    # a default that every caller but the unit tests leaves alone is a branch
+    # that no stage, demo, benchmark or acceptance criterion runs
+    passed = set().union(*(_passed_arguments(path, module) for path, module in _outside_unit_tests()))
+    unpassed = []
+    for module, top in _public_definitions():
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        args = top.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        # each defaulted parameter, and the ways a call can pass it
+        ways = {arg.arg: (arg.arg, i, "*", "**") for i, arg in enumerate(positional) if i >= first}
+        ways |= {arg.arg: (arg.arg, "**") for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                 if default is not None}
+        unpassed += [f"{module}.{top.name}({name})" for name, by in ways.items()
+                     if not any((module, top.name, way) in passed for way in by)]
+    assert not unpassed, f"defaulted parameters that only unit tests pass: {unpassed}"
 
 
 def test_every_config_key_is_a_stage_param():

@@ -260,7 +260,7 @@ class TestStore:
         vectors = [extract_mtcell(model, encoded, vocab, lang) for lang in sorted(encoded.by_lang)]
         path = tmp_path / "vectors.tsv"
         save_vectors(path, vectors)
-        loaded = load_vectors(path)
+        loaded = load_vectors(path, "MTCell")
         assert [v.lang for v in loaded] == [v.lang for v in vectors]
         for a, b in zip(vectors, loaded):
             np.testing.assert_array_equal(a.values, b.values)
@@ -277,7 +277,7 @@ class TestStore:
                    for i, chunk in enumerate(np.split(values[:len(values) // 16 * 16], 16))]
         path = tmp_path / "vectors.tsv"
         save_vectors(path, vectors)
-        loaded = load_vectors(path)
+        loaded = load_vectors(path, "MTCell")
         assert [(v.lang, v.method, v.n_sentences) for v in loaded] == \
             [(v.lang, v.method, v.n_sentences) for v in vectors]
         for a, b in zip(vectors, loaded):
@@ -287,7 +287,7 @@ class TestStore:
         path = tmp_path / "bad.tsv"
         path.write_text("nope\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
-            load_vectors(path)
+            load_vectors(path, "MTVec")
 
     @pytest.mark.parametrize("row", [
         "aaa\tMTVec\t2\t5\t0.5 x0.25",
@@ -300,14 +300,16 @@ class TestStore:
         "bbb\tMTVec\t2\t5\t0.125 1.0",
         "bbb\tMTCell\t2\t5\t0.125 1.0",
         "aaa\tMTVec\t3\t5\t0.5 0.25 1.0",
+        # a row of another method would be reported as the store's method
+        "aaa\tMTCell\t2\t5\t0.125 1.0",
     ], ids=["float", "dim", "n_sentences", "value-count", "non-finite", "repeated-language",
-            "repeated-language-other-method", "dim-other-than-first"])
+            "repeated-language-other-method", "dim-other-than-first", "other-method"])
     def test_bad_number_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "vectors.tsv"
         path.write_text("lang\tmethod\tdim\tn_sentences\n"
                         "bbb\tMTVec\t2\t5\t0.5 0.25\n" + row + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
-            load_vectors(path)
+            load_vectors(path, "MTVec")
 
     def test_mtboth_dim_invariant(self, setup):
         vocab, encoded, model = setup
