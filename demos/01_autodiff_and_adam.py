@@ -42,7 +42,7 @@ for step in range(400):
     summed = ag.softmax_cross_entropy(ag.constant(X), y, np.ones(64), theta.node(), bias)
     loss = ag.scale(summed, 1.0 / 64)
     backward(loss)
-    adam_step([theta], [theta.grad], lr=0.05, state=state)
+    adam_step([theta], lr=0.05, state=state)
     if step % 100 == 0:
         print(f"step {step:3d}  loss/example {float(loss.value):.4f}")
 

@@ -241,6 +241,10 @@ def _baseline(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     knn_config = _knn_config(cfg)
     registry = corpus.load_registry(wd.path("registry"))
     matrix = typology.load_features(wd.path("features"), registry)
+    # a registry too small for the key is the config's fault; a feature matrix
+    # that lacks rows of a large enough registry is the file's
+    if len(registry) <= cfg.knn_k:
+        raise ConfigError(f"knn_k must be less than the number of languages ({len(registry)}), got {cfg.knn_k}")
     if len(matrix.languages) <= cfg.knn_k:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, knn_k={cfg.knn_k}")
     context = typology.DistanceContext(registry)
@@ -272,6 +276,8 @@ def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = ["None"] + cfg.method_list
     registry = corpus.load_registry(wd.path("registry"))
     matrix = typology.load_features(wd.path("features"), registry)
+    if len(registry) < cfg.n_folds:  # as in _baseline: the key's fault, else the file's
+        raise ConfigError(f"n_folds must be at most the number of languages ({len(registry)}), got {cfg.n_folds}")
     if len(matrix.languages) < cfg.n_folds:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, n_folds={cfg.n_folds}")
     stores = {method: wd.path(f"vectors_{method}.tsv") for method in cfg.method_list}
@@ -306,7 +312,7 @@ def _report(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     feature_acc = report.read_feature_accuracy_tsv(wd.path("feature_accuracy.tsv"))
     base, best = feature_acc.get(("None", False)), feature_acc.get(("MTBoth", False))
     if base is not None and best is not None:
-        rows = {cat: report.top_gains(base, best, cat, 5) for cat in categories}
+        rows = {cat: report.top_gains(base, best, cat) for cat in categories}
         tables["table_gains.md"] = report.render_gains_table(rows)
     outputs = [wd.path(name) for name in tables]
     for path, text in zip(outputs, tables.values()):
@@ -319,8 +325,16 @@ def _condition(text: str, preds, path: Path) -> tuple[str, bool]:
     """The predictions key of a bootstrap condition such as ``MTBoth+Aux``."""
     key = text[:-4], text.endswith("+Aux")
     if key not in preds:
-        raise ValueError(f"{path}: no predictions for condition {text}; check 'methods'")
+        raise ValueError(f"{path}: no predictions for condition {text}")
     return key
+
+
+def _bootstrap_inputs(cfg: PipelineConfig) -> list[str]:
+    for key in ("bootstrap_a", "bootstrap_b"):
+        method = getattr(cfg, key)[:-4]
+        if method not in ("None", *cfg.method_list):  # predict evaluates only the listed methods
+            raise ConfigError(f"{key} names {method}, which is not in methods")
+    return ["predictions.tsv"]
 
 
 def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
@@ -365,9 +379,7 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         raise ValueError(f"{wd.path('features')}: fewer than 2 languages label {feature}")
     X = np.stack([mtcell[matrix.languages[i]].values for i in rows])
     logreg = predict.train_logreg(predict.Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
-    node = predict.select_trajectory_node(logreg, nmt.hidden_size)
-    _, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs,
-                                        cfg.traj_sentences or None, node)
+    node, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs, cfg.traj_sentences or None)
     out = wd.path("trajectory.csv")
     predict.write_trajectory_csv(out, rows)
     fit = "converged" if logreg.converged else "not converged"
@@ -400,8 +412,7 @@ STAGES = {
                       ("knn_k", "geodesic_weight", "genetic_weight")),
     "predict": Stage(_predict, _predict_inputs, ("seed", "n_folds", "l2", "methods")),
     "report": Stage(_report, ("report.tsv", "feature_accuracy.tsv")),
-    "bootstrap": Stage(_bootstrap, ("predictions.tsv",),
-                       ("bootstrap_n", "seed", "bootstrap_a", "bootstrap_b")),
+    "bootstrap": Stage(_bootstrap, _bootstrap_inputs, ("bootstrap_n", "seed", "bootstrap_a", "bootstrap_b")),
     "traj": Stage(_traj, _traj_inputs, ("traj_feature", "seed", "traj_langs", "traj_sentences", "l2")),
 }
 
@@ -474,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Language-vector extraction and typological feature prediction pipeline",
     )
     parser.add_argument("--config", required=True, help="path to key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("stage", nargs="?", choices=STAGES, metavar="stage",
                         help="one of: " + " | ".join(STAGES))
     return parser
@@ -486,7 +496,7 @@ def main(argv=None) -> int:
         print("error: no stage given", file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(args.config, seed_override=args.seed)
+        cfg = parse_config(args.config)
         # check the training and k-NN keys before any stage runs
         _train_config(cfg)
         _knn_config(cfg)

@@ -102,17 +102,17 @@ class PipelineConfig:
     corpus: str = ""
     features: str = ""
     num_merges: int = 32000
-    hidden_size: int = 512
-    embed_size: int = 0  # 0 means: same as hidden_size
-    lr: float = 0.001
-    dropout: float = 0.5
-    epochs: int = 10
-    batch_size: int = 64
-    clip_norm: float = 5.0
-    attention: bool = False
-    knn_k: int = 3
-    geodesic_weight: float = 1.0
-    genetic_weight: float = 1.0
+    hidden_size: int = TrainConfig.hidden_size
+    embed_size: int = TrainConfig.embed_size
+    lr: float = TrainConfig.lr
+    dropout: float = TrainConfig.dropout
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    clip_norm: float = TrainConfig.clip_norm
+    attention: bool = TrainConfig.attention
+    knn_k: int = KnnConfig.k
+    geodesic_weight: float = KnnConfig.geodesic_weight
+    genetic_weight: float = KnnConfig.genetic_weight
     l2: float = 1.0
     n_folds: int = 10
     methods: str = "LMVec,MTVec,MTCell,MTBoth"
@@ -219,18 +219,16 @@ def parse_fields(defaults: dict[str, object], entries: dict[str, str], path,
     return values
 
 
-def parse_config(path, seed_override: int | None = None) -> PipelineConfig:
+def parse_config(path) -> PipelineConfig:
     raw = read_kv(path)
     defaults = asdict(PipelineConfig(workdir="", seed=0))
     unknown = [key for key in raw if key not in defaults]
     if unknown:
         raise ConfigError(f"{path}: unknown config key {unknown[0]!r}")
-    if seed_override is not None:
-        raw["seed"] = str(seed_override)
     if "workdir" not in raw:
         raise ConfigError(f"{path}: missing mandatory key 'workdir'")
     if "seed" not in raw:
-        raise ConfigError(f"{path}: missing mandatory key 'seed' (and no --seed given)")
+        raise ConfigError(f"{path}: missing mandatory key 'seed'")
     return PipelineConfig(**parse_fields(defaults, raw, path))
 
 

@@ -91,9 +91,7 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor)
     """
     squeeze = x.value.ndim == 1
     if squeeze:
-        x = ag.Tensor(x.value[None, :], (x,), lambda g: (g[0],))
-        h_prev = ag.Tensor(h_prev.value[None, :], (h_prev,), lambda g: (g[0],))
-        c_prev = ag.Tensor(c_prev.value[None, :], (c_prev,), lambda g: (g[0],))
+        x, h_prev, c_prev = (ag.slice_(t, np.newaxis) for t in (x, h_prev, c_prev))
     hsz = params.hidden_size
     if x.value.shape[1] != params.embed_size or h_prev.value.shape[1] != hsz or c_prev.value.shape[1] != hsz:
         raise ag.ShapeError(
@@ -421,7 +419,9 @@ def load_model(ckpt_path, manifest_path):
     """Returns (model, manifest dict, loss_curve).
 
     A missing or malformed manifest key raises ValueError naming the
-    manifest and the key.
+    manifest and the key; a checkpoint tensor that is missing, has another
+    shape or is no parameter of the model the manifest describes raises one
+    naming the checkpoint and the tensor.
     """
     manifest = read_kv(manifest_path)
     kind = manifest.get("type")
@@ -438,6 +438,10 @@ def load_model(ckpt_path, manifest_path):
     rng = np.random.default_rng(0)
     model = (Seq2SeqModel if kind == "seq2seq" else RnnLmModel)(vocab_size, config, rng)
     tensors, _seed = load_checkpoint(ckpt_path)
+    extra = [name for name in tensors if name not in {p.name for p in model.parameters()}]
+    if extra:
+        raise ValueError(f"{ckpt_path}: tensor {extra[0]!r} is not a parameter of the model "
+                         f"that {manifest_path} describes")
     for p in model.parameters():
         if p.name not in tensors:
             raise ValueError(f"{ckpt_path}: missing tensor {p.name!r}")

@@ -19,7 +19,7 @@ One solver, :func:`_fit_batch`, fits a batch of logistic regressions at
 once by damped Newton iteration; :func:`train_logreg` is its one-fit case,
 in the full input space. Each fit minimizes mean logistic
 loss + l2*||w||^2/2 (bias unregularized) from w = 0, stopping at gradient
-norm <= ``tol`` or after ``max_iter`` steps. A step solves
+norm <= ``_TOL`` (1e-8) or after ``_MAX_ITER`` (200) steps. A step solves
 (H + 1e-12 I) s = g, where H is the Hessian, and halves s until the loss
 does not rise by more than 1e-15, at most 40 times (then it keeps the last
 trial point). Each Newton step is one stacked solve over the fits not yet
@@ -139,8 +139,11 @@ def _loss_grad(Zb, Y, l2, beta):
 # Hessian. Folds and fits past it go to the next batch.
 _BATCH_BYTES = 16 << 20
 
+# A fit stops at this gradient norm, or unconverged after this many Newton steps.
+_TOL, _MAX_ITER = 1e-8, 200
 
-def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
+
+def _fit_batch(Z, slot, Y, l2: float):
     """Damped-Newton fits of the labels Y (B, n), fit b on the inputs
     Z[slot[b]] of the (n, k + 1) arrays Z, whose last column is the bias
     (see the module docstring). Returns the coefficients (B, k), the
@@ -149,7 +152,7 @@ def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
     B = len(slot)
     chunk = max(1, _BATCH_BYTES // (8 * (k + 1) * (2 * n + k + 1)))
     if B > chunk:
-        parts = [_fit_batch(Z, slot[i:i + chunk], Y[i:i + chunk], l2, tol, max_iter)
+        parts = [_fit_batch(Z, slot[i:i + chunk], Y[i:i + chunk], l2)
                  for i in range(0, B, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
@@ -160,8 +163,8 @@ def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
     beta = np.zeros((B, k + 1))
     loss, grad, p = _loss_grad(inputs(slice(None)), Y, l2, beta)
     live = np.arange(B)
-    for _ in range(max_iter):
-        live = live[np.linalg.norm(grad[live], axis=1) > tol]
+    for _ in range(_MAX_ITER):
+        live = live[np.linalg.norm(grad[live], axis=1) > _TOL]
         if not live.size:
             break
         Zl = inputs(live)
@@ -181,7 +184,7 @@ def _fit_batch(Z, slot, Y, l2: float, tol: float = 1e-8, max_iter: int = 200):
             if ok.all():
                 break
             fits, step, t = fits[~ok], step[~ok], 0.5 * t
-    return beta[:, :k], beta[:, k], np.linalg.norm(grad, axis=1) <= tol
+    return beta[:, :k], beta[:, k], np.linalg.norm(grad, axis=1) <= _TOL
 
 
 def train_logreg(X: np.ndarray, y: np.ndarray, l2: float = 1.0, feature: str = "") -> LogRegModel:
@@ -254,7 +257,7 @@ class EvalReport:
     # (method, aux) -> (lang, feature) -> (pred, gold)
     predictions: dict[tuple[str, bool], dict[tuple[str, str], tuple[int, int]]] = field(default_factory=dict)
     excluded: list[tuple[str, str]] = field(default_factory=list)
-    # logistic-regression fits, and those stopped at max_iter above tol
+    # logistic-regression fits, and those stopped at _MAX_ITER above _TOL
     fits: int = 0
     unconverged: int = 0
 
@@ -463,18 +466,15 @@ def select_trajectory_node(logreg: LogRegModel, hidden_size: int) -> int:
 
 
 def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCorpus,
-                      vocab: SubwordVocab, langs, max_sentences: int | None = None,
-                      node: int | None = None):
-    """Per-sentence time series of one encoder cell dimension.
+                      vocab: SubwordVocab, langs, max_sentences: int | None = None):
+    """Per-sentence time series of the encoder cell dimension that
+    :func:`select_trajectory_node` picks for ``logreg``.
 
     Returns (node, rows) where rows are (lang, sentence index, step, value)
     and each sentence contributes len(source) + 2 steps. ``max_sentences``
     keeps the first n sentences of each language.
     """
-    if node is None:
-        node = select_trajectory_node(logreg, nmt.hidden_size)
-    if not 0 <= node < nmt.hidden_size:
-        raise ValueError(f"node {node} outside hidden size {nmt.hidden_size}")
+    node = select_trajectory_node(logreg, nmt.hidden_size)
     rows: list[tuple[str, int, int, float]] = []
     for lang in langs:
         sentences = encoded.by_lang.get(lang)

@@ -62,16 +62,19 @@ class GainRow:
     gain: float
 
 
-def top_gains(acc_a: dict[str, float], acc_b: dict[str, float],
-              category: str, n: int = 5) -> list[GainRow]:
-    """Largest per-feature accuracy improvements from A to B in a category."""
+# The most rows per category of the gains table.
+TOP_GAINS = 5
+
+
+def top_gains(acc_a: dict[str, float], acc_b: dict[str, float], category: str) -> list[GainRow]:
+    """The :data:`TOP_GAINS` largest per-feature accuracy improvements from A to B in a category."""
     rows = [
         GainRow(f, acc_a[f], acc_b[f], acc_b[f] - acc_a[f])
         for f in acc_a
         if f in acc_b and category_of(f) == category
     ]
     rows.sort(key=lambda r: (-r.gain, r.feature))
-    return rows if n >= len(rows) else rows[:n]
+    return rows[:TOP_GAINS]
 
 
 def render_gains_table(rows_by_category: dict[str, list[GainRow]]) -> str:

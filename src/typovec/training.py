@@ -237,7 +237,7 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
                 bad = [p.name for p in params if not np.all(np.isfinite(p.grad))]
                 raise TrainingError(f"non-finite gradient for parameter {bad[0]!r} {where}" if bad
                                     else f"gradient norm overflows {where}")
-            adam_step(params, [p.grad for p in params], config.lr, state)
+            adam_step(params, config.lr, state)
             epoch_ce += value
             epoch_tokens += n_tokens
         curve.append(epoch_ce / epoch_tokens)
@@ -278,10 +278,9 @@ def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
         rows, batch_loss = _nmt_rows(encoded, vocab), _nmt_batch_loss
     else:
         rows, batch_loss = _lm_rows(encoded, vocab), _lm_batch_loss
-    rows.sort(key=lambda r: (len(r.enc_ids), len(r.dec_in)))
     total_nll, total_tokens = 0.0, 0
-    for start in range(0, len(rows), 64):
-        loss, n_tokens = batch_loss(model, rows[start : start + 64], None, 0.0)
+    for batch in _length_batches(rows, 64):
+        loss, n_tokens = batch_loss(model, batch, None, 0.0)
         total_nll += float(loss.value)
         total_tokens += n_tokens
     return float(np.exp(total_nll / total_tokens))

@@ -66,11 +66,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="seed"):
             parse_config(path)
 
-    def test_seed_override(self, tmp_path):
-        path = tmp_path / "cfg.txt"
-        path.write_text("workdir=w\nseed=1\n", encoding="utf-8")
-        assert parse_config(path, seed_override=99).seed == 99
-
     def test_defaults_match_documented_values(self):
         cfg = PipelineConfig(workdir="w", seed=1)
         assert cfg.num_merges == 32000
@@ -264,13 +259,13 @@ class TestPipeline:
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
         cfg_path = tmp_path / "cfg.txt"
-        write_config(cfg_path, workdir=str(copy))
+        write_config(cfg_path, workdir=str(copy), seed=78)
         # a new suite: every stage after synth last ran on the old one, and
         # the direct inputs of predict and traj match their producers' records
-        assert main(["--config", str(cfg_path), "--seed", "78", "synth"]) == 0
+        assert main(["--config", str(cfg_path), "synth"]) == 0
         before = snapshot(copy)
         capsys.readouterr()
-        assert main(["--config", str(cfg_path), "--seed", "78", stage]) == 1
+        assert main(["--config", str(cfg_path), stage]) == 1
         err = capsys.readouterr().err
         assert f"{copy / 'registry.tsv'} has changed since 'bpe-learn' read it; rerun 'bpe-learn'" in err
         assert snapshot(copy) == before
@@ -295,6 +290,28 @@ class TestPipeline:
         before = snapshot(copy)
         assert main(["--config", str(cfg_path), "traj"]) == 1
         assert message in capsys.readouterr().err
+        after = snapshot(copy)
+        del before["effective_config.txt"], after["effective_config.txt"]
+        assert after == before
+
+    @pytest.mark.parametrize("stage, override, message", [
+        ("baseline", {"knn_k": 12}, "knn_k must be less than the number of languages (12), got 12"),
+        ("predict", {"n_folds": 13}, "n_folds must be at most the number of languages (12), got 13"),
+        # predict evaluates only the listed methods; bootstrap_b is MTBoth+Aux by default
+        ("bootstrap", {"methods": "MTVec"}, "bootstrap_b names MTBoth, which is not in methods"),
+    ], ids=["knn_k", "n_folds", "bootstrap_b"])
+    def test_key_the_suite_cannot_satisfy_names_the_key(self, pipeline, tmp_path, capsys, stage, override,
+                                                        message):
+        # rerunning a producer cannot help, so the error names the key and no stage to rerun
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy), **override)
+        before = snapshot(copy)
+        assert main(["--config", str(cfg_path), stage]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "rerun" not in err
         after = snapshot(copy)
         del before["effective_config.txt"], after["effective_config.txt"]
         assert after == before
@@ -386,9 +403,10 @@ class TestCliErrors:
         work = tmp_path / "w7"
         sizes = {"workdir": str(work), "synth_langs": 10, "synth_sentences": 8}
         write_config(cfg_path, **sizes, methods="MTVec,MTCell")
-        for argv in (["synth"], ["bpe-learn"], ["train-nmt"], ["extract"], ["baseline"],
-                     ["--seed", "6", "train-nmt"]):
-            assert main(["--config", str(cfg_path), *argv]) == 0, argv
+        for stage in ("synth", "bpe-learn", "train-nmt", "extract", "baseline"):
+            assert main(["--config", str(cfg_path), stage]) == 0, stage
+        write_config(cfg_path, **sizes, methods="MTVec,MTCell", seed=6)
+        assert main(["--config", str(cfg_path), "train-nmt"]) == 0
         write_config(cfg_path, **sizes, methods="MTVec")
         assert main(["--config", str(cfg_path), "extract"]) == 0
         write_config(cfg_path, **sizes, methods="MTVec,MTCell")

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -654,6 +655,17 @@ def test_parameter_names_unique_per_model(rng):
 
 
 class TestPersistence:
+    def test_tensor_the_manifest_model_lacks_is_rejected(self, tmp_path, rng):
+        # an attention checkpoint under a manifest without attention would load without attn.wc
+        config = TrainConfig(hidden_size=4, epochs=1, attention=True)
+        save_model(tmp_path / "m.ckpt", tmp_path / "m.model", Seq2SeqModel(30, config, rng), config,
+                   [1.0], "sha-of-vocab")
+        manifest = tmp_path / "m.model"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("attention=1", "attention=0"),
+                            encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path / 'm.ckpt'))}: tensor 'attn.wc'"):
+            load_model(tmp_path / "m.ckpt", manifest)
+
     def test_seq2seq_round_trip(self, tiny_setup, tmp_path):
         vocab, encoded = tiny_setup
         config = TrainConfig(hidden_size=8, lr=0.02, dropout=0.0, epochs=2, batch_size=4, seed=17)

@@ -24,6 +24,7 @@ from typovec.predict import (
     top_gains,
     train_logreg,
 )
+from typovec.report import TOP_GAINS
 from typovec.typology import FeatureMatrix, FeatureSpec, majority_rate
 from typovec.vectors import LangVector
 
@@ -97,14 +98,13 @@ class TestLogReg:
         with pytest.raises(ValueError, match="non-finite"):
             train_logreg(np.array([[np.inf]]), np.array([1.0]), l2=1.0)
 
-    def test_reports_a_fit_stopped_at_max_iter(self):
+    def test_reports_a_fit_stopped_at_max_iter(self, monkeypatch):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(20, 3))
         y = (X[:, 0] > 0).astype(float)
         assert train_logreg(X, y, l2=0.1).converged
-        _, _, converged = predict._fit_batch([predict._with_bias(X)], np.zeros(1, dtype=int), y[None], 0.1,
-                                             max_iter=1)
-        assert not converged[0]
+        monkeypatch.setattr(predict, "_MAX_ITER", 1)
+        assert not train_logreg(X, y, l2=0.1).converged
 
 
 def _oracle_batches():
@@ -136,13 +136,13 @@ def _oracle_batches():
     return batches
 
 
-def _fit_row_space(slots, l2, **kwargs):
+def _fit_row_space(slots, l2):
     """Full-space weights, biases and converged flags of every fit of a batch,
     slot by slot."""
     bases = [_row_space(X) for X, _ in slots]
     slot = np.repeat(np.arange(len(slots)), [Y.shape[1] for _, Y in slots])
     coef, bias, converged = _fit_batch([Z for _, Z in bases], slot,
-                                       np.concatenate([Y.T for _, Y in slots]), l2, **kwargs)
+                                       np.concatenate([Y.T for _, Y in slots]), l2)
     weights = [Q @ c for (Q, _), c in zip((bases[i] for i in slot), coef)]
     return weights, bias, converged
 
@@ -173,8 +173,9 @@ class TestBatchedSolver:
                 np.testing.assert_allclose(w, model.weights, rtol=0, atol=1e-9)
                 assert b == pytest.approx(model.bias, abs=1e-9)
 
-    def test_unconverged_fits_are_flagged(self):
-        *_, converged = _fit_row_space(_oracle_batches()[6], 1.0, max_iter=2)
+    def test_unconverged_fits_are_flagged(self, monkeypatch):
+        monkeypatch.setattr(predict, "_MAX_ITER", 2)
+        *_, converged = _fit_row_space(_oracle_batches()[6], 1.0)
         # the zero-gradient fit stops at once; the others need more than two steps
         assert converged.tolist() == [True, False, False]
 
@@ -401,11 +402,12 @@ class TestBootstrap:
 
 class TestTopGains:
     def test_ranked_descending(self):
-        a = {"S_X": 50.0, "S_Y": 70.0, "S_Z": 60.0}
-        b = {"S_X": 90.0, "S_Y": 75.0, "S_Z": 80.0}
-        rows = top_gains(a, b, "syntax", n=2)
-        assert [r.feature for r in rows] == ["S_X", "S_Z"]
-        assert rows[0].gain == pytest.approx(40.0)
+        # two features more than the table holds; S_i gains i
+        a = {f"S_{i}": 50.0 for i in range(TOP_GAINS + 2)}
+        b = {f"S_{i}": 50.0 + i for i in range(TOP_GAINS + 2)}
+        rows = top_gains(a, b, "syntax")
+        assert [r.feature for r in rows] == [f"S_{i}" for i in range(TOP_GAINS + 1, 1, -1)]
+        assert rows[0].gain == pytest.approx(TOP_GAINS + 1)
 
     def test_equal_reports_give_zero_gains(self):
         a = {"S_X": 50.0, "S_Y": 70.0}
@@ -415,7 +417,7 @@ class TestTopGains:
     def test_n_larger_than_features_returns_all(self):
         a = {"P_X": 10.0}
         b = {"P_X": 20.0}
-        assert len(top_gains(a, b, "phonology", n=5)) == 1
+        assert len(top_gains(a, b, "phonology")) == 1
 
     def test_category_filter(self):
         a = {"S_X": 10.0, "P_X": 10.0}

@@ -209,25 +209,40 @@ def _references(path: Path, module: str | None) -> set[tuple[str, str]]:
     return found
 
 
-def _passed_arguments(path: Path, module: str | None) -> set[tuple[str, str, int | str]]:
-    """(module, function, argument) for each argument of each call in ``path``
-    of a function named as :func:`_references` names it: the position of a
-    positional argument, the name of a keyword one, and "*" or "**" for an
-    unpacked sequence or mapping, which may pass any parameter."""
+def _calls_and_values(path: Path, module: str | None):
+    """The calls and the function values in ``path`` of functions named as
+    :func:`_references` names them. Calls: (module, function, argument) for
+    each argument of each call, but not of a module's call of a function in
+    that function's own body: the position of a positional argument, the
+    name of a keyword one, and "*" or "**" for an unpacked sequence or
+    mapping, which may pass any parameter. Values: (module, name) of each
+    name read other than as the function of a call (a function passed as an
+    argument), whose calls cannot be resolved."""
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     aliases = _aliases(tree)
     if module:  # the module's own functions, called by their bare names
         aliases = {**{node.id: f"{module}.{node.id}" for node in ast.walk(tree) if isinstance(node, ast.Name)},
                    **aliases}
-    found = set()
-    for call in ast.walk(tree):
-        if not (isinstance(call, ast.Call) and (target := _dotted(call.func, aliases))):
-            continue
-        module_name, _, name = target.rpartition(".")
-        for i, arg in enumerate(call.args):
-            found.add((module_name, name, "*" if isinstance(arg, ast.Starred) else i))
-        found |= {(module_name, name, kw.arg or "**") for kw in call.keywords}
-    return found
+    calls, values = set(), set()
+    for top in tree.body:
+        own = f"{module}.{top.name}" if module and isinstance(top, ast.FunctionDef) else None
+        callees = set()
+        for call in ast.walk(top):
+            if not isinstance(call, ast.Call):
+                continue
+            callees.add(call.func)
+            target = _dotted(call.func, aliases)
+            if not target or target == own:
+                continue
+            module_name, _, name = target.rpartition(".")
+            for i, arg in enumerate(call.args):
+                calls.add((module_name, name, "*" if isinstance(arg, ast.Starred) else i))
+            calls |= {(module_name, name, kw.arg or "**") for kw in call.keywords}
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and node not in callees:
+                if target := _dotted(node, aliases):
+                    values.add(tuple(target.rsplit(".", 1)))
+    return calls, values
 
 
 def _outside_unit_tests():
@@ -243,18 +258,18 @@ def _outside_unit_tests():
             yield path, f"typovec.{path.stem}" if path.parent == package else None
 
 
-def _public_definitions():
-    """(module, node) of each public module-level function or class of the package."""
+def _definitions():
+    """(module, node) of each module-level function or class of the package."""
     for path in sorted(Path(typovec.__file__).resolve().parent.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 yield f"typovec.{path.stem}", top
 
 
 def test_every_public_name_is_used_outside_the_unit_tests():
     # a public function or class that only unit tests call is code no stage, demo,
     # benchmark or acceptance criterion needs
-    defined = {(module, top.name) for module, top in _public_definitions()}
+    defined = {(module, top.name) for module, top in _definitions() if not top.name.startswith("_")}
     referenced = set().union(*(_references(path, module) for path, module in _outside_unit_tests()))
     unused = sorted(f"{module}.{name}" for module, name in defined - referenced)
     assert not unused, f"public names that only unit tests use: {unused}"
@@ -262,11 +277,14 @@ def test_every_public_name_is_used_outside_the_unit_tests():
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
     # a default that every caller but the unit tests leaves alone is a branch
-    # that no stage, demo, benchmark or acceptance criterion runs
-    passed = set().union(*(_passed_arguments(path, module) for path, module in _outside_unit_tests()))
+    # that no stage, demo, benchmark or acceptance criterion runs; a function's
+    # calls of itself do not count, and a private function passed as a value
+    # is left out, since its calls cannot be resolved
+    passed, values = (set().union(*found) for found in
+                      zip(*(_calls_and_values(path, module) for path, module in _outside_unit_tests())))
     unpassed = []
-    for module, top in _public_definitions():
-        if not isinstance(top, ast.FunctionDef):
+    for module, top in _definitions():
+        if not isinstance(top, ast.FunctionDef) or (top.name.startswith("_") and (module, top.name) in values):
             continue
         args = top.args
         positional = args.posonlyargs + args.args
