@@ -107,40 +107,23 @@ def constant(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=np.float64))
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    try:
-        np.broadcast_shapes(a.value.shape, b.value.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} do not broadcast") from None
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.value.shape != b.value.shape:
+        raise ShapeError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return Tensor(a.value + b.value, (a, b), vjp)
+    """a + b elementwise, for operands of one shape."""
+    _same_shape("add", a, b)
+    # b's is a copy, so that add(x, x) gives x the sum of both: backward adds nothing
+    # for a VJP output that is already the parent's grad
+    return Tensor(a.value + b.value, (a, b), lambda g: (g, g.copy()))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("mul", a, b)
-
-    def vjp(g):
-        return _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)
-
-    return Tensor(a.value * b.value, (a, b), vjp)
+    """a * b elementwise, for operands of one shape."""
+    _same_shape("mul", a, b)
+    return Tensor(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -184,28 +167,6 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - out * out),)
 
     return Tensor(out, (a,), vjp)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: no inputs")
-    sizes = [t.value.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        slicer = [slice(None)] * g.ndim
-        parts = []
-        for i in range(len(sizes)):
-            slicer[axis] = slice(offsets[i], offsets[i + 1])
-            parts.append(g[tuple(slicer)])
-        return tuple(parts)
-
-    try:
-        value = np.concatenate([t.value for t in tensors], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {exc}") from None
-    return Tensor(value, tuple(tensors), vjp)
 
 
 def slice_(a: Tensor, index, grad: np.ndarray | None = None) -> Tensor:

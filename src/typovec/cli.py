@@ -5,15 +5,19 @@ by one driver, :func:`run_stage`. Its manifest records the tool version, the
 params, and sha256 hashes of inputs and outputs, keyed by path relative to
 the work dir (an input configured outside it keeps its configured path), so
 a copied or moved work dir keeps its records. Rerunning a stage whose
-manifest matches and whose recorded outputs are intact is a no-op. An input
-whose producing stage's manifest records a different ``out:`` hash, or does
-not list a work-dir artifact at all (a file left from an earlier run), is
-stale: the stage stops and names the producer to rerun. So is an upstream
-stage whose manifest records an ``in:`` hash other than its producer's
-``out:`` hash: the stage writes nothing and names the first such stage to
-rerun. Inputs whose producer has no manifest, and the config's input files
-that ``synth``'s manifest does not list (e.g. a registry outside the work
-dir), are not checked. Every loader starts its errors with ``<path>:``
+manifest matches and whose recorded outputs are intact is a no-op.
+
+One rule, :func:`_require_fresh`, decides whether a stage may run: the
+stage and every stage upstream of it that has a manifest ran under this
+config (the tool version and params each manifest records are the
+config's) on the files their producers last wrote (each ``in:`` hash is
+the ``out:`` hash its producer's manifest lists; for the stage about to
+run, the hashes of its inputs as read now). Otherwise the stage writes
+nothing and names the first stage, in ``STAGES`` order, that breaks the
+rule, with ``rerun '<stage>'``. A config input file that ``synth``'s
+manifest does not list (e.g. a registry outside the work dir) is never
+blamed on ``synth``, whose rerun would overwrite it, and stages without a
+manifest are skipped. Every loader starts its errors with ``<path>:``
 (the one line reader, ``corpus.read_records``, writes ``<path>:<line>:``),
 so a stage that fails on a malformed input inside the work dir names its
 producer to rerun as well. A ``flock`` on ``<workdir>/.lock`` guards
@@ -417,23 +421,44 @@ STAGES = {
 }
 
 
-def _stale_upstream(wd: Workdir, artifacts) -> tuple[str, str] | None:
-    """(stage, input key) of the first stage in ``STAGES`` order, among the
-    producers of ``artifacts`` and the stages upstream of them, whose manifest
-    records an ``in:`` hash other than the producer's ``out:`` hash, or None;
-    stages without a manifest are skipped."""
-    stages = {PRODUCERS[artifact] for artifact in artifacts}
-    producer_of = {f"in:{wd.key(wd.path(artifact))}": producer for artifact, producer in PRODUCERS.items()}
-    manifests = {stage: wd.recorded(stage) for stage in STAGES}
-    # STAGES lists every stage after the producers of its inputs
-    for stage in reversed(STAGES):
-        if stage in stages:
-            stages |= {producer_of[key] for key in manifests[stage] if key in producer_of}
-    for stage in (s for s in STAGES if s in stages):
-        for key, digest in manifests[stage].items():
-            if key in producer_of and manifests[producer_of[key]].get(f"out:{key[3:]}", digest) != digest:
-                return stage, key[3:]
-    return None
+def _params(stage: str, cfg: PipelineConfig) -> dict[str, str]:
+    """The tool version and params that ``stage``'s manifest records under ``cfg``."""
+    return {"tool_version": __version__, **{p: format_value(cfg, p) for p in STAGES[stage].params}}
+
+
+def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
+    """Stops stage ``name``, whose record would be ``entries``, unless it and
+    every stage upstream of it that has a manifest ran under this config on
+    the files their producers last wrote; names the first stage, in ``STAGES``
+    order, that breaks the rule, as the one to rerun."""
+    where = {artifact: (path := wd.path(artifact), wd.key(path)) for artifact in PRODUCERS}
+    records = {**{stage: wd.recorded(stage) for stage in STAGES}, name: entries}
+
+    def reads(stage):
+        """(path, stale, producer) for each input of ``stage`` whose producer has a
+        manifest; a config input file only if that manifest lists it."""
+        for artifact, (path, key) in where.items():
+            producer, digest = PRODUCERS[artifact], records[stage].get(f"in:{key}")
+            wrote = records[producer].get(f"out:{key}")
+            # a config input file that synth did not write is not synth's to rewrite
+            if digest and records[producer] and (wrote or artifact not in INPUT_FILES):
+                yield path, wrote != digest, producer
+
+    # STAGES lists every stage after the producers of its inputs, so walking it
+    # backwards reaches each stage of the walk after every stage that reads it
+    walk = {name}
+    for stage in (s for s in reversed(STAGES) if s in walk):
+        walk.update(producer for *_, producer in reads(stage))
+    for stage in (s for s in STAGES if s in walk):
+        for key, value in _params(stage, wd.cfg).items():
+            if records[stage].get(key) != value:
+                raise StageInputError(f"'{stage}' ran with {key}={records[stage].get(key)}, "
+                                      f"but the config has {key}={value}; rerun '{stage}'")
+        for path, stale, producer in reads(stage):
+            if stale:
+                raise StageInputError(
+                    f"{path} is not the file '{producer}' last wrote; rerun '{producer}'" if stage == name
+                    else f"{path} has changed since '{stage}' read it; rerun '{stage}'")
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> None:
@@ -442,26 +467,13 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
     inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
     wd = Workdir(cfg)
     with _workdir_lock(wd.root):
-        entries = {"tool_version": __version__, **{p: format_value(cfg, p) for p in stage.params}}
-        producers = {}  # "<path>:" of each input inside the work dir -> its producer
+        entries = _params(name, cfg)
         for artifact in inputs:
-            path, producer = wd.path(artifact), PRODUCERS[artifact]
+            path = wd.path(artifact)
             if not path.exists():
-                raise StageInputError(f"missing {path}; run the '{producer}' stage first")
-            digest = entries[f"in:{wd.key(path)}"] = _sha256(path)
-            # a file that its producer's manifest does not list is left from an
-            # earlier run, unless it is one of the config's input files
-            recorded = wd.recorded(producer)
-            unlisted = digest if not recorded or artifact in INPUT_FILES else None
-            if recorded.get(f"out:{wd.key(path)}", unlisted) != digest:
-                raise StageInputError(f"{path} is not the file '{producer}' last wrote; "
-                                      f"rerun '{producer}'")
-            if path.is_relative_to(wd.root):
-                producers[f"{path}:"] = producer
-        stale = _stale_upstream(wd, inputs)
-        if stale is not None:
-            raise StageInputError(f"{wd.root / stale[1]} has changed since '{stale[0]}' read it; "
-                                  f"rerun '{stale[0]}'")
+                raise StageInputError(f"missing {path}; run the '{PRODUCERS[artifact]}' stage first")
+            entries[f"in:{wd.key(path)}"] = _sha256(path)
+        _require_fresh(name, entries, wd)
         write_effective_config(wd.path("effective_config.txt"), cfg)
         if wd.up_to_date(name, entries):
             print(f"{name}: up to date")
@@ -469,8 +481,10 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
         try:
             outputs, summary = stage.body(cfg, wd)
         except ValueError as exc:
-            # a loader's error starts with "<path>:"; the path itself may hold a ":"
-            producer = next((p for prefix, p in producers.items() if str(exc).startswith(prefix)), None)
+            # a loader's error starts with "<path>:" (the path itself may hold a ":"); an
+            # input outside the work dir names no stage to rerun
+            producer = next((PRODUCERS[a] for a in inputs if wd.path(a).is_relative_to(wd.root)
+                             and str(exc).startswith(f"{wd.path(a)}:")), None)
             if producer is None:
                 raise
             raise StageInputError(f"{exc}; rerun '{producer}'") from None

@@ -13,9 +13,9 @@ epoch-derived seed. Each padded batch is a handful of graph nodes:
   LSTM). Rows that have finished keep their state, so the final encoder
   state of every row is its own last real step;
 - with attention, one op that attends every decoder state over its row's
-  encoder states with batched (B, T_dec, T_enc) scores, then
-  tanh([h_t; context_t] @ wc). Attention is not fed back into the
-  recurrence, so it runs once, after it;
+  encoder states with batched (B, T_dec, T_enc) scores and returns the rows
+  [h_t; context_t], then tanh([h_t; context_t] @ wc). Attention is not fed
+  back into the recurrence, so it runs once, after it;
 - one output-layer node: the (T*B, H) @ (H, V) projection and the masked
   cross-entropy; padded positions are masked out of the loss.
 
@@ -115,10 +115,11 @@ def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
     """Global dot-product attention (Luong et al. 2015) as one autograd op.
 
     ``hs`` holds the (T_dec*B, H) decoder states and ``enc_hs`` the
-    (T_enc*B, H) encoder states, both time-major. Returns the (T_dec*B, H)
-    contexts in the same order: every decoder state attends over its own
-    row's real encoder steps, with (B, T_dec, T_enc) scores from one batched
-    product. The VJP is written by hand from the saved weights.
+    (T_enc*B, H) encoder states, both time-major. Returns the (T_dec*B, 2H)
+    rows [h_t; context_t] in the same order: every decoder state attends over
+    its own row's real encoder steps, with (B, T_dec, T_enc) scores from one
+    batched product. The VJP is written by hand from the saved weights; h_t's
+    gradient is its own columns' plus the one through the scores.
     """
     bsz = len(enc_lens)
     hsz = hs.value.shape[1]
@@ -130,20 +131,20 @@ def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
     a /= a.sum(axis=2, keepdims=True)
 
     def vjp(grad):
-        g = grad.reshape(-1, bsz, hsz).transpose(1, 0, 2)
+        g = grad[:, hsz:].reshape(-1, bsz, hsz).transpose(1, 0, 2)
         da = g @ k.transpose(0, 2, 1)
         ds = a * (da - (da * a).sum(axis=2, keepdims=True))
         dq = ds @ k
         dk = ds.transpose(0, 2, 1) @ q + a.transpose(0, 2, 1) @ g
-        return dq.transpose(1, 0, 2).reshape(-1, hsz), dk.transpose(1, 0, 2).reshape(-1, hsz)
+        return grad[:, :hsz] + dq.transpose(1, 0, 2).reshape(-1, hsz), dk.transpose(1, 0, 2).reshape(-1, hsz)
 
-    return Tensor((a @ k).transpose(1, 0, 2).reshape(-1, hsz), (hs, enc_hs), vjp)
+    context = (a @ k).transpose(1, 0, 2).reshape(-1, hsz)
+    return Tensor(np.concatenate([hs.value, context], axis=1), (hs, enc_hs), vjp)
 
 
 def _attend(model: Seq2SeqModel, hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:
     """tanh([h_t; context_t] @ wc) for every decoder state in ``hs``."""
-    ctx = _attention(hs, enc_hs, enc_lens)
-    return ag.tanh(ag.matmul(ag.concat([hs, ctx], axis=1), model.attn_wc.node()))
+    return ag.tanh(ag.matmul(_attention(hs, enc_hs, enc_lens), model.attn_wc.node()))
 
 
 def _sequence_loss(model, cell, batch: list[_Row], x: Tensor, h: Tensor | None = None,

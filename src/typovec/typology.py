@@ -134,6 +134,8 @@ def load_features(path, registry: Registry) -> FeatureMatrix:
 
     seen_langs: set[str] = set()
     header, *rows = read_records(path, parse, header=parse_header)
+    if len(header) == 1 or not rows:
+        raise CorpusError(f"{path}: no {'feature columns' if len(header) == 1 else 'language rows'}")
     try:
         features = [FeatureSpec(name, category_of(name)) for name in header[1:]]
         values = np.array([cells for _, cells in rows]).reshape(len(rows), len(features))

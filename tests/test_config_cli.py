@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import typovec
 import typovec.bpe
+from typovec import cli
 from typovec.bpe import corpus_word_frequencies
 from typovec.cli import main
-from typovec.config import ConfigError, PipelineConfig, parse_config, write_effective_config
+from typovec.config import METHODS, ConfigError, PipelineConfig, parse_config, write_effective_config
 from typovec.corpus import load_registry
 from typovec.typology import DistanceContext, KnnConfig, load_features, read_knn_vectors, write_features
 
@@ -218,10 +219,6 @@ class TestPipeline:
         work, _ = pipeline
         copy = tmp_path / "work"
         shutil.copytree(work, copy)
-        # manifests record absolute paths; rebased, they describe the copy
-        for manifest in copy.glob("*.manifest"):
-            text = manifest.read_text(encoding="utf-8")
-            manifest.write_text(text.replace(str(work), str(copy)), encoding="utf-8")
         cfg_path = tmp_path / "cfg.txt"
         write_config(cfg_path, workdir=str(copy))
         model = copy / "nmt.model"
@@ -268,6 +265,27 @@ class TestPipeline:
         assert main(["--config", str(cfg_path), stage]) == 1
         err = capsys.readouterr().err
         assert f"{copy / 'registry.tsv'} has changed since 'bpe-learn' read it; rerun 'bpe-learn'" in err
+        assert snapshot(copy) == before
+
+    @pytest.mark.parametrize("override, stages, producer, message", [
+        # the tables and the bootstrap would come from predictions fitted under the old l2
+        ({"l2": 0.01}, ("bootstrap", "report"), "predict", "ran with l2=1.0, but the config has l2=0.01"),
+        # the model would train on the merges learned under the old num_merges
+        ({"num_merges": 31}, ("train-nmt",), "bpe-learn",
+         "ran with num_merges=30, but the config has num_merges=31"),
+    ], ids=["l2", "num_merges"])
+    def test_upstream_stage_run_under_other_params_is_named(self, pipeline, tmp_path, capsys, override,
+                                                            stages, producer, message):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy), **override)
+        before = snapshot(copy)
+        capsys.readouterr()
+        for stage in stages:
+            assert main(["--config", str(cfg_path), stage]) == 1, stage
+            assert f"'{producer}' {message}; rerun '{producer}'" in capsys.readouterr().err
         assert snapshot(copy) == before
 
     def test_trajectory_has_header_and_rows(self, pipeline):
@@ -405,7 +423,10 @@ class TestCliErrors:
         write_config(cfg_path, **sizes, methods="MTVec,MTCell")
         for stage in ("synth", "bpe-learn", "train-nmt", "extract", "baseline"):
             assert main(["--config", str(cfg_path), stage]) == 0, stage
-        write_config(cfg_path, **sizes, methods="MTVec,MTCell", seed=6)
+        # a new model, so that every store on disk is older than it; epochs is a
+        # key that only the train stages record
+        sizes["epochs"] = 3
+        write_config(cfg_path, **sizes, methods="MTVec,MTCell")
         assert main(["--config", str(cfg_path), "train-nmt"]) == 0
         write_config(cfg_path, **sizes, methods="MTVec")
         assert main(["--config", str(cfg_path), "extract"]) == 0
@@ -413,8 +434,8 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "predict"]) == 1
         err = capsys.readouterr().err
-        assert f"{work / 'vectors_MTCell.tsv'} is not the file 'extract' last wrote" in err
-        assert "rerun 'extract'" in err
+        assert ("'extract' ran with methods=MTVec, but the config has methods=MTVec,MTCell; "
+                "rerun 'extract'") in err
         assert not (work / "report.tsv").exists()
 
     def test_input_outside_the_work_dir_keeps_its_configured_path(self, tmp_path):
@@ -429,6 +450,21 @@ class TestCliErrors:
                 (tmp_path / "w6" / "bpe_learn.manifest").read_text(encoding="utf-8").splitlines()}
         assert {f"in:{source / 'registry.tsv'}", f"in:{source / 'corpus.txt'}",
                 "out:merges.txt", "out:vocab.tsv"} <= keys
+
+    def test_external_inputs_are_not_blamed_on_an_earlier_synth(self, tmp_path, capsys):
+        # synth writes the configured paths, so the rerun it would be named for
+        # would overwrite the external files
+        work, source = tmp_path / "w12", tmp_path / "source"
+        write_config(tmp_path / "old.cfg", workdir=str(work))
+        assert main(["--config", str(tmp_path / "old.cfg"), "synth"]) == 0
+        write_config(tmp_path / "source.cfg", workdir=str(source), seed=5)
+        assert main(["--config", str(tmp_path / "source.cfg"), "synth"]) == 0
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(work), seed=5, registry=str(source / "registry.tsv"),
+                     corpus=str(source / "corpus.txt"))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "bpe-learn"]) == 0, capsys.readouterr().err
+        assert (work / "merges.txt").exists()
 
     @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
                                       "clip_norm=nan", "clip_norm=inf", "l2=-1", "l2=nan", "l2=inf",
@@ -541,6 +577,34 @@ def test_unterminated_quote_in_features_names_the_file(tmp_path, capsys):
     assert main(["--config", str(cfg_path), "ingest"]) == 1
     err = capsys.readouterr().err
     assert f"{features}:" in err and "rerun 'synth'" in err
+
+
+@pytest.mark.parametrize("cut, message", [
+    (lambda lines: lines[:1], "no language rows"),
+    (lambda lines: [line.split(",")[0] + "\n" for line in lines], "no feature columns"),
+], ids=["header-only", "lang-column-only"])
+def test_empty_feature_matrix_names_the_file(tmp_path, capsys, cut, message):
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(tmp_path / "w13"))
+    assert main(["--config", str(cfg_path), "synth"]) == 0
+    features = tmp_path / "w13" / "features.csv"
+    features.write_text("".join(cut(features.read_text(encoding="utf-8").splitlines(keepends=True))),
+                        encoding="utf-8")
+    # without synth's record of the file, the reader itself must reject it
+    (tmp_path / "w13" / "synth.manifest").unlink()
+    capsys.readouterr()
+    assert main(["--config", str(cfg_path), "ingest"]) == 1
+    assert f"{features}: {message}; rerun 'synth'" in capsys.readouterr().err
+
+
+def test_every_stage_follows_the_producers_of_its_inputs(tmp_path):
+    # the freshness walk visits the stages in STAGES order, and so relies on this one
+    cfg = PipelineConfig(workdir=str(tmp_path), seed=1, methods=",".join(METHODS))
+    order = list(cli.STAGES)
+    for name, stage in cli.STAGES.items():
+        inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
+        early = [artifact for artifact in inputs if order.index(cli.PRODUCERS[artifact]) >= order.index(name)]
+        assert not early, (name, early)
 
 
 def test_bpe_learn_counts_the_corpus_once(tmp_path, monkeypatch):

@@ -188,7 +188,7 @@ class TestLstmSequence:
         weights = np.random.default_rng(9).uniform(-1, 1, size=hs.value.shape)
         rows_of = np.arange(len(x)) % bsz == row
         weights[~rows_of] = 0.0
-        picked = np.zeros((bsz, 1))
+        picked = np.zeros(h.value.shape)
         picked[row] = 1.0
         loss = ag.add(ag.reduce_sum(ag.mul(hs, ag.constant(weights))),
                       ag.reduce_sum(ag.mul(ag.add(h, ag.scale(c, 0.5)), ag.constant(picked))))
