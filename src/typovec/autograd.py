@@ -7,12 +7,13 @@ accumulated into the parameter's persistent ``grad`` buffer; zeroing between
 steps is the caller's responsibility.
 
 Everything is float64 and deterministic given the seed of any random
-generator passed to :func:`dropout`.
+generator passed to :func:`embedding_lookup`, whose dropout is part of the
+lookup.
 
 Buffer lifetime. Without a :class:`Workspace` every op allocates its value
 and its VJP's outputs afresh, so nothing one call returns shares memory with
 another call. The training loop passes one workspace (``ws``) to the ops of
-every batch: :func:`embedding_lookup`, :func:`dropout`,
+every batch: :func:`embedding_lookup` (the rows, then the dropout mask),
 :func:`softmax_cross_entropy` (the output layer) and
 :func:`typovec.models.lstm_sequence` then take their (rows, .) arrays from it
 in a fixed order, so each batch gets the buffers the previous batch used, and
@@ -194,19 +195,37 @@ def slice_(a: Tensor, index, grad: np.ndarray | None = None) -> Tensor:
     return Tensor(value, (a,), vjp)
 
 
-def embedding_lookup(table: Tensor, ids, ws: Workspace | None = None) -> Tensor:
-    """The rows ``ids`` of ``table``; with ``ws``, into its next buffer."""
+def embedding_lookup(table: Tensor, ids, rate: float = 0.0, rng: np.random.Generator | None = None,
+                     ws: Workspace | None = None) -> Tensor:
+    """The rows ``ids`` of ``table`` under inverted dropout at ``rate``.
+
+    Rate 0 is the plain lookup and draws nothing from ``rng``. Otherwise one
+    array holds the uniform draw, then the mask, which scales survivors by
+    1/(1-rate) and is multiplied into the rows in place; the VJP multiplies
+    the gradient into the mask, so it may run only once. With ``ws``, the
+    rows and then the mask are its next two buffers.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if table.value.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.value.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.value.shape[0]):
         raise ShapeError(f"embedding_lookup: id out of range for table {table.value.shape}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     rows, width = table.value.shape
     take = np.empty if ws is None else ws.take
     # mode="clip" writes straight into ``out`` ("raise" buffers); the ids are checked above
     value = np.take(table.value, ids, axis=0, out=take((*ids.shape, width)), mode="clip")
+    if rate > 0.0:
+        keep = 1.0 - rate
+        mask = rng.random(value.shape, out=take(value.shape))
+        np.less(mask, keep, out=mask)  # 1.0 or 0.0: the bool that (draw < keep) / keep would cast
+        mask /= keep
+        value *= mask
 
     def vjp(g):
+        if rate > 0.0:
+            g = np.multiply(g, mask, out=mask)
         # one bincount over the flat (id * E + column) cells; each cell sums
         # its rows in row order from 0.0, bit for bit as np.add.at does
         flat = np.add(ids.reshape(-1, 1) * width, np.arange(width), out=take((ids.size, width), np.int64))
@@ -271,29 +290,6 @@ def softmax_cross_entropy(x: Tensor, targets, mask, w: Tensor, b: Tensor,
         return np.matmul(dz, w.value.T, out=take(x.value.shape)), x.value.T @ dz, dz.sum(axis=0)
 
     return Tensor(value, (x, w, b), vjp)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, ws: Workspace | None = None,
-            out: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate). rate 0 is the identity.
-
-    One array holds the uniform draw, then the mask; the VJP multiplies the
-    gradient into it, so it may run only once. With ``ws``, that array and
-    the output are two of its buffers. Given ``out``, the output is written
-    there instead: ``out`` may be ``a.value`` itself when nothing else reads
-    that value, since the VJP needs only the mask.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    keep = 1.0 - rate
-    take = np.empty if ws is None else ws.take
-    mask = rng.random(a.value.shape, out=take(a.value.shape))
-    np.less(mask, keep, out=mask)  # 1.0 or 0.0: the bool that (draw < keep) / keep would cast
-    mask /= keep
-    value = np.multiply(a.value, mask, out=take(a.value.shape) if out is None else out)
-    return Tensor(value, (a,), lambda g: (np.multiply(g, mask, out=mask),))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -14,15 +14,21 @@ config's) on the files their producers last wrote (each ``in:`` hash is
 the ``out:`` hash its producer's manifest lists; for the stage about to
 run, the hashes of its inputs as read now). Otherwise the stage writes
 nothing and names the first stage, in ``STAGES`` order, that breaks the
-rule, with ``rerun '<stage>'``. A config input file that ``synth``'s
-manifest does not list (e.g. a registry outside the work dir) is never
-blamed on ``synth``, whose rerun would overwrite it, and stages without a
-manifest are skipped. Every loader starts its errors with ``<path>:``
-(the one line reader, ``corpus.read_records``, writes ``<path>:<line>:``),
-so a stage that fails on a malformed input inside the work dir names its
-producer to rerun as well. A ``flock`` on ``<workdir>/.lock`` guards
-against concurrent pipeline instances; the kernel releases it when its
-process dies, so a killed run leaves no lock behind.
+rule, with ``rerun '<stage>'``; stages without a manifest are skipped.
+
+One method, :meth:`Workdir.producer`, names the stage that writes an
+artifact, for the rule (which walks only artifacts that have one), the
+missing-input message and the rerun hint. An input file that the config
+names (``registry=``, ``corpus=``, ``features=``) has no producer, inside
+the work dir or out of it: ``synth`` writes its suite only to the work-dir
+files those keys default to, so no error about a named file asks for a
+rerun that would overwrite it. Every loader starts its errors with
+``<path>:`` (the one line reader, ``corpus.read_records``, writes
+``<path>:<line>:``), so a stage that fails on a malformed input names that
+input's producer to rerun, if it has one. A ``flock`` on
+``<workdir>/.lock`` guards against concurrent pipeline instances; the
+kernel releases it when its process dies, so a killed run leaves no lock
+behind.
 
 Exit codes: 0 success, 1 validation error (bad inputs, missing or stale
 upstream artifacts), 2 runtime error.
@@ -74,10 +80,16 @@ class Workdir:
         self.cfg = cfg
         self.root = Path(cfg.workdir)
         self.root.mkdir(parents=True, exist_ok=True)
+        # the input files the config names; synth's outputs stand in for the others
+        self.named = {name: Path(getattr(cfg, name)) for name in INPUT_FILES if getattr(cfg, name)}
 
     def path(self, name: str) -> Path:
-        """Path of an artifact; the config may place its INPUT_FILES outside the work dir."""
-        return self.cfg.path(name) if name in INPUT_FILES else self.root / name
+        """Path of an artifact: the file the config names for it, else its work-dir file."""
+        return self.named.get(name) or self.root / INPUT_FILES.get(name, name)
+
+    def producer(self, name: str) -> str | None:
+        """The stage that writes artifact ``name``; None for an input file the config names."""
+        return None if name in self.named else PRODUCERS[name]
 
     def key(self, path: Path) -> str:
         """Manifest key of an artifact: its path relative to the work dir when
@@ -134,12 +146,13 @@ StageResult = tuple[list[Path], str]
 
 
 def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
+    # the work-dir files only, never an input file that the config names elsewhere
+    outputs = [wd.root / name for name in INPUT_FILES.values()]  # registry, corpus, features
     suite = synth.generate_suite(cfg.synth_langs, cfg.synth_sentences, cfg.seed, cfg.synth_lexicon)
-    corpus.write_registry(wd.path("registry"), suite.registry)
-    corpus.write_parallel(wd.path("corpus"), suite.corpus)
-    typology.write_features(wd.path("features"), suite.features)
-    return ([wd.path("registry"), wd.path("corpus"), wd.path("features")],
-            f"wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences")
+    corpus.write_registry(outputs[0], suite.registry)
+    corpus.write_parallel(outputs[1], suite.corpus)
+    typology.write_features(outputs[2], suite.features)
+    return outputs, f"wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences"
 
 
 def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
@@ -431,18 +444,16 @@ def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
     every stage upstream of it that has a manifest ran under this config on
     the files their producers last wrote; names the first stage, in ``STAGES``
     order, that breaks the rule, as the one to rerun."""
-    where = {artifact: (path := wd.path(artifact), wd.key(path)) for artifact in PRODUCERS}
+    where = {artifact: (path := wd.path(artifact), wd.key(path))
+             for artifact in PRODUCERS if wd.producer(artifact)}
     records = {**{stage: wd.recorded(stage) for stage in STAGES}, name: entries}
 
     def reads(stage):
-        """(path, stale, producer) for each input of ``stage`` whose producer has a
-        manifest; a config input file only if that manifest lists it."""
+        """(path, stale, producer) for each input of ``stage`` whose producer has a manifest."""
         for artifact, (path, key) in where.items():
-            producer, digest = PRODUCERS[artifact], records[stage].get(f"in:{key}")
-            wrote = records[producer].get(f"out:{key}")
-            # a config input file that synth did not write is not synth's to rewrite
-            if digest and records[producer] and (wrote or artifact not in INPUT_FILES):
-                yield path, wrote != digest, producer
+            producer, digest = wd.producer(artifact), records[stage].get(f"in:{key}")
+            if digest and records[producer]:
+                yield path, records[producer].get(f"out:{key}") != digest, producer
 
     # STAGES lists every stage after the producers of its inputs, so walking it
     # backwards reaches each stage of the walk after every stage that reads it
@@ -469,9 +480,10 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
     with _workdir_lock(wd.root):
         entries = _params(name, cfg)
         for artifact in inputs:
-            path = wd.path(artifact)
+            path, producer = wd.path(artifact), wd.producer(artifact)
             if not path.exists():
-                raise StageInputError(f"missing {path}; run the '{PRODUCERS[artifact]}' stage first")
+                hint = f"; run the '{producer}' stage first" if producer else ""
+                raise StageInputError(f"missing {path}{hint}")
             entries[f"in:{wd.key(path)}"] = _sha256(path)
         _require_fresh(name, entries, wd)
         write_effective_config(wd.path("effective_config.txt"), cfg)
@@ -482,9 +494,8 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             outputs, summary = stage.body(cfg, wd)
         except ValueError as exc:
             # a loader's error starts with "<path>:" (the path itself may hold a ":"); an
-            # input outside the work dir names no stage to rerun
-            producer = next((PRODUCERS[a] for a in inputs if wd.path(a).is_relative_to(wd.root)
-                             and str(exc).startswith(f"{wd.path(a)}:")), None)
+            # input file the config names has no producer to rerun
+            producer = next((wd.producer(a) for a in inputs if str(exc).startswith(f"{wd.path(a)}:")), None)
             if producer is None:
                 raise
             raise StageInputError(f"{exc}; rerun '{producer}'") from None

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from itertools import chain
-from pathlib import Path
 
 from .corpus import read_each, write_records
 
@@ -157,11 +156,6 @@ class PipelineConfig:
     @property
     def method_list(self) -> list[str]:
         return [m for m in self.methods.split(",") if m]
-
-    def path(self, name: str) -> Path:
-        """The file that the ``INPUT_FILES`` key ``name`` names."""
-        value = getattr(self, name)
-        return Path(value) if value else Path(self.workdir) / INPUT_FILES[name]
 
 
 def read_kv(path) -> dict[str, str]:

@@ -87,17 +87,12 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h_prev: Tensor, c_prev: Tensor)
     c_t = f*c_prev + i*g, h_t = o*tanh(c_t).
 
     Accepts (B, E)/(B, H) tensors, or 1-D vectors which are treated as a
-    batch of one. This is the T = 1 case of :func:`lstm_sequence`.
+    batch of one. This is the T = 1 case of :func:`lstm_sequence`, which
+    checks the shapes.
     """
     squeeze = x.value.ndim == 1
     if squeeze:
         x, h_prev, c_prev = (ag.slice_(t, np.newaxis) for t in (x, h_prev, c_prev))
-    hsz = params.hidden_size
-    if x.value.shape[1] != params.embed_size or h_prev.value.shape[1] != hsz or c_prev.value.shape[1] != hsz:
-        raise ag.ShapeError(
-            f"lstm_step: x {x.value.shape}, h {h_prev.value.shape}, c {c_prev.value.shape} "
-            f"inconsistent with E={params.embed_size}, H={hsz}"
-        )
     _, h, c = lstm_sequence(params, x, np.ones(len(x.value), dtype=np.int64), h_prev, c_prev)
     if squeeze:
         h = ag.slice_(h, 0)
@@ -402,11 +397,7 @@ def encode(model: Seq2SeqModel | RnnLmModel, vocab: SubwordVocab, lang: str, sou
 def save_model(ckpt_path, manifest_path, model, config: TrainConfig,
                loss_curve, vocab_sha: str) -> None:
     kind = "seq2seq" if isinstance(model, Seq2SeqModel) else "rnnlm"
-    params = model.parameters()
-    tensors = {p.name: p.value for p in params}
-    if len(tensors) != len(params):
-        raise ValueError("parameter names are not unique")
-    save_checkpoint(ckpt_path, tensors, seed=config.seed)
+    save_checkpoint(ckpt_path, {p.name: p.value for p in model.parameters()}, seed=config.seed)
     write_kv(manifest_path, {
         "type": kind, "vocab_size": str(model.vocab_size), "vocab_sha256": vocab_sha,
         **{f.name: format_value(config, f.name) for f in fields(config)},

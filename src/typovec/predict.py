@@ -264,14 +264,6 @@ class EvalReport:
     def cell(self, method: str, category: str, aux: bool) -> float:
         return self.cells[(method, aux)][category]
 
-    def validate(self) -> None:
-        for method in self.methods:
-            for aux in self.aux_settings:
-                for category in self.categories:
-                    acc = self.cells[(method, aux)][category]
-                    if not 0.0 <= acc <= 100.0:
-                        raise ValueError(f"accuracy {acc} out of range for {method}/{category}/aux={aux}")
-
 
 def _evaluate_none(matrix, usable, aux, knn_vectors):
     """Predictions {feature: {lang: label}} of the None cell: -Aux predicts the
@@ -410,7 +402,6 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
                 report.cells[key][category] = (
                     float(np.mean([report.feature_accuracy[key][f] for f in names])) if names else 0.0
                 )
-    report.validate()
     return report
 
 
@@ -419,12 +410,6 @@ class BootstrapResult:
     observed_gain: float
     p_value: float
     n_resamples: int
-
-    def __post_init__(self) -> None:
-        if self.n_resamples < MIN_RESAMPLES:
-            raise ValueError(f"resample count must be >= {MIN_RESAMPLES}, got {self.n_resamples}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value {self.p_value} out of [0, 1]")
 
 
 def paired_bootstrap(preds_a, preds_b, gold, n: int = 10000, seed: int = 0) -> BootstrapResult:

@@ -4,10 +4,10 @@ Batching buckets sentences by length (stable sort by source/target length,
 then original index), chunks them, and shuffles the chunk order with an
 epoch-derived seed. Each padded batch is a handful of graph nodes:
 
-- one embedding lookup and one dropout over every input id of the batch,
-  time-major, encoder ids first. The single (T, B, E) mask draw consumes the
-  dropout generator in the same order as one (B, E) draw per encoder step
-  and then per decoder step;
+- one embedding lookup over every input id of the batch, time-major,
+  encoder ids first, with the dropout inside the lookup. The single
+  (T, B, E) mask draw consumes the dropout generator in the same order as
+  one (B, E) draw per encoder step and then per decoder step;
 - one :func:`typovec.models.lstm_sequence` op per recurrence (the encoder,
   then the decoder started from the encoder's final state; the LM's single
   LSTM). Rows that have finished keep their state, so the final encoder
@@ -22,7 +22,7 @@ epoch-derived seed. Each padded batch is a handful of graph nodes:
 Buffer lifetime. :func:`_train` owns one :class:`typovec.autograd.Workspace`
 for the run and resets it before each batch. The batch's ops take their
 (rows, .) arrays from it in a fixed order: the embedding output (which the
-dropout overwrites in place), the dropout mask, one gradient buffer for the
+dropout mask multiplies in place), the mask, one gradient buffer for the
 two halves of the NMT input, each recurrence's buffers and gradient buffer,
 and the output layer's logits and input gradient. Before the first batch,
 :func:`_size_workspace` runs one throwaway forward and backward pass over a
@@ -98,17 +98,14 @@ def _length_batches(rows: list[_Row], batch_size: int) -> list[list[_Row]]:
 
 
 def _embedded_inputs(model, id_mats: list[np.ndarray], drop_rng, rate: float, ws) -> Tensor:
-    """One embedding lookup and one dropout over every (B, T) id matrix.
+    """One embedding lookup, with its dropout, over every (B, T) id matrix.
 
     Rows are time-major within each matrix and the matrices follow each
     other, so the single (sum T * B, E) mask draw consumes the generator in
     the order of a per-step loop that runs the matrices one after another.
-    The dropout writes over the lookup's output, which only it reads (the
-    lookup's VJP needs the ids alone).
     """
     ids = np.concatenate([m.T.ravel() for m in id_mats])
-    x = ag.embedding_lookup(model.embedding.node(), ids, ws)
-    return ag.dropout(x, rate, drop_rng, ws, out=x.value) if rate > 0.0 else x
+    return ag.embedding_lookup(model.embedding.node(), ids, rate, drop_rng, ws)
 
 
 def _attention(hs: Tensor, enc_hs: Tensor, enc_lens: np.ndarray) -> Tensor:

@@ -124,43 +124,56 @@ class TestBackward:
 
 
 class TestDropout:
+    """Inverted dropout, which runs inside the embedding lookup."""
+
     def test_rate_zero_is_identity(self, rng):
-        x = ag.constant(rng.normal(size=(5, 5)))
-        assert ag.dropout(x, 0.0, rng) is x
+        table = Parameter("emb", rng.normal(size=(6, 5)))
+        ids = np.array([0, 3, 3, 5])
+        drop_rng = np.random.default_rng(3)
+        state = drop_rng.bit_generator.state
+        out = ag.embedding_lookup(table.node(), ids, 0.0, drop_rng)
+        assert out.value.tobytes() == ag.embedding_lookup(table.node(), ids).value.tobytes()
+        assert drop_rng.bit_generator.state == state
 
     def test_expected_value_matches_input(self):
         rng = np.random.default_rng(5)
-        x = ag.constant(np.full((10, 10), 3.0))
+        table = ag.constant(np.full((1, 10), 3.0))
+        ids = np.zeros(10, dtype=np.int64)
         total = np.zeros((10, 10))
         n = 10_000
         for _ in range(n):
-            total += ag.dropout(x, 0.5, rng).value
+            total += ag.embedding_lookup(table, ids, 0.5, rng).value
         mean = total / n
         assert abs(float(mean.mean()) - 3.0) / 3.0 < 0.02
         assert np.all(np.abs(mean - 3.0) / 3.0 < 0.08)
 
     def test_invalid_rate_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ag.dropout(ag.constant(np.ones(3)), 1.0, rng)
+        with pytest.raises(ValueError, match="dropout rate"):
+            ag.embedding_lookup(ag.constant(np.ones((2, 3))), [0, 1], 1.0, rng)
 
     def test_gradient_uses_the_same_mask(self):
         rng = np.random.default_rng(7)
-        w = Parameter("w", np.ones(1000))
-        out = ag.dropout(w.node(), 0.5, rng)
+        w = Parameter("w", np.ones((1000, 1)))
+        out = ag.embedding_lookup(w.node(), np.arange(1000), 0.5, rng)
         backward(ag.reduce_sum(out))
-        np.testing.assert_array_equal(w.grad, out.value)  # input was all ones
+        np.testing.assert_array_equal(w.grad, out.value)  # every row is a one, looked up once
 
     def test_in_place_output_is_bitwise_the_out_of_place_one(self, rng):
-        # training writes the dropout over the embedding output, which only the dropout reads
-        x = rng.normal(size=(40, 7))
-        runs = []
-        for in_place in (False, True):
-            a = ag.constant(x.copy())
-            out = ag.dropout(a, 0.3, np.random.default_rng(9), out=a.value if in_place else None)
-            assert np.shares_memory(out.value, a.value) == in_place
-            backward(ag.reduce_sum(ag.mul(out, ag.constant(x))))
-            runs.append((out.value.tobytes(), a.grad.tobytes()))
-        assert runs[0] == runs[1]
+        # the mask multiplies the looked-up rows in place; the product and its gradient are
+        # bitwise those of a plain lookup times a mask drawn from the same seed
+        table = rng.normal(size=(9, 7))
+        ids = rng.integers(0, 9, size=40)
+        weights = rng.normal(size=(40, 7))
+        keep = 1.0 - 0.3
+        mask = (np.random.default_rng(9).random((40, 7)) < keep) / keep
+        fused = Parameter("fused", table)
+        out = ag.embedding_lookup(fused.node(), ids, 0.3, np.random.default_rng(9))
+        backward(ag.reduce_sum(ag.mul(out, ag.constant(weights))))
+        plain = Parameter("plain", table)
+        masked = ag.mul(ag.embedding_lookup(plain.node(), ids), ag.constant(mask))
+        backward(ag.reduce_sum(ag.mul(masked, ag.constant(weights))))
+        assert out.value.tobytes() == masked.value.tobytes()
+        assert fused.grad.tobytes() == plain.grad.tobytes()
 
 
 def with_grad(p: Parameter, grad) -> Parameter:

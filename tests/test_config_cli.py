@@ -452,8 +452,8 @@ class TestCliErrors:
                 "out:merges.txt", "out:vocab.tsv"} <= keys
 
     def test_external_inputs_are_not_blamed_on_an_earlier_synth(self, tmp_path, capsys):
-        # synth writes the configured paths, so the rerun it would be named for
-        # would overwrite the external files
+        # the registry and corpus the config names have no producer, so the work
+        # dir's synth, run at another seed, is not named for them
         work, source = tmp_path / "w12", tmp_path / "source"
         write_config(tmp_path / "old.cfg", workdir=str(work))
         assert main(["--config", str(tmp_path / "old.cfg"), "synth"]) == 0
@@ -465,6 +465,55 @@ class TestCliErrors:
         capsys.readouterr()
         assert main(["--config", str(cfg_path), "bpe-learn"]) == 0, capsys.readouterr().err
         assert (work / "merges.txt").exists()
+
+    def test_synth_leaves_the_input_files_the_config_names_alone(self, tmp_path, capsys):
+        work, source = tmp_path / "w14", tmp_path / "source"
+        write_config(tmp_path / "old.cfg", workdir=str(work))
+        assert main(["--config", str(tmp_path / "old.cfg"), "synth"]) == 0
+        # named files that differ from what synth writes under the config below
+        write_config(tmp_path / "source.cfg", workdir=str(source), seed=5, synth_sentences=10)
+        assert main(["--config", str(tmp_path / "source.cfg"), "synth"]) == 0
+        named = [source / "registry.tsv", source / "corpus.txt"]
+        with open(named[0], "a", encoding="utf-8") as fh:
+            fh.write("# curated by hand\n")
+        before = [path.read_bytes() for path in named]
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(work), seed=5, registry=str(named[0]), corpus=str(named[1]))
+        capsys.readouterr()
+        # the work dir's features.csv is synth's, written at seed 77
+        assert main(["--config", str(cfg_path), "ingest"]) == 1
+        assert "rerun 'synth'" in capsys.readouterr().err
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        assert [path.read_bytes() for path in named] == before
+        manifest = (work / "synth.manifest").read_text(encoding="utf-8")
+        outputs = {line.split("=")[0] for line in manifest.splitlines() if line.startswith("out:")}
+        assert outputs == {"out:registry.tsv", "out:corpus.txt", "out:features.csv"}
+        assert main(["--config", str(cfg_path), "ingest"]) == 0, capsys.readouterr().err
+
+    def test_missing_named_input_names_no_stage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        registry = tmp_path / "elsewhere" / "registry.tsv"
+        write_config(cfg_path, workdir=str(tmp_path / "w15"), registry=str(registry))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "ingest"]) == 1
+        assert capsys.readouterr().err == f"error: missing {registry}\n"
+
+    def test_malformed_named_input_in_the_work_dir_names_no_stage(self, tmp_path, capsys):
+        # the file is the user's, not synth's: a synth rerun would not touch it
+        cfg_path = tmp_path / "cfg.txt"
+        work = tmp_path / "w16"
+        write_config(cfg_path, workdir=str(work))
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        features = work / "my_features.csv"
+        lines = (work / "features.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lang, _, rest = lines[2].partition(",")
+        lines[2] = f"{lang},7,{rest.partition(',')[2]}"
+        features.write_text("".join(lines), encoding="utf-8")
+        write_config(cfg_path, workdir=str(work), features=str(features))
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "ingest"]) == 1
+        err = capsys.readouterr().err
+        assert f"{features}:3:" in err and "rerun" not in err
 
     @pytest.mark.parametrize("line", ["nope=2", "lr=nan", "lr=inf", "lr=0", "clip_norm=-1",
                                       "clip_norm=nan", "clip_norm=inf", "l2=-1", "l2=nan", "l2=inf",

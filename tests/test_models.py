@@ -77,7 +77,7 @@ class TestLstmStep:
 
     def test_shape_mismatch_reported(self, rng):
         cell = LSTMCellParams.create("r", 3, 4, rng)
-        with pytest.raises(ag.ShapeError, match="lstm_step"):
+        with pytest.raises(ag.ShapeError, match="lstm_sequence"):
             lstm_step(cell, ag.constant(np.zeros(5)), ag.constant(np.zeros(4)), ag.constant(np.zeros(4)))
 
     def test_gradients_match_finite_differences(self, rng):

@@ -11,7 +11,6 @@ from oracles import per_fit_newton_logreg, per_language_none_predictions
 from typovec import predict
 from typovec.cli import main
 from typovec.predict import (
-    BootstrapResult,
     Scaler,
     _fit_batch,
     _row_space,
@@ -385,10 +384,6 @@ class TestBootstrap:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="aligned"):
             paired_bootstrap(np.ones(3), np.ones(4), np.ones(4))
-
-    def test_resample_count_floor(self):
-        with pytest.raises(ValueError, match="1000"):
-            BootstrapResult(0.0, 0.5, 100)
 
     @pytest.mark.parametrize("n", [0, 999])
     def test_resample_count_checked_before_any_draw(self, n, monkeypatch):
