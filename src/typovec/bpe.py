@@ -373,7 +373,8 @@ class SubwordVocab:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
-    def lang_token(self, code: str) -> str:
+    @staticmethod
+    def lang_token(code: str) -> str:
         return f"<{code}>"
 
     def lang_id(self, code: str) -> int:
@@ -407,7 +408,7 @@ def build_vocab(corpus: CorpusStore | Mapping[str, int], merges: MergeTable,
     else:
         subwords = set(apply_bpe(word_freqs, merges))
     tokens = list(RESERVED)
-    tokens.extend(f"<{code}>" for code in sorted(registry.codes))
+    tokens.extend(SubwordVocab.lang_token(code) for code in sorted(registry.codes))
     seen = set(tokens)
     for sub in sorted(subwords):
         if sub not in seen:

@@ -21,11 +21,11 @@ artifact, for the rule (which walks only artifacts that have one), the
 missing-input message and the rerun hint. An input file that the config
 names (``registry=``, ``corpus=``, ``features=``) has no producer, inside
 the work dir or out of it: ``synth`` writes its suite only to the work-dir
-files those keys default to, so no error about a named file asks for a
-rerun that would overwrite it. Every loader starts its errors with
-``<path>:`` (the one line reader, ``corpus.read_records``, writes
-``<path>:<line>:``), so a stage that fails on a malformed input names that
-input's producer to rerun, if it has one. A ``flock`` on
+files those keys default to, and refuses to run when a named file is one
+of them, so no stage overwrites a named file. Every loader starts its
+errors with ``<path>:`` (the one line reader, ``corpus.read_records``,
+writes ``<path>:<line>:``), so a stage that fails on a malformed input
+names that input's producer to rerun, if it has one. A ``flock`` on
 ``<workdir>/.lock`` guards against concurrent pipeline instances; the
 kernel releases it when its process dies, so a killed run leaves no lock
 behind.
@@ -148,6 +148,9 @@ StageResult = tuple[list[Path], str]
 def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     # the work-dir files only, never an input file that the config names elsewhere
     outputs = [wd.root / name for name in INPUT_FILES.values()]  # registry, corpus, features
+    for key, path in wd.named.items():
+        if path.resolve() in {out.resolve() for out in outputs}:
+            raise ConfigError(f"{key} names {path}, a file that synth writes; name another file")
     suite = synth.generate_suite(cfg.synth_langs, cfg.synth_sentences, cfg.seed, cfg.synth_lexicon)
     corpus.write_registry(outputs[0], suite.registry)
     corpus.write_parallel(outputs[1], suite.corpus)

@@ -15,6 +15,13 @@ Prediction conditions:
 
 The same fold assignment is reused for every method (paired design).
 
+Each condition reads one (n_languages, d) input array, rows in matrix
+order: each method's vectors and the k-NN vectors are stacked once, and a
++Aux input is [vector; k-NN]. Its labels go into one (n_languages,
+n_features) array, -1 where it makes none: an unlabeled cell, or, in a
+learned cell, a feature whose labeled languages all sit in one fold. The
+accuracies and predictions are read off that array.
+
 One solver, :func:`_fit_batch`, fits a batch of logistic regressions at
 once by damped Newton iteration; :func:`train_logreg` is its one-fit case,
 in the full input space. Each fit minimizes mean logistic
@@ -85,10 +92,6 @@ class LogRegModel:
 class FoldAssignment:
     assignment: dict[str, int]
     n_folds: int
-    seed: int
-
-    def fold_of(self, lang: str) -> int:
-        return self.assignment[lang]
 
     @property
     def digest(self) -> str:
@@ -103,7 +106,7 @@ def make_folds(languages, n_folds: int = 10, seed: int = 0) -> FoldAssignment:
         raise ValueError(f"need at least {n_folds} languages for {n_folds} folds, have {len(languages)}")
     rng = np.random.default_rng([seed, 5])
     shuffled = [languages[i] for i in rng.permutation(len(languages))]
-    return FoldAssignment({lang: i % n_folds for i, lang in enumerate(shuffled)}, n_folds, seed)
+    return FoldAssignment({lang: i % n_folds for i, lang in enumerate(shuffled)}, n_folds)
 
 
 def _with_bias(X: np.ndarray) -> np.ndarray:
@@ -225,25 +228,6 @@ class Scaler:
         return (X - self.mean) / self.std
 
 
-def assemble_inputs(lang: str, method: str, aux: bool,
-                    vectors: dict[str, dict[str, LangVector]],
-                    knn_vectors: dict[str, np.ndarray] | None = None) -> np.ndarray:
-    """Classifier input: method vector (empty for "None"), then the k-NN
-    averaged feature vector when aux is on."""
-    if method == "None":
-        base = np.empty(0)
-    else:
-        by_lang = vectors.get(method)
-        if by_lang is None or lang not in by_lang:
-            raise ValueError(f"missing {method} vector for language {lang!r}")
-        base = by_lang[lang].values
-    if not aux:
-        return np.asarray(base, dtype=np.float64)
-    if knn_vectors is None or lang not in knn_vectors:
-        raise ValueError(f"missing k-NN feature vector for language {lang!r}")
-    return np.concatenate([base, knn_vectors[lang]])
-
-
 @dataclass
 class EvalReport:
     methods: list[str]
@@ -265,91 +249,85 @@ class EvalReport:
         return self.cells[(method, aux)][category]
 
 
-def _evaluate_none(matrix, usable, aux, knn_vectors):
-    """Predictions {feature: {lang: label}} of the None cell: -Aux predicts the
-    majority label of the feature's labeled languages, +Aux each language's
-    k-NN component thresholded at 0.5."""
-    if aux:
-        knn = np.stack([assemble_inputs(lang, "None", True, {}, knn_vectors) for lang in matrix.languages])
-    preds: dict[str, dict[str, int]] = {}
-    for j, feature in enumerate(matrix.feature_names()):
-        if feature not in usable:
-            continue
-        rows, labels = usable[feature]
+def _stack(by_lang, languages, what: str) -> np.ndarray:
+    """The (n_languages, d) array of the vectors in ``by_lang``, one row per
+    language in ``languages`` order."""
+    for lang in languages:
+        if lang not in by_lang:
+            raise ValueError(f"missing {what} for language {lang!r}")
+    return np.stack([np.asarray(by_lang[lang], dtype=np.float64) for lang in languages])
+
+
+def _evaluate_none(X, usable, aux, pred) -> None:
+    """Write the None cell's labels into ``pred``: -Aux the majority label of
+    each feature's labeled languages, +Aux each language's k-NN component,
+    column j of ``X``, thresholded at 0.5."""
+    for j, (rows, labels) in usable.items():
         ones, n = labels.sum(), len(labels)
         if aux:  # exactly 0.5 takes the majority label of the other labeled languages
-            predicted = _predict_labels(knn[rows, j], majority_label(ones - labels, n - 1))
+            pred[rows, j] = _predict_labels(X[rows, j], majority_label(ones - labels, n - 1))
         else:
-            predicted = np.full(n, majority_label(ones, n))
-        preds[feature] = dict(zip([matrix.languages[i] for i in rows], predicted.tolist()))
-    return preds
+            pred[rows, j] = majority_label(ones, n)
 
 
-def _fit_slots(slots, l2, preds) -> np.ndarray:
+def _fit_slots(slots, l2, pred, names) -> np.ndarray:
     """Fit every feature of the fold ``slots``, which share one input shape,
-    in one batch; record their test predictions in ``preds`` and return
-    whether each fit converged."""
-    slot = np.repeat(np.arange(len(slots)), [len(features) for *_, features in slots])
+    in one batch; write their test labels into ``pred`` and return whether
+    each fit converged."""
+    slot = np.repeat(np.arange(len(slots)), [len(cols) for *_, cols in slots])
     coef, bias, converged = _fit_batch([Z for _, Z, *_ in slots], slot,
                                        np.concatenate([Y.T for _, _, Y, *_ in slots]), l2)
     first = 0
-    for Q, _, Y, X_test, test_langs, features in slots:
-        rows = slice(first, first + len(features))
-        first += len(features)
-        finite = np.all(np.isfinite(coef[rows]), axis=1) & np.isfinite(bias[rows])
+    for Q, _, Y, X_test, test, cols in slots:
+        fits = slice(first, first + len(cols))
+        first += len(cols)
+        finite = np.all(np.isfinite(coef[fits]), axis=1) & np.isfinite(bias[fits])
         if not finite.all():
-            raise ValueError(f"{features[int(np.argmin(finite))]}: non-finite classifier parameters")
-        probs = _logistic(X_test @ (Q @ coef[rows].T) + bias[rows])
+            raise ValueError(f"{names[cols[int(np.argmin(finite))]]}: non-finite classifier parameters")
+        probs = _logistic(X_test @ (Q @ coef[fits].T) + bias[fits])
         # a probability of exactly 0.5 takes the training fold's majority label, ties to 1
-        labels = _predict_labels(probs, majority_label(Y.sum(axis=0), len(Y)))
-        for feature, column in zip(features, labels.T.tolist()):
-            preds[feature].update(zip(test_langs, column))
+        pred[np.ix_(test, cols)] = _predict_labels(probs, majority_label(Y.sum(axis=0), len(Y)))
     return converged
 
 
-def _evaluate_learned(matrix, usable, method, aux, vectors, knn_vectors, folds, l2):
-    """Cross-validated predictions {feature: {lang: label}} of one learned
-    (method, aux) cell, and whether each of its fits converged. The features
-    with the same labeled languages share each fold's scaler and QR; the
-    folds whose row-space inputs have one shape are fitted in one batch,
-    and the pending batches are fitted before their inputs and bases would
-    pass ``_BATCH_BYTES``."""
-    groups: dict[tuple[int, ...], list[str]] = {}  # labeled rows of the matrix -> features
-    for feature, (rows, _) in usable.items():
-        groups.setdefault(tuple(rows.tolist()), []).append(feature)
-    inputs = {lang: assemble_inputs(lang, method, aux, vectors, knn_vectors)
-              for lang in dict.fromkeys(matrix.languages[i] for rows in groups for i in rows)}
-    preds: dict[str, dict[str, int]] = {feature: {} for feature in usable}
+def _evaluate_learned(X, usable, fold_of, n_folds, l2, pred, names) -> np.ndarray:
+    """Write the cross-validated labels of one learned (method, aux) cell,
+    whose inputs are the rows of ``X``, into ``pred``, and return whether
+    each of its fits converged. The features with the same labeled
+    languages share each fold's scaler and QR; the folds whose row-space
+    inputs have one shape are fitted in one batch, and the pending batches
+    are fitted before their inputs and bases would pass ``_BATCH_BYTES``."""
+    groups: dict[tuple[int, ...], list[int]] = {}  # labeled rows -> their features' columns
+    for j, (rows, _) in usable.items():
+        groups.setdefault(tuple(rows.tolist()), []).append(j)
     converged = []
     batches: dict[tuple[int, int], list] = {}  # row-space input shape -> fold slots
     held = 0  # bytes of the row-space inputs and bases in ``batches``
 
     def flush():
         nonlocal held
-        converged.extend(_fit_slots(slots, l2, preds) for slots in batches.values())
+        converged.extend(_fit_slots(slots, l2, pred, names) for slots in batches.values())
         batches.clear()
         held = 0
 
-    for rows, features in groups.items():
-        labeled = [matrix.languages[i] for i in rows]
-        X = np.stack([inputs[lang] for lang in labeled])
-        Y = np.stack([usable[f][1] for f in features], axis=1)
-        fold_of = np.array([folds.fold_of(lang) for lang in labeled])
-        for fold in range(folds.n_folds):
-            train, test = fold_of != fold, fold_of == fold
-            if not (train.any() and test.any()):
+    for labeled, cols in groups.items():
+        rows = np.array(labeled)
+        Y = np.stack([usable[j][1] for j in cols], axis=1)
+        for fold in range(n_folds):
+            in_fold = fold_of[rows] == fold
+            train, test = rows[~in_fold], rows[in_fold]
+            if not (train.size and test.size):
                 continue
-            n, d = int(train.sum()), X.shape[1]
+            n, d = train.size, X.shape[1]
             size = 8 * min(n, d) * d + 8 * n * (min(n, d) + 1)  # Q and Z
             if held + size > _BATCH_BYTES:
                 flush()
             held += size
             scaler = Scaler.fit(X[train])
             Q, Z = _row_space(scaler.apply(X[train]))
-            batches.setdefault(Z.shape, []).append(
-                (Q, Z, Y[train], scaler.apply(X[test]), [labeled[i] for i in np.flatnonzero(test)], features))
+            batches.setdefault(Z.shape, []).append((Q, Z, Y[~in_fold], scaler.apply(X[test]), test, cols))
     flush()
-    return preds, np.concatenate(converged) if converged else np.zeros(0, dtype=bool)
+    return np.concatenate(converged) if converged else np.zeros(0, dtype=bool)
 
 
 def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
@@ -363,45 +341,47 @@ def evaluate(matrix: FeatureMatrix, vectors: dict[str, dict[str, LangVector]],
     """
     methods = list(methods)
     aux_settings = list(aux_settings)
-    missing = set(matrix.languages) - set(folds.assignment)
+    languages, names = matrix.languages, matrix.feature_names()
+    missing = set(languages) - set(folds.assignment)
     if missing:
         raise ValueError(f"fold assignment missing languages: {sorted(missing)}")
     categories = [c for c in CATEGORIES if matrix.feature_names(c)]
     report = EvalReport(methods, aux_settings, categories, folds.digest)
 
-    usable: dict[str, tuple[np.ndarray, np.ndarray]] = {}  # feature -> its labeled rows and labels
-    for feature in matrix.feature_names():
+    usable: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # column -> its labeled rows and labels
+    for j, feature in enumerate(names):
         rows, labels = matrix.labeled(feature)
         if len(rows) < 2:
             report.excluded.append((feature, f"only {len(rows)} labeled languages"))
         else:
-            usable[feature] = rows, labels
-    gold = {feature: dict(zip(matrix.languages, matrix.column(feature).tolist())) for feature in usable}
+            usable[j] = rows, labels
+    fold_of = np.array([folds.assignment[lang] for lang in languages])
+    knn = _stack(knn_vectors or {}, languages, "k-NN feature vector") if any(aux_settings) else None
 
     for method in methods:
+        vector = np.empty((len(languages), 0)) if method == "None" else _stack(
+            {lang: v.values for lang, v in vectors.get(method, {}).items()}, languages, f"{method} vector")
         for aux in aux_settings:
             key = (method, aux)
-            report.feature_accuracy[key] = {}
-            report.predictions[key] = {}
+            X = np.hstack([vector, knn]) if aux else vector
+            pred = np.full(matrix.values.shape, -1)  # -1: no label
             if method == "None":
-                by_feature = _evaluate_none(matrix, usable, aux, knn_vectors)
+                _evaluate_none(X, usable, aux, pred)
             else:
-                by_feature, converged = _evaluate_learned(matrix, usable, method, aux, vectors,
-                                                          knn_vectors, folds, l2)
+                converged = _evaluate_learned(X, usable, fold_of, folds.n_folds, l2, pred, names)
                 report.fits += converged.size
                 report.unconverged += int(np.sum(~converged))
-            for feature, preds in by_feature.items():
-                graded = {(lang, feature): (pred, int(gold[feature][lang])) for lang, pred in preds.items()}
-                report.predictions[key].update(graded)
-                if graded:
-                    report.feature_accuracy[key][feature] = (
-                        100.0 * sum(pred == label for pred, label in graded.values()) / len(graded))
+            graded = pred >= 0
+            hits, counts = np.sum(pred == matrix.values, axis=0), np.sum(graded, axis=0)
+            report.feature_accuracy[key] = {feature: 100.0 * int(hits[j]) / int(counts[j])
+                                            for j, feature in enumerate(names) if counts[j]}
+            report.predictions[key] = {(languages[i], names[j]): (int(pred[i, j]), int(matrix.values[i, j]))
+                                       for i, j in zip(*np.nonzero(graded))}
             report.cells[key] = {}
             for category in categories:
-                names = [f for f in matrix.feature_names(category) if f in report.feature_accuracy[key]]
-                report.cells[key][category] = (
-                    float(np.mean([report.feature_accuracy[key][f] for f in names])) if names else 0.0
-                )
+                accs = [report.feature_accuracy[key][f] for f in matrix.feature_names(category)
+                        if f in report.feature_accuracy[key]]
+                report.cells[key][category] = float(np.mean(accs)) if accs else 0.0
     return report
 
 

@@ -119,7 +119,6 @@ class SynthSuite:
     corpus: CorpusStore
     features: FeatureMatrix
     grammars: dict[str, SynthGrammar]
-    seed: int
 
 
 def generate_suite(n_langs: int, sentences_per_lang: int, seed: int,
@@ -160,4 +159,4 @@ def generate_suite(n_langs: int, sentences_per_lang: int, seed: int,
         [FeatureSpec(name, category_of(name)) for name in SYNTH_FEATURES],
         np.array(rows),
     )
-    return SynthSuite(registry, corpus, features, grammars, seed)
+    return SynthSuite(registry, corpus, features, grammars)

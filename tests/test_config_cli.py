@@ -490,6 +490,23 @@ class TestCliErrors:
         assert outputs == {"out:registry.tsv", "out:corpus.txt", "out:features.csv"}
         assert main(["--config", str(cfg_path), "ingest"]) == 0, capsys.readouterr().err
 
+    def test_synth_refuses_a_named_input_that_it_writes(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        work = tmp_path / "w17"
+        write_config(cfg_path, workdir=str(work))
+        assert main(["--config", str(cfg_path), "synth"]) == 0
+        registry = work / "registry.tsv"
+        with open(registry, "a", encoding="utf-8") as fh:
+            fh.write("# curated by hand\n")
+        before = registry.read_bytes()
+        write_config(cfg_path, workdir=str(work), registry=str(registry))
+        assert main(["--config", str(cfg_path), "ingest"]) == 0
+        capsys.readouterr()
+        assert main(["--config", str(cfg_path), "synth"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: registry names {registry}, a file that synth writes; name another file\n")
+        assert registry.read_bytes() == before
+
     def test_missing_named_input_names_no_stage(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         registry = tmp_path / "elsewhere" / "registry.tsv"

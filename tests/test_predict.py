@@ -14,7 +14,6 @@ from typovec.predict import (
     Scaler,
     _fit_batch,
     _row_space,
-    assemble_inputs,
     evaluate,
     export_trajectory,
     make_folds,
@@ -203,28 +202,6 @@ def _vectors_for(langs, method, values_fn) -> dict[str, dict[str, LangVector]]:
     return {method: {l: LangVector(l, method, np.asarray(values_fn(l), dtype=float)) for l in langs}}
 
 
-class TestAssemble:
-    def test_none_without_aux_is_empty(self):
-        out = assemble_inputs("aaa", "None", False, {})
-        assert out.shape == (0,)
-
-    def test_method_plus_aux_concatenates(self):
-        vectors = _vectors_for(["aaa"], "MTBoth", lambda l: np.arange(4.0))
-        knn = {"aaa": np.array([0.5, 0.25])}
-        out = assemble_inputs("aaa", "MTBoth", True, vectors, knn)
-        assert out.shape == (6,)
-        np.testing.assert_array_equal(out[:4], np.arange(4.0))
-
-    def test_missing_vector_rejected(self):
-        with pytest.raises(ValueError, match="missing MTVec"):
-            assemble_inputs("aaa", "MTVec", False, {})
-
-    def test_missing_knn_rejected(self):
-        vectors = _vectors_for(["aaa"], "MTVec", lambda l: np.zeros(2))
-        with pytest.raises(ValueError, match="k-NN"):
-            assemble_inputs("aaa", "MTVec", True, vectors, None)
-
-
 def _matrix(langs, labels) -> FeatureMatrix:
     return FeatureMatrix(langs, [FeatureSpec("S_X", "syntax")],
                          np.array(labels, dtype=float).reshape(-1, 1))
@@ -288,6 +265,24 @@ class TestEvaluate:
         assert [f for f, _ in report.excluded] == ["S_Y"]
         assert "S_Y" not in report.feature_accuracy[("None", False)]
 
+    def test_feature_labeled_in_one_fold_gets_no_learned_label(self):
+        # no fold trains on it, so the learned cell leaves it out; the None cells grade it
+        langs = self.lang_set(12)
+        folds = make_folds(langs, 4, seed=2)
+        one_fold = [l for l in langs if folds.assignment[l] == 0]
+        values = np.full((12, 2), np.nan)
+        values[:, 0] = [float(i % 2) for i in range(12)]
+        values[[langs.index(l) for l in one_fold], 1] = [1.0, 0.0, 1.0]
+        matrix = FeatureMatrix(langs, [FeatureSpec("S_X", "syntax"), FeatureSpec("S_Y", "syntax")], values)
+        vectors = _vectors_for(langs, "MTVec", lambda l: np.array([float(int(l[1:]))]))
+        report = evaluate(matrix, vectors, folds, ["None", "MTVec"], (False,))
+        assert not report.excluded
+        assert list(report.feature_accuracy[("MTVec", False)]) == ["S_X"]
+        assert {f for _, f in report.predictions[("MTVec", False)]} == {"S_X"}
+        assert report.cell("MTVec", "syntax", False) == report.feature_accuracy[("MTVec", False)]["S_X"]
+        assert report.feature_accuracy[("None", False)]["S_Y"] == pytest.approx(200.0 / 3.0)
+        assert sorted(l for l, f in report.predictions[("None", False)] if f == "S_Y") == one_fold
+
     def test_fold_digest_is_shared_across_methods(self):
         langs = self.lang_set(12)
         matrix = _matrix(langs, [1.0] * 8 + [0.0] * 4)
@@ -303,7 +298,7 @@ class TestEvaluate:
         folds = make_folds(langs, 4, seed=5)
         base = {l: np.array([float(int(l[1:])), 1.0]) for l in langs}
         changed_lang = langs[0]
-        same_fold = [l for l in langs if folds.fold_of(l) == folds.fold_of(changed_lang)
+        same_fold = [l for l in langs if folds.assignment[l] == folds.assignment[changed_lang]
                      and l != changed_lang]
         assert same_fold
         v1 = {"MTVec": {l: LangVector(l, "MTVec", base[l]) for l in langs}}
@@ -332,6 +327,50 @@ class TestEvaluate:
         split = evaluate(matrix, vectors, folds, ["MTVec", "MTCell"], (False,))
         assert split.predictions == whole.predictions
         assert (split.fits, split.unconverged) == (whole.fits, whole.unconverged) == (30, 0)
+
+
+class TestInputs:
+    """Each (method, aux) cell reads one input row per language of the matrix:
+    the method vector, then the k-NN vector under +Aux."""
+
+    langs = [f"l{i:02d}" for i in range(12)]
+    labels = [float(i % 3 == 0) for i in range(12)]  # 4 of 12 are 1
+
+    def test_missing_method_vector_names_the_method_and_language(self):
+        vectors = _vectors_for(self.langs[1:], "MTVec", lambda l: np.zeros(2))
+        with pytest.raises(ValueError, match="missing MTVec vector for language 'l00'"):
+            evaluate(_matrix(self.langs, self.labels), vectors, make_folds(self.langs, 4, seed=2),
+                     ["MTVec"], (False,))
+
+    @pytest.mark.parametrize("knn", [None, {f"l{i:02d}": np.zeros(1) for i in range(11)}],
+                             ids=["no-knn-vectors", "one-language-missing"])
+    def test_aux_without_a_knn_vector_names_knn(self, knn):
+        vectors = _vectors_for(self.langs, "MTVec", lambda l: np.zeros(2))
+        with pytest.raises(ValueError, match="missing k-NN feature vector for language 'l"):
+            evaluate(_matrix(self.langs, self.labels), vectors, make_folds(self.langs, 4, seed=2),
+                     ["MTVec"], (False, True), knn)
+
+    def test_aux_input_is_the_vector_then_the_knn_vector(self, monkeypatch):
+        # constant vectors carry nothing, k-NN vectors equal to the labels everything
+        matrix = _matrix(self.langs, self.labels)
+        vectors = _vectors_for(self.langs, "MTVec", lambda l: np.array([1.0, 2.0, 3.0]))
+        knn = {l: np.array([label]) for l, label in zip(self.langs, self.labels)}
+        seen, fit = [], predict.Scaler.fit
+
+        def recording_fit(X):
+            seen.append(X.copy())
+            return fit(X)
+
+        monkeypatch.setattr(predict.Scaler, "fit", recording_fit)
+        report = evaluate(matrix, vectors, make_folds(self.langs, 4, seed=2), ["MTVec"], (False, True), knn,
+                          l2=0.01)
+        assert report.cell("MTVec", "syntax", False) == pytest.approx(100.0 * majority_rate("S_X", matrix))
+        assert report.cell("MTVec", "syntax", True) == 100.0
+        assert [X.shape for X in seen] == [(9, 3)] * 4 + [(9, 4)] * 4
+        for X in seen:
+            np.testing.assert_array_equal(X[:, :3], np.tile([1.0, 2.0, 3.0], (9, 1)))
+        # each language trains in 3 of the 4 folds
+        assert sum(X[:, 3].sum() for X in seen[4:]) == 3 * sum(self.labels)
 
 
 class TestNoneConditions:

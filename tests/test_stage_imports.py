@@ -1,7 +1,7 @@
 """What each CLI stage loads, what the package may import at all, which of
 its functions write files, that every public module-level function and
-class has a user outside the unit tests, and that the stages record every
-config key.
+class has a user outside the unit tests and every public method a read,
+and that the stages record every config key.
 
 Every stage runs in a fresh interpreter, so each module it imports, and
 numpy, is paid for on every run. The package registers its submodules
@@ -273,6 +273,19 @@ def test_every_public_name_is_used_outside_the_unit_tests():
     referenced = set().union(*(_references(path, module) for path, module in _outside_unit_tests()))
     unused = sorted(f"{module}.{name}" for module, name in defined - referenced)
     assert not unused, f"public names that only unit tests use: {unused}"
+
+
+def test_every_public_method_is_read_outside_the_unit_tests():
+    # matched by name: a public method or property of a package class that no
+    # attribute read outside the unit tests names is code that only unit tests reach
+    read = {node.attr for path, _ in _outside_unit_tests()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(f"{module}.{top.name}.{node.name}"
+                    for module, top in _definitions() if isinstance(top, ast.ClassDef)
+                    for node in top.body if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_") and node.name not in read)
+    assert not unused, f"public methods that only unit tests read: {unused}"
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
