@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 A :class:`Tensor` is a node in a computation graph built eagerly by the op
-functions below. :func:`backward` walks the graph once in reverse topological
-order and accumulates gradients. Gradients of :class:`Parameter` leaves are
+functions below. A tensor is made after its parents, so the order in which
+tensors are made is a topological order: each records its place in it, and
+:func:`backward` takes the nodes the loss reaches latest-made first and
+accumulates gradients. Gradients of :class:`Parameter` leaves are
 accumulated into the parameter's persistent ``grad`` buffer; zeroing between
 steps is the caller's responsibility.
 
@@ -25,9 +27,13 @@ value, so nothing that outlives the batch aliases it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 
 import numpy as np
+
+_made = itertools.count()  # the place of each new tensor in the order tensors are made
 
 
 class ShapeError(ValueError):
@@ -70,9 +76,10 @@ class Workspace:
 
 
 class Tensor:
-    """A value in the graph; ``parents`` and ``vjp`` drive backpropagation."""
+    """A value in the graph; ``parents`` and ``vjp`` drive backpropagation,
+    and ``seq``, larger than each parent's, orders it after them."""
 
-    __slots__ = ("value", "grad", "parents", "vjp", "param")
+    __slots__ = ("value", "grad", "parents", "vjp", "param", "seq")
 
     def __init__(self, value, parents=(), vjp=None, param=None):
         self.value = np.asarray(value, dtype=np.float64)
@@ -80,6 +87,7 @@ class Tensor:
         self.parents: tuple[Tensor, ...] = tuple(parents)
         self.vjp = vjp
         self.param: Parameter | None = param
+        self.seq = next(_made)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape})"
@@ -292,28 +300,14 @@ def softmax_cross_entropy(x: Tensor, targets, mask, w: Tensor, b: Tensor,
     return Tensor(value, (x, w, b), vjp)
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative DFS post-order; recursion would overflow on long sequences."""
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return order
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(node) into every reachable node and parameter.
+
+    The nodes are taken latest-made first, from a heap that a node enters
+    when the first gradient reaches it, that is when its grad goes from None
+    to set. Every child of a node is made after it, so each of them has run
+    its VJP by the time the node is taken, and its grad is complete. It runs
+    once per graph: some VJPs consume their buffers.
 
     A VJP that has added its gradient into its parent's grad in place (a
     slice with a shared gradient buffer) returns that grad array itself, and
@@ -321,11 +315,10 @@ def backward(loss: Tensor) -> None:
     """
     if loss.value.shape != ():
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.value.shape}")
-    order = _topo_order(loss)
     loss.grad = np.ones(())
-    for node in reversed(order):
-        if node.grad is None:
-            continue
+    heap = [(-loss.seq, loss)]
+    while heap:
+        node = heapq.heappop(heap)[1]
         if node.param is not None:
             node.param.grad += node.grad
         if node.vjp is None:
@@ -334,5 +327,6 @@ def backward(loss: Tensor) -> None:
             # no in-place accumulation: g may be a view of a child's grad
             if parent.grad is None:
                 parent.grad = g
+                heapq.heappush(heap, (-parent.seq, parent))
             elif parent.grad is not g:
                 parent.grad = parent.grad + g

@@ -12,9 +12,13 @@ stage and every stage upstream of it that has a manifest ran under this
 config (the tool version and params each manifest records are the
 config's) on the files their producers last wrote (each ``in:`` hash is
 the ``out:`` hash its producer's manifest lists; for the stage about to
-run, the hashes of its inputs as read now). Otherwise the stage writes
-nothing and names the first stage, in ``STAGES`` order, that breaks the
-rule, with ``rerun '<stage>'``; stages without a manifest are skipped.
+run, the hashes of its inputs as read now), and on each input file the
+config names as it is now. Otherwise the stage writes nothing and names
+the first stage, in ``STAGES`` order, that breaks the rule, with
+``rerun '<stage>'``. Stages without a manifest are skipped; an unreadable
+manifest of a stage the rule reaches (one torn by a crash, say) names that
+stage, and the stage itself, finding its own manifest unreadable, just runs
+again and writes it whole.
 
 One method, :meth:`Workdir.producer`, names the stage that writes an
 artifact, for the rule (which walks only artifacts that have one), the
@@ -43,6 +47,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -103,15 +108,21 @@ class Workdir:
         return self.root / f"{stage.replace('-', '_')}.manifest"
 
     def recorded(self, stage: str) -> dict[str, str]:
-        """The stage's manifest entries; empty if it has none or it is unreadable."""
+        """The stage's manifest entries, empty if it has none; an unreadable
+        manifest raises StageInputError naming it and the stage to rerun."""
         try:
             return read_kv(self.manifest_path(stage))
-        except (OSError, ValueError):
+        except FileNotFoundError:
             return {}
+        except (OSError, ValueError) as exc:
+            raise StageInputError(f"{exc}; rerun '{stage}'") from None
 
     def up_to_date(self, stage: str, entries: dict[str, str]) -> bool:
         """The manifest holds exactly ``entries`` and every output it records is intact."""
-        stored = self.recorded(stage)
+        try:
+            stored = self.recorded(stage)
+        except StageInputError:  # e.g. torn by a crash while it was written: the stage runs again
+            return False
         outputs = {self.root / k[len("out:"):]: v for k, v in stored.items() if k.startswith("out:")}
         if not outputs or {k: v for k, v in stored.items() if not k.startswith("out:")} != entries:
             return False
@@ -161,7 +172,15 @@ def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry = corpus.load_registry(wd.path("registry"))
     pairs = Counter(pair.lang for pair in corpus.read_pairs(wd.path("corpus"), registry))
-    counts = typology.load_features(wd.path("features"), registry).category_counts()
+    matrix = typology.load_features(wd.path("features"), registry)
+    # extract writes vectors only for the languages that have sentences, and predict reads one per
+    # matrix row. Two files of one synth suite always agree, so no stage rerun mends this: the
+    # message names the file without the "<path>:" that would ask for one
+    silent = [lang for lang in matrix.languages if not pairs[lang]]
+    if silent:
+        raise ValueError(f"{wd.path('features')} lists language {silent[0]!r}, "
+                         f"which has no sentence pair in {wd.path('corpus')}")
+    counts = matrix.category_counts()
     summary = wd.path("ingest_summary.txt")
     write_kv(summary, {
         "languages": str(len(registry)),
@@ -188,7 +207,7 @@ def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 _ENCODED_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
 
 
-def _load_encoded(cfg: PipelineConfig, wd: Workdir):
+def _load_encoded(wd: Workdir):
     """The registry, the encoded corpus and the vocabulary; the corpus is
     encoded as it is read, so no stage that calls this holds its words."""
     registry = corpus.load_registry(wd.path("registry"))
@@ -202,7 +221,7 @@ def _load_encoded(cfg: PipelineConfig, wd: Workdir):
 
 
 def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:
-    _, encoded, vocab = _load_encoded(cfg, wd)
+    _, encoded, vocab = _load_encoded(wd)
     trainer = training.train_nmt if kind == "nmt" else training.train_lm
     model, curve = trainer(encoded, vocab, _train_config(cfg))
     outputs = [wd.path(f"{kind}.ckpt"), wd.path(f"{kind}.model")]
@@ -230,7 +249,7 @@ def _extract_inputs(cfg: PipelineConfig) -> list[str]:
 
 def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = cfg.method_list
-    _, encoded, vocab = _load_encoded(cfg, wd)
+    _, encoded, vocab = _load_encoded(wd)
     langs = sorted(encoded.by_lang)
     nmt = _load_trained(wd, "nmt") if "nmt.ckpt" in _extract_inputs(cfg) else None
     lm = _load_trained(wd, "lm") if "lm.ckpt" in _extract_inputs(cfg) else None
@@ -382,7 +401,7 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     import numpy as np  # here, not at module level: the stages without array work load no numpy
 
-    registry, encoded, vocab = _load_encoded(cfg, wd)
+    registry, encoded, vocab = _load_encoded(wd)
     langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
     unknown = [lang for lang in langs if lang not in encoded.by_lang]
     if unknown:
@@ -445,28 +464,43 @@ def _params(stage: str, cfg: PipelineConfig) -> dict[str, str]:
 def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
     """Stops stage ``name``, whose record would be ``entries``, unless it and
     every stage upstream of it that has a manifest ran under this config on
-    the files their producers last wrote; names the first stage, in ``STAGES``
-    order, that breaks the rule, as the one to rerun."""
-    where = {artifact: (path := wd.path(artifact), wd.key(path))
-             for artifact in PRODUCERS if wd.producer(artifact)}
-    records = {**{stage: wd.recorded(stage) for stage in STAGES}, name: entries}
+    the files their producers last wrote, and on each named input file as it
+    is now; names the first stage, in ``STAGES`` order, that breaks the rule,
+    as the one to rerun. Only the manifests of the stages the walk reaches are
+    read, and an unreadable one stops the walk where it is met."""
+    where = {artifact: (path := wd.path(artifact), wd.key(path)) for artifact in PRODUCERS}
+
+    @cache
+    def record(stage):
+        return entries if stage == name else wd.recorded(stage)
+
+    @cache
+    def now(path, key):
+        """A named file's hash as the stage about to run read it, else as it is now; None if it is missing."""
+        return entries.get(f"in:{key}") or (_sha256(path) if path.is_file() else None)
 
     def reads(stage):
-        """(path, stale, producer) for each input of ``stage`` whose producer has a manifest."""
+        """(path, stale, producer) for each input of ``stage`` that can be checked: one whose
+        producer has a manifest, or a named file (producer None) that is there to hash."""
         for artifact, (path, key) in where.items():
-            producer, digest = wd.producer(artifact), records[stage].get(f"in:{key}")
-            if digest and records[producer]:
-                yield path, records[producer].get(f"out:{key}") != digest, producer
+            producer, digest = wd.producer(artifact), record(stage).get(f"in:{key}")
+            if not digest:
+                continue
+            if producer is None:
+                if now(path, key):
+                    yield path, now(path, key) != digest, None
+            elif record(producer):
+                yield path, record(producer).get(f"out:{key}") != digest, producer
 
     # STAGES lists every stage after the producers of its inputs, so walking it
     # backwards reaches each stage of the walk after every stage that reads it
     walk = {name}
     for stage in (s for s in reversed(STAGES) if s in walk):
-        walk.update(producer for *_, producer in reads(stage))
+        walk.update(producer for *_, producer in reads(stage) if producer)
     for stage in (s for s in STAGES if s in walk):
         for key, value in _params(stage, wd.cfg).items():
-            if records[stage].get(key) != value:
-                raise StageInputError(f"'{stage}' ran with {key}={records[stage].get(key)}, "
+            if record(stage).get(key) != value:
+                raise StageInputError(f"'{stage}' ran with {key}={record(stage).get(key)}, "
                                       f"but the config has {key}={value}; rerun '{stage}'")
         for path, stale, producer in reads(stage):
             if stale:

@@ -12,7 +12,9 @@ per gate block.
 One cell step, ``_Cell.step``, runs under both the training op
 :func:`lstm_sequence` (one autograd node per recurrence over a padded batch,
 with a hand-written backward pass) and the inference generator
-:func:`lstm_states`. Three invariants keep it lean and exact:
+:func:`lstm_states`, which :func:`language_states` runs over one
+language's canonical batch for extraction and trajectories. Three
+invariants keep it lean and exact:
 
 - Pre-scaled gates: the step works on copies of ``w``, ``u`` and ``b`` whose
   i, f and o columns are halved. Halving is exact in float64, so those
@@ -367,18 +369,22 @@ def encoder_input_ids(vocab: SubwordVocab, lang: str, source_ids) -> list[int]:
     return [vocab.lang_id(lang), *source_ids, EOS_ID]
 
 
-def encoder_batch(vocab: SubwordVocab, lang: str, sentences):
-    """Canonical padded encoder batch for one language's sentences.
+def language_states(nmt: Seq2SeqModel, vocab: SubwordVocab, lang: str, sentences):
+    """The encoder over one language's sentences, as one canonical batch.
 
     Rows are sorted by (length, ids), so the batch, and every float an
     inference pass computes from it, depends on the sentence multiset only.
-    Returns (ids, lens, order) with ``order[k]`` the index in ``sentences``
-    of row k.
+    Returns (lens, order, states): the (B,) row lengths, sorted ascending,
+    ``order[k]`` the index in ``sentences`` of row k, and the
+    :func:`lstm_states` generator over the batch. No sentences is a
+    ValueError naming the language.
     """
+    if not sentences:
+        raise ValueError(f"no sentences for language {lang!r}")
     seqs = [encoder_input_ids(vocab, lang, p.source_ids) for p in sentences]
     order = sorted(range(len(seqs)), key=lambda i: (len(seqs[i]), seqs[i]))
     ids, lens = pad_batch([seqs[i] for i in order])
-    return ids, lens, order
+    return lens, order, lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)
 
 
 def encode(model: Seq2SeqModel | RnnLmModel, vocab: SubwordVocab, lang: str, source_ids):

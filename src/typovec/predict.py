@@ -437,18 +437,14 @@ def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCo
 
     Returns (node, rows) where rows are (lang, sentence index, step, value)
     and each sentence contributes len(source) + 2 steps. ``max_sentences``
-    keeps the first n sentences of each language.
+    keeps the first n sentences of each language, which run as one batch
+    through :func:`typovec.models.language_states`.
     """
     node = select_trajectory_node(logreg, nmt.hidden_size)
     rows: list[tuple[str, int, int, float]] = []
     for lang in langs:
-        sentences = encoded.by_lang.get(lang)
-        if not sentences:
-            raise ValueError(f"no sentences for language {lang!r}")
-        if max_sentences is not None:
-            sentences = sentences[:max_sentences]
-        ids, lens, order = models.encoder_batch(vocab, lang, sentences)
-        states = models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)
+        lens, order, states = models.language_states(nmt, vocab, lang,
+                                                     encoded.by_lang.get(lang, [])[:max_sentences])
         series = np.stack([c[:, node] for _, c in states], axis=1)
         for sent_idx, row in enumerate(np.argsort(order)):
             rows.extend((lang, sent_idx, step, float(series[row, step])) for step in range(lens[row]))

@@ -39,9 +39,12 @@ values, so the model and curve that :func:`train_nmt` and :func:`train_lm`
 return share no memory with it. Attention's arrays are still allocated per
 batch.
 
-Perplexity runs the training loss path: it sums the same batch losses over
-length-sorted batches, with dropout off and without a workspace, so each op
-allocates its arrays afresh.
+One function, :func:`_task`, pairs a model class with its rows and its
+batch loss, for :func:`train_nmt` and :func:`train_lm` (through
+:func:`_fit`, which also builds the model from the seed) and for
+perplexity. Perplexity runs the training loss path: it sums the same batch
+losses over length-sorted batches, with dropout off and without a
+workspace, so each op allocates its arrays afresh.
 """
 
 from __future__ import annotations
@@ -242,6 +245,23 @@ def _train(model, rows: list[_Row], config: TrainConfig, batch_loss) -> list[flo
     return curve
 
 
+def _task(kind, encoded: EncodedCorpus, vocab: SubwordVocab):
+    """``encoded`` as the rows of a ``kind`` model, and the batch loss that reads them.
+
+    The pairing is looked up when called, so a batch loss patched on this
+    module reaches every caller.
+    """
+    rows, batch_loss = {Seq2SeqModel: (_nmt_rows, _nmt_batch_loss), RnnLmModel: (_lm_rows, _lm_batch_loss)}[kind]
+    return rows(encoded, vocab), batch_loss
+
+
+def _fit(kind, encoded: EncodedCorpus, vocab: SubwordVocab, config: TrainConfig):
+    """A ``kind`` model built from ``[seed, 0]`` and trained on ``encoded``; returns (model, loss curve)."""
+    model = kind(len(vocab), config, np.random.default_rng([config.seed, 0]))
+    rows, batch_loss = _task(kind, encoded, vocab)
+    return model, _train(model, rows, config, batch_loss)
+
+
 def train_nmt(encoded: EncodedCorpus, vocab: SubwordVocab,
               config: TrainConfig) -> tuple[Seq2SeqModel, list[float]]:
     """Train the many-to-one translation model; returns (model, loss curve).
@@ -249,20 +269,14 @@ def train_nmt(encoded: EncodedCorpus, vocab: SubwordVocab,
     The loss curve holds the mean per-token cross-entropy observed during
     each epoch (computed on the forward pass, before that batch's update).
     """
-    rng = np.random.default_rng([config.seed, 0])
-    model = Seq2SeqModel(len(vocab), config, rng)
-    curve = _train(model, _nmt_rows(encoded, vocab), config, _nmt_batch_loss)
-    return model, curve
+    return _fit(Seq2SeqModel, encoded, vocab, config)
 
 
 def train_lm(encoded: EncodedCorpus, vocab: SubwordVocab,
              config: TrainConfig) -> tuple[RnnLmModel, list[float]]:
     """Train the multilingual language model; next-token objective over
     [language token] + source."""
-    rng = np.random.default_rng([config.seed, 0])
-    model = RnnLmModel(len(vocab), config, rng)
-    curve = _train(model, _lm_rows(encoded, vocab), config, _lm_batch_loss)
-    return model, curve
+    return _fit(RnnLmModel, encoded, vocab, config)
 
 
 def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
@@ -272,10 +286,7 @@ def perplexity(model, encoded: EncodedCorpus, vocab: SubwordVocab) -> float:
     """
     if not encoded.ordered:
         raise ValueError("perplexity of an empty corpus is undefined")
-    if isinstance(model, Seq2SeqModel):
-        rows, batch_loss = _nmt_rows(encoded, vocab), _nmt_batch_loss
-    else:
-        rows, batch_loss = _lm_rows(encoded, vocab), _lm_batch_loss
+    rows, batch_loss = _task(type(model), encoded, vocab)
     total_nll, total_tokens = 0.0, 0
     for batch in _length_batches(rows, 64):
         loss, n_tokens = batch_loss(model, batch, None, 0.0)

@@ -13,9 +13,10 @@ Methods:
 
 One encoder pass per language, :func:`extract_encoder_vectors`, yields all
 three cell/hidden methods, keyed by method name; :func:`extract_mtcell` is
-its MTCell and :func:`extract_variant` its ablation variants. The pass runs
-on the language's canonical batch (sentences sorted by (length, ids)), so
-every sum is taken in an order fixed by the sentence multiset: results are
+its MTCell and :func:`extract_variant` its ablation variants. The pass is
+:func:`typovec.models.language_states`, which runs the encoder over the
+language's canonical batch (sentences sorted by (length, ids)), so every
+sum is taken in an order fixed by the sentence multiset: results are
 exactly invariant under sentence permutation and each language's vector
 depends on its own sentences only.
 """
@@ -74,15 +75,12 @@ def extract_mtvec(nmt: Seq2SeqModel, vocab: SubwordVocab, lang: str) -> LangVect
 def extract_encoder_vectors(nmt: Seq2SeqModel, encoded: EncodedCorpus, vocab: SubwordVocab,
                             lang: str) -> dict[str, LangVector]:
     """MTCell, MTCellFinal and MTHiddenMean of one language from one pass."""
-    sentences = encoded.by_lang.get(lang, [])
-    if not sentences:
-        raise ValueError(f"no sentences for language {lang!r}")
-    ids, lens, _ = models.encoder_batch(vocab, lang, sentences)
+    lens, _, states = models.language_states(nmt, vocab, lang, encoded.by_lang.get(lang))
     sums, hidden_sums = (np.zeros((len(lens), nmt.hidden_size)) for _ in range(2))
-    # encoder_batch sorts rows by length, so the rows with lens > t are a
-    # suffix; adding only it leaves the other sums as they were (x + 0.0 == x,
-    # and a sum started at +0.0 never reads -0.0)
-    for t, (h, c) in enumerate(models.lstm_states(nmt.encoder, nmt.embedding.value, ids, lens)):
+    # the rows are sorted by length, so the rows with lens > t are a suffix;
+    # adding only it leaves the other sums as they were (x + 0.0 == x, and a
+    # sum started at +0.0 never reads -0.0)
+    for t, (h, c) in enumerate(states):
         live = np.searchsorted(lens, t, side="right")
         hidden_sums[live:] += h[live:]
         sums[live:] += c[live:]

@@ -3,6 +3,7 @@ import fcntl
 import io
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -806,3 +807,135 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+def _run(cfg_path, stage) -> int:
+    return main(["--config", str(cfg_path), stage])
+
+
+def test_unreadable_upstream_manifest_names_its_stage(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.txt"
+    work = tmp_path / "work"
+    write_config(cfg_path, synth_langs=8, synth_sentences=20, num_merges=20, epochs=1)
+    for stage in ("synth", "ingest", "bpe-learn", "train-nmt"):
+        assert _run(cfg_path, stage) == 0, stage
+    merges = work / "merges.txt"
+    lines = merges.read_text(encoding="utf-8").splitlines(keepends=True)
+    merges.write_text("".join([lines[1], lines[0], *lines[2:]]), encoding="utf-8")
+    capsys.readouterr()
+    assert _run(cfg_path, "train-nmt") == 1
+    assert f"{merges} is not the file 'bpe-learn' last wrote; rerun 'bpe-learn'" in capsys.readouterr().err
+    # a manifest that cannot be read stops the stage as well: it does not switch the check off
+    manifest = work / "bpe_learn.manifest"
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("torn\n")
+    nmt = (work / "nmt.ckpt").read_bytes()
+    assert _run(cfg_path, "train-nmt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:") and err.endswith("; rerun 'bpe-learn'\n"), err
+    assert (work / "nmt.ckpt").read_bytes() == nmt
+    # the stage's own unreadable manifest: it runs again, and writes a whole one
+    assert _run(cfg_path, "bpe-learn") == 0
+    assert _run(cfg_path, "train-nmt") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "train-nmt: up to date"
+    # a manifest that the walk does not reach is not read, and a missing one is skipped
+    (work / "predict.manifest").write_text("torn\n", encoding="utf-8")
+    manifest.unlink()
+    assert _run(cfg_path, "train-nmt") == 0
+    assert capsys.readouterr().out == "train-nmt: up to date\n"
+
+
+def test_named_input_changed_since_an_upstream_stage_read_it(tmp_path, capsys):
+    source, work = tmp_path / "source", tmp_path / "work"
+    write_config(tmp_path / "source.cfg", workdir=str(source), synth_langs=8, synth_sentences=20)
+    assert _run(tmp_path / "source.cfg", "synth") == 0
+    corpus_path = source / "corpus.txt"
+    cfg_path = tmp_path / "cfg.txt"
+    write_config(cfg_path, workdir=str(work), synth_langs=8, synth_sentences=20, num_merges=20, epochs=1,
+                 corpus=str(corpus_path))
+    for stage in ("synth", "bpe-learn", "train-nmt"):
+        assert _run(cfg_path, stage) == 0, stage
+    with open(corpus_path, "a", encoding="utf-8") as fh:
+        fh.writelines(f"s0{i % 8}\tnewword{i} zarbu{i} ||| en_n0 en_v0\n" for i in range(30))
+    before = snapshot(work)
+    capsys.readouterr()
+    assert _run(cfg_path, "train-nmt") == 1
+    assert capsys.readouterr().err == (
+        f"error: {corpus_path} has changed since 'bpe-learn' read it; rerun 'bpe-learn'\n")
+    assert snapshot(work) == before
+    assert _run(cfg_path, "bpe-learn") == 0
+    assert _run(cfg_path, "train-nmt") == 0
+    assert "up to date" not in capsys.readouterr().out
+
+
+def test_ingest_refuses_a_feature_language_without_sentences(tmp_path, capsys):
+    # extract would write no vector for it, and predict would ask for an extract rerun that changes nothing
+    cfg_path = tmp_path / "cfg.txt"
+    work = tmp_path / "work"
+    write_config(cfg_path, workdir=str(work), synth_langs=8)
+    assert _run(cfg_path, "synth") == 0
+    corpus_path = tmp_path / "corpus.txt"
+    lines = (work / "corpus.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus_path.write_text("".join(line for line in lines if not line.startswith("s07\t")), encoding="utf-8")
+    write_config(cfg_path, workdir=str(work), synth_langs=8, corpus=str(corpus_path))
+    capsys.readouterr()
+    assert _run(cfg_path, "ingest") == 1
+    assert capsys.readouterr().err == (
+        f"error: {work / 'features.csv'} lists language 's07', which has no sentence pair in {corpus_path}\n")
+    assert not (work / "ingest_summary.txt").exists()
+
+
+# Runs one stage in a child that kills itself with SIGKILL inside the write of one
+# file: the patched writer writes the file, cuts it to its first half and kills the
+# process before it returns, as a crash halfway through the write would leave it.
+CRASH_SNIPPET = """
+import importlib, os, signal, sys
+from pathlib import Path
+from typovec.cli import main
+cfg, stage, module_name, name, target = sys.argv[1:]
+module = importlib.import_module(module_name)
+write = getattr(module, name)
+
+def torn(path, *args, **kwargs):
+    write(path, *args, **kwargs)
+    if Path(path).name == target:
+        os.truncate(path, os.path.getsize(path) // 2)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+setattr(module, name, torn)
+sys.exit(main(["--config", cfg, stage]))
+"""
+
+# baseline runs early, so that predict finds the k-NN vectors and reads extract's stores
+CRASH_STAGES = ("synth", "baseline", "bpe-learn", "train-nmt", "extract", "predict")
+
+
+@pytest.mark.parametrize("stage, module, writer, target, downstream", [
+    ("train-nmt", "typovec.models", "save_checkpoint", "nmt.ckpt", "extract"),
+    ("extract", "typovec.vectors", "write_records", "vectors_MTCell.tsv", "predict"),
+    ("extract", "typovec.cli", "write_kv", "extract.manifest", "predict"),
+], ids=["checkpoint", "second-store", "manifest"])
+def test_crash_inside_a_write_is_repaired_by_rerunning_the_stage(tmp_path, capsys, stage, module, writer,
+                                                                  target, downstream):
+    cfg_path = tmp_path / "cfg.txt"
+    work = tmp_path / "work"
+    write_config(cfg_path, workdir=str(work), synth_langs=8, synth_sentences=10, num_merges=20, epochs=1,
+                 methods="MTVec,MTCell")
+    for name in CRASH_STAGES:
+        assert _run(cfg_path, name) == 0, name
+    clean = snapshot(work)
+    shutil.rmtree(work)
+    at = CRASH_STAGES.index(stage)
+    for name in CRASH_STAGES[:at]:
+        assert _run(cfg_path, name) == 0, name
+    env = {**os.environ, "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
+    child = subprocess.run([sys.executable, "-c", CRASH_SNIPPET, str(cfg_path), stage, module, writer, target],
+                           env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == -signal.SIGKILL, child.stderr
+    assert 0 < (work / target).stat().st_size < len(clean[target])
+    capsys.readouterr()
+    assert _run(cfg_path, downstream) == 1
+    assert f"'{stage}'" in capsys.readouterr().err
+    for name in CRASH_STAGES[at:]:
+        assert _run(cfg_path, name) == 0, name
+    assert snapshot(work) == clean

@@ -1,7 +1,8 @@
 """What each CLI stage loads, what the package may import at all, which of
 its functions write files, that every public module-level function and
 class has a user outside the unit tests and every public method a read,
-and that the stages record every config key.
+that every function reads each of its parameters, and that the stages
+record every config key.
 
 Every stage runs in a fresh interpreter, so each module it imports, and
 numpy, is paid for on every run. The package registers its submodules
@@ -309,6 +310,29 @@ def test_every_defaulted_parameter_is_passed_outside_the_unit_tests():
         unpassed += [f"{module}.{top.name}({name})" for name, by in ways.items()
                      if not any((module, top.name, way) in passed for way in by)]
     assert not unpassed, f"defaulted parameters that only unit tests pass: {unpassed}"
+
+
+def test_every_parameter_is_read_by_its_function():
+    # a parameter that its function never reads is an argument that every caller
+    # passes for nothing. self, cls and "_"-prefixed names are left out, and so,
+    # as above, is a private function passed as a value: a stage body takes the
+    # arguments that the driver passes every stage
+    values = set().union(*(_calls_and_values(path, module)[1] for path, module in _outside_unit_tests()))
+    unread = []
+    for module, top in _definitions():
+        if isinstance(top, ast.ClassDef):
+            functions = [(f"{top.name}.{node.name}", node) for node in top.body if isinstance(node, ast.FunctionDef)]
+        elif not (top.name.startswith("_") and (module, top.name) in values):
+            functions = [(top.name, top)]
+        else:
+            continue
+        for name, node in functions:
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            read = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{name}({p.arg})" for p in params
+                       if p.arg not in ("self", "cls") and not p.arg.startswith("_") and p.arg not in read]
+    assert not unread, f"parameters that their functions never read: {unread}"
 
 
 def test_every_config_key_is_a_stage_param():
