@@ -45,10 +45,12 @@ plain algorithm and keeps no memo.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import sub
 
 import numpy as np
 
@@ -124,6 +126,13 @@ def _word_frequencies(corpus: CorpusStore | Mapping[str, int]) -> Mapping[str, i
     return corpus_word_frequencies(corpus) if isinstance(corpus, CorpusStore) else corpus
 
 
+def _bounds(ordered: np.ndarray) -> np.ndarray:
+    """The indices at which the runs of equal values in ``ordered`` start, then its length."""
+    edge = np.ones(len(ordered) + 1, dtype=bool)
+    edge[1:-1] = ordered[1:] != ordered[:-1]
+    return edge.nonzero()[0]
+
+
 def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> MergeTable:
     """Greedy BPE learning over the word-frequency-weighted joint vocabulary.
 
@@ -133,37 +142,52 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
 
     The training words lie end to end in flat arrays indexed by position:
     int32 ``sym`` (symbol id, -1 once merged away), int32 ``nxt`` and ``prv``
-    (the neighbouring position in the word, -1 at its edges) and float64
-    ``weight`` (the word's frequency; sums of integers below 2**53 are exact
-    in float64). A pair is keyed ``left * stride + right`` by symbol id.
-    ``index`` maps a symbol to the positions that held it with a right
-    neighbour, grouped by one radix sort of the symbols; it is a superset
-    that a merge with that symbol on the left filters to the positions
-    still holding it. The initial count of every pair comes from these
-    groups: one ``np.bincount`` of each group's right neighbours, weighted.
-    The set-up's temporaries are freed before ``prv`` and ``weight`` are
-    made, so the set-up never holds both.
+    (the neighbouring position in the word, -1 at its edges) and int64
+    ``weight`` (the word's frequency). A pair is keyed ``left * stride +
+    right`` by symbol id, and the pair at position ``p`` is ``(sym[p],
+    sym[nxt[p]])``.
 
-    A merge of ``(L, R)`` takes its occurrences in position order; for
-    ``L == R`` it keeps every other one in a run of overlapping occurrences,
-    greedy from the left as ``apply_word`` merges. It relinks the merged
-    positions and changes the counts of the pairs next to each merged site.
-    Each such pair has the site on one side and a neighbour symbol ``x`` on
-    the other: ``(x, L)`` becomes ``(x, LR)`` before a site, and ``(R, x)``
+    The site index is keyed by pair, so a merge reads about as many
+    positions as it has sites. A pair forms only where one of its symbols
+    was just made: at the set-up for two characters, else by the merge that
+    made the left or the right symbol. ``made`` holds, per symbol, the
+    tables its making filed: sorted ``slots`` (``x`` for a pair ``(x, s)``,
+    ``2 * stride + x`` for ``(s, x)``), their ``bounds`` and ``positions``,
+    each slot's positions in position order. The set-up makes one table per
+    character from one stable sort of the character pairs (a radix sort
+    when their ids fit 16 bits), and the initial counts are the weighted
+    sums of its runs. A merge of ``(L, R)`` reads the slot ``(L, R)`` of the
+    tables of ``L`` and of ``R``; when more than one holds positions they
+    are sorted together. An entry is never removed, so it goes stale once
+    its position is merged away or into a longer symbol, or its right
+    neighbour is. The merge drops those and keeps the rest in position
+    order. The pair a position holds changes only when one of its two
+    symbols is replaced by a longer one, so it never holds a pair again
+    once it has lost it, and no position is filed twice under one pair.
+
+    A merge takes its occurrences in position order; for ``L == R`` it
+    keeps every other one in a run of overlapping occurrences, greedy from
+    the left as ``apply_word`` merges. It relinks the merged positions and
+    changes the counts of the pairs next to each merged site. Each such
+    pair has the site on one side and a neighbour symbol ``x`` on the
+    other: ``(x, L)`` becomes ``(x, LR)`` before a site, and ``(R, x)``
     goes and ``(LR, x')`` comes after it, where ``x'`` is ``x``, or ``LR``
-    when the next site follows at once. So one ``np.bincount`` over the
-    neighbour symbols, offset by side, sums the weights of the changes, and
-    Python work runs per distinct neighbour and side only. A pair may have
-    changes on two sides, such as ``(R, L)``; the falls are applied before
-    the rises, so no count passes below its final value, and each rise
-    pushes its pair at the new count. In ``(L, R, L, R)`` the pair between
-    the two sites is counted once, after the first.
+    when the next site follows at once. In ``(L, R, L, R)`` the pair
+    between the two sites is counted once, after the first. The neighbour
+    symbols, offset by ``stride`` per side, are the slots of the merge:
+    one stable sort groups them, with the positions where the new pairs
+    lie, which is the merge's table, and one ``np.add.reduceat`` sums
+    their weights. The falls and rises are read off the sorted slots as
+    key and count lists, so Python work runs per distinct neighbour and
+    side only. The falls are applied first, so no count passes below its
+    final value, the merged pair's count goes, and each rise pushes its
+    pair at the new count.
 
     The heap is lazy on decrease. A pair is pushed when its count rises and
-    not when it falls, so each pair in ``counts`` has an entry at or above
-    its count. A popped entry above the current count is pushed again at
-    that count; one below it is dropped, since the rise pushed a higher
-    entry; one for a pair no longer counted is dropped. An entry popped at
+    not when it falls, so each pair counted above 0 has an entry at or
+    above its count. A popped entry above the current count is pushed again
+    at that count; one below it is dropped, since the rise pushed a higher
+    entry; one for a pair whose count is 0 or gone is dropped. An entry popped at
     its current count is first on ``(-count, pair)``: another pair first on
     that order would have an entry first too, and would have been popped
     before it. So the pop order, with its lexicographic ties, is that of a
@@ -207,44 +231,60 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         left, right = divmod(key, stride)
         return names[left], names[right]
 
-    # a position keeps its right neighbour while it holds its symbol, so
-    # every position the filter keeps has one
+    # the positions with a right neighbour, grouped by their pair of characters in
+    # position order: one stable sort of the pairs' ids (by radix when 16 bits hold them)
     pos = np.flatnonzero(nxt >= 0).astype(np.int32)
-    held = sym[pos] if len(names) > 1 << 16 else sym[pos].astype(np.uint16)  # 16 bits sort by radix
-    bounds = np.cumsum(np.bincount(held, minlength=len(names)))[:-1]
-    index = dict(enumerate(np.split(pos[np.argsort(held, kind="stable")], bounds)))
-    del pos, held, bounds  # before the arrays made next, so that the peak stays low
+    pairs = sym[pos].astype(np.int64) * len(names) + sym[nxt[pos]]
+    if len(names) ** 2 <= 1 << 16:
+        pairs = pairs.astype(np.uint16)
+    order = pairs.argsort(kind="stable")
+    pos, pairs = pos[order], pairs[order]
+    del order
+    bounds = _bounds(pairs)
+    lefts, rights = np.divmod(pairs[bounds[:-1]].astype(np.int64), len(names))
+    keys = lefts * stride + rights
+    del pairs
     prv = np.arange(-1, len(sym) - 1, dtype=np.int32)
     prv[ends - lengths[lengths > 0]] = -1
-    weight = np.repeat(np.array(list(word_freqs.values()), dtype=np.float64), lengths)
+    weight = np.repeat(np.fromiter(word_freqs.values(), np.int64, len(words)), lengths)
     del lengths, ends
-    counts = {}
-    for left, at in index.items():
-        sums = np.bincount(sym[nxt[at]], weight[at])
-        right = np.flatnonzero(sums)
-        counts.update(zip((right + left * stride).tolist(), sums[right].astype(np.int64).tolist()))
-    heap = [(-count, pair_of(key), key) for key, count in counts.items()]
+    counts = dict(zip(keys.tolist(), np.add.reduceat(weight[pos], bounds[:-1]).tolist()))
+    heap = [(-count, *pair_of(key), key) for key, count in counts.items()]
     heapq.heapify(heap)
+    # each character's table: its pairs (c, x) as slots 2 * stride + x
+    made = {}
+    slots = rights + 2 * stride
+    edges = _bounds(lefts).tolist()
+    for i, j in zip(edges, edges[1:]):
+        made[int(lefts[i])] = [(slots[i:j], bounds[i:j + 1], pos)]
+    del keys, bounds, lefts, rights, slots
+    small = np.uint16 if 3 * stride <= 1 << 16 else np.int32  # slots of 16 bits sort by radix
 
     table = MergeTable()
     while heap and len(table) < num_merges:
-        neg, best, key = heapq.heappop(heap)
+        neg, *best, key = heapq.heappop(heap)
         count = counts.get(key)
         if count != -neg:
-            if count is not None and count < -neg:
-                heapq.heappush(heap, (-count, best, key))  # fell since pushed: requeue
+            if count and count < -neg:
+                heapq.heappush(heap, (-count, *best, key))  # fell since pushed: requeue
             continue  # else gone, or a later entry holds its higher count
         if -neg < 2:
             break
-        table.append(best)
+        table.append(tuple(best))
         left, right = divmod(key, stride)
-        merged = ids.setdefault(best[0] + best[1], len(names))
+        name = best[0] + best[1]
+        merged = ids.setdefault(name, len(names))
         if merged == len(names):
-            names.append(best[0] + best[1])
-        at = index[left] = index[left][sym[index[left]] == left]
+            names.append(name)
+        # the pair was filed where its left symbol was made, as (L, x), or its right one, as (x, R)
+        filed = [positions[bounds[i]:bounds[i + 1]]
+                 for symbol, slot in ((left, 2 * stride + right), (right, left))
+                 for slots, bounds, positions in made.get(symbol, ())
+                 if (i := slots.searchsorted(slot)) < len(slots) and slots[i] == slot]
+        at = filed[0] if len(filed) == 1 else np.sort(np.concatenate(filed))
+        # a stale position has been merged away or into a longer symbol, or its right neighbour has
+        at = at[(sym[at] == left) & (sym[nxt[at]] == right)]
         to = nxt[at]
-        found = sym[to] == right
-        at, to = at[found], to[found]
         if left == right:
             # in a run such as ``aaaa`` the occurrences overlap; merge every other one
             chained = np.zeros(len(at), dtype=bool)
@@ -254,44 +294,38 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
                 keep = (k - np.maximum.accumulate(np.where(chained, 0, k))) % 2 == 0
                 at, to = at[keep], to[keep]
         after = nxt[to]
-        joined = after >= 0
+        before = prv[at]
         # in (L, R, L, R) the pair between the two sites is counted once, at the first
-        lead = prv[at] >= 0
+        lead = before >= 0
         lead[1:] &= after[:-1] != at[1:]
-        after_j, at_j = after[joined], at[joined]
-        n = len(names)
-        # the neighbour symbols x of the sites, offset by n per side: before a
-        # lead site, and after a site before the merge and after it
-        beside = [sym[prv[at[lead]]], sym[after_j] + n]
+        joined = after >= 0
+        before, after_j, at_j = before[lead], after[joined], at[joined]
+        # the neighbour symbols x of the sites, offset by stride per side (the slots):
+        # before a lead site, and after a joined site before the merge and after it
+        beside = [sym[before], sym[after_j] + stride]
         sym[at], sym[to], nxt[at] = merged, -1, after
         prv[after_j] = at_j
-        beside.append(sym[after_j] + 2 * n)
-        w, w_j = weight[at], weight[at_j]
-        sums = np.bincount(np.concatenate(beside), np.concatenate((w[lead], w_j, w_j)))
-        slots = (sums > 0).nonzero()[0]
-        fell, rose = [(key, w.sum())], []
-        for slot, c in zip(slots.tolist(), sums[slots].tolist()):
-            side, x = divmod(slot, n)
-            if side == 0:  # (x, L) becomes (x, LR)
-                fell.append((x * stride + left, c))
-                rose.append((x * stride + merged, c))
-            elif side == 1:  # (R, x) goes
-                fell.append((right * stride + x, c))
-            else:  # (LR, x) comes
-                rose.append((merged * stride + x, c))
-        grown = index.get(merged)  # a product made before, when products repeat
-        index[merged] = at_j if grown is None else np.sort(np.concatenate((grown, at_j)))
-        # the falls first, so that no count passes below its final value
-        for key, c in fell:
-            count = counts[key] - int(c)
-            if count > 0:
-                counts[key] = count
-            else:
-                del counts[key]
-        for key, c in rose:
-            count = counts[key] = counts.get(key, 0) + int(c)
-            heapq.heappush(heap, (-count, pair_of(key), key))
-    del counts, index, heap, prv, weight  # before the vocabulary is read, so the peak does not grow
+        beside.append(sym[after_j] + 2 * stride)
+        slots = np.concatenate(beside, dtype=small, casting="unsafe")
+        order = slots.argsort(kind="stable")
+        # each slot's positions, in position order: where its pairs lie, for sides 0 and 2
+        slots, sites = slots[order], np.concatenate((before, at_j, at_j))[order]
+        bounds = _bounds(slots)
+        slots = slots[bounds[:-1]]
+        made.setdefault(merged, []).append((slots, bounds, sites))
+        xs, sums = slots.tolist(), np.add.reduceat(weight[sites], bounds[:-1]).tolist()
+        b1, b2 = bisect_left(xs, stride), bisect_left(xs, 2 * stride)
+        # the falls first, so that no count passes below its final value: (x, L) and (R, x)
+        fell = [x * stride + left for x in xs[:b1]] + [x + (right - 1) * stride for x in xs[b1:b2]]
+        counts.update(zip(fell, map(sub, map(counts.__getitem__, fell), sums)))
+        del counts[key]  # a merge leaves no occurrence of its own pair
+        # (x, L) becomes (x, LR), and (LR, x') comes
+        rose = [x * stride + merged for x in xs[:b1]] + [x + (merged - 2) * stride for x in xs[b2:]]
+        pairs = [(names[x], name) for x in xs[:b1]] + [(name, names[x - 2 * stride]) for x in xs[b2:]]
+        for key, c, (first, second) in zip(rose, sums[:b1] + sums[b2:], pairs):
+            count = counts[key] = counts.get(key, 0) + c
+            heapq.heappush(heap, (-count, first, second, key))
+    del counts, made, heap, prv, weight  # before the vocabulary is read, so the peak does not grow
     if len({left + right for left, right in table.pairs}) == len(table):
         live = sym >= 0
         # piece s is symbol s's name, and piece len(names) + s that name marked,

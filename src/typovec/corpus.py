@@ -227,22 +227,24 @@ def read_pairs(path, registry: Registry):
     without pairs raises it naming ``path``. A pair is yielded only once its
     line has passed, so the error comes at the first bad line.
     """
+    codes = frozenset(registry.codes)
+
     def parse(line):
         lang, tab, rest = line.partition("\t")
         if not tab:
             raise CorpusError("missing tab after language code")
-        if lang not in registry:
+        if lang not in codes:
             raise CorpusError(f"unknown language code {lang!r} (not in {registry.source})")
-        if rest.count(PAIR_SEPARATOR) != 1:
+        # split where partition would, left to right: two sides exactly when count is 1
+        sides = rest.split(PAIR_SEPARATOR)
+        if len(sides) != 2:
             raise CorpusError(f"expected exactly one {PAIR_SEPARATOR!r} separator")
-        source_s, _, target_s = rest.partition(PAIR_SEPARATOR)
-        source = preprocess(source_s)
-        target = preprocess(target_s)
+        source, target = tuple(preprocess(sides[0])), tuple(preprocess(sides[1]))
         if not source:
             raise CorpusError("empty source side")
         if not target:
             raise CorpusError("empty target side")
-        return SentencePair(lang, tuple(source), tuple(target))
+        return SentencePair(lang, source, target)
 
     pairs = read_records(path, parse)
     first = next(pairs, None)
