@@ -148,15 +148,17 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     sym[nxt[p]])``.
 
     The site index is keyed by pair, so a merge reads about as many
-    positions as it has sites. A pair forms only where one of its symbols
-    was just made: at the set-up for two characters, else by the merge that
-    made the left or the right symbol. ``made`` holds, per symbol, the
-    tables its making filed: sorted ``slots`` (``x`` for a pair ``(x, s)``,
-    ``2 * stride + x`` for ``(s, x)``), their ``bounds`` and ``positions``,
-    each slot's positions in position order. The set-up makes one table per
-    character from one stable sort of the character pairs (a radix sort
-    when their ids fit 16 bits), and the initial counts are the weighted
-    sums of its runs. A merge of ``(L, R)`` reads the slot ``(L, R)`` of the
+    positions as it has sites, however often its left symbol occurs. A pair
+    forms only where one of its symbols was just made: at the set-up for two
+    characters, else by the merge that made the left or the right symbol.
+    So ``made`` holds, per symbol, the tables its making filed: sorted
+    ``slots`` (``x`` for a pair ``(x, s)``, ``stride + x`` for ``(s, x)``),
+    their ``bounds`` and ``positions``, each slot's positions in position
+    order. The set-up makes one table per character from one stable sort of
+    the character pairs, in the narrowest integer type that holds their ids,
+    so that the ids and their order never take 16 bytes a position (a radix
+    sort when 16 bits hold them); the initial counts are the weighted sums
+    of its runs. A merge of ``(L, R)`` reads the slot ``(L, R)`` of the
     tables of ``L`` and of ``R``; when more than one holds positions they
     are sorted together. An entry is never removed, so it goes stale once
     its position is merged away or into a longer symbol, or its right
@@ -175,13 +177,14 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     when the next site follows at once. In ``(L, R, L, R)`` the pair
     between the two sites is counted once, after the first. The neighbour
     symbols, offset by ``stride`` per side, are the slots of the merge:
-    one stable sort groups them, with the positions where the new pairs
-    lie, which is the merge's table, and one ``np.add.reduceat`` sums
-    their weights. The falls and rises are read off the sorted slots as
-    key and count lists, so Python work runs per distinct neighbour and
-    side only. The falls are applied first, so no count passes below its
-    final value, the merged pair's count goes, and each rise pushes its
-    pair at the new count.
+    ``x`` before a site, ``stride + x'`` and ``2 * stride + x`` after it.
+    One stable sort groups them with the positions of their pairs, and one
+    ``np.add.reduceat`` sums their weights. The pairs formed sort first, and
+    their groups are the merge's table. The falls and rises are read off the
+    sorted slots as key and count lists, so Python work runs per distinct
+    neighbour and side only. The falls are applied first, so no count passes
+    below its final value, the merged pair's count goes, and each rise pushes
+    its pair at the new count.
 
     The heap is lazy on decrease. A pair is pushed when its count rises and
     not when it falls, so each pair counted above 0 has an entry at or
@@ -232,11 +235,14 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         return names[left], names[right]
 
     # the positions with a right neighbour, grouped by their pair of characters in
-    # position order: one stable sort of the pairs' ids (by radix when 16 bits hold them)
+    # position order: one stable sort of the pairs' ids, in the narrowest type that
+    # holds them, so that they and their order never take 16 bytes a position
+    # (16 bits sort by radix)
     pos = np.flatnonzero(nxt >= 0).astype(np.int32)
-    pairs = sym[pos].astype(np.int64) * len(names) + sym[nxt[pos]]
-    if len(names) ** 2 <= 1 << 16:
-        pairs = pairs.astype(np.uint16)
+    width = len(names) ** 2
+    pairs = sym[pos].astype(np.uint16 if width <= 1 << 16 else np.uint32 if width <= 1 << 32 else np.int64)
+    pairs *= len(names)
+    pairs += sym[nxt[pos]].astype(pairs.dtype)
     order = pairs.argsort(kind="stable")
     pos, pairs = pos[order], pairs[order]
     del order
@@ -251,9 +257,9 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
     counts = dict(zip(keys.tolist(), np.add.reduceat(weight[pos], bounds[:-1]).tolist()))
     heap = [(-count, *pair_of(key), key) for key, count in counts.items()]
     heapq.heapify(heap)
-    # each character's table: its pairs (c, x) as slots 2 * stride + x
+    # each character's table: its pairs (c, x) as slots stride + x
     made = {}
-    slots = rights + 2 * stride
+    slots = rights + stride
     edges = _bounds(lefts).tolist()
     for i, j in zip(edges, edges[1:]):
         made[int(lefts[i])] = [(slots[i:j], bounds[i:j + 1], pos)]
@@ -262,29 +268,30 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
 
     table = MergeTable()
     while heap and len(table) < num_merges:
-        neg, *best, key = heapq.heappop(heap)
+        neg, first, second, key = heapq.heappop(heap)
         count = counts.get(key)
         if count != -neg:
             if count and count < -neg:
-                heapq.heappush(heap, (-count, *best, key))  # fell since pushed: requeue
+                heapq.heappush(heap, (-count, first, second, key))  # fell since pushed: requeue
             continue  # else gone, or a later entry holds its higher count
         if -neg < 2:
             break
-        table.append(tuple(best))
+        table.append((first, second))
         left, right = divmod(key, stride)
-        name = best[0] + best[1]
+        name = first + second
         merged = ids.setdefault(name, len(names))
         if merged == len(names):
             names.append(name)
         # the pair was filed where its left symbol was made, as (L, x), or its right one, as (x, R)
         filed = [positions[bounds[i]:bounds[i + 1]]
-                 for symbol, slot in ((left, 2 * stride + right), (right, left))
+                 for symbol, slot in ((left, stride + right), (right, left))
                  for slots, bounds, positions in made.get(symbol, ())
                  if (i := slots.searchsorted(slot)) < len(slots) and slots[i] == slot]
         at = filed[0] if len(filed) == 1 else np.sort(np.concatenate(filed))
         # a stale position has been merged away or into a longer symbol, or its right neighbour has
-        at = at[(sym[at] == left) & (sym[nxt[at]] == right)]
         to = nxt[at]
+        live = (sym[at] == left) & (sym[to] == right)
+        at, to = at[live], to[live]
         if left == right:
             # in a run such as ``aaaa`` the occurrences overlap; merge every other one
             chained = np.zeros(len(at), dtype=bool)
@@ -300,29 +307,29 @@ def learn_bpe(corpus: CorpusStore | Mapping[str, int], num_merges: int) -> Merge
         lead[1:] &= after[:-1] != at[1:]
         joined = after >= 0
         before, after_j, at_j = before[lead], after[joined], at[joined]
-        # the neighbour symbols x of the sites, offset by stride per side (the slots):
-        # before a lead site, and after a joined site before the merge and after it
-        beside = [sym[before], sym[after_j] + stride]
+        # the neighbour symbols of the sites, offset by stride per side (the slots): x
+        # before a lead site, and after a joined site x' once merged and x before
+        gone = sym[after_j] + 2 * stride
         sym[at], sym[to], nxt[at] = merged, -1, after
         prv[after_j] = at_j
-        beside.append(sym[after_j] + 2 * stride)
-        slots = np.concatenate(beside, dtype=small, casting="unsafe")
+        slots = np.concatenate((sym[before], sym[after_j] + stride, gone), dtype=small, casting="unsafe")
         order = slots.argsort(kind="stable")
-        # each slot's positions, in position order: where its pairs lie, for sides 0 and 2
         slots, sites = slots[order], np.concatenate((before, at_j, at_j))[order]
         bounds = _bounds(slots)
-        slots = slots[bounds[:-1]]
-        made.setdefault(merged, []).append((slots, bounds, sites))
-        xs, sums = slots.tolist(), np.add.reduceat(weight[sites], bounds[:-1]).tolist()
+        xs, sums = slots[bounds[:-1]].tolist(), np.add.reduceat(weight[sites], bounds[:-1]).tolist()
         b1, b2 = bisect_left(xs, stride), bisect_left(xs, 2 * stride)
+        # the merge's table: the pairs it formed, (x, LR) and (LR, x'), each with its
+        # positions in position order; they sort before the pairs that go
+        formed = len(before) + len(at_j)
+        made.setdefault(merged, []).append((slots[bounds[:b2]], bounds[:b2 + 1], sites[:formed].copy()))
         # the falls first, so that no count passes below its final value: (x, L) and (R, x)
-        fell = [x * stride + left for x in xs[:b1]] + [x + (right - 1) * stride for x in xs[b1:b2]]
-        counts.update(zip(fell, map(sub, map(counts.__getitem__, fell), sums)))
+        fell = [x * stride + left for x in xs[:b1]] + [x + (right - 2) * stride for x in xs[b2:]]
+        counts.update(zip(fell, map(sub, map(counts.__getitem__, fell), sums[:b1] + sums[b2:])))
         del counts[key]  # a merge leaves no occurrence of its own pair
         # (x, L) becomes (x, LR), and (LR, x') comes
-        rose = [x * stride + merged for x in xs[:b1]] + [x + (merged - 2) * stride for x in xs[b2:]]
-        pairs = [(names[x], name) for x in xs[:b1]] + [(name, names[x - 2 * stride]) for x in xs[b2:]]
-        for key, c, (first, second) in zip(rose, sums[:b1] + sums[b2:], pairs):
+        rose = [x * stride + merged for x in xs[:b1]] + [x + (merged - 1) * stride for x in xs[b1:b2]]
+        pairs = [(names[x], name) for x in xs[:b1]] + [(name, names[x - stride]) for x in xs[b1:b2]]
+        for key, c, (first, second) in zip(rose, sums, pairs):
             count = counts[key] = counts.get(key, 0) + c
             heapq.heappush(heap, (-count, first, second, key))
     del counts, made, heap, prv, weight  # before the vocabulary is read, so the peak does not grow

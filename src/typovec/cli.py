@@ -169,17 +169,23 @@ def _synth(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     return outputs, f"wrote {cfg.synth_langs} languages x {cfg.synth_sentences} sentences"
 
 
+def _without_sentences(wd: Workdir, lang: str) -> ValueError:
+    """The error for a language of the feature matrix that has no sentence pair in the corpus.
+
+    extract writes vectors only for the languages that have sentences, and predict and traj read
+    one per matrix row. Two files of one synth suite always agree, so no stage rerun mends this:
+    the message names the file without the "<path>:" that would ask for one."""
+    return ValueError(f"{wd.path('features')} lists language {lang!r}, "
+                      f"which has no sentence pair in {wd.path('corpus')}")
+
+
 def _ingest(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     registry = corpus.load_registry(wd.path("registry"))
     pairs = Counter(pair.lang for pair in corpus.read_pairs(wd.path("corpus"), registry))
     matrix = typology.load_features(wd.path("features"), registry)
-    # extract writes vectors only for the languages that have sentences, and predict reads one per
-    # matrix row. Two files of one synth suite always agree, so no stage rerun mends this: the
-    # message names the file without the "<path>:" that would ask for one
     silent = [lang for lang in matrix.languages if not pairs[lang]]
     if silent:
-        raise ValueError(f"{wd.path('features')} lists language {silent[0]!r}, "
-                         f"which has no sentence pair in {wd.path('corpus')}")
+        raise _without_sentences(wd, silent[0])
     counts = matrix.category_counts()
     summary = wd.path("ingest_summary.txt")
     write_kv(summary, {
@@ -303,10 +309,18 @@ def _predict_inputs(cfg: PipelineConfig) -> list[str]:
             *(f"vectors_{m}.tsv" for m in cfg.method_list)]
 
 
-def _covering(path: Path, languages: list[str], by_lang: dict) -> dict:
-    """``by_lang``, read from ``path``, once it is known to hold every language."""
-    missing = [lang for lang in languages if lang not in by_lang]
+def _vectors(wd: Workdir, method: str, matrix, registry) -> dict:
+    """The vectors of ``method`` by language, once they hold every language of ``matrix``."""
+    path = wd.path(f"vectors_{method}.tsv")
+    by_lang = {v.lang: v for v in vectors.load_vectors(path, method)}
+    missing = [lang for lang in matrix.languages if lang not in by_lang]
     if missing:
+        # extract writes one for each language of the corpus; for a language without sentence
+        # pairs an extract rerun would write none again
+        spoken = {pair.lang for pair in corpus.read_pairs(wd.path("corpus"), registry)}
+        silent = [lang for lang in missing if lang not in spoken]
+        if silent:
+            raise _without_sentences(wd, silent[0])
         raise ValueError(f"{path}: no entry for language {missing[0]!r}")
     return by_lang
 
@@ -319,11 +333,11 @@ def _predict(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         raise ConfigError(f"n_folds must be at most the number of languages ({len(registry)}), got {cfg.n_folds}")
     if len(matrix.languages) < cfg.n_folds:
         raise ValueError(f"{wd.path('features')}: {len(matrix.languages)} languages, n_folds={cfg.n_folds}")
-    stores = {method: wd.path(f"vectors_{method}.tsv") for method in cfg.method_list}
-    by_method = {method: _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path, method)})
-                 for method, path in stores.items()}
-    knn = _covering(wd.path("knn_vectors.tsv"), matrix.languages,
-                    typology.read_knn_vectors(wd.path("knn_vectors.tsv")))
+    by_method = {method: _vectors(wd, method, matrix, registry) for method in cfg.method_list}
+    knn = typology.read_knn_vectors(wd.path("knn_vectors.tsv"))
+    missing = [lang for lang in matrix.languages if lang not in knn]
+    if missing:  # baseline writes one for each language of the matrix
+        raise ValueError(f"{wd.path('knn_vectors.tsv')}: no entry for language {missing[0]!r}")
     folds = predict.make_folds(matrix.languages, cfg.n_folds, cfg.seed)
     result = predict.evaluate(matrix, by_method, folds, methods, (False, True), knn, cfg.l2)
     outputs = [wd.path("report.tsv"), wd.path("feature_accuracy.tsv"),
@@ -408,8 +422,7 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         raise ConfigError(f"traj_langs names {unknown[0]!r}, which has no sentences in {wd.path('corpus')}")
     matrix = typology.load_features(wd.path("features"), registry)
     nmt = _load_trained(wd, "nmt")
-    path = wd.path("vectors_MTCell.tsv")
-    mtcell = _covering(path, matrix.languages, {v.lang: v for v in vectors.load_vectors(path, "MTCell")})
+    mtcell = _vectors(wd, "MTCell", matrix, registry)
     feature = cfg.traj_feature
     if feature not in matrix.feature_names():
         raise ConfigError(f"traj_feature {feature!r} is not a column of {wd.path('features')}")
@@ -461,6 +474,12 @@ def _params(stage: str, cfg: PipelineConfig) -> dict[str, str]:
     return {"tool_version": __version__, **{p: format_value(cfg, p) for p in STAGES[stage].params}}
 
 
+def _inputs(stage: str, cfg: PipelineConfig) -> list[str]:
+    """The artifacts that ``stage`` reads under ``cfg``."""
+    inputs = STAGES[stage].inputs
+    return list(inputs(cfg) if callable(inputs) else inputs)
+
+
 def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
     """Stops stage ``name``, whose record would be ``entries``, unless it and
     every stage upstream of it that has a manifest ran under this config on
@@ -480,17 +499,18 @@ def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
         return entries.get(f"in:{key}") or (_sha256(path) if path.is_file() else None)
 
     def reads(stage):
-        """(path, stale, producer) for each input of ``stage`` that can be checked: one whose
-        producer has a manifest, or a named file (producer None) that is there to hash."""
-        for artifact, (path, key) in where.items():
-            producer, digest = wd.producer(artifact), record(stage).get(f"in:{key}")
-            if not digest:
-                continue
+        """(path, read, digest, producer) for each input that ``stage`` declares under this
+        config and that can be checked: one whose producer has a manifest, or a named file
+        (producer None) that is there to hash. ``read`` is the hash the stage's record gives
+        the file, None if the stage did not read it, and ``digest`` the hash it should have."""
+        for artifact in _inputs(stage, wd.cfg):
+            path, key = where[artifact]
+            producer, read = wd.producer(artifact), record(stage).get(f"in:{key}")
             if producer is None:
                 if now(path, key):
-                    yield path, now(path, key) != digest, None
+                    yield path, read, now(path, key), None
             elif record(producer):
-                yield path, record(producer).get(f"out:{key}") != digest, producer
+                yield path, read, record(producer).get(f"out:{key}"), producer
 
     # STAGES lists every stage after the producers of its inputs, so walking it
     # backwards reaches each stage of the walk after every stage that reads it
@@ -502,17 +522,18 @@ def _require_fresh(name: str, entries: dict[str, str], wd: Workdir) -> None:
             if record(stage).get(key) != value:
                 raise StageInputError(f"'{stage}' ran with {key}={record(stage).get(key)}, "
                                       f"but the config has {key}={value}; rerun '{stage}'")
-        for path, stale, producer in reads(stage):
-            if stale:
+        for path, read, digest, producer in reads(stage):
+            if read is None:  # it read another file in this one's place
+                raise StageInputError(f"'{stage}' did not read {path}; rerun '{stage}'")
+            if read != digest:
                 raise StageInputError(
                     f"{path} is not the file '{producer}' last wrote; rerun '{producer}'" if stage == name
                     else f"{path} has changed since '{stage}' read it; rerun '{stage}'")
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> None:
-    stage = STAGES[name]
     # a config under which the stage has no inputs fails before the work dir is made
-    inputs = stage.inputs(cfg) if callable(stage.inputs) else stage.inputs
+    inputs = _inputs(name, cfg)
     wd = Workdir(cfg)
     with _workdir_lock(wd.root):
         entries = _params(name, cfg)
@@ -528,7 +549,7 @@ def run_stage(name: str, cfg: PipelineConfig) -> None:
             print(f"{name}: up to date")
             return
         try:
-            outputs, summary = stage.body(cfg, wd)
+            outputs, summary = STAGES[name].body(cfg, wd)
         except ValueError as exc:
             # a loader's error starts with "<path>:" (the path itself may hold a ":"); an
             # input file the config names has no producer to rerun

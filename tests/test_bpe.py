@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import re
@@ -63,6 +64,12 @@ exotic_corpora = st.dictionaries(
 PINNED_SUITES = [((40, 500, 20250810, 24), 300), ((60, 40, 7, 120), 400)]
 
 
+@functools.cache
+def suite_of(n_langs, sentences, seed, lexicon):
+    """One generated suite per argument tuple, shared by the tests that learn on it."""
+    return generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
+
+
 class TestLearn:
     def test_most_frequent_pair_wins(self):
         table = learn_bpe({"abab": 1, "abc": 1}, 1)
@@ -112,6 +119,19 @@ class TestLearn:
             expect = brute_force_learn_bpe(words, merges)
             assert got.pairs == expect, f"trial {trial}: {words}"
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_recount_oracle_where_filed_positions_go_stale(self, seed):
+        # 150 merges over four letters: about two in five of the positions the merges
+        # read have lost their pair since it was filed, and pairs form again next to
+        # each new symbol
+        rng = np.random.default_rng(seed)
+        words = {}
+        while len(words) < 150:
+            words["".join("abcd"[i] for i in rng.integers(0, 4, int(rng.integers(2, 20))))] = int(rng.integers(1, 9))
+        expect = brute_force_learn_bpe(words, 150)
+        assert len(expect) == 150
+        assert learn_bpe(words, 150).pairs == expect
+
     @settings(max_examples=300, deadline=None)
     @given(small_alphabet_corpora, st.integers(1, 25))
     def test_incremental_counts_match_recount_oracle(self, words, merges):
@@ -137,12 +157,16 @@ class TestLearn:
         ((200, 100, 11, 200), 600,
          "46f84f27a1c15531d1944f85be38b79a3ca2b77ff8e785b76d171bb315c8d1b8",
          "86b76a5d78f2ad6f11d85f3200501d788fac24df0a38aa2d07bc2e1a0499fb00"),
+        # the same suite at 3,000 merges, where most merges have a few dozen sites
+        ((200, 100, 11, 200), 3000,
+         "1e958ec4a05beaefdfacc40dd8df4fae089f05967cf8785bbaefd3a48abbbc2b",
+         "c7a96dd7ea7ab7762076ed6aefe389c76ba2d840fd4b32ed903d9c6c0b524c07"),
     ])
     def test_files_match_pinned_digests(self, tmp_path, suite_args, merges, merges_sha,
                                         vocab_sha):
-        # computed with the earlier learner, which recounted every pair of each changed word
-        n_langs, sentences, seed, lexicon = suite_args
-        suite = generate_suite(n_langs, sentences, seed=seed, lexicon_size=lexicon)
+        # computed with earlier learners: the first three with one that recounted every pair
+        # of each changed word, the last with one that found sites by their left symbol
+        suite = suite_of(*suite_args)
         table = learn_bpe(suite.corpus, merges)
         save_merges(tmp_path / "merges.txt", table)
         save_vocab(tmp_path / "vocab.tsv", build_vocab(suite.corpus, table, suite.registry))
@@ -271,9 +295,7 @@ class TestMemo:
         # the bpe benchmark workload's suite; with the per-word memo the learner
         # peaked 62 bytes per training position above its input, and the table
         # it returned kept 105 bytes per word type (39 and 10 without it)
-        suite = generate_suite(200, 100, seed=11, lexicon_size=200)
-        words = corpus_word_frequencies(suite.corpus)
-        del suite
+        words = corpus_word_frequencies(suite_of(200, 100, 11, 200).corpus)
         gc.collect()
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()

@@ -868,6 +868,52 @@ def test_named_input_changed_since_an_upstream_stage_read_it(tmp_path, capsys):
     assert "up to date" not in capsys.readouterr().out
 
 
+def test_upstream_stage_that_read_another_named_file_is_named(tmp_path, capsys):
+    # bpe-learn's manifest lists a.txt and not b.txt: train-nmt would train on a.txt's merges
+    write_config(tmp_path / "source.cfg", workdir=str(tmp_path / "source"), synth_langs=8, synth_sentences=20)
+    assert _run(tmp_path / "source.cfg", "synth") == 0
+    a_path, b_path = tmp_path / "a.txt", tmp_path / "b.txt"
+    shutil.copyfile(tmp_path / "source" / "corpus.txt", a_path)
+    b_path.write_bytes(a_path.read_bytes() + "s00\tzarbunik ||| en_n0 en_v0\n".encode("utf-8"))
+    cfg_path, work = tmp_path / "cfg.txt", tmp_path / "work"
+    sizes = {"workdir": str(work), "synth_langs": 8, "synth_sentences": 20, "num_merges": 20, "epochs": 1}
+    write_config(cfg_path, **sizes, corpus=str(a_path))
+    for stage in ("synth", "bpe-learn", "train-nmt"):
+        assert _run(cfg_path, stage) == 0, stage
+    write_config(cfg_path, **sizes, corpus=str(b_path))
+    before = snapshot(work)
+    capsys.readouterr()
+    assert _run(cfg_path, "train-nmt") == 1
+    assert capsys.readouterr().err == f"error: 'bpe-learn' did not read {b_path}; rerun 'bpe-learn'\n"
+    assert snapshot(work) == before
+    assert _run(cfg_path, "bpe-learn") == 0
+    assert _run(cfg_path, "train-nmt") == 0
+    assert "up to date" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stage", ["predict", "traj"])
+def test_feature_language_without_sentences_asks_for_no_rerun(tmp_path, capsys, stage):
+    # ingest, which refuses such a language, did not run; extract wrote no vector for
+    # it, and an extract rerun would write none again
+    cfg_path, work = tmp_path / "cfg.txt", tmp_path / "work"
+    sizes = {"workdir": str(work), "synth_langs": 8, "synth_sentences": 10, "num_merges": 20, "epochs": 1,
+             "methods": "MTVec,MTCell"}
+    write_config(cfg_path, **sizes)
+    assert _run(cfg_path, "synth") == 0
+    corpus_path = tmp_path / "corpus.txt"
+    lines = (work / "corpus.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus_path.write_text("".join(line for line in lines if not line.startswith("s07\t")), encoding="utf-8")
+    write_config(cfg_path, **sizes, corpus=str(corpus_path))
+    for name in ("bpe-learn", "train-nmt", "extract", "baseline"):
+        assert _run(cfg_path, name) == 0, name
+    capsys.readouterr()
+    assert _run(cfg_path, stage) == 1
+    assert capsys.readouterr().err == (
+        f"error: {work / 'features.csv'} lists language 's07', which has no sentence pair in {corpus_path}\n")
+    assert _run(cfg_path, "extract") == 0
+    assert capsys.readouterr().out == "extract: up to date\n"
+
+
 def test_ingest_refuses_a_feature_language_without_sentences(tmp_path, capsys):
     # extract would write no vector for it, and predict would ask for an extract rerun that changes nothing
     cfg_path = tmp_path / "cfg.txt"
