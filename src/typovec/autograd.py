@@ -94,12 +94,19 @@ class Tensor:
 
 
 class Parameter:
-    """Named trainable tensor with a persistent gradient accumulator."""
+    """Named trainable tensor with a persistent gradient accumulator.
+
+    ``value`` becomes the parameter's own array, not a copy, when it is
+    already a C-ordered float64 array (a loaded checkpoint's tensors are).
+    The gradient comes from ``np.zeros``, whose pages the system maps only
+    when they are first written, so a model used only for inference holds
+    no gradient memory.
+    """
 
     def __init__(self, name: str, value):
         self.name = name
-        self.value = np.array(value, dtype=np.float64, order="C")  # adam_step updates it through a flat view
-        self.grad = np.zeros_like(self.value)
+        self.value = np.asarray(value, dtype=np.float64, order="C")  # adam_step updates it through a flat view
+        self.grad = np.zeros(self.value.shape)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0

@@ -213,9 +213,13 @@ def _bpe_learn(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 _ENCODED_INPUTS = ("registry", "corpus", "merges.txt", "vocab.tsv")
 
 
-def _load_encoded(wd: Workdir):
+def _load_encoded(wd: Workdir, per_lang: int):
     """The registry, the encoded corpus and the vocabulary; the corpus is
-    encoded as it is read, so no stage that calls this holds its words."""
+    encoded as it is read, so no stage that calls this holds its words.
+
+    Every line of the corpus is read and checked, but only the first
+    ``per_lang`` pairs of each language are encoded, or all of them for 0.
+    """
     registry = corpus.load_registry(wd.path("registry"))
     merges = bpe.load_merges(wd.path("merges.txt"))
     vocab = bpe.load_vocab(wd.path("vocab.tsv"))
@@ -223,11 +227,19 @@ def _load_encoded(wd: Workdir):
     if missing:
         raise ValueError(f"{wd.path('vocab.tsv')}: no token for language {missing[0]!r}")
     pairs = corpus.read_pairs(wd.path("corpus"), registry)
+    if per_lang:
+        taken = Counter()
+
+        def first(pair) -> bool:
+            taken[pair.lang] += 1
+            return taken[pair.lang] <= per_lang
+
+        pairs = filter(first, pairs)
     return registry, bpe.encode_corpus(pairs, merges, vocab), vocab
 
 
 def _train(cfg: PipelineConfig, wd: Workdir, kind: str) -> StageResult:
-    _, encoded, vocab = _load_encoded(wd)
+    _, encoded, vocab = _load_encoded(wd, 0)
     trainer = training.train_nmt if kind == "nmt" else training.train_lm
     model, curve = trainer(encoded, vocab, _train_config(cfg))
     outputs = [wd.path(f"{kind}.ckpt"), wd.path(f"{kind}.model")]
@@ -255,7 +267,7 @@ def _extract_inputs(cfg: PipelineConfig) -> list[str]:
 
 def _extract(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     methods = cfg.method_list
-    _, encoded, vocab = _load_encoded(wd)
+    _, encoded, vocab = _load_encoded(wd, 0)
     langs = sorted(encoded.by_lang)
     nmt = _load_trained(wd, "nmt") if "nmt.ckpt" in _extract_inputs(cfg) else None
     lm = _load_trained(wd, "lm") if "lm.ckpt" in _extract_inputs(cfg) else None
@@ -415,7 +427,7 @@ def _bootstrap(cfg: PipelineConfig, wd: Workdir) -> StageResult:
 def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
     import numpy as np  # here, not at module level: the stages without array work load no numpy
 
-    registry, encoded, vocab = _load_encoded(wd)
+    registry, encoded, vocab = _load_encoded(wd, cfg.traj_sentences)
     langs = [l for l in cfg.traj_langs.split(",") if l] or sorted(encoded.by_lang)
     unknown = [lang for lang in langs if lang not in encoded.by_lang]
     if unknown:
@@ -431,7 +443,7 @@ def _traj(cfg: PipelineConfig, wd: Workdir) -> StageResult:
         raise ValueError(f"{wd.path('features')}: fewer than 2 languages label {feature}")
     X = np.stack([mtcell[matrix.languages[i]].values for i in rows])
     logreg = predict.train_logreg(predict.Scaler.fit(X).apply(X), y, l2=cfg.l2, feature=feature)
-    node, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs, cfg.traj_sentences or None)
+    node, rows = predict.export_trajectory(nmt, logreg, encoded, vocab, langs)
     out = wd.path("trajectory.csv")
     predict.write_trajectory_csv(out, rows)
     fit = "converged" if logreg.converged else "not converged"

@@ -39,6 +39,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, islice
+from typing import NamedTuple
 
 PAIR_SEPARATOR = " ||| "
 
@@ -102,9 +103,10 @@ class Registry:
         return list(self._records)
 
 
-@dataclass(frozen=True)
-class SentencePair:
-    """One parallel sentence, both sides already preprocessed."""
+class SentencePair(NamedTuple):
+    """One parallel sentence, both sides already preprocessed; immutable, as
+    a tuple is, and built without the per-field ``object.__setattr__`` of a
+    frozen dataclass."""
 
     lang: str
     source: tuple[str, ...]

@@ -7,7 +7,10 @@ the source sequence, so its embedding row is learned like any other token.
 Gate packing: input weights ``w`` (E, 4H), recurrent weights ``u`` (H, 4H)
 and bias ``b`` (4H,) hold the i, f, o, g blocks in that order. The forget
 gate bias is initialized to 1.0; matrices use uniform(+-sqrt(6/(fan_in+fan_out)))
-per gate block.
+per gate block. Each model's constructor declares every parameter once, by
+name, shape and init (:func:`_param`); its ``source`` is the generator that
+a new model's values are drawn from, in declaration order, or, in
+:func:`load_model`, the loaded checkpoint, whose arrays the parameters take.
 
 One cell step, ``_Cell.step``, runs under both the training op
 :func:`lstm_sequence` (one autograd node per recurrence over a padded batch,
@@ -38,12 +41,15 @@ step's scratch from the training run's workspace when it is given one, and
 they live until the next batch takes them again; its outputs are views of
 one of them, read only within the batch. Inference (:func:`lstm_states`,
 :func:`encode`) and every call without a workspace allocate afresh, so what
-they return is the caller's own.
+they return is the caller's own. A loaded model's parameters are the arrays
+the checkpoint was read into, and its gradients stay unwritten zero pages,
+so loading costs one copy of the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,9 +60,49 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, format_value, parse_fields, read_kv, write_kv  # TrainConfig re-exported
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+# Initial values: each init takes the generator and the shape, (fan_in,
+# fan_out) for a matrix and (length,) for a bias; a bias draws nothing.
+
+def _glorot(rng: np.random.Generator, shape) -> np.ndarray:
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _gates(rng: np.random.Generator, shape) -> np.ndarray:
+    """An (n, 4H) gate matrix: one Glorot block of (n, H) per gate, in gate order."""
+    block = (shape[0], shape[1] // 4)
+    return np.concatenate([_glorot(rng, block) for _ in range(4)], axis=1)
+
+
+def _zeros(_rng, shape) -> np.ndarray:
+    return np.zeros(shape)
+
+
+def _forget_bias(_rng, shape) -> np.ndarray:
+    b = np.zeros(shape)
+    b[shape[0] // 4 : shape[0] // 2] = 1.0  # the f block
+    return b
+
+
+class _Checkpoint(NamedTuple):
+    """A loaded checkpoint as the source of a model's parameters."""
+
+    path: object
+    tensors: dict[str, np.ndarray]
+
+
+def _param(source, name: str, shape: tuple, init) -> Parameter:
+    """A model's parameter, declared by name, shape and init: drawn by
+    ``init`` from the generator ``source``, or else the loaded checkpoint's
+    array of that name, which must have that shape."""
+    if not isinstance(source, _Checkpoint):
+        return Parameter(name, init(source, shape))
+    if name not in source.tensors:
+        raise ValueError(f"{source.path}: missing tensor {name!r}")
+    if source.tensors[name].shape != shape:
+        raise ValueError(f"{source.path}: tensor {name!r} has shape {source.tensors[name].shape}, "
+                         f"expected {shape}")
+    return Parameter(name, source.tensors.pop(name))
 
 
 @dataclass
@@ -70,13 +116,11 @@ class LSTMCellParams:
     b: Parameter
 
     @classmethod
-    def create(cls, name: str, embed_size: int, hidden_size: int, rng: np.random.Generator):
+    def create(cls, name: str, embed_size: int, hidden_size: int, source):
         e, h = embed_size, hidden_size
-        w = np.concatenate([_glorot(rng, e, h, (e, h)) for _ in range(4)], axis=1)
-        u = np.concatenate([_glorot(rng, h, h, (h, h)) for _ in range(4)], axis=1)
-        b = np.zeros(4 * h)
-        b[h : 2 * h] = 1.0  # forget gate bias
-        return cls(e, h, Parameter(f"{name}.w", w), Parameter(f"{name}.u", u), Parameter(f"{name}.b", b))
+        return cls(e, h, _param(source, f"{name}.w", (e, 4 * h), _gates),
+                   _param(source, f"{name}.u", (h, 4 * h), _gates),
+                   _param(source, f"{name}.b", (4 * h,), _forget_bias))
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.u, self.b]
@@ -317,15 +361,15 @@ def pad_batch(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
 class RnnLmModel:
     """Single-layer LSTM language model over the shared subword vocabulary."""
 
-    def __init__(self, vocab_size: int, config: TrainConfig, rng: np.random.Generator):
+    def __init__(self, vocab_size: int, config: TrainConfig, source):
         e, h, v = config.embed_size, config.hidden_size, vocab_size
         self.vocab_size = v
         self.embed_size = e
         self.hidden_size = h
-        self.embedding = Parameter("embed", _glorot(rng, v, e, (v, e)))
-        self.cell = LSTMCellParams.create("lstm", e, h, rng)
-        self.proj_w = Parameter("proj.w", _glorot(rng, h, v, (h, v)))
-        self.proj_b = Parameter("proj.b", np.zeros(v))
+        self.embedding = _param(source, "embed", (v, e), _glorot)
+        self.cell = LSTMCellParams.create("lstm", e, h, source)
+        self.proj_w = _param(source, "proj.w", (h, v), _glorot)
+        self.proj_b = _param(source, "proj.b", (v,), _zeros)
 
     def parameters(self) -> list[Parameter]:
         return [self.embedding, *self.cell.parameters(), self.proj_w, self.proj_b]
@@ -338,18 +382,18 @@ class Seq2SeqModel:
     dot-product attention over encoder hidden states sits behind a flag.
     """
 
-    def __init__(self, vocab_size: int, config: TrainConfig, rng: np.random.Generator):
+    def __init__(self, vocab_size: int, config: TrainConfig, source):
         e, h, v = config.embed_size, config.hidden_size, vocab_size
         self.vocab_size = v
         self.embed_size = e
         self.hidden_size = h
         self.attention = config.attention
-        self.embedding = Parameter("embed", _glorot(rng, v, e, (v, e)))
-        self.encoder = LSTMCellParams.create("enc", e, h, rng)
-        self.decoder = LSTMCellParams.create("dec", e, h, rng)
-        self.proj_w = Parameter("proj.w", _glorot(rng, h, v, (h, v)))
-        self.proj_b = Parameter("proj.b", np.zeros(v))
-        self.attn_wc = Parameter("attn.wc", _glorot(rng, 2 * h, h, (2 * h, h))) if self.attention else None
+        self.embedding = _param(source, "embed", (v, e), _glorot)
+        self.encoder = LSTMCellParams.create("enc", e, h, source)
+        self.decoder = LSTMCellParams.create("dec", e, h, source)
+        self.proj_w = _param(source, "proj.w", (h, v), _glorot)
+        self.proj_b = _param(source, "proj.b", (v,), _zeros)
+        self.attn_wc = _param(source, "attn.wc", (2 * h, h), _glorot) if self.attention else None
 
     def parameters(self) -> list[Parameter]:
         params = [
@@ -415,6 +459,10 @@ def save_model(ckpt_path, manifest_path, model, config: TrainConfig,
 def load_model(ckpt_path, manifest_path):
     """Returns (model, manifest dict, loss_curve).
 
+    The model is built by its one constructor, with each parameter taking
+    the checkpoint's array of its name as its value: nothing is drawn and
+    no tensor is copied.
+
     A missing or malformed manifest key raises ValueError naming the
     manifest and the key; a checkpoint tensor that is missing, has another
     shape or is no parameter of the model the manifest describes raises one
@@ -432,18 +480,9 @@ def load_model(ckpt_path, manifest_path):
         config = TrainConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
-    rng = np.random.default_rng(0)
-    model = (Seq2SeqModel if kind == "seq2seq" else RnnLmModel)(vocab_size, config, rng)
-    tensors, _seed = load_checkpoint(ckpt_path)
-    extra = [name for name in tensors if name not in {p.name for p in model.parameters()}]
-    if extra:
-        raise ValueError(f"{ckpt_path}: tensor {extra[0]!r} is not a parameter of the model "
+    source = _Checkpoint(ckpt_path, load_checkpoint(ckpt_path)[0])
+    model = (Seq2SeqModel if kind == "seq2seq" else RnnLmModel)(vocab_size, config, source)
+    if source.tensors:
+        raise ValueError(f"{ckpt_path}: tensor {next(iter(source.tensors))!r} is not a parameter of the model "
                          f"that {manifest_path} describes")
-    for p in model.parameters():
-        if p.name not in tensors:
-            raise ValueError(f"{ckpt_path}: missing tensor {p.name!r}")
-        if tensors[p.name].shape != p.value.shape:
-            raise ValueError(f"{ckpt_path}: tensor {p.name!r} has shape {tensors[p.name].shape}, "
-                             f"expected {p.value.shape}")
-        p.value[...] = tensors[p.name]
     return model, manifest, curve

@@ -10,6 +10,7 @@ block of elements at a time, so the scratch does not grow with the model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +50,14 @@ def adam_step(params, lr: float, state: AdamState) -> AdamState:
     counter. Then each parameter is updated in blocks of :data:`BLOCK`
     elements, every product, quotient and sum formed in that order in the
     state's scratch pair, which is the whole-array update bit for bit. After
-    a parameter's first step the update allocates only the finiteness
-    check's boolean array.
+    a parameter's first step the update allocates nothing.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     params = list(params)
     for p in params:
-        if not np.all(np.isfinite(p.grad)):
+        # min and max propagate NaN and reach any infinity, with no boolean array
+        if p.grad.size and not (math.isfinite(p.grad.min()) and math.isfinite(p.grad.max())):
             raise ValueError(f"non-finite gradient for parameter {p.name!r}")
         if not p.value.flags.c_contiguous:  # its flat view would be a copy, and the update would be lost
             raise ValueError(f"{p.name}: value is not C-contiguous, so it cannot be updated in place")

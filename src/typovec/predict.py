@@ -431,20 +431,19 @@ def select_trajectory_node(logreg: LogRegModel, hidden_size: int) -> int:
 
 
 def export_trajectory(nmt: Seq2SeqModel, logreg: LogRegModel, encoded: EncodedCorpus,
-                      vocab: SubwordVocab, langs, max_sentences: int | None = None):
+                      vocab: SubwordVocab, langs):
     """Per-sentence time series of the encoder cell dimension that
     :func:`select_trajectory_node` picks for ``logreg``.
 
     Returns (node, rows) where rows are (lang, sentence index, step, value)
-    and each sentence contributes len(source) + 2 steps. ``max_sentences``
-    keeps the first n sentences of each language, which run as one batch
-    through :func:`typovec.models.language_states`.
+    and each sentence contributes len(source) + 2 steps. Each language's
+    sentences in ``encoded`` run as one batch through
+    :func:`typovec.models.language_states`.
     """
     node = select_trajectory_node(logreg, nmt.hidden_size)
     rows: list[tuple[str, int, int, float]] = []
     for lang in langs:
-        lens, order, states = models.language_states(nmt, vocab, lang,
-                                                     encoded.by_lang.get(lang, [])[:max_sentences])
+        lens, order, states = models.language_states(nmt, vocab, lang, encoded.by_lang.get(lang, []))
         series = np.stack([c[:, node] for _, c in states], axis=1)
         for sent_idx, row in enumerate(np.argsort(order)):
             rows.extend((lang, sent_idx, step, float(series[row, step])) for step in range(lens[row]))

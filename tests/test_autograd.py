@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,6 +320,21 @@ class TestCheckpoint:
         loaded, seed = load_checkpoint(path)
         assert seed == 42
         assert set(loaded) == set(tensors)
+        for name in tensors:
+            np.testing.assert_array_equal(loaded[name], tensors[name])
+
+    def test_load_holds_each_tensor_once(self, tmp_path, rng):
+        # the file's bytes go straight into the arrays returned: no whole-file buffer, slice or copy
+        tensors = {"embed": rng.normal(size=(1000, 1000)), "bias": rng.normal(size=(1000,))}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tensors, seed=1)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * sum(a.nbytes for a in tensors.values())
         for name in tensors:
             np.testing.assert_array_equal(loaded[name], tensors[name])
 

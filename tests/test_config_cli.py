@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,28 @@ class TestPipeline:
         table = (work / "table_main.md").read_text(encoding="utf-8")
         for method in ("None", "LMVec", "MTVec", "MTCell", "MTBoth"):
             assert f"| {method} |" in table
+
+    def test_traj_encodes_only_the_sentences_it_reads(self, pipeline, tmp_path, monkeypatch):
+        work, _ = pipeline
+        copy = tmp_path / "work"
+        shutil.copytree(work, copy)
+        (copy / "traj.manifest").unlink()
+        (copy / "trajectory.csv").unlink()
+        encoded = Counter()
+        encode_corpus = typovec.bpe.encode_corpus
+
+        def counting(pairs, merges, vocab):
+            pairs = list(pairs)
+            encoded.update(pair.lang for pair in pairs)
+            return encode_corpus(pairs, merges, vocab)
+
+        monkeypatch.setattr(typovec.bpe, "encode_corpus", counting)
+        cfg_path = tmp_path / "cfg.txt"
+        write_config(cfg_path, workdir=str(copy))
+        assert main(["--config", str(cfg_path), "traj"]) == 0
+        # traj_sentences=3 of each language's 12 pairs, and the same series as a run that encoded all
+        assert encoded == dict.fromkeys(load_registry(copy / "registry.tsv").codes, 3)
+        assert (copy / "trajectory.csv").read_bytes() == (work / "trajectory.csv").read_bytes()
 
     @pytest.mark.parametrize("name, producer, consumer", [
         ("knn_vectors.tsv", "baseline", "predict"),

@@ -30,13 +30,14 @@ from typovec.vectors import LangVector, save_vectors
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(typovec.__file__).resolve().parents[1])}
 
-# Runs one stage, then prints its exit code, whether numpy is loaded and
-# which typovec modules have run (a module not yet loaded is a lazy stub).
+# Runs one stage, then prints its exit code, whether numpy and numpy.random
+# are loaded and which typovec modules have run (a module not yet loaded is
+# a lazy stub).
 STAGE_SNIPPET = """
 import json, sys, types
 from typovec.cli import main
 code = main(["--config", sys.argv[1], sys.argv[2]])
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "numpy_random": "numpy.random" in sys.modules,
                   "loaded": sorted(name for name, module in sys.modules.items()
                                    if name.startswith("typovec.") and type(module) is types.ModuleType)}))
 """
@@ -96,6 +97,29 @@ def test_stage_leaves_model_code_unloaded(workdir, stage, module, unloaded):
     assert result["code"] == 0
     assert module in result["loaded"]
     assert not unloaded & set(result["loaded"])
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A synthetic suite with a trained translation model and its MTCell vectors."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = root / "cfg.txt"
+    cfg.write_text(f"workdir={root / 'work'}\nseed=5\nsynth_langs=8\nsynth_sentences=6\n"
+                   "synth_lexicon=10\nnum_merges=10\nhidden_size=4\nepochs=1\nmethods=MTCell\n"
+                   "traj_sentences=2\n", encoding="utf-8")
+    for stage in ("synth", "bpe-learn", "train-nmt", "extract"):
+        assert main(["--config", str(cfg), stage]) == 0, stage
+    return cfg
+
+
+@pytest.mark.parametrize("stage", ["extract", "traj"])
+def test_inference_stage_draws_no_random_numbers(trained, stage):
+    # a loaded model takes the checkpoint's arrays, so nothing imports numpy.random
+    (trained.parent / "work" / f"{stage}.manifest").unlink(missing_ok=True)
+    result = run_stage_in_child(trained, stage)
+    assert result["code"] == 0
+    assert "typovec.models" in result["loaded"]
+    assert not result["numpy_random"]
 
 
 def test_cli_import_registers_every_submodule_and_loads_few():
