@@ -84,7 +84,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], int]:
             (ndim,) = unpack("<I")
             shape = unpack(f"<{ndim}Q")
             check(8 * math.prod(shape))  # before the array is made: a damaged dim may ask for any size
-            arr = tensors[name] = np.empty(shape, dtype="<f8")
+            try:
+                arr = tensors[name] = np.empty(shape, dtype="<f8")
+            except ValueError:  # with a zero dim, the size check passes any other dim
+                raise CheckpointError(f"{path}: tensor {name!r} has no possible shape {shape}") from None
             fh.readinto(arr)
             # min and max propagate NaN and reach any infinity, with no boolean array
             if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):

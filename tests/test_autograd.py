@@ -357,6 +357,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(cut)
 
+    @pytest.mark.parametrize("dims", [(0, 2**64 - 1), (0, 2**62)])
+    def test_empty_tensor_with_a_dim_no_array_can_take_is_a_typed_error(self, tmp_path, dims):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"TVCK" + struct.pack("<IqI", 1, 0, 1) + struct.pack("<I", 1) + b"w"
+                         + struct.pack("<I2Q", 2, *dims))
+        with pytest.raises(CheckpointError, match="model.ckpt: tensor 'w' has no possible shape"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("name, value, match", [
         pytest.param("w", np.array([1.0, np.nan]), "non-finite", id="nan-value"),
         pytest.param("\udcff", np.ones(2), "not UTF-8", id="0xff-in-name"),
